@@ -3,9 +3,10 @@
 
 Integrates the relativistic contact Hamiltonian over a fixed horizon with
 each composition plan at a ladder of step sizes, measures the endpoint error
-against a fine RK4 reference, and fits the log-log slope.  The slope should
-sit at the plan's design order: 2 for strang, 4 for jump4/suzuki4, 6 for
-jump6 (whose constant is large, so its small-tau end needs care).
+against a fine RK4 reference (``checks.order_errors``: 4 dims, gamma = 0.1),
+and fits the log-log slope.  The slope should sit at the plan's design
+order: 2 for strang, 4 for jump4/suzuki4, 6 for jump6 (whose constant is
+large, so its small-tau end needs care).
 """
 
 import argparse
@@ -13,36 +14,8 @@ import sys
 
 import numpy as np
 
-from contactopt.contact import ContactState, reference_integrate
-from contactopt.integrators import (
-    PLAN_NAMES,
-    RelativisticParams,
-    crgd_hamiltonian,
-    integrate_split,
-    split_plan,
-)
-from contactopt.objectives import make_random_quadratic
-
-
-def sweep(plan_name: str, taus, horizon: float, dim: int, gamma: float,
-          seed: int) -> list:
-    obj = make_random_quadratic(seed, dim, 0.2, 1.5)
-    params = RelativisticParams(m=1.0, c=1.0, gamma=gamma, schedule="nag_like")
-    ham = crgd_hamiltonian(obj, params)
-    rng = np.random.default_rng(seed + 1)
-    s0 = ContactState(X=rng.standard_normal(dim), P=rng.standard_normal(dim),
-                      S=0.3, t=1.0)
-    plan = split_plan(plan_name)
-    rows = []
-    for tau in taus:
-        n = int(round(horizon / tau))
-        ref = reference_integrate(ham, "std1", s0, tau / 100.0, n * 100)
-        approx = integrate_split(s0, tau, n, obj, params, plan)
-        if approx.diverged or ref.diverged:
-            raise RuntimeError(f"{plan_name} diverged at tau={tau}")
-        err = float(np.max(np.abs(approx[-1].coords() - ref[-1].coords())))
-        rows.append((tau, err))
-    return rows
+from contactopt.checks import order_errors
+from contactopt.integrators import PLAN_NAMES, split_plan
 
 
 def main(argv=None) -> int:
@@ -51,8 +24,6 @@ def main(argv=None) -> int:
                     help="comma list of composition plans")
     ap.add_argument("--taus", default="0.1,0.05,0.025,0.0125")
     ap.add_argument("--horizon", type=float, default=1.0)
-    ap.add_argument("--dim", type=int, default=4)
-    ap.add_argument("--gamma", type=float, default=0.1)
     ap.add_argument("--seed", type=int, default=4)
     args = ap.parse_args(argv)
 
@@ -62,11 +33,10 @@ def main(argv=None) -> int:
 
     print(f"{'plan':<8} {'tau':>9} {'endpoint error':>16}")
     for name in args.plans.split(","):
-        rows = sweep(name, taus, args.horizon, args.dim, args.gamma, args.seed)
-        for tau, err in rows:
+        errors = order_errors(name, taus, args.horizon, args.seed)
+        for tau, err in zip(taus, errors):
             print(f"{name:<8} {tau:>9.4f} {err:>16.3e}")
-        slope = np.polyfit(np.log([r[0] for r in rows]),
-                           np.log([r[1] for r in rows]), 1)[0]
+        slope = np.polyfit(np.log(taus), np.log(errors), 1)[0]
         design = split_plan(name).base_order
         print(f"{name:<8} observed order {slope:.3f}  (design order {design})\n")
     return 0

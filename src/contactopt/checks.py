@@ -63,6 +63,7 @@ __all__ = [
     "check_dissipation",
     "check_specialization",
     "check_nag",
+    "order_errors",
     "measure_order",
     "TOL_CONFORMAL",
     "TOL_LAMBDA",
@@ -206,18 +207,17 @@ def check_conformal(seed: int = 0) -> List[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def measure_order(
+def order_errors(
     plan_name: str,
     taus: Sequence[float] = (0.1, 0.05, 0.025, 0.0125),
     horizon: float = 1.0,
     seed: int = 4,
-) -> float:
-    """Observed global convergence order of a composition plan.
+) -> List[float]:
+    """Endpoint error of a composition plan at each step size in taus.
 
     Integrates the relativistic Hamiltonian (m = c = 1, gamma = 0.1,
     random quadratic potential in 4 dims) to a fixed horizon from t = 1 and
-    fits the log-log slope of the endpoint error against the RK4 reference
-    at dt = tau/100.
+    takes the max-norm distance to the RK4 reference at dt = tau/100.
     """
     obj = make_random_quadratic(seed, 4, 0.2, 1.5)
     params = RelativisticParams(m=1.0, c=1.0, gamma=0.1, schedule="nag_like")
@@ -233,11 +233,23 @@ def measure_order(
         ref = reference_integrate(ham, "std1", s0, tau / 100.0, n * 100)
         approx = integrate_split(s0, tau, n, obj, params, plan)
         if approx.diverged or ref.diverged:
-            raise RuntimeError(f"order sweep diverged at tau={tau}")
+            raise RuntimeError(f"{plan_name} order sweep diverged at tau={tau}")
         err = float(
             np.max(np.abs(approx[-1].coords() - ref[-1].coords()))
         )
         errors.append(err)
+    return errors
+
+
+def measure_order(
+    plan_name: str,
+    taus: Sequence[float] = (0.1, 0.05, 0.025, 0.0125),
+    horizon: float = 1.0,
+    seed: int = 4,
+) -> float:
+    """Observed global convergence order of a composition plan: the
+    log-log slope of :func:`order_errors` against tau."""
+    errors = order_errors(plan_name, taus, horizon, seed)
     slope = np.polyfit(np.log(taus), np.log(errors), 1)[0]
     return float(slope)
 

@@ -12,7 +12,8 @@ Subcommands:
 Exit codes are a stable contract: 0 success, 1 usage or config error,
 2 the requested run diverged.  All randomness flows from one master seed
 (--seed, falling back to the CONTACT_OPT_SEED environment variable), and
-outputs are byte-identical for a given seed regardless of --jobs.
+outputs are byte-identical for a given seed.  Every run is serial; search
+and bench accept --jobs (a positive integer) and ignore it.
 """
 
 import argparse
@@ -145,7 +146,7 @@ def cmd_run(args) -> int:
 
 
 def _run_pipeline(spec, args) -> int:
-    outcomes = run_bench(spec, jobs=args.jobs)
+    outcomes = run_bench(spec)
     bands = []
     records = []
     for oc in outcomes:
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="tune and measure from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None, help="override master seed")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument("--out", default=None, help="band CSV path")
     p.add_argument("--traces", default=None, help="per-run trace CSV path")
     p.add_argument("--svg", default=None, help="figure path")
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", required=True, choices=PRESET_NAMES)
     p.add_argument("--scale", choices=SCALES, default="desk")
     p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument("--init", default=None, help="override the preset start point")
     p.add_argument("--out", default=None, help="band CSV path")
     p.add_argument("--traces", default=None, help="per-run trace CSV path")
@@ -327,7 +328,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
+        if getattr(args, "jobs", 1) < 1:
             raise ValueError("--jobs must be >= 1")
         return args.func(args)
     except SystemExit as e:

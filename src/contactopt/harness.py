@@ -4,9 +4,10 @@ An :class:`ExperimentSpec` names an objective, an initialization rule, and a
 list of optimizers with hyperparameter search ranges.  Running it means:
 random search over each optimizer's ranges (best final gap wins), then
 Monte-Carlo repetitions at the tuned parameters, reduced to per-iteration
-quantile bands.  Everything is seeded through one master seed; trial seeds
-are derived by hashing (master, label, index) so results are reproducible
-bit-for-bit regardless of execution order or thread count.
+quantile bands.  Everything is seeded through one master seed; search-trial
+and Monte-Carlo run seeds are derived by hashing (master, label, index), so
+results are reproducible bit-for-bit and different master seeds give
+independent streams.
 
 Diverged runs are first-class data: they score +inf during search and their
 traces are padded with +inf before quantiles, so instability shows up in the
@@ -19,7 +20,6 @@ quantile bands, floats in shortest round-trip decimal, infinities spelled
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,6 +27,7 @@ import numpy as np
 
 from .objectives import Objective, get_objective, OBJECTIVE_NAMES
 from .optimizers import (
+    KIND_PARAMS,
     OPTIMIZER_KINDS,
     OptimizerConfig,
     RunRecord,
@@ -49,7 +50,6 @@ __all__ = [
     "monte_carlo",
     "run_bench",
     "estimate_rate",
-    "export_csv",
     "export_trace_csv",
     "export_band_csv",
     "read_trace_csv",
@@ -57,7 +57,6 @@ __all__ = [
     "export_svg",
     "parse_experiment",
     "spec_to_doc",
-    "parallel_map",
     "RunRecord",
 ]
 
@@ -84,19 +83,6 @@ def derive_seed(master: int, label: str, index: int) -> int:
     """
     digest = hashlib.sha256(f"{master % _U64}:{label}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def parallel_map(fn, items: Sequence, jobs: int = 1) -> list:
-    """Map preserving input order; with jobs > 1 work runs on a thread pool.
-
-    Results are reduced in index order, so output is independent of
-    scheduling -- the determinism contract of the whole harness.
-    """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +136,6 @@ class InitSpec:
 
 
 _PARAM_NAMES = ("tau", "epsilon", "mu", "delta")
-# parameters a kind tunes during search
-_KIND_PARAMS = {
-    "gd": ("tau",),
-    "cm": ("tau", "mu"),
-    "nag": ("tau", "mu"),
-    "rgd": ("epsilon", "mu", "delta"),
-    "crgd": ("epsilon", "mu", "delta"),
-}
 
 
 @dataclass(frozen=True)
@@ -235,7 +213,7 @@ class OptimizerEntry:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        for name in _KIND_PARAMS[self.kind]:
+        for name in KIND_PARAMS[self.kind]:
             if getattr(self.ranges, name) is None:
                 raise ValueError(
                     f"optimizer {self.kind!r} needs a search range for {name!r}"
@@ -375,25 +353,21 @@ def _search_trial(
 ) -> Tuple[Dict[str, float], RunRecord]:
     tseed = derive_seed(spec.master_seed, f"search:{entry.kind}", index)
     rng = np.random.default_rng(tseed)
-    params = {name: entry.ranges.draw(name, rng) for name in _KIND_PARAMS[entry.kind]}
+    params = {name: entry.ranges.draw(name, rng) for name in KIND_PARAMS[entry.kind]}
     obj = spec.objective.build()
     x0 = spec.init.materialize(spec.objective.dim, rng)
     rec = run(obj, entry.make_config(params), x0, spec.iters, trial_seed=tseed)
     return params, rec
 
 
-def random_search(
-    spec: ExperimentSpec, entry: OptimizerEntry, jobs: int = 1
-) -> SearchResult:
+def random_search(spec: ExperimentSpec, entry: OptimizerEntry) -> SearchResult:
     """Draw search_trials parameter tuples and keep the one with the lowest
     final gap.  Diverged trials score +inf; if every trial diverges the
     result is flagged non-viable rather than raising."""
-    results = parallel_map(
-        lambda i: _search_trial(spec, entry, i), range(spec.search_trials), jobs
-    )
     best_params, best_gap = None, math.inf
     n_diverged = 0
-    for params, rec in results:
+    for i in range(spec.search_trials):
+        params, rec = _search_trial(spec, entry, i)
         gap = rec.final_gap
         n_diverged += int(rec.diverged)
         if gap < best_gap:
@@ -410,7 +384,7 @@ def random_search(
 def _mc_run(
     spec: ExperimentSpec, entry: OptimizerEntry, params: Dict[str, float], index: int
 ) -> RunRecord:
-    rseed = (spec.master_seed ^ index) % _U64
+    rseed = derive_seed(spec.master_seed, "mc", index)
     if spec.objective.randomized:
         obj = spec.objective.build(seed=derive_seed(rseed, "objective", 0))
     else:
@@ -424,20 +398,16 @@ def _mc_run(
 
 
 def monte_carlo(
-    spec: ExperimentSpec,
-    entry: OptimizerEntry,
-    params: Dict[str, float],
-    jobs: int = 1,
+    spec: ExperimentSpec, entry: OptimizerEntry, params: Dict[str, float]
 ) -> Tuple[QuantileBand, List[RunRecord]]:
     """mc_runs repetitions at fixed parameters, reduced to quantile bands.
 
-    Run seeds are master_seed XOR run-index; the random pieces are the
-    objective draw (quadratic only) and the init box (when used).  Diverged
-    traces are padded with +inf before taking quantiles.
+    Run j is seeded with derive_seed(master_seed, "mc", j); the optimizer is
+    not in the label, so every optimizer sees the same draws.  The random
+    pieces are the objective draw (quadratic only) and the init box (when
+    used).  Diverged traces are padded with +inf before taking quantiles.
     """
-    records = parallel_map(
-        lambda j: _mc_run(spec, entry, params, j), range(spec.mc_runs), jobs
-    )
+    records = [_mc_run(spec, entry, params, j) for j in range(spec.mc_runs)]
     width = spec.iters + 1
     padded = [
         list(r.trace) + [math.inf] * (width - len(r.trace)) for r in records
@@ -459,13 +429,13 @@ class BenchOutcome:
     records: Tuple[RunRecord, ...]
 
 
-def run_bench(spec: ExperimentSpec, jobs: int = 1) -> List[BenchOutcome]:
+def run_bench(spec: ExperimentSpec) -> List[BenchOutcome]:
     """Full pipeline per optimizer: tune, then Monte Carlo at the optimum."""
     outcomes = []
     for entry in spec.optimizers:
-        sr = random_search(spec, entry, jobs=jobs)
+        sr = random_search(spec, entry)
         if sr.viable:
-            band, records = monte_carlo(spec, entry, sr.best_params, jobs=jobs)
+            band, records = monte_carlo(spec, entry, sr.best_params)
         else:
             band, records = None, []
         outcomes.append(BenchOutcome(search=sr, band=band, records=tuple(records)))
@@ -544,16 +514,6 @@ def export_band_csv(bands: Sequence[QuantileBand], path: str) -> None:
                     )
     except OSError as e:
         raise OSError(f"cannot write band CSV {path!r}: {e}") from e
-
-
-def export_csv(data, path: str) -> None:
-    """Dispatch on payload type: RunRecords to the trace schema, bands to
-    the band schema."""
-    items = list(data)
-    if items and isinstance(items[0], QuantileBand):
-        export_band_csv(items, path)
-    else:
-        export_trace_csv(items, path)
 
 
 def read_trace_csv(path: str) -> List[Tuple[int, RunRecord]]:

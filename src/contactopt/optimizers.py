@@ -28,6 +28,7 @@ from .objectives import Objective
 
 __all__ = [
     "OPTIMIZER_KINDS",
+    "KIND_PARAMS",
     "OptimizerConfig",
     "OptState",
     "RunRecord",
@@ -43,7 +44,15 @@ __all__ = [
     "run",
 ]
 
-OPTIMIZER_KINDS = ("gd", "cm", "nag", "rgd", "crgd")
+# the tunables each kind reads, in the order search draws them
+KIND_PARAMS = {
+    "gd": ("tau",),
+    "cm": ("tau", "mu"),
+    "nag": ("tau", "mu"),
+    "rgd": ("epsilon", "mu", "delta"),
+    "crgd": ("epsilon", "mu", "delta"),
+}
+OPTIMIZER_KINDS = tuple(KIND_PARAMS)
 
 # past this the gap is treated as blown up even if still representable
 _GAP_LIMIT = 1e300
@@ -92,11 +101,7 @@ class OptimizerConfig:
 
     def params_dict(self) -> Dict[str, float]:
         """The tunables this kind actually reads, for reporting."""
-        if self.kind == "gd":
-            return {"tau": self.tau}
-        if self.kind in ("cm", "nag"):
-            return {"tau": self.tau, "mu": self.mu}
-        return {"epsilon": self.epsilon, "mu": self.mu, "delta": self.delta}
+        return {name: getattr(self, name) for name in KIND_PARAMS[self.kind]}
 
 
 @dataclass(frozen=True)

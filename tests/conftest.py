@@ -46,7 +46,7 @@ def quartic_bench():
         if seed not in runs:
             spec = experiment_preset("quartic", scale="desk", master_seed=seed)
             t0 = time.perf_counter()
-            outcomes = run_bench(spec, jobs=1)
+            outcomes = run_bench(spec)
             runs[seed] = (outcomes, time.perf_counter() - t0)
         return runs[seed]
 

@@ -194,7 +194,7 @@ class TestBenchCommand:
 
     def test_default_output_name(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr("contactopt.cli.run_bench", lambda spec, jobs: [])
+        monkeypatch.setattr("contactopt.cli.run_bench", lambda spec: [])
         rc = main(["bench", "--preset", "quartic"])
         assert rc == 0
         assert (tmp_path / "bench_quartic_desk.csv").exists()
