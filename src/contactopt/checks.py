@@ -302,7 +302,7 @@ def check_equivalence(seed: int = 0, n_states: int = 100, n_params: int = 10) ->
             for kind, schedule in (("crgd", "nag_like"), ("rgd", "constant")):
                 cfg = OptimizerConfig(kind=kind, epsilon=eps, mu=mu, delta=delta)
                 stepper = crgd_step if kind == "crgd" else rgd_step
-                s1 = stepper(OptState(X=x, V=v, S=s_val, k=k, X_prev=x), obj, cfg)
+                s1 = stepper(OptState(X=x, V=v, S=s_val, k=k), obj, cfg)
                 params = RelativisticParams(m=1.0, c=2.0 / (math.sqrt(delta) * tau), gamma=gamma, schedule=schedule)
                 c1 = strang_step(
                     ContactState(X=x, P=2.0 * v / tau, S=s_val, t=float(k)),
@@ -341,9 +341,7 @@ def check_equivalence(seed: int = 0, n_states: int = 100, n_params: int = 10) ->
     obj = make_random_quadratic(3, 3, 0.1, 2.0)
     cfg1 = OptimizerConfig(kind="rgd", epsilon=0.05, mu=1.0, delta=2.0)
     cfg2 = OptimizerConfig(kind="crgd", epsilon=0.05, mu=1.0, delta=2.0)
-    s0 = OptState(
-        X=rng2.standard_normal(3), V=rng2.standard_normal(3), S=0.2, k=3, X_prev=np.zeros(3)
-    )
+    s0 = OptState(X=rng2.standard_normal(3), V=rng2.standard_normal(3), S=0.2, k=3)
     a, b = rgd_step(s0, obj, cfg1), crgd_step(s0, obj, cfg2)
     bitwise = (
         np.array_equal(a.X, b.X) and np.array_equal(a.V, b.V) and a.S == b.S
@@ -598,10 +596,7 @@ def check_nag(seed: int = 0) -> List[CheckResult]:
 
     # S follows the product of coefficients, starting from a nonzero S at k0
     k0, s0_val, steps = 5, 1.7, 6
-    st = OptState(
-        X=rng.standard_normal(dim), V=rng.standard_normal(dim), S=s0_val, k=k0,
-        X_prev=np.zeros(dim),
-    )
+    st = OptState(X=rng.standard_normal(dim), V=rng.standard_normal(dim), S=s0_val, k=k0)
     expected = s0_val
     for j in range(k0 + 1, k0 + steps + 1):
         expected *= (j - 1.0) / (j + 2.0)
@@ -621,7 +616,7 @@ def check_nag(seed: int = 0) -> List[CheckResult]:
 
     # first step has zero momentum coefficient: the contact stage must set
     # the new momentum equal to the new point
-    st1 = OptState(X=rng.standard_normal(dim), V=rng.standard_normal(dim), S=1.0, k=0, X_prev=np.zeros(dim))
+    st1 = OptState(X=rng.standard_normal(dim), V=rng.standard_normal(dim), S=1.0, k=0)
     nxt = nag_decomposed_step(st1, obj, cfg)
     dev_first = float(np.max(np.abs(nxt.V - st1.V)))
     results.append(
@@ -635,8 +630,8 @@ def check_nag(seed: int = 0) -> List[CheckResult]:
 
     # report-only: iterate both forms side by side
     x0 = rng.standard_normal(dim)
-    a = OptState(X=x0, V=x0.copy(), S=0.0, k=0, X_prev=x0)
-    b = OptState(X=x0, V=x0.copy(), S=0.0, k=0, X_prev=x0)
+    a = OptState(X=x0, V=x0.copy(), S=0.0, k=0)
+    b = OptState(X=x0, V=x0.copy(), S=0.0, k=0)
     worst_x = 0.0
     for _ in range(30):
         a = nag_step(a, obj, cfg)

@@ -10,10 +10,11 @@ Subcommands:
   list    every name the other subcommands accept
 
 Exit codes are a stable contract: 0 success, 1 usage or config error,
-2 the requested run diverged.  All randomness flows from one master seed
-(--seed, falling back to the CONTACT_OPT_SEED environment variable), and
-outputs are byte-identical for a given seed.  Every run is serial; search
-and bench accept --jobs (a positive integer) and ignore it.
+2 the requested run diverged, 3 a self-check failed.  All randomness flows
+from one master seed (--seed, falling back to the CONTACT_OPT_SEED
+environment variable), and outputs are byte-identical for a given seed.
+Every run is serial; search and bench accept --jobs (a positive integer)
+and ignore it.
 """
 
 import argparse
@@ -48,6 +49,7 @@ from .presets import PRESET_NAMES, SCALES, experiment_preset
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DIVERGED = 2
+EXIT_CHECK_FAILED = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -241,7 +243,7 @@ def cmd_check(args) -> int:
         print(r.line())
     n_fail = sum(1 for r in results if not r.passed)
     print(f"{len(results) - n_fail}/{len(results)} checks passed")
-    return EXIT_OK if n_fail == 0 else EXIT_USAGE
+    return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILED
 
 
 def cmd_list(args) -> int:

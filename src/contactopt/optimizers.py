@@ -10,11 +10,12 @@ contact Hamiltonian under the substitutions V = tau*P/2m, epsilon =
 tau^2/2m, mu = exp(-gamma*tau), delta = 4/(c*tau)^2; the test suite holds
 the two code paths to 1e-12 of each other.
 
-The S component is carried along so every run has a full contact-state
-trace; it never feeds back into X or V.  Its per-step update is derived by
-composing the exact stage flows in the m=1 gauge (tau = sqrt(2*epsilon)).
-With delta = 0 the kinetic rate keeps only the velocity-dependent part,
-since the rest-energy constant diverges in that limit.
+The S component is carried in the state for the checks and for callers
+that step by hand; run() records only the gap, and S never feeds back into
+X or V.  Its per-step update is derived by composing the exact stage flows
+in the m=1 gauge (tau = sqrt(2*epsilon)).  With delta = 0 the kinetic rate
+keeps only the velocity-dependent part, since the rest-energy constant
+diverges in that limit.
 """
 
 import math
@@ -23,7 +24,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .contact import ContactState, PointMap
+from .contact import DIVERGENCE_LIMIT, ContactState, PointMap
 from .objectives import Objective
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "nag_contact_map",
     "rgd_step",
     "crgd_step",
-    "step_once",
     "run",
 ]
 
@@ -53,9 +53,6 @@ KIND_PARAMS = {
     "crgd": ("epsilon", "mu", "delta"),
 }
 OPTIMIZER_KINDS = tuple(KIND_PARAMS)
-
-# past this the gap is treated as blown up even if still representable
-_GAP_LIMIT = 1e300
 
 
 @dataclass(frozen=True)
@@ -108,36 +105,20 @@ class OptimizerConfig:
 class OptState:
     """Optimizer state: iterate X, velocity V, contact trace S, counter k.
 
-    For nag, V holds the look-ahead point and X_prev the previous iterate.
+    For nag, V holds the look-ahead point.  Steps never write into the
+    arrays they are given, so a new state shares them instead of copying.
     """
 
     X: np.ndarray
     V: np.ndarray
     S: float
     k: int
-    X_prev: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.X, dtype=float, copy=True)
-        v = np.array(self.V, dtype=float, copy=True)
-        xp = np.array(self.X_prev, dtype=float, copy=True)
-        if not (x.shape == v.shape == xp.shape):
-            raise ValueError("X, V and X_prev must have the same length")
+        if np.shape(self.X) != np.shape(self.V):
+            raise ValueError("X and V must have the same length")
         if self.k < 0:
             raise ValueError(f"iteration counter must be non-negative, got {self.k}")
-        for a in (x, v, xp):
-            a.setflags(write=False)
-        object.__setattr__(self, "X", x)
-        object.__setattr__(self, "V", v)
-        object.__setattr__(self, "X_prev", xp)
-        object.__setattr__(self, "S", float(self.S))
-
-    def is_finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.X))
-            and np.all(np.isfinite(self.V))
-            and np.isfinite(self.S)
-        )
 
 
 @dataclass(frozen=True)
@@ -168,21 +149,21 @@ class RunRecord:
 def init_state(X0: np.ndarray, kind: str) -> OptState:
     """Start state: V = 0 and S = 0 always, except nag's look-ahead slot
     starts at X0 itself."""
-    x0 = np.asarray(X0, dtype=float)
+    x0 = np.array(X0, dtype=float)
     v0 = x0.copy() if kind == "nag" else np.zeros_like(x0)
-    return OptState(X=x0, V=v0, S=0.0, k=0, X_prev=x0)
+    return OptState(X=x0, V=v0, S=0.0, k=0)
 
 
 def gd_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
     """Plain gradient descent: X -= tau * grad f(X)."""
     x = s.X - cfg.tau * obj.grad(s.X)
-    return OptState(X=x, V=s.V, S=s.S, k=s.k + 1, X_prev=s.X)
+    return OptState(X=x, V=s.V, S=s.S, k=s.k + 1)
 
 
 def cm_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
     """Heavy ball: V <- mu V - tau grad f(X); X <- X + V."""
     v = cfg.mu * s.V - cfg.tau * obj.grad(s.X)
-    return OptState(X=s.X + v, V=v, S=s.S, k=s.k + 1, X_prev=s.X)
+    return OptState(X=s.X + v, V=v, S=s.S, k=s.k + 1)
 
 
 def _nag_coefficient(k_new: int, cfg: OptimizerConfig) -> float:
@@ -198,7 +179,7 @@ def nag_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
     c = _nag_coefficient(k_new, cfg)
     x = s.V - cfg.tau * obj.grad(s.V)
     p = x + c * (x - s.X)
-    return OptState(X=x, V=p, S=s.S, k=k_new, X_prev=s.X)
+    return OptState(X=x, V=p, S=s.S, k=k_new)
 
 
 def nag_decomposed_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
@@ -217,7 +198,7 @@ def nag_decomposed_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> Op
     p1 = s.V + c * (s.V - s.X)
     s1 = c * s.S
     x2 = x1 - cfg.tau * obj.grad(x1)
-    return OptState(X=x2, V=p1, S=s1, k=k_new, X_prev=s.X)
+    return OptState(X=x2, V=p1, S=s1, k=k_new)
 
 
 def nag_contact_map(k: int) -> PointMap:
@@ -279,7 +260,7 @@ def _relativistic_step(
         # delta -> 0 limit with the constant rest-energy rate dropped
         kin = -(mu_h * v2_k + v2_mid) / (2.0 * eps)
     s_new = mu_h * s.S - sq * tau * (obj.eval(x_mid) + kin)
-    return OptState(X=x_new, V=v_new, S=s_new, k=s.k + 1, X_prev=s.X)
+    return OptState(X=x_new, V=v_new, S=s_new, k=s.k + 1)
 
 
 def rgd_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
@@ -307,10 +288,6 @@ _STEPS = {
 }
 
 
-def step_once(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
-    return _STEPS[cfg.kind](s, obj, cfg)
-
-
 def run(
     obj: Objective,
     cfg: OptimizerConfig,
@@ -321,8 +298,11 @@ def run(
     """Iterate the configured step, recording the objective gap per iteration.
 
     The gap is f(X) minus the objective's known minimum value when one is
-    declared, else raw f.  A non-finite state or gap stops the run early
-    with the diverged flag set; the trace keeps only finite entries.
+    declared, else raw f.  A gap that is not within DIVERGENCE_LIMIT in
+    magnitude (NaN and +-inf included) stops the run early with the diverged
+    flag set; the trace keeps only the entries before it.  S is not checked:
+    it never feeds back into X or V, and a blown-up X or V shows up in the
+    same step's gap.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
@@ -339,11 +319,8 @@ def run(
     with np.errstate(all="ignore"):
         for _ in range(iters):
             s = step(s, obj, cfg)
-            if not s.is_finite():
-                diverged = True
-                break
             g = gap(s.X)
-            if not math.isfinite(g) or abs(g) > _GAP_LIMIT:
+            if not abs(g) <= DIVERGENCE_LIMIT:
                 diverged = True
                 break
             trace.append(g)

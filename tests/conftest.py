@@ -32,23 +32,24 @@ def acceptance():
 
 
 @pytest.fixture(scope="session")
-def quartic_bench():
-    """Tuned desk quartic benchmark, per master seed (slow: four optimizers,
-    300 search trials each, about half a minute per seed).
+def desk_bench():
+    """Desk-scale preset benchmarks, each run once per session (slow: the
+    quartic takes about half a minute per seed).
 
-    Returns a function mapping a master seed to (outcomes, elapsed seconds)
-    for ``experiment_preset("quartic", scale="desk", master_seed=seed)``.
-    The caller fixes the seed set; each seed's bench runs once per session.
+    Returns a function mapping (preset, master seed) to (outcomes, elapsed
+    seconds) for ``experiment_preset(preset, scale="desk",
+    master_seed=seed)``, so the acceptance criteria and the golden-output
+    fence share their runs.
     """
     runs = {}
 
-    def bench(seed: int):
-        if seed not in runs:
-            spec = experiment_preset("quartic", scale="desk", master_seed=seed)
+    def bench(preset: str, seed: int):
+        if (preset, seed) not in runs:
+            spec = experiment_preset(preset, scale="desk", master_seed=seed)
             t0 = time.perf_counter()
             outcomes = run_bench(spec)
-            runs[seed] = (outcomes, time.perf_counter() - t0)
-        return runs[seed]
+            runs[preset, seed] = (outcomes, time.perf_counter() - t0)
+        return runs[preset, seed]
 
     return bench
 

@@ -1,10 +1,12 @@
 """End-to-end gate for the shipped guarantees.
 
-Each test prints one `criterion N: PASS/FAIL` line (collected into the
-terminal summary by conftest) and then asserts, so a red criterion is
-visible both as a failing test and as a labelled line.
+Each criterion test prints one `criterion N: PASS/FAIL` line (collected
+into the terminal summary by conftest) and then asserts, so a red criterion
+is visible both as a failing test and as a labelled line.  The golden-output
+fence at the end pins the bytes of the desk benchmarks at seed 42.
 """
 
+import hashlib
 import statistics
 import time
 
@@ -22,13 +24,20 @@ from contactopt.harness import (
     estimate_rate,
     export_band_csv,
     export_trace_csv,
-    run_bench,
 )
 from contactopt.presets import experiment_preset
 
 
 def _gaps(outcomes):
     return {oc.search.kind: oc.search.best_gap for oc in outcomes}
+
+
+def _export_viable(outcomes, bands_path, traces_path):
+    """Band and trace CSVs of the viable optimizers, as `contactopt bench`
+    writes them."""
+    viable = [oc for oc in outcomes if oc.search.viable]
+    export_band_csv([oc.band for oc in viable], bands_path)
+    export_trace_csv([r for oc in viable for r in oc.records], traces_path)
 
 
 def test_criterion_01_every_map_is_conformal(acceptance):
@@ -105,7 +114,7 @@ _RELATIVISTIC = ("rgd", "crgd")
 _CLASSICAL = ("cm", "nag")
 
 
-def test_criterion_07_quartic_benchmark_margins(acceptance, quartic_bench):
+def test_criterion_07_quartic_benchmark_margins(acceptance, desk_bench):
     ceiling = {e.kind: e.ranges.epsilon[1]
                for e in experiment_preset("quartic", scale="desk").optimizers
                if e.kind in _RELATIVISTIC}
@@ -113,7 +122,7 @@ def test_criterion_07_quartic_benchmark_margins(acceptance, quartic_bench):
     problems, per_seed = [], []
     n_ordered = 0
     for seed in QUARTIC_SEEDS:
-        outcomes, elapsed = quartic_bench(seed)
+        outcomes, elapsed = desk_bench("quartic", seed)
         gaps = _gaps(outcomes)
         for r, c in legs:
             legs[r, c].append(gaps[c] / gaps[r])
@@ -144,11 +153,8 @@ def test_criterion_07_quartic_benchmark_margins(acceptance, quartic_bench):
     assert acceptance.record(7, ok, detail), detail
 
 
-def test_criterion_08_camelback_basin_escape(acceptance):
-    t0 = time.perf_counter()
-    spec = experiment_preset("camelback", scale="desk", master_seed=42)
-    outcomes = run_bench(spec)
-    elapsed = time.perf_counter() - t0
+def test_criterion_08_camelback_basin_escape(acceptance, desk_bench):
+    outcomes, elapsed = desk_bench("camelback", 42)
     gaps = _gaps(outcomes)
     ok = (gaps["rgd"] < 0.05 and gaps["crgd"] < 0.05
           and gaps["cm"] >= 0.25 and gaps["nag"] >= 0.25
@@ -159,11 +165,8 @@ def test_criterion_08_camelback_basin_escape(acceptance):
     assert acceptance.record(8, ok, detail), detail
 
 
-def test_criterion_09_quadratic_bands_trend_down(acceptance):
-    t0 = time.perf_counter()
-    spec = experiment_preset("quadratic", scale="desk", master_seed=42)
-    outcomes = run_bench(spec)
-    elapsed = time.perf_counter() - t0
+def test_criterion_09_quadratic_bands_trend_down(acceptance, desk_bench):
+    outcomes, elapsed = desk_bench("quadratic", 42)
     problems = []
     for oc in outcomes:
         kind = oc.search.kind
@@ -188,7 +191,7 @@ def test_criterion_09_quadratic_bands_trend_down(acceptance):
     assert acceptance.record(9, ok, detail), detail
 
 
-def test_criterion_10_bench_cli_is_deterministic(acceptance, quartic_bench,
+def test_criterion_10_bench_cli_is_deterministic(acceptance, desk_bench,
                                                  tmp_path):
     # one CLI bench, compared with the CSVs of the separate seed-42 run that
     # criterion 7 already made, kept to viable optimizers as the CLI does
@@ -199,11 +202,8 @@ def test_criterion_10_bench_cli_is_deterministic(acceptance, quartic_bench,
         "--out", paths["cli_bands"], "--traces", paths["cli_traces"],
     ])
     assert rc == 0
-    outcomes, _ = quartic_bench(42)
-    viable = [oc for oc in outcomes if oc.search.viable]
-    export_band_csv([oc.band for oc in viable], paths["lib_bands"])
-    export_trace_csv([r for oc in viable for r in oc.records],
-                     paths["lib_traces"])
+    outcomes, _ = desk_bench("quartic", 42)
+    _export_viable(outcomes, paths["lib_bands"], paths["lib_traces"])
     blobs = {name: open(path, "rb").read() for name, path in paths.items()}
     ok = (blobs["cli_bands"] == blobs["lib_bands"]
           and blobs["cli_traces"] == blobs["lib_traces"])
@@ -211,3 +211,36 @@ def test_criterion_10_bench_cli_is_deterministic(acceptance, quartic_bench,
               "a separate run_bench at seed 42" if ok
               else "outputs differ between the two runs")
     assert acceptance.record(10, ok, detail), detail
+
+
+# Golden-output fence: sha256 of the desk band and trace CSVs at seed 42.
+# A change that moves any output bit must re-pin these on purpose and say
+# why in CHANGES.md.
+GOLDEN_DESK_SEED_42 = {
+    "quadratic": (
+        "8165a68115acc13578323a38537731b9a937629dc8a1158f24d71febf9eb86b5",
+        "3f3a56e7bfcb5a4c36e4f44cfd8696a15ed49cae0d40b1fd00ed0b5f6ba15fb4",
+    ),
+    "quartic": (
+        "66ea5cb1ba96f9fbef567addc95e92ed45d3e50fdc29791ae4ae3dc5d74364bf",
+        "ebe9714cc761cd86acb62a1455164ca1d90df0fb53a50859517a9474bac68d7a",
+    ),
+    "camelback": (
+        "455a9e1e958c49bae50f75dbe7abd094be366551967ca99ee3644bafa3fd4b3b",
+        "44e46042f83fac52e6c90c8f3875b1ec80b58744b674348b4edccc014a5bb988",
+    ),
+    "rosenbrock": (
+        "3d6e5452d54ca34c55633910f1251c26df288c737ca03345cb236abaaeae9735",
+        "27b3a63c0f810115facdb445154e6987f5562c99e809e28f5ce9ab964627217d",
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_DESK_SEED_42))
+def test_golden_desk_outputs(preset, desk_bench, tmp_path):
+    outcomes, _ = desk_bench(preset, 42)
+    bands, traces = tmp_path / "bands.csv", tmp_path / "traces.csv"
+    _export_viable(outcomes, str(bands), str(traces))
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (bands, traces))
+    assert digests == GOLDEN_DESK_SEED_42[preset]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from contactopt.checks import CheckResult
 from contactopt.cli import main, parse_init_flag
 from contactopt.harness import (
     InitSpec,
@@ -250,6 +251,15 @@ class TestCheckCommand:
         rc = main(["check", "--only", "bogus"])
         assert rc == 1
         assert "unknown check family" in capsys.readouterr().err
+
+    def test_failed_check_has_own_exit_code(self, monkeypatch, capsys):
+        failing = CheckResult(family="orders", name="planted", passed=False,
+                              value=1.0)
+        monkeypatch.setattr("contactopt.cli.run_checks",
+                            lambda only, seed: [failing])
+        assert main(["check"]) == 3
+        out = capsys.readouterr().out
+        assert "[FAIL]" in out and "0/1 checks passed" in out
 
 
 class TestListCommand:
