@@ -63,6 +63,7 @@ from .optimizers import (
     OptState,
     RunRecord,
     run,
+    run_batch,
 )
 from .presets import experiment_preset
 
@@ -115,6 +116,7 @@ __all__ = [
     "OptState",
     "RunRecord",
     "run",
+    "run_batch",
     "experiment_preset",
     "__version__",
 ]

@@ -7,11 +7,14 @@ Monte-Carlo repetitions at the tuned parameters, reduced to per-iteration
 quantile bands.  Everything is seeded through one master seed; search-trial
 and Monte-Carlo run seeds are derived by hashing (master, label, index), so
 results are reproducible bit-for-bit and different master seeds give
-independent streams.
+independent streams.  The bits do not depend on the CPU, except for the
+quadratic, whose matrix products go through BLAS.
 
-Diverged runs are first-class data: they score +inf during search and their
-traces are padded with +inf before quantiles, so instability shows up in the
-bands instead of being silently dropped.
+Each search builds its objective once and runs all of its trials as one
+(T, n) batch (optimizers.run_batch); Monte Carlo batches the runs that share
+an objective.  Diverged runs are first-class data: they score +inf during
+search and their traces are padded with +inf before quantiles, so
+instability shows up in the bands instead of being silently dropped.
 
 File formats are deliberately plain: two CSV schemas (per-run traces and
 quantile bands, floats in shortest round-trip decimal, infinities spelled
@@ -32,6 +35,7 @@ from .optimizers import (
     OptimizerConfig,
     RunRecord,
     run,
+    run_batch,
 )
 
 __all__ = [
@@ -348,53 +352,35 @@ def _quantile(sorted_vals: Sequence[float], q: float) -> float:
     return lo + frac * (hi - lo)
 
 
-def _search_trial(
-    spec: ExperimentSpec, entry: OptimizerEntry, index: int
-) -> Tuple[Dict[str, float], RunRecord]:
-    tseed = derive_seed(spec.master_seed, f"search:{entry.kind}", index)
-    rng = np.random.default_rng(tseed)
-    params = {name: entry.ranges.draw(name, rng) for name in KIND_PARAMS[entry.kind]}
-    obj = spec.objective.build()
-    x0 = spec.init.materialize(spec.objective.dim, rng)
-    rec = run(obj, entry.make_config(params), x0, spec.iters, trial_seed=tseed)
-    return params, rec
-
-
 def random_search(spec: ExperimentSpec, entry: OptimizerEntry) -> SearchResult:
     """Draw search_trials parameter tuples and keep the one with the lowest
     final gap.  Diverged trials score +inf; if every trial diverges the
-    result is flagged non-viable rather than raising."""
-    best_params, best_gap = None, math.inf
-    n_diverged = 0
+    result is flagged non-viable rather than raising.
+
+    Trial i draws its parameters, then its start vector, from the generator
+    seeded with derive_seed(master_seed, "search:<kind>", i).  The objective
+    is built once and all trials run as one batch; only their final gaps
+    and diverged flags are read.
+    """
+    trial_seeds, cfgs, x0s = [], [], []
     for i in range(spec.search_trials):
-        params, rec = _search_trial(spec, entry, i)
-        gap = rec.final_gap
-        n_diverged += int(rec.diverged)
-        if gap < best_gap:
-            best_params, best_gap = params, gap
+        tseed = derive_seed(spec.master_seed, f"search:{entry.kind}", i)
+        rng = np.random.default_rng(tseed)
+        params = {name: entry.ranges.draw(name, rng) for name in KIND_PARAMS[entry.kind]}
+        cfgs.append(entry.make_config(params))
+        x0s.append(spec.init.materialize(spec.objective.dim, rng))
+        trial_seeds.append(tseed)
+    batch = run_batch(spec.objective.build(), cfgs, x0s, spec.iters, trial_seeds)
+    final = batch.final_gaps
+    best = int(np.argmin(final))  # the first of equal gaps, as trials are drawn
+    viable = final[best] < math.inf
     return SearchResult(
         kind=entry.kind,
-        best_params=best_params,
-        best_gap=best_gap,
+        best_params=cfgs[best].params_dict() if viable else None,
+        best_gap=float(final[best]),
         n_trials=spec.search_trials,
-        n_diverged=n_diverged,
+        n_diverged=int(np.count_nonzero(batch.diverged)),
     )
-
-
-def _mc_run(
-    spec: ExperimentSpec, entry: OptimizerEntry, params: Dict[str, float], index: int
-) -> RunRecord:
-    rseed = derive_seed(spec.master_seed, "mc", index)
-    if spec.objective.randomized:
-        obj = spec.objective.build(seed=derive_seed(rseed, "objective", 0))
-    else:
-        obj = spec.objective.build()
-    if spec.init.random:
-        rng = np.random.default_rng(derive_seed(rseed, "init", 0))
-        x0 = spec.init.materialize(spec.objective.dim, rng)
-    else:
-        x0 = spec.init.materialize(spec.objective.dim)
-    return run(obj, entry.make_config(params), x0, spec.iters, trial_seed=rseed)
 
 
 def monte_carlo(
@@ -405,9 +391,23 @@ def monte_carlo(
     Run j is seeded with derive_seed(master_seed, "mc", j); the optimizer is
     not in the label, so every optimizer sees the same draws.  The random
     pieces are the objective draw (quadratic only) and the init box (when
-    used).  Diverged traces are padded with +inf before taking quantiles.
+    used).  Runs that share one objective are one batch; a quadratic is
+    redrawn per run, so each of its runs is a run of its own.  Diverged
+    traces are padded with +inf before taking quantiles.
     """
-    records = [_mc_run(spec, entry, params, j) for j in range(spec.mc_runs)]
+    cfg = entry.make_config(params)
+    seeds = [derive_seed(spec.master_seed, "mc", j) for j in range(spec.mc_runs)]
+    x0s = [_mc_start(spec, rseed) for rseed in seeds]
+    if spec.objective.randomized:
+        records = [
+            run(spec.objective.build(seed=derive_seed(rseed, "objective", 0)),
+                cfg, x0, spec.iters, trial_seed=rseed)
+            for rseed, x0 in zip(seeds, x0s)
+        ]
+    else:
+        records = list(
+            run_batch(spec.objective.build(), [cfg] * len(seeds), x0s, spec.iters, seeds)
+        )
     width = spec.iters + 1
     padded = [
         list(r.trace) + [math.inf] * (width - len(r.trace)) for r in records
@@ -420,6 +420,13 @@ def monte_carlo(
         hi.append(_quantile(col, 0.975))
     band = QuantileBand(kind=entry.kind, median=tuple(med), q025=tuple(lo), q975=tuple(hi))
     return band, records
+
+
+def _mc_start(spec: ExperimentSpec, rseed: int) -> np.ndarray:
+    if spec.init.random:
+        rng = np.random.default_rng(derive_seed(rseed, "init", 0))
+        return spec.init.materialize(spec.objective.dim, rng)
+    return spec.init.materialize(spec.objective.dim)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,15 @@ Every objective is a plain value object bundling an evaluation callable, its
 gradient, and (when known) the global minimum.  Gradients are analytic; the
 only numerical differentiation in this module is :func:`check_gradient`,
 which exists to verify them.
+
+``eval`` and ``grad`` take one point, a ``(n,)`` vector, or a stack of
+points, a ``(T, n)`` array, and reduce over the last axis: a stack of T
+points gives T values and a ``(T, n)`` gradient.  The batched optimizer
+loop relies on this; the reductions are row sums (and ``X @ A`` for the
+quadratic), so a row of a stack is evaluated exactly like that row alone
+for every objective but the quadratic, whose matrix product may differ in
+the last bits.  Integer powers are written as products: numpy's vectorized
+``power`` rounds differently on different CPUs, a product does not.
 """
 
 from dataclasses import dataclass, field
@@ -28,9 +37,10 @@ __all__ = [
 class Objective:
     """A differentiable scalar function with an analytic gradient.
 
-    ``eval`` maps a length-``dim`` vector to a float, ``grad`` to a
-    length-``dim`` vector.  ``known_min_value``/``known_minimizer`` are set
-    only when the optimum is known in closed form.
+    ``eval`` maps a length-``dim`` vector to a float and a ``(T, dim)``
+    stack to T values; ``grad`` maps either to an array of the same shape.
+    ``known_min_value``/``known_minimizer`` are set only when the optimum
+    is known in closed form.
     """
 
     name: str
@@ -42,6 +52,11 @@ class Objective:
 
     def __call__(self, x: np.ndarray) -> float:
         return self.eval(x)
+
+
+def _value(v):
+    """A float for one point, the array of row values for a stack."""
+    return float(v) if v.ndim == 0 else v
 
 
 @dataclass(frozen=True)
@@ -80,12 +95,13 @@ def make_random_quadratic(
     a = (q * lam) @ q.T
     a = 0.5 * (a + a.T)  # exact symmetry
 
-    def f(x: np.ndarray) -> float:
+    # A is symmetric, so X @ A is the gradient of every row of X at once
+    def f(x: np.ndarray):
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ (a @ x))
+        return _value(0.5 * (x * (x @ a)).sum(axis=-1))
 
     def g(x: np.ndarray) -> np.ndarray:
-        return a @ np.asarray(x, dtype=float)
+        return np.asarray(x, dtype=float) @ a
 
     obj = Objective(
         name="quadratic",
@@ -107,13 +123,14 @@ def quartic(dim: int) -> Objective:
         raise ValueError(f"dim must be >= 1, got {dim}")
     weights = np.arange(1, dim + 1, dtype=float)
 
-    def f(x: np.ndarray) -> float:
+    def f(x: np.ndarray):
         x = np.asarray(x, dtype=float)
-        return float(np.sum(weights * x**4))
+        x2 = x * x
+        return _value((weights * (x2 * x2)).sum(axis=-1))
 
     def g(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return 4.0 * weights * x**3
+        return 4.0 * weights * (x * x * x)
 
     return Objective(
         name="quartic",
@@ -133,15 +150,21 @@ def camelback() -> Objective:
     about 0.3.
     """
 
-    def f(x: np.ndarray) -> float:
-        x1, x2 = float(x[0]), float(x[1])
-        return 2.0 * x1**2 - 1.05 * x1**4 + x1**6 / 6.0 + x1 * x2 + x2**2
+    def f(x: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        x1, x2 = x[..., 0], x[..., 1]
+        s1 = x1 * x1
+        q1 = s1 * s1
+        return _value(2.0 * s1 - 1.05 * q1 + q1 * s1 / 6.0 + x1 * x2 + x2 * x2)
 
     def g(x: np.ndarray) -> np.ndarray:
-        x1, x2 = float(x[0]), float(x[1])
-        return np.array(
-            [4.0 * x1 - 4.2 * x1**3 + x1**5 + x2, x1 + 2.0 * x2]
-        )
+        x = np.asarray(x, dtype=float)
+        x1, x2 = x[..., 0], x[..., 1]
+        s1 = x1 * x1
+        out = np.empty_like(x)
+        out[..., 0] = 4.0 * x1 - 4.2 * s1 * x1 + s1 * s1 * x1 + x2
+        out[..., 1] = x1 + 2.0 * x2
+        return out
 
     return Objective(
         name="camelback",
@@ -158,18 +181,20 @@ def rosenbrock(dim: int) -> Objective:
     if dim < 2:
         raise ValueError(f"rosenbrock needs dim >= 2, got {dim}")
 
-    def f(x: np.ndarray) -> float:
+    def f(x: np.ndarray):
         x = np.asarray(x, dtype=float)
-        return float(
-            np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
+        head, tail = x[..., :-1], x[..., 1:]
+        return _value(
+            (100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2).sum(axis=-1)
         )
 
     def g(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        head = x[..., :-1]
         out = np.zeros_like(x)
-        diff = x[1:] - x[:-1] ** 2
-        out[:-1] += -400.0 * x[:-1] * diff - 2.0 * (1.0 - x[:-1])
-        out[1:] += 200.0 * diff
+        diff = x[..., 1:] - head**2
+        out[..., :-1] += -400.0 * head * diff - 2.0 * (1.0 - head)
+        out[..., 1:] += 200.0 * diff
         return out
 
     return Objective(

@@ -10,16 +10,22 @@ contact Hamiltonian under the substitutions V = tau*P/2m, epsilon =
 tau^2/2m, mu = exp(-gamma*tau), delta = 4/(c*tau)^2; the test suite holds
 the two code paths to 1e-12 of each other.
 
-The S component is carried in the state for the checks and for callers
-that step by hand; run() records only the gap, and S never feeds back into
-X or V.  Its per-step update is derived by composing the exact stage flows
-in the m=1 gauge (tau = sqrt(2*epsilon)).  With delta = 0 the kinetic rate
-keeps only the velocity-dependent part, since the rest-energy constant
-diverges in that limit.
+Each kind's X/V update is written once, as an array function that takes
+one point (n,) with float tunables or a stack of T points (T, n) with the
+tunables as (T, 1) columns.  run_batch() iterates it over a stack of T runs
+of one kind and records only the objective gaps, one (iters + 1, T) matrix;
+run() is its T=1 case.  The contact action S is computed only by the step
+functions (gd_step ... crgd_step), which wrap the same update on an
+OptState for the checks and for callers that step by hand; S never feeds
+back into X or V.  Its per-step update is derived by composing the exact
+stage flows in the m=1 gauge (tau = sqrt(2*epsilon)).  With delta = 0 the
+kinetic rate keeps only the velocity-dependent part, since the rest-energy
+constant diverges in that limit.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 import numpy as np
@@ -33,6 +39,7 @@ __all__ = [
     "OptimizerConfig",
     "OptState",
     "RunRecord",
+    "BatchRecords",
     "init_state",
     "gd_step",
     "cm_step",
@@ -42,6 +49,7 @@ __all__ = [
     "rgd_step",
     "crgd_step",
     "run",
+    "run_batch",
 ]
 
 # the tunables each kind reads, in the order search draws them
@@ -150,36 +158,113 @@ def init_state(X0: np.ndarray, kind: str) -> OptState:
     """Start state: V = 0 and S = 0 always, except nag's look-ahead slot
     starts at X0 itself."""
     x0 = np.array(X0, dtype=float)
-    v0 = x0.copy() if kind == "nag" else np.zeros_like(x0)
-    return OptState(X=x0, V=v0, S=0.0, k=0)
+    return OptState(X=x0, V=_start_velocity(x0, kind), S=0.0, k=0)
+
+
+def _start_velocity(X0: np.ndarray, kind: str) -> np.ndarray:
+    return X0.copy() if kind == "nag" else np.zeros_like(X0)
+
+
+# ---------------------------------------------------------------------------
+# The update, once per kind.  X and V are one point (n,) or a stack (T, n);
+# p holds the tunables as attributes, floats (an OptimizerConfig) or (T, 1)
+# columns (_Columns), so one expression serves a single step and a batch.
+# ---------------------------------------------------------------------------
+
+
+def _gd(X, V, k, obj, p):
+    return X - p.tau * obj.grad(X), V
+
+
+def _cm(X, V, k, obj, p):
+    v = p.mu * V - p.tau * obj.grad(X)
+    return X + v, v
+
+
+def _nag_coefficient(k_new: int, p):
+    if p.momentum_schedule == "nesterov_k":
+        return (k_new - 1.0) / (k_new + 2.0)
+    return p.mu
+
+
+def _nag(X, V, k, obj, p):
+    c = _nag_coefficient(k + 1, p)
+    x = V - p.tau * obj.grad(V)
+    return x, x + c * (x - X)
+
+
+def _sqnorm(V):
+    """Row-wise squared norm as a trailing column, so a row of a stack
+    reduces exactly like that row alone."""
+    return (V * V).sum(axis=-1, keepdims=True)
+
+
+def _relativistic(X, V, obj, p, mu_h):
+    """Shared RGD/CRGD update; mu_h is the per-step dissipation factor.
+
+    Half drift, gradient kick, half drift, with the velocity renormalized
+    relativistically (each drift moves X by at most 1/sqrt(delta)) and
+    sqrt(mu_h) damping applied around the kick.  Returns the new X and V
+    plus what the S recursion reads: x_mid, a, b, |V|^2 and |v_mid|^2.
+    """
+    sq = np.sqrt(mu_h)
+    eps, delta = p.epsilon, p.delta
+    v2_k = _sqnorm(V)
+    a = 1.0 / np.sqrt(delta * mu_h * v2_k + 1.0)
+    x_mid = X + sq * V * a
+    v_mid = sq * V - eps * obj.grad(x_mid)
+    v2_mid = _sqnorm(v_mid)
+    b = 1.0 / np.sqrt(delta * v2_mid + 1.0)
+    return x_mid + v_mid * b, sq * v_mid, (x_mid, a, b, v2_k, v2_mid)
+
+
+# libm's pow, elementwise: numpy's vectorized power rounds differently on
+# different CPUs; this costs one call per run and step
+_libm_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _crgd_factor(k: int, p):
+    """mu^(1 + 1/t) at the step's midpoint, t = k + 1/2 on the iteration
+    clock or (k + 1/2) tau on the physical clock, tau = sqrt(2 epsilon)."""
+    t_mid = k + 0.5
+    if p.clock == "physical":
+        t_mid = t_mid * np.sqrt(2.0 * p.epsilon)
+    return np.asarray(_libm_pow(p.mu, 1.0 + 1.0 / t_mid), dtype=float)
+
+
+def _rgd(X, V, k, obj, p):
+    return _relativistic(X, V, obj, p, p.mu)[:2]
+
+
+def _crgd(X, V, k, obj, p):
+    return _relativistic(X, V, obj, p, _crgd_factor(k, p))[:2]
+
+
+_UPDATES = {"gd": _gd, "cm": _cm, "nag": _nag, "rgd": _rgd, "crgd": _crgd}
+
+
+# ---------------------------------------------------------------------------
+# Single steps on an OptState, for the checks and callers stepping by hand
+# ---------------------------------------------------------------------------
 
 
 def gd_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
     """Plain gradient descent: X -= tau * grad f(X)."""
-    x = s.X - cfg.tau * obj.grad(s.X)
-    return OptState(X=x, V=s.V, S=s.S, k=s.k + 1)
+    x, v = _gd(s.X, s.V, s.k, obj, cfg)
+    return OptState(X=x, V=v, S=s.S, k=s.k + 1)
 
 
 def cm_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
     """Heavy ball: V <- mu V - tau grad f(X); X <- X + V."""
-    v = cfg.mu * s.V - cfg.tau * obj.grad(s.X)
-    return OptState(X=s.X + v, V=v, S=s.S, k=s.k + 1)
-
-
-def _nag_coefficient(k_new: int, cfg: OptimizerConfig) -> float:
-    if cfg.momentum_schedule == "nesterov_k":
-        return (k_new - 1.0) / (k_new + 2.0)
-    return cfg.mu
+    x, v = _cm(s.X, s.V, s.k, obj, cfg)
+    return OptState(X=x, V=v, S=s.S, k=s.k + 1)
 
 
 def nag_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
     """Nesterov's method in two-sequence form; V carries the look-ahead
     point.  X+ = V - tau grad f(V); V+ = X+ + c (X+ - X)."""
-    k_new = s.k + 1
-    c = _nag_coefficient(k_new, cfg)
-    x = s.V - cfg.tau * obj.grad(s.V)
-    p = x + c * (x - s.X)
-    return OptState(X=x, V=p, S=s.S, k=k_new)
+    x, v = _nag(s.X, s.V, s.k, obj, cfg)
+    return OptState(X=x, V=v, S=s.S, k=s.k + 1)
 
 
 def nag_decomposed_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
@@ -236,23 +321,12 @@ def nag_contact_map(k: int) -> PointMap:
 def _relativistic_step(
     s: OptState, obj: Objective, cfg: OptimizerConfig, mu_h: float
 ) -> OptState:
-    """Shared RGD/CRGD update; mu_h is the per-step dissipation factor.
-
-    Half drift, gradient kick, half drift, with the velocity renormalized
-    relativistically (each drift moves X by at most 1/sqrt(delta)) and
-    sqrt(mu_h) damping applied around the kick.  The S recursion is the same
-    composition of exact flows written out, in the m=1 gauge.
-    """
-    sq = math.sqrt(mu_h)
+    """The shared update plus the S recursion, written as the same
+    composition of exact stage flows in the m=1 gauge."""
+    x_new, v_new, (x_mid, a, b, v2_k, v2_mid) = _relativistic(s.X, s.V, obj, cfg, mu_h)
+    a, b, v2_k, v2_mid = a.item(), b.item(), v2_k.item(), v2_mid.item()
     eps, delta = cfg.epsilon, cfg.delta
-    v2_k = float(s.V @ s.V)
-    a = 1.0 / math.sqrt(delta * mu_h * v2_k + 1.0)
-    x_mid = s.X + sq * s.V * a
-    v_mid = sq * s.V - eps * obj.grad(x_mid)
-    v2_mid = float(v_mid @ v_mid)
-    b = 1.0 / math.sqrt(delta * v2_mid + 1.0)
-    x_new = x_mid + v_mid * b
-    v_new = sq * v_mid
+    sq = math.sqrt(mu_h)
     tau = math.sqrt(2.0 * eps)
     if delta > 0:
         kin = (a + b) / (eps * delta)
@@ -272,20 +346,163 @@ def crgd_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
     """Contact RGD: dissipation factor mu^(1 + 1/t) read at the step's
     midpoint, t = k + 1/2 on the iteration clock (or (k + 1/2) tau on the
     physical clock with tau = sqrt(2 epsilon))."""
-    t_mid = s.k + 0.5
-    if cfg.clock == "physical":
-        t_mid *= math.sqrt(2.0 * cfg.epsilon)
-    mu_h = cfg.mu ** (1.0 + 1.0 / t_mid)
-    return _relativistic_step(s, obj, cfg, mu_h)
+    return _relativistic_step(s, obj, cfg, float(_crgd_factor(s.k, cfg)))
 
 
-_STEPS = {
-    "gd": gd_step,
-    "cm": cm_step,
-    "nag": nag_step,
-    "rgd": rgd_step,
-    "crgd": crgd_step,
-}
+_TUNABLES = ("tau", "epsilon", "mu", "delta")
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """The tunables of T configs of one kind as (T, 1) columns, read by the
+    update under the same attribute names as an OptimizerConfig."""
+
+    tau: np.ndarray
+    epsilon: np.ndarray
+    mu: np.ndarray
+    delta: np.ndarray
+    momentum_schedule: str
+    clock: str
+
+    @classmethod
+    def of(cls, cfgs) -> "_Columns":
+        first = cfgs[0]
+        for c in cfgs:
+            if (c.kind, c.momentum_schedule, c.clock) != (
+                first.kind, first.momentum_schedule, first.clock
+            ):
+                raise ValueError(
+                    "a batch needs one kind, momentum_schedule and clock"
+                )
+        cols = {
+            name: np.array([[getattr(c, name)] for c in cfgs], dtype=float)
+            for name in _TUNABLES
+        }
+        return cls(**cols, momentum_schedule=first.momentum_schedule, clock=first.clock)
+
+    def rows(self, keep: np.ndarray) -> "_Columns":
+        return replace(
+            self,
+            **{name: getattr(self, name)[keep] for name in _TUNABLES},
+        )
+
+
+class BatchRecords(Sequence):
+    """The runs of one batch: row i of the gap matrix is run i.
+
+    ``gaps`` is (iters + 1, T); a row that diverged holds +inf from its stop
+    index on.  Indexing builds the RunRecord of one run (its finite prefix
+    and the flag); ``final_gaps`` and ``diverged`` serve callers, such as a
+    search, that need no traces.
+    """
+
+    def __init__(self, cfgs, gaps, stop, diverged, trial_seeds):
+        self.cfgs = cfgs
+        self.gaps = gaps
+        self.stop = stop
+        self.diverged = diverged
+        self.trial_seeds = trial_seeds
+
+    def __len__(self) -> int:
+        return len(self.cfgs)
+
+    def __getitem__(self, i: int) -> RunRecord:
+        cfg = self.cfgs[i]
+        return RunRecord(
+            kind=cfg.kind,
+            params=cfg.params_dict(),
+            trace=tuple(self.gaps[: self.stop[i], i].tolist()),
+            diverged=bool(self.diverged[i]),
+            trial_seed=self.trial_seeds[i],
+        )
+
+    @property
+    def final_gaps(self) -> np.ndarray:
+        """Last recorded gap per run; +inf for diverged runs."""
+        return np.where(self.diverged, math.inf, self.gaps[-1])
+
+
+def run_batch(
+    obj: Objective,
+    cfgs: Sequence[OptimizerConfig],
+    X0s,
+    iters: int,
+    trial_seeds: Optional[Sequence[int]] = None,
+) -> BatchRecords:
+    """Run T configs of one kind from T start vectors as one (T, n) stack,
+    recording the objective gap of every run at every iteration.
+
+    The gap is f(X) minus the objective's known minimum value when one is
+    declared, else raw f.  The start gap is always recorded.  A run whose
+    gap leaves DIVERGENCE_LIMIT in magnitude (NaN and +-inf included) is
+    flagged diverged and dropped from the stack; its record keeps only the
+    gaps before that step.  S is not computed: it never feeds back into X
+    or V, and a blown-up X or V shows up in the same step's gap.
+
+    ``obj`` must evaluate a (T, n) stack to T values (see Objective); one
+    written for a single point is rejected with a ValueError before the
+    first step.
+    """
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
+    cfgs = list(cfgs)
+    T = len(cfgs)
+    if T == 0:
+        raise ValueError("a batch needs at least one config")
+    X = np.array(X0s, dtype=float)
+    if X.ndim != 2 or X.shape[0] != T:
+        raise ValueError(
+            f"need one start vector per config: {T} configs, start shape {X.shape}"
+        )
+    seeds = [0] * T if trial_seeds is None else list(trial_seeds)
+    kind = cfgs[0].kind
+    update = _UPDATES[kind]
+    p = _Columns.of(cfgs)
+    f_star = obj.known_min_value
+
+    def gap(x: np.ndarray) -> np.ndarray:
+        g = obj.eval(x)
+        return g - f_star if f_star else g  # f - 0 is f, bit for bit
+
+    V = _start_velocity(X, kind)
+    gaps = np.full((iters + 1, T), math.inf)
+    stop = np.full(T, iters + 1)
+    diverged = np.zeros(T, dtype=bool)
+    live = np.arange(T)
+    with np.errstate(all="ignore"):
+        gaps[0] = _start_gaps(obj, gap, X)
+        for k in range(iters):
+            X, V = update(X, V, k, obj, p)
+            g = gap(X)
+            if not np.abs(g).max() <= DIVERGENCE_LIMIT:  # a NaN max fails too
+                keep = np.abs(g) <= DIVERGENCE_LIMIT
+                dead = live[~keep]
+                stop[dead] = k + 1
+                diverged[dead] = True
+                live, X, V, g, p = live[keep], X[keep], V[keep], g[keep], p.rows(keep)
+                if live.size == 0:
+                    break
+            gaps[k + 1, live] = g
+    return BatchRecords(cfgs, gaps, stop, diverged, seeds)
+
+
+def _start_gaps(obj: Objective, gap, X: np.ndarray) -> np.ndarray:
+    """The gaps at the start stack, checking that the objective evaluates a
+    (T, n) stack to T values as the Objective contract asks."""
+    try:
+        g = gap(X)
+    except (TypeError, ValueError, IndexError) as e:
+        raise ValueError(
+            f"objective {obj.name!r} cannot evaluate a {X.shape} stack of "
+            f"start points; eval and grad must reduce over the last axis: {e}"
+        ) from e
+    if np.shape(g) != X.shape[:1]:
+        raise ValueError(
+            f"objective {obj.name!r} maps a {X.shape} stack to shape "
+            f"{np.shape(g)}, not {X.shape[:1]}; eval and grad must reduce "
+            f"over the last axis"
+        )
+    return g
 
 
 def run(
@@ -295,39 +512,5 @@ def run(
     iters: int,
     trial_seed: int = 0,
 ) -> RunRecord:
-    """Iterate the configured step, recording the objective gap per iteration.
-
-    The gap is f(X) minus the objective's known minimum value when one is
-    declared, else raw f.  A gap that is not within DIVERGENCE_LIMIT in
-    magnitude (NaN and +-inf included) stops the run early with the diverged
-    flag set; the trace keeps only the entries before it.  S is not checked:
-    it never feeds back into X or V, and a blown-up X or V shows up in the
-    same step's gap.
-    """
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    step = _STEPS[cfg.kind]
-    f_star = obj.known_min_value
-
-    def gap(x: np.ndarray) -> float:
-        g = obj.eval(x)
-        return g - f_star if f_star is not None else g
-
-    s = init_state(X0, cfg.kind)
-    trace = [gap(s.X)]
-    diverged = False
-    with np.errstate(all="ignore"):
-        for _ in range(iters):
-            s = step(s, obj, cfg)
-            g = gap(s.X)
-            if not abs(g) <= DIVERGENCE_LIMIT:
-                diverged = True
-                break
-            trace.append(g)
-    return RunRecord(
-        kind=cfg.kind,
-        params=cfg.params_dict(),
-        trace=tuple(trace),
-        diverged=diverged,
-        trial_seed=trial_seed,
-    )
+    """One run: the T=1 case of :func:`run_batch`."""
+    return run_batch(obj, [cfg], [X0], iters, [trial_seed])[0]

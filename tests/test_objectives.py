@@ -163,3 +163,37 @@ class TestGetObjective:
     def test_unknown_name_lists_choices(self):
         with pytest.raises(ValueError, match="quartic"):
             get_objective("bogus", dim=3, seed=1)
+
+
+class TestStacks:
+    """eval and grad on a (T, n) stack equal the row-by-row calls."""
+
+    @staticmethod
+    def build(name, dim):
+        if name == "quadratic":
+            return make_random_quadratic(2, dim, 0.1, 3.0)
+        return get_objective(name, dim=2 if name == "camelback" else dim)
+
+    @given(
+        st.sampled_from(OBJECTIVE_NAMES),
+        st.integers(2, 7),
+        st.integers(1, 9),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_rows(self, name, dim, T, seed):
+        obj = self.build(name, dim)
+        X = np.random.default_rng(seed).uniform(-3.0, 3.0, (T, obj.dim))
+        values, grads = obj.eval(X), obj.grad(X)
+        assert values.shape == (T,) and grads.shape == (T, obj.dim)
+        row_values = np.array([obj.eval(x) for x in X])
+        row_grads = np.array([obj.grad(x) for x in X])
+        assert all(isinstance(obj.eval(x), float) for x in X)
+        if name == "quadratic":
+            # X @ A may round a stack differently from one row in the last bits
+            scale = 1e-12 * (1.0 + np.abs(X).max()) ** 2
+            np.testing.assert_allclose(values, row_values, rtol=1e-12, atol=scale)
+            np.testing.assert_allclose(grads, row_grads, rtol=1e-12, atol=scale)
+        else:
+            np.testing.assert_array_equal(values, row_values)
+            np.testing.assert_array_equal(grads, row_grads)

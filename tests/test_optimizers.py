@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactopt.contact import ContactState, conformal_factor
-from contactopt.objectives import Objective, make_random_quadratic, quartic
+from contactopt.objectives import (
+    Objective,
+    camelback,
+    make_random_quadratic,
+    quartic,
+    rosenbrock,
+)
 from contactopt.optimizers import (
     OPTIMIZER_KINDS,
     OptimizerConfig,
@@ -21,6 +27,7 @@ from contactopt.optimizers import (
     nag_step,
     rgd_step,
     run,
+    run_batch,
 )
 
 
@@ -393,3 +400,134 @@ class TestRun:
     def test_runrecord_requires_trace(self):
         with pytest.raises(ValueError):
             RunRecord(kind="gd", params={}, trace=(), diverged=False)
+
+
+# (kind, momentum_schedule, clock): every update and every schedule
+BATCH_MODES = (
+    ("gd", "constant", "iteration"),
+    ("cm", "constant", "iteration"),
+    ("nag", "constant", "iteration"),
+    ("nag", "nesterov_k", "iteration"),
+    ("rgd", "constant", "iteration"),
+    ("crgd", "constant", "iteration"),
+    ("crgd", "constant", "physical"),
+)
+
+
+def batch_configs(kind, schedule, clock, rng, T):
+    """T configs of one kind with steps wide enough that some runs diverge."""
+    return [
+        OptimizerConfig(
+            kind=kind,
+            tau=float(10 ** rng.uniform(-3, 0)),
+            epsilon=float(10 ** rng.uniform(-3, 0)),
+            mu=float(rng.uniform(0.5, 0.99)),
+            delta=float(rng.uniform(0.0, 5.0)),
+            momentum_schedule=schedule,
+            clock=clock,
+        )
+        for _ in range(T)
+    ]
+
+
+def batch_vs_single(obj, mode, seed, T=12, iters=40):
+    rng = np.random.default_rng(seed)
+    cfgs = batch_configs(*mode, rng, T)
+    x0s = rng.uniform(-2.0, 2.0, (T, obj.dim))
+    batch = run_batch(obj, cfgs, x0s, iters, trial_seeds=range(T))
+    singles = [run(obj, cfg, x0, iters, trial_seed=i)
+               for i, (cfg, x0) in enumerate(zip(cfgs, x0s))]
+    return batch, singles
+
+
+class TestRunBatch:
+    @pytest.mark.parametrize("mode", BATCH_MODES, ids="-".join)
+    @pytest.mark.parametrize("make", [lambda: quartic(5), lambda: rosenbrock(6),
+                                      camelback], ids=["quartic", "rosenbrock",
+                                                       "camelback"])
+    def test_rows_equal_single_runs_bitwise(self, make, mode):
+        batch, singles = batch_vs_single(make(), mode, seed=3)
+        assert len(batch) == len(singles)
+        for i, rec in enumerate(singles):
+            assert batch[i] == rec
+
+    @pytest.mark.parametrize("mode", BATCH_MODES, ids="-".join)
+    def test_quadratic_rows_equal_single_runs_to_1e_12(self, mode):
+        # X @ A rounds a stack of rows and one row alone differently in
+        # the last bits; on this well-conditioned draw the runs stay within
+        # about 1e-14 of each other
+        obj = make_random_quadratic(4, 8, 0.1, 1.0)
+        batch, singles = batch_vs_single(obj, mode, seed=5)
+        for i, rec in enumerate(singles):
+            row = batch[i]
+            assert (row.kind, row.params, row.diverged, row.trial_seed) == (
+                rec.kind, rec.params, rec.diverged, rec.trial_seed)
+            assert len(row.trace) == len(rec.trace)
+            np.testing.assert_allclose(row.trace, rec.trace, rtol=1e-12, atol=0)
+
+    def test_rows_diverge_at_different_iterations(self):
+        obj = quartic(3)
+        taus = (1e-3, 0.02, 0.05, 0.2, 1.0)
+        cfgs = [OptimizerConfig(kind="gd", tau=t) for t in taus]
+        x0s = np.full((len(taus), 3), 2.0)
+        batch = run_batch(obj, cfgs, x0s, iters=60)
+        lengths = [len(batch[i].trace) for i in range(len(taus))]
+        flags = [batch[i].diverged for i in range(len(taus))]
+        assert flags[0] is False and all(flags[2:])
+        assert len({n for n, d in zip(lengths, flags) if d}) >= 2
+        for i, (cfg, x0) in enumerate(zip(cfgs, x0s)):
+            assert batch[i] == run(obj, cfg, x0, 60)
+        # the gap matrix holds each prefix and +inf after it
+        for i, n in enumerate(lengths):
+            assert np.all(np.isinf(batch.gaps[n:, i]))
+            assert np.all(np.isfinite(batch.gaps[:n, i]))
+
+    def test_non_finite_start_gap_is_recorded(self):
+        obj = quartic(2)
+        cfgs = [OptimizerConfig(kind="cm", tau=0.01, mu=0.9)] * 2
+        x0s = np.array([[1e200, 0.0], [0.5, -0.5]])
+        batch = run_batch(obj, cfgs, x0s, iters=10)
+        first = batch[0]
+        assert first.trace == (math.inf,) and first.diverged
+        assert first == run(obj, cfgs[0], x0s[0], 10)
+        assert not batch[1].diverged and len(batch[1].trace) == 11
+        assert batch[1] == run(obj, cfgs[1], x0s[1], 10)
+
+    def test_final_gaps_match_records(self):
+        batch, _ = batch_vs_single(quartic(4), ("gd", "constant", "iteration"), seed=8)
+        assert batch.diverged.any() and not batch.diverged.all()
+        assert batch.final_gaps.tolist() == [r.final_gap for r in batch]
+
+    def test_matches_stepping_by_hand(self):
+        obj = rosenbrock(4)
+        x0 = np.array([-1.2, 1.0, -1.2, 1.0])
+        steps = {"gd": gd_step, "cm": cm_step, "nag": nag_step,
+                 "rgd": rgd_step, "crgd": crgd_step}
+        for kind, step in steps.items():
+            cfg = OptimizerConfig(kind=kind, tau=1e-3, epsilon=1e-3, mu=0.9)
+            s = init_state(x0, kind)
+            gaps = [obj.eval(s.X)]
+            for _ in range(25):
+                s = step(s, obj, cfg)
+                gaps.append(obj.eval(s.X))
+            assert run(obj, cfg, x0, 25).trace == tuple(gaps)
+
+    def test_rejects_mixed_batches(self):
+        obj = quartic(2)
+        with pytest.raises(ValueError, match="one kind"):
+            run_batch(obj, [OptimizerConfig(kind="gd"), OptimizerConfig(kind="cm")],
+                      np.ones((2, 2)), iters=3)
+        with pytest.raises(ValueError, match="one kind"):
+            run_batch(obj, [OptimizerConfig(kind="crgd"),
+                            OptimizerConfig(kind="crgd", clock="physical")],
+                      np.ones((2, 2)), iters=3)
+        with pytest.raises(ValueError, match="start vector"):
+            run_batch(obj, [OptimizerConfig(kind="gd")], np.ones((2, 2)), iters=3)
+
+    def test_rejects_objectives_of_one_point_only(self):
+        c = np.array([2.0, -3.0])
+        cfg = OptimizerConfig(kind="gd")
+        for evaluate in (lambda x: float(c @ x), lambda x: float(np.sum(x))):
+            obj = Objective(name="linear", dim=2, eval=evaluate, grad=lambda x: c)
+            with pytest.raises(ValueError, match="reduce over the last axis"):
+                run(obj, cfg, np.ones(2), iters=3)
