@@ -64,7 +64,7 @@ __all__ = [
     "check_specialization",
     "check_nag",
     "order_errors",
-    "measure_order",
+    "fit_order",
     "TOL_CONFORMAL",
     "TOL_LAMBDA",
     "TOL_EQUIVALENCE",
@@ -85,6 +85,7 @@ TOL_SPECIALIZATION = 1e-8  # pointwise field reductions
 TOL_NAG_ODE = 1e-6         # x'' + (3/t) x' + grad f along a trajectory
 ORDER2_SLACK = 0.1         # observed order windows
 ORDER4_SLACK = 0.2
+_ORDER_TAUS = (0.1, 0.05, 0.025, 0.0125)  # step sizes of the order sweep
 
 
 @dataclass(frozen=True)
@@ -208,17 +209,21 @@ def check_conformal(seed: int = 0) -> List[CheckResult]:
 
 
 def order_errors(
-    plan_name: str,
-    taus: Sequence[float] = (0.1, 0.05, 0.025, 0.0125),
+    plan_names: Sequence[str],
+    taus: Sequence[float] = _ORDER_TAUS,
     horizon: float = 1.0,
     seed: int = 4,
-) -> List[float]:
-    """Endpoint error of a composition plan at each step size in taus.
+) -> Dict[str, List[float]]:
+    """Endpoint error of each composition plan at each step size in taus.
 
     Integrates the relativistic Hamiltonian (m = c = 1, gamma = 0.1,
     random quadratic potential in 4 dims) to a fixed horizon from t = 1 and
-    takes the max-norm distance to the RK4 reference at dt = tau/100.
+    takes the max-norm distance to the RK4 reference at dt = tau/100.  The
+    plans share the start state, the Hamiltonian and the tau grid, so each
+    reference is integrated once per tau and its endpoint is compared with
+    every plan.  Returns {plan name: [error per tau]}.
     """
+    plans = {name: split_plan(name) for name in plan_names}
     obj = make_random_quadratic(seed, 4, 0.2, 1.5)
     params = RelativisticParams(m=1.0, c=1.0, gamma=0.1, schedule="nag_like")
     ham = crgd_hamiltonian(obj, params)
@@ -226,43 +231,39 @@ def order_errors(
     s0 = ContactState(
         X=rng.standard_normal(4), P=rng.standard_normal(4), S=0.3, t=1.0
     )
-    plan = split_plan(plan_name)
-    errors = []
+    errors: Dict[str, List[float]] = {name: [] for name in plans}
     for tau in taus:
         n = int(round(horizon / tau))
         ref = reference_integrate(ham, "std1", s0, tau / 100.0, n * 100)
-        approx = integrate_split(s0, tau, n, obj, params, plan)
-        if approx.diverged or ref.diverged:
-            raise RuntimeError(f"{plan_name} order sweep diverged at tau={tau}")
-        err = float(
-            np.max(np.abs(approx[-1].coords() - ref[-1].coords()))
-        )
-        errors.append(err)
+        if ref.diverged:
+            raise RuntimeError(f"order sweep reference diverged at tau={tau}")
+        ref_end = ref[-1].coords()
+        del ref  # only the endpoint is compared; free the n * 100 states
+        for name, plan in plans.items():
+            approx = integrate_split(s0, tau, n, obj, params, plan)
+            if approx.diverged:
+                raise RuntimeError(f"{name} order sweep diverged at tau={tau}")
+            errors[name].append(float(np.max(np.abs(approx[-1].coords() - ref_end))))
     return errors
 
 
-def measure_order(
-    plan_name: str,
-    taus: Sequence[float] = (0.1, 0.05, 0.025, 0.0125),
-    horizon: float = 1.0,
-    seed: int = 4,
-) -> float:
-    """Observed global convergence order of a composition plan: the
-    log-log slope of :func:`order_errors` against tau."""
-    errors = order_errors(plan_name, taus, horizon, seed)
-    slope = np.polyfit(np.log(taus), np.log(errors), 1)[0]
-    return float(slope)
+def fit_order(taus: Sequence[float], errors: Sequence[float]) -> float:
+    """Observed global convergence order: the log-log slope of the
+    endpoint errors against the step sizes."""
+    return float(np.polyfit(np.log(taus), np.log(errors), 1)[0])
 
 
 def check_orders(seed: int = 4) -> List[CheckResult]:
     """Strang must land at order 2, the fourth-order compositions at 4."""
-    results = []
-    for plan_name, target, slack in (
+    targets = (
         ("strang", 2.0, ORDER2_SLACK),
         ("jump4", 4.0, ORDER4_SLACK),
         ("suzuki4", 4.0, ORDER4_SLACK),
-    ):
-        p = measure_order(plan_name, seed=seed)
+    )
+    errors = order_errors([name for name, _, _ in targets], seed=seed)
+    results = []
+    for plan_name, target, slack in targets:
+        p = fit_order(_ORDER_TAUS, errors[plan_name])
         results.append(
             CheckResult(
                 family="orders",

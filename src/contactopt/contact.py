@@ -207,34 +207,40 @@ def map_F_jacobian(state: ContactState) -> np.ndarray:
     return j
 
 
-def contact_field_std1(H: ContactHamiltonian, state: ContactState) -> Tangent:
-    """Vector field of H in std1 coordinates.  The clock always runs at
-    rate 1 and is handled by the integrator, not the tangent."""
-    x, p, s, t = state.X, state.P, state.S, state.t
+def _field_std1(H: ContactHamiltonian, x: np.ndarray, p: np.ndarray, s: float, t: float) -> tuple:
+    """(dX, dP, dS) of H in std1 coordinates at the flat point (x, p, s, t)."""
     gp = np.asarray(H.grad_P(x, p, s, t), dtype=float)
     gx = np.asarray(H.grad_X(x, p, s, t), dtype=float)
     hs = float(H.dS(x, p, s, t))
-    return Tangent(
-        dX=gp,
-        dP=-gx - p * hs,
-        dS=float(gp @ p) - float(H.value(x, p, s, t)),
+    return gp, -gx - p * hs, float(gp @ p) - float(H.value(x, p, s, t))
+
+
+def _field_std2(H: ContactHamiltonian, x: np.ndarray, p: np.ndarray, s: float, t: float) -> tuple:
+    """(dX, dP, dS) of H in std2 coordinates at the flat point (x, p, s, t)."""
+    gp = np.asarray(H.grad_P(x, p, s, t), dtype=float)
+    gx = np.asarray(H.grad_X(x, p, s, t), dtype=float)
+    hs = float(H.dS(x, p, s, t))
+    return (
+        gp - 0.5 * x * hs,
+        -gx - 0.5 * p * hs,
+        0.5 * (float(x @ gx) + float(p @ gp)) - float(H.value(x, p, s, t)),
     )
+
+
+def contact_field_std1(H: ContactHamiltonian, state: ContactState) -> Tangent:
+    """Vector field of H in std1 coordinates.  The clock always runs at
+    rate 1 and is handled by the integrator, not the tangent."""
+    dx, dp, ds = _field_std1(H, state.X, state.P, state.S, state.t)
+    return Tangent(dX=dx, dP=dp, dS=ds)
 
 
 def contact_field_std2(H: ContactHamiltonian, state: ContactState) -> Tangent:
     """Vector field of H in std2 coordinates."""
-    x, p, s, t = state.X, state.P, state.S, state.t
-    gp = np.asarray(H.grad_P(x, p, s, t), dtype=float)
-    gx = np.asarray(H.grad_X(x, p, s, t), dtype=float)
-    hs = float(H.dS(x, p, s, t))
-    return Tangent(
-        dX=gp - 0.5 * x * hs,
-        dP=-gx - 0.5 * p * hs,
-        dS=0.5 * (float(x @ gx) + float(p @ gp)) - float(H.value(x, p, s, t)),
-    )
+    dx, dp, ds = _field_std2(H, state.X, state.P, state.S, state.t)
+    return Tangent(dX=dx, dP=dp, dS=ds)
 
 
-_FIELDS = {"std1": contact_field_std1, "std2": contact_field_std2}
+_FIELDS = {"std1": _field_std1, "std2": _field_std2}
 
 
 class Trajectory(Sequence):
@@ -269,6 +275,8 @@ def reference_integrate(
 
     Returns n+1 states (including s0) unless the solution blows up, in which
     case the trajectory is truncated at the last finite state and flagged.
+    The stages run on the flat (X, P, S) vector; a ContactState is built
+    once per accepted step, for the returned trajectory only.
     """
     if coords not in _FIELDS:
         raise ValueError(f"unknown coords {coords!r}; expected 'std1' or 'std2'")
@@ -277,28 +285,27 @@ def reference_integrate(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     field = _FIELDS[coords]
+    m = s0.dim
+
+    def f(z: np.ndarray, t: float) -> np.ndarray:
+        dx, dp, ds = field(H, z[:m], z[m : 2 * m], float(z[2 * m]), t)
+        return np.concatenate([dx, dp, [ds]])
+
     states = [s0]
-    s = s0
+    z, t = s0.coords(), s0.t
     diverged = False
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(n):
-            z = s.coords()
-
-            def f(zz: np.ndarray, tt: float) -> np.ndarray:
-                v = field(H, ContactState.from_coords(zz, tt))
-                return np.concatenate([v.dX, v.dP, [v.dS]])
-
-            k1 = f(z, s.t)
-            k2 = f(z + 0.5 * dt * k1, s.t + 0.5 * dt)
-            k3 = f(z + 0.5 * dt * k2, s.t + 0.5 * dt)
-            k4 = f(z + dt * k3, s.t + dt)
-            z_new = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            s_new = ContactState.from_coords(z_new, s.t + dt)
-            if not s_new.is_finite():
+            k1 = f(z, t)
+            k2 = f(z + 0.5 * dt * k1, t + 0.5 * dt)
+            k3 = f(z + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = f(z + dt * k3, t + dt)
+            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = t + dt
+            if not np.all(np.abs(z) <= DIVERGENCE_LIMIT):
                 diverged = True
                 break
-            states.append(s_new)
-            s = s_new
+            states.append(ContactState.from_coords(z, t))
     return Trajectory(states, diverged)
 
 

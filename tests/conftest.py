@@ -33,8 +33,8 @@ def acceptance():
 
 @pytest.fixture(scope="session")
 def desk_bench():
-    """Desk-scale preset benchmarks, each run once per session (slow: the
-    quartic takes about half a minute per seed).
+    """Desk-scale preset benchmarks, each run once per session (the
+    quartic takes about a second per seed).
 
     Returns a function mapping (preset, master seed) to (outcomes, elapsed
     seconds) for ``experiment_preset(preset, scale="desk",

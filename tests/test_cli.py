@@ -247,6 +247,10 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "[PASS]" in out and "checks passed" in out
 
+    def test_every_family_passes(self, capsys):
+        assert main(["check"]) == 0
+        assert "27/27 checks passed" in capsys.readouterr().out
+
     def test_unknown_family(self, capsys):
         rc = main(["check", "--only", "bogus"])
         assert rc == 1

@@ -168,6 +168,18 @@ def quadratic_hamiltonian():
     )
 
 
+def anchored_hamiltonian(x_star, p_star):
+    # H = (|P|^2 + |X|^2) / 2 + <x*, P> - <p*, X> + 2 S, the std2 example
+    return ContactHamiltonian(
+        value=lambda x, p, s, t: 0.5 * float(p @ p + x @ x)
+        + float(x_star @ p) - float(p_star @ x) + 2.0 * s,
+        grad_X=lambda x, p, s, t: x - p_star,
+        grad_P=lambda x, p, s, t: p + x_star,
+        dS=lambda x, p, s, t: 2.0,
+        dt=lambda x, p, s, t: 0.0,
+    )
+
+
 class TestContactFields:
     def test_std1_s_independent_gives_hamilton_equations(self):
         ham = quadratic_hamiltonian()
@@ -207,14 +219,7 @@ class TestContactFields:
         # dP = -grad_X H0 + p* - P
         x_star = np.array([0.3, -1.1])
         p_star = np.array([0.8, 0.2])
-        ham = ContactHamiltonian(
-            value=lambda x, p, s, t: 0.5 * float(p @ p + x @ x)
-            + float(x_star @ p) - float(p_star @ x) + 2.0 * s,
-            grad_X=lambda x, p, s, t: x - p_star,
-            grad_P=lambda x, p, s, t: p + x_star,
-            dS=lambda x, p, s, t: 2.0,
-            dt=lambda x, p, s, t: 0.0,
-        )
+        ham = anchored_hamiltonian(x_star, p_star)
         for s in random_states(7, 10, 2):
             v = contact_field_std2(ham, s)
             np.testing.assert_allclose(v.dX, s.P + x_star - s.X, atol=1e-12)
@@ -265,6 +270,39 @@ class TestReferenceIntegrate:
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for o in orders:
             assert 3.8 <= o <= 4.2
+
+    @pytest.mark.parametrize("coords", ["std1", "std2"])
+    @pytest.mark.parametrize("which", ["crgd", "anchored"])
+    def test_matches_rk4_over_public_field(self, coords, which):
+        # the flat-vector stages must reproduce, bit for bit, RK4 stepped by
+        # hand over the public Tangent-valued fields
+        if which == "crgd":
+            ham = crgd_hamiltonian(
+                make_random_quadratic(3, 3, 0.2, 1.5),
+                RelativisticParams(m=1.2, c=0.8, gamma=0.3, schedule="nag_like"),
+            )
+        else:
+            ham = anchored_hamiltonian(np.array([0.3, -1.1, 0.4]), np.array([0.8, 0.2, -0.5]))
+        field = {"std1": contact_field_std1, "std2": contact_field_std2}[coords]
+
+        def f(z, t):
+            v = field(ham, ContactState.from_coords(z, t))
+            return np.concatenate([v.dX, v.dP, [v.dS]])
+
+        s0 = next(iter(random_states(40, 1, 3)))
+        dt = 0.01
+        traj = reference_integrate(ham, coords, s0, dt, 50)
+        assert len(traj) == 51 and not traj.diverged
+        z, t = s0.coords(), s0.t
+        for state in traj[1:]:
+            k1 = f(z, t)
+            k2 = f(z + 0.5 * dt * k1, t + 0.5 * dt)
+            k3 = f(z + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = f(z + dt * k3, t + dt)
+            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = t + dt
+            np.testing.assert_array_equal(state.coords(), z)
+            assert state.t == t
 
     def test_divergence_flag_truncates(self):
         # cubic feedback blows up fast from a large start
