@@ -7,14 +7,22 @@ Monte-Carlo repetitions at the tuned parameters, reduced to per-iteration
 quantile bands.  Everything is seeded through one master seed; search-trial
 and Monte-Carlo run seeds are derived by hashing (master, label, index), so
 results are reproducible bit-for-bit and different master seeds give
-independent streams.  The bits do not depend on the CPU, except for the
-quadratic, whose matrix products go through BLAS.
+independent streams.
 
-Each search builds its objective once and runs all of its trials as one
-(T, n) batch (optimizers.run_batch); Monte Carlo batches the runs that share
-an objective.  Diverged runs are first-class data: they score +inf during
-search and their traces are padded with +inf before quantiles, so
-instability shows up in the bands instead of being silently dropped.
+Each search runs all of its trials as one (T, n) batch
+(optimizers.run_batch), and so does each Monte Carlo.  run_bench builds
+the objectives once and shares them across the optimizers.  The random
+quadratic runs in its eigenbasis: each matrix is drawn once per bench as
+(lam, Q), the runs see diag(lam) from the rotated start x0 @ Q, and Monte
+Carlo stacks its draws as one diagonal quadratic with a row of
+eigenvalues per run.  The optimizers are rotation-equivariant, so the
+gaps are those of the assembled matrix up to rounding.  The bits do not
+depend on the CPU, except that each quadratic draw goes through LAPACK's
+QR and each start through one rotation by Q.
+
+Diverged runs are first-class data: they score +inf during search and
+their traces are padded with +inf before quantiles, so instability shows
+up in the bands instead of being silently dropped.
 
 File formats are deliberately plain: two CSV schemas (per-run traces and
 quantile bands, floats in shortest round-trip decimal, infinities spelled
@@ -28,13 +36,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .objectives import Objective, get_objective, OBJECTIVE_NAMES
+from .objectives import (
+    OBJECTIVE_NAMES,
+    Objective,
+    diagonal_quadratic,
+    draw_quadratic,
+    get_objective,
+)
 from .optimizers import (
     KIND_PARAMS,
     OPTIMIZER_KINDS,
     OptimizerConfig,
     RunRecord,
-    run,
+    run,  # noqa: F401  (unused here; kept importable as harness.run)
     run_batch,
 )
 
@@ -262,6 +276,12 @@ class ObjectiveSpec:
             eigen_hi=self.eigen_hi,
         )
 
+    def draw(self, seed: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """The eigenvalues and eigenbasis of the quadratic ``build`` makes."""
+        return draw_quadratic(
+            self.seed if seed is None else seed, self.dim, self.eigen_lo, self.eigen_hi
+        )
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -352,15 +372,49 @@ def _quantile(sorted_vals: Sequence[float], q: float) -> float:
     return lo + frac * (hi - lo)
 
 
-def random_search(spec: ExperimentSpec, entry: OptimizerEntry) -> SearchResult:
+# What run_bench shares across its optimizers: the search objective with the
+# basis each trial's start is rotated into (None: starts are used as drawn),
+# and the Monte-Carlo run seeds, objective and start stack.
+SearchProblem = Tuple[Objective, Optional[np.ndarray]]
+MonteCarloProblem = Tuple[List[int], Objective, np.ndarray]
+
+
+def _search_problem(spec: ExperimentSpec) -> SearchProblem:
+    if not spec.objective.randomized:
+        return spec.objective.build(), None
+    lam, q = spec.objective.draw()
+    return diagonal_quadratic(lam), q
+
+
+def _monte_carlo_problem(spec: ExperimentSpec) -> MonteCarloProblem:
+    """Run j is seeded with derive_seed(master_seed, "mc", j).  A quadratic
+    is redrawn per run from derive_seed(run seed, "objective", 0); only its
+    eigenvalues and rotated start are kept."""
+    seeds = [derive_seed(spec.master_seed, "mc", j) for j in range(spec.mc_runs)]
+    x0s = [_mc_start(spec, rseed) for rseed in seeds]
+    if not spec.objective.randomized:
+        return seeds, spec.objective.build(), np.array(x0s)
+    lams, starts = [], []
+    for rseed, x0 in zip(seeds, x0s):
+        lam, q = spec.objective.draw(seed=derive_seed(rseed, "objective", 0))
+        lams.append(lam)
+        starts.append(x0 @ q)
+        del q  # hold one basis at a time
+    return seeds, diagonal_quadratic(np.array(lams)), np.array(starts)
+
+
+def random_search(
+    spec: ExperimentSpec, entry: OptimizerEntry, problem: Optional[SearchProblem] = None
+) -> SearchResult:
     """Draw search_trials parameter tuples and keep the one with the lowest
     final gap.  Diverged trials score +inf; if every trial diverges the
     result is flagged non-viable rather than raising.
 
     Trial i draws its parameters, then its start vector, from the generator
-    seeded with derive_seed(master_seed, "search:<kind>", i).  The objective
-    is built once and all trials run as one batch; only their final gaps
-    and diverged flags are read.
+    seeded with derive_seed(master_seed, "search:<kind>", i).  All trials
+    run as one batch on the objective built (or, for the quadratic, drawn)
+    from the spec's seed; only their final gaps and diverged flags are
+    read.  ``problem`` passes in that objective when run_bench shares it.
     """
     trial_seeds, cfgs, x0s = [], [], []
     for i in range(spec.search_trials):
@@ -370,7 +424,11 @@ def random_search(spec: ExperimentSpec, entry: OptimizerEntry) -> SearchResult:
         cfgs.append(entry.make_config(params))
         x0s.append(spec.init.materialize(spec.objective.dim, rng))
         trial_seeds.append(tseed)
-    batch = run_batch(spec.objective.build(), cfgs, x0s, spec.iters, trial_seeds)
+    obj, basis = _search_problem(spec) if problem is None else problem
+    starts = np.array(x0s)
+    if basis is not None:
+        starts = starts @ basis
+    batch = run_batch(obj, cfgs, starts, spec.iters, trial_seeds)
     final = batch.final_gaps
     best = int(np.argmin(final))  # the first of equal gaps, as trials are drawn
     viable = final[best] < math.inf
@@ -384,30 +442,23 @@ def random_search(spec: ExperimentSpec, entry: OptimizerEntry) -> SearchResult:
 
 
 def monte_carlo(
-    spec: ExperimentSpec, entry: OptimizerEntry, params: Dict[str, float]
+    spec: ExperimentSpec,
+    entry: OptimizerEntry,
+    params: Dict[str, float],
+    problem: Optional[MonteCarloProblem] = None,
 ) -> Tuple[QuantileBand, List[RunRecord]]:
     """mc_runs repetitions at fixed parameters, reduced to quantile bands.
 
     Run j is seeded with derive_seed(master_seed, "mc", j); the optimizer is
     not in the label, so every optimizer sees the same draws.  The random
     pieces are the objective draw (quadratic only) and the init box (when
-    used).  Runs that share one objective are one batch; a quadratic is
-    redrawn per run, so each of its runs is a run of its own.  Diverged
-    traces are padded with +inf before taking quantiles.
+    used).  All runs are one batch; ``problem`` passes in the drawn runs
+    when run_bench shares them.  Diverged traces are padded with +inf
+    before taking quantiles.
     """
     cfg = entry.make_config(params)
-    seeds = [derive_seed(spec.master_seed, "mc", j) for j in range(spec.mc_runs)]
-    x0s = [_mc_start(spec, rseed) for rseed in seeds]
-    if spec.objective.randomized:
-        records = [
-            run(spec.objective.build(seed=derive_seed(rseed, "objective", 0)),
-                cfg, x0, spec.iters, trial_seed=rseed)
-            for rseed, x0 in zip(seeds, x0s)
-        ]
-    else:
-        records = list(
-            run_batch(spec.objective.build(), [cfg] * len(seeds), x0s, spec.iters, seeds)
-        )
+    seeds, obj, starts = _monte_carlo_problem(spec) if problem is None else problem
+    records = list(run_batch(obj, [cfg] * len(seeds), starts, spec.iters, seeds))
     width = spec.iters + 1
     padded = [
         list(r.trace) + [math.inf] * (width - len(r.trace)) for r in records
@@ -437,12 +488,19 @@ class BenchOutcome:
 
 
 def run_bench(spec: ExperimentSpec) -> List[BenchOutcome]:
-    """Full pipeline per optimizer: tune, then Monte Carlo at the optimum."""
+    """Full pipeline per optimizer: tune, then Monte Carlo at the optimum.
+
+    The search objective and the Monte-Carlo runs are drawn once and shared
+    by every optimizer; the Monte-Carlo draws come first, so that only one
+    eigenbasis, the search's, is held at a time.
+    """
+    mc_problem = _monte_carlo_problem(spec)
+    search_problem = _search_problem(spec)
     outcomes = []
     for entry in spec.optimizers:
-        sr = random_search(spec, entry)
+        sr = random_search(spec, entry, search_problem)
         if sr.viable:
-            band, records = monte_carlo(spec, entry, sr.best_params)
+            band, records = monte_carlo(spec, entry, sr.best_params, mc_problem)
         else:
             band, records = None, []
         outcomes.append(BenchOutcome(search=sr, band=band, records=tuple(records)))

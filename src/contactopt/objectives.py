@@ -9,21 +9,31 @@ which exists to verify them.
 points, a ``(T, n)`` array, and reduce over the last axis: a stack of T
 points gives T values and a ``(T, n)`` gradient.  The batched optimizer
 loop relies on this; the reductions are row sums (and ``X @ A`` for the
-quadratic), so a row of a stack is evaluated exactly like that row alone
-for every objective but the quadratic, whose matrix product may differ in
-the last bits.  Integer powers are written as products: numpy's vectorized
-``power`` rounds differently on different CPUs, a product does not.
+assembled quadratic), so a row of a stack is evaluated exactly like that
+row alone for every objective but the assembled quadratic, whose matrix
+product may differ in the last bits.  Integer powers are written as
+products: numpy's vectorized ``power`` rounds differently on different
+CPUs, a product does not.
+
+The random quadratic comes in two forms.  :func:`draw_quadratic` draws its
+eigenvalues and eigenbasis, which goes through LAPACK's QR;
+:func:`make_random_quadratic` assembles A = Q diag(lam) Q' from them, and
+:func:`diagonal_quadratic` is the same function in the eigenbasis, where
+each step costs O(n) instead of O(n^2) and has no BLAS product.  Its
+eigenvalues may differ per row of a stack, one quadratic per run.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "Objective",
     "QuadraticSpec",
+    "draw_quadratic",
     "make_random_quadratic",
+    "diagonal_quadratic",
     "quartic",
     "camelback",
     "rosenbrock",
@@ -40,7 +50,9 @@ class Objective:
     ``eval`` maps a length-``dim`` vector to a float and a ``(T, dim)``
     stack to T values; ``grad`` maps either to an array of the same shape.
     ``known_min_value``/``known_minimizer`` are set only when the optimum
-    is known in closed form.
+    is known in closed form.  ``rows`` is set only for an objective with
+    one set of parameters per row of a stack: ``rows(keep)`` is the
+    objective of the kept rows, for a batch that drops diverged runs.
     """
 
     name: str
@@ -49,6 +61,7 @@ class Objective:
     grad: Callable[[np.ndarray], np.ndarray]
     known_min_value: Optional[float] = None
     known_minimizer: Optional[np.ndarray] = None
+    rows: Optional[Callable[[np.ndarray], "Objective"]] = None
 
     def __call__(self, x: np.ndarray) -> float:
         return self.eval(x)
@@ -69,15 +82,14 @@ class QuadraticSpec:
     eigen_hi: float = 0.0
 
 
-def make_random_quadratic(
+def draw_quadratic(
     seed: int, dim: int, eigen_lo: float, eigen_hi: float
-) -> Objective:
-    """Build f(x) = x'Ax/2 with A symmetric positive definite.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Draw the eigenvalues lam and eigenbasis Q of a random quadratic.
 
-    A = Q diag(lam) Q' where lam_i ~ U(eigen_lo, eigen_hi) and Q is the
-    orthogonal factor of the QR decomposition of a seeded standard-Gaussian
-    matrix, with the diagonal of R forced positive so the factorization (and
-    hence A) is deterministic in the seed.
+    lam_i ~ U(eigen_lo, eigen_hi) and Q is the orthogonal factor of the QR
+    decomposition of a seeded standard-Gaussian matrix, with the diagonal
+    of R forced positive so the factorization is deterministic in the seed.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -91,7 +103,16 @@ def make_random_quadratic(
     q, r = np.linalg.qr(gauss)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
-    q = q * signs
+    q *= signs
+    return lam, q
+
+
+def make_random_quadratic(
+    seed: int, dim: int, eigen_lo: float, eigen_hi: float
+) -> Objective:
+    """Build f(x) = x'Ax/2 with A = Q diag(lam) Q' symmetric positive
+    definite, (lam, Q) from :func:`draw_quadratic`."""
+    lam, q = draw_quadratic(seed, dim, eigen_lo, eigen_hi)
     a = (q * lam) @ q.T
     a = 0.5 * (a + a.T)  # exact symmetry
 
@@ -115,6 +136,36 @@ def make_random_quadratic(
         obj, "spec", QuadraticSpec(matrix=a, seed=seed, eigen_lo=eigen_lo, eigen_hi=eigen_hi)
     )
     return obj
+
+
+def diagonal_quadratic(lam) -> Objective:
+    """f(x) = sum_i lam_i x_i^2 / 2, the random quadratic in its eigenbasis.
+
+    ``lam`` is (n,), or (T, n) for a (T, n) stack whose row t has the
+    eigenvalues lam[t]; a per-row objective evaluates stacks only.  A run
+    on A = Q diag(lam) Q' from x0 gives the same gaps, up to rounding, as a
+    run on this objective from x0 @ Q for every update that uses only
+    gradients, linear combinations and squared norms.
+    """
+    lam = np.asarray(lam, dtype=float)
+    dim = lam.shape[-1]
+
+    def f(x: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        return _value(0.5 * (x * (lam * x)).sum(axis=-1))
+
+    def g(x: np.ndarray) -> np.ndarray:
+        return lam * np.asarray(x, dtype=float)
+
+    return Objective(
+        name="quadratic",
+        dim=dim,
+        eval=f,
+        grad=g,
+        known_min_value=0.0,
+        known_minimizer=np.zeros(dim),
+        rows=(lambda keep: diagonal_quadratic(lam[keep])) if lam.ndim == 2 else None,
+    )
 
 
 def quartic(dim: int) -> Objective:

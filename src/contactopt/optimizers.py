@@ -435,9 +435,11 @@ def run_batch(
     The gap is f(X) minus the objective's known minimum value when one is
     declared, else raw f.  The start gap is always recorded.  A run whose
     gap leaves DIVERGENCE_LIMIT in magnitude (NaN and +-inf included) is
-    flagged diverged and dropped from the stack; its record keeps only the
-    gaps before that step.  S is not computed: it never feeds back into X
-    or V, and a blown-up X or V shows up in the same step's gap.
+    flagged diverged and dropped from the stack, together with its row of
+    an objective that has per-row parameters (``obj.rows``); its record
+    keeps only the gaps before that step.  S is not computed: it never
+    feeds back into X or V, and a blown-up X or V shows up in the same
+    step's gap.
 
     ``obj`` must evaluate a (T, n) stack to T values (see Objective); one
     written for a single point is rejected with a ValueError before the
@@ -480,6 +482,8 @@ def run_batch(
                 stop[dead] = k + 1
                 diverged[dead] = True
                 live, X, V, g, p = live[keep], X[keep], V[keep], g[keep], p.rows(keep)
+                if obj.rows is not None:  # per-row parameters drop with their rows
+                    obj = obj.rows(keep)
                 if live.size == 0:
                     break
             gaps[k + 1, live] = g

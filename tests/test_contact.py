@@ -253,8 +253,8 @@ class TestReferenceIntegrate:
     def test_harmonic_energy_drift(self):
         ham = quadratic_hamiltonian()
         s0 = state_of([1.0], [0.0], t=0.0)
-        n = int(round(10 * 2 * math.pi / 1e-3))
-        traj = reference_integrate(ham, "std1", s0, 1e-3, n)
+        n = int(round(10 * 2 * math.pi / 1e-2))
+        traj = reference_integrate(ham, "std1", s0, 1e-2, n)
         h = [ham.at(s) for s in traj]
         assert max(abs(v - h[0]) for v in h) < 1e-8
 

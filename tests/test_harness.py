@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import xml.etree.ElementTree as ET
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contactopt.harness as harness
 from contactopt.harness import (
     BAND_HEADER,
     ConfigError,
@@ -31,7 +33,7 @@ from contactopt.harness import (
     run_bench,
     spec_to_doc,
 )
-from contactopt.optimizers import RunRecord
+from contactopt.optimizers import RunRecord, run
 from contactopt.presets import PRESET_NAMES, SCALES, experiment_preset
 
 
@@ -390,6 +392,72 @@ class TestRunBench:
             assert a.search == b.search
             assert a.band == b.band
             assert a.records == b.records
+
+
+def quadratic_spec(**over):
+    """The quadratic preset cut to a few trials, runs and iterations."""
+    base = dict(objective=ObjectiveSpec(name="quadratic", dim=6, seed=1),
+                search_trials=5, mc_runs=3, iters=20)
+    base.update(over)
+    return dataclasses.replace(
+        experiment_preset("quadratic", scale="desk", master_seed=3), **base)
+
+
+class TestSharedDraws:
+    def test_bench_draws_every_matrix_once(self, monkeypatch):
+        draws = []
+        real = harness.draw_quadratic
+
+        def counting(seed, *args):
+            draws.append(seed)
+            return real(seed, *args)
+
+        monkeypatch.setattr(harness, "draw_quadratic", counting)
+        spec = quadratic_spec()
+        outcomes = run_bench(spec)
+        assert len(spec.optimizers) == 4 and all(oc.search.viable for oc in outcomes)
+        # the search matrix and each Monte-Carlo matrix, shared by all four
+        assert len(draws) == 1 + spec.mc_runs
+        assert len(set(draws)) == len(draws)
+
+    def test_monte_carlo_is_one_batch(self, monkeypatch):
+        calls = []
+        real = harness.run_batch
+
+        def counting(obj, cfgs, *args, **kwargs):
+            calls.append(len(cfgs))
+            return real(obj, cfgs, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_batch", counting)
+        spec = quadratic_spec(mc_runs=7)
+        entry = spec.optimizers[2]
+        band, records = monte_carlo(spec, entry, {"epsilon": 0.3, "mu": 0.8, "delta": 5.0})
+        assert calls == [7]
+        assert len(records) == 7 and len({r.trace for r in records}) == 7
+
+    def test_shared_draws_equal_drawing_alone(self):
+        # random_search and monte_carlo called alone draw for themselves
+        spec = quadratic_spec()
+        for entry, oc in zip(spec.optimizers, run_bench(spec)):
+            assert random_search(spec, entry) == oc.search
+            band, records = monte_carlo(spec, entry, oc.search.best_params)
+            assert band == oc.band and tuple(records) == oc.records
+
+    def test_eigenbasis_gaps_match_the_assembled_matrix(self):
+        # Monte Carlo on diag(lam) from x0 @ Q tracks runs on the assembled
+        # A = Q diag(lam) Q' from x0 to rounding
+        spec = quadratic_spec(init=InitSpec(kind="box", lo=-1.0, hi=1.0))
+        entry = spec.optimizers[1]
+        params = {"tau": 0.3, "mu": 0.85}
+        _, records = monte_carlo(spec, entry, params)
+        for j, rec in enumerate(records):
+            rseed = derive_seed(spec.master_seed, "mc", j)
+            obj = spec.objective.build(seed=derive_seed(rseed, "objective", 0))
+            x0 = spec.init.materialize(
+                spec.objective.dim, np.random.default_rng(derive_seed(rseed, "init", 0)))
+            alone = run(obj, entry.make_config(params), x0, spec.iters)
+            assert rec.diverged == alone.diverged and rec.trial_seed == rseed
+            np.testing.assert_allclose(rec.trace, alone.trace, rtol=1e-12, atol=0)
 
 
 class TestCsvRoundTrip:

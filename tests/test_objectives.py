@@ -8,6 +8,8 @@ from contactopt.objectives import (
     Objective,
     camelback,
     check_gradient,
+    diagonal_quadratic,
+    draw_quadratic,
     get_objective,
     make_random_quadratic,
     quartic,
@@ -113,6 +115,31 @@ class TestRandomQuadratic:
         obj = make_random_quadratic(seed, 5, 0.2, 1.5)
         x = np.random.default_rng(seed).standard_normal(5)
         assert obj(x) >= 0.0
+
+
+class TestEigenbasisQuadratic:
+    def test_draw_is_the_assembled_matrix(self):
+        lam, q = draw_quadratic(3, 20, 0.1, 1.0)
+        np.testing.assert_allclose(q.T @ q, np.eye(20), rtol=0, atol=1e-12)
+        a = make_random_quadratic(3, 20, 0.1, 1.0).spec.matrix
+        np.testing.assert_allclose(q.T @ a @ q, np.diag(lam), rtol=0, atol=1e-12)
+
+    def test_value_and_gradient_in_the_eigenbasis(self):
+        lam, q = draw_quadratic(7, 6, 0.2, 1.5)
+        full, diag = make_random_quadratic(7, 6, 0.2, 1.5), diagonal_quadratic(lam)
+        x = np.random.default_rng(1).standard_normal((4, 6))
+        np.testing.assert_allclose(diag.eval(x @ q), full.eval(x), rtol=1e-13)
+        np.testing.assert_allclose(diag.grad(x @ q), full.grad(x) @ q, rtol=0, atol=1e-13)
+        assert diag.rows is None and check_gradient(diag, x[0] @ q) < 1e-7
+
+    def test_per_row_eigenvalues(self):
+        lam = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        obj = diagonal_quadratic(lam)
+        x = np.ones((3, 2))
+        np.testing.assert_array_equal(obj.eval(x), [1.5, 3.5, 5.5])
+        np.testing.assert_array_equal(obj.grad(x), lam)
+        kept = obj.rows(np.array([True, False, True]))
+        np.testing.assert_array_equal(kept.eval(x[:2]), [1.5, 5.5])
 
 
 class TestCheckGradient:

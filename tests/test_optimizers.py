@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from contactopt.contact import ContactState, conformal_factor
 from contactopt.objectives import (
     Objective,
     camelback,
+    diagonal_quadratic,
+    draw_quadratic,
     make_random_quadratic,
     quartic,
     rosenbrock,
@@ -531,3 +534,38 @@ class TestRunBatch:
             obj = Objective(name="linear", dim=2, eval=evaluate, grad=lambda x: c)
             with pytest.raises(ValueError, match="reduce over the last axis"):
                 run(obj, cfg, np.ones(2), iters=3)
+
+
+class TestEigenbasis:
+    @pytest.mark.parametrize("mode", BATCH_MODES, ids="-".join)
+    def test_diagonal_batch_matches_assembled_runs(self, mode):
+        # every update uses only gradients, linear combinations and squared
+        # norms, so a run on A = Q diag(lam) Q' from x0 and a run on
+        # diag(lam) from x0 @ Q agree up to rounding
+        rng = np.random.default_rng(5)
+        cfgs = batch_configs(*mode, rng, 12)
+        # no speed limit and a huge step: this run diverges
+        cfgs.append(dataclasses.replace(cfgs[0], tau=500.0, epsilon=500.0, delta=0.0))
+        x0s = rng.uniform(-2.0, 2.0, (len(cfgs), 8))
+        lam, q = draw_quadratic(4, 8, 0.1, 1.0)
+        batch = run_batch(diagonal_quadratic(lam), cfgs, x0s @ q, iters=60)
+        assembled = make_random_quadratic(4, 8, 0.1, 1.0)
+        for i, (cfg, x0) in enumerate(zip(cfgs, x0s)):
+            rec = run(assembled, cfg, x0, 60)
+            assert batch[i].diverged == rec.diverged
+            assert len(batch[i].trace) == len(rec.trace)
+            np.testing.assert_allclose(batch[i].trace, rec.trace, rtol=1e-12, atol=0)
+        assert batch[len(cfgs) - 1].diverged
+
+    def test_per_row_eigenvalues_drop_with_their_rows(self):
+        # row t runs on its own eigenvalues lam[t]; rows with larger
+        # eigenvalues diverge sooner and take their row of lam with them
+        lam = np.outer([0.5, 3.0, 6.0, 1.0, 20.0], np.linspace(0.2, 1.0, 4))
+        cfg = OptimizerConfig(kind="cm", tau=1.5, mu=0.5)
+        x0s = np.random.default_rng(2).uniform(-1.0, 1.0, lam.shape)
+        batch = run_batch(diagonal_quadratic(lam), [cfg] * len(lam), x0s, iters=400)
+        stops = {len(batch[i].trace) for i in range(len(lam)) if batch[i].diverged}
+        assert not batch[0].diverged and not batch[3].diverged
+        assert len(stops) == 3
+        for i in range(len(lam)):
+            assert batch[i] == run(diagonal_quadratic(lam[i]), cfg, x0s[i], 400)
