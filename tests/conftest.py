@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import contactopt.checks as checks
 from contactopt.harness import run_bench
 from contactopt.presets import experiment_preset
 
@@ -52,6 +53,29 @@ def desk_bench():
         return runs[preset, seed]
 
     return bench
+
+
+@pytest.fixture(scope="session")
+def order_check():
+    """One ``check_orders()`` run per session, shared by the order tests.
+
+    Returns (results, the dt of every RK4 reference the run integrated,
+    elapsed seconds); a counter wraps ``checks.reference_integrate`` for
+    the length of the run only.
+    """
+    calls = []
+    real = checks.reference_integrate
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "reference_integrate", counting)
+        t0 = time.perf_counter()
+        results = checks.check_orders()
+        elapsed = time.perf_counter() - t0
+    return results, calls, elapsed
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

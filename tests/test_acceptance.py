@@ -16,7 +16,6 @@ from contactopt.checks import (
     check_conformal,
     check_dissipation,
     check_equivalence,
-    check_orders,
     check_specialization,
 )
 from contactopt.cli import main
@@ -57,10 +56,8 @@ def test_criterion_01_every_map_is_conformal(acceptance):
     assert acceptance.record(1, ok, detail), detail
 
 
-def test_criterion_02_integrator_orders(acceptance):
-    t0 = time.perf_counter()
-    results = check_orders()
-    elapsed = time.perf_counter() - t0
+def test_criterion_02_integrator_orders(acceptance, order_check):
+    results, _, elapsed = order_check
     ok = all(r.passed for r in results) and elapsed < 30.0
     detail = ("; ".join(f"{r.name} = {r.value:.3f}" for r in results)
               + f"; {elapsed:.1f}s")
