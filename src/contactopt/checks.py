@@ -111,6 +111,11 @@ def _random_state(rng: np.random.Generator, dim: int, t_lo: float = 0.5, t_hi: f
     )
 
 
+def _bounded(family: str, name: str, value: float, tol: float) -> CheckResult:
+    """A result that passes when value < tol."""
+    return CheckResult(family=family, name=name, passed=value < tol, value=value, detail=f"tol {tol:g}")
+
+
 # ---------------------------------------------------------------------------
 # Family: conformal factors
 # ---------------------------------------------------------------------------
@@ -127,6 +132,7 @@ def check_conformal(seed: int = 0) -> List[CheckResult]:
     obj = make_random_quadratic(11, dim, 0.1, 2.0)
     params = RelativisticParams(m=1.2, c=0.8, gamma=0.3, schedule="nag_like")
     dtau = 0.07
+    map_f = PointMap("map_F", map_F, map_F_jacobian)
     candidates = [
         ("phi1", phi1_map(dtau, params), "std1", None),
         ("phi2", phi2_map(dtau, obj), "std1", None),
@@ -135,7 +141,7 @@ def check_conformal(seed: int = 0) -> List[CheckResult]:
         ("strang", strang_map(dtau, obj, params), "std1", None),
         ("jump4", compose_map(dtau, obj, params, split_plan("jump4")), "std1", None),
         ("nag_contact(k=7)", nag_contact_map(7), "std2", None),
-        ("map_F", PointMap("map_F", map_F, map_F_jacobian), "std2", "std1"),
+        ("map_F", map_f, "std2", "std1"),
     ]
     results = []
     for name, pm, form, src in candidates:
@@ -144,62 +150,28 @@ def check_conformal(seed: int = 0) -> List[CheckResult]:
             s = _random_state(rng, dim)
             _, res = conformal_factor(pm, form, s, source_form=src)
             worst = max(worst, res)
-        results.append(
-            CheckResult(
-                family="conformal",
-                name=f"{name} residual",
-                passed=worst < TOL_CONFORMAL,
-                value=worst,
-                detail=f"tol {TOL_CONFORMAL:g}",
-            )
-        )
+        results.append(_bounded("conformal", f"{name} residual", worst, TOL_CONFORMAL))
     # pinned factor: phi1
     worst = 0.0
     for _ in range(20):
         s = _random_state(rng, dim)
         lam, _ = conformal_factor(phi1_map(dtau, params), "std1", s)
         worst = max(worst, abs(lam - math.exp(-params.h(s.t) * dtau)))
-    results.append(
-        CheckResult(
-            family="conformal",
-            name="phi1 factor = exp(-h dtau)",
-            passed=worst < TOL_LAMBDA,
-            value=worst,
-            detail=f"tol {TOL_LAMBDA:g}",
-        )
-    )
+    results.append(_bounded("conformal", "phi1 factor = exp(-h dtau)", worst, TOL_LAMBDA))
     # pinned factor: Nesterov momentum map over k = 2..50
     worst = 0.0
     s = _random_state(rng, dim)
     for k in range(2, 51):
         lam, _ = conformal_factor(nag_contact_map(k), "std2", s)
         worst = max(worst, abs(lam - (k - 1.0) / (k + 2.0)))
-    results.append(
-        CheckResult(
-            family="conformal",
-            name="nag_contact factor = (k-1)/(k+2), k=2..50",
-            passed=worst < TOL_LAMBDA,
-            value=worst,
-            detail=f"tol {TOL_LAMBDA:g}",
-        )
-    )
+    results.append(_bounded("conformal", "nag_contact factor = (k-1)/(k+2), k=2..50", worst, TOL_LAMBDA))
     # map_F turns the std2 form into the std1 form on the nose
     worst = 0.0
     for _ in range(20):
         s = _random_state(rng, dim)
-        lam, _ = conformal_factor(
-            PointMap("map_F", map_F, map_F_jacobian), "std2", s, source_form="std1"
-        )
+        lam, _ = conformal_factor(map_f, "std2", s, source_form="std1")
         worst = max(worst, abs(lam - 1.0))
-    results.append(
-        CheckResult(
-            family="conformal",
-            name="map_F factor = 1",
-            passed=worst < TOL_LAMBDA,
-            value=worst,
-            detail=f"tol {TOL_LAMBDA:g}",
-        )
-    )
+    results.append(_bounded("conformal", "map_F factor = 1", worst, TOL_LAMBDA))
     return results
 
 
@@ -281,13 +253,13 @@ def check_orders(seed: int = 4) -> List[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def check_equivalence(seed: int = 0, n_states: int = 100, n_params: int = 10) -> List[CheckResult]:
+def check_equivalence(seed: int = 0) -> List[CheckResult]:
     """The (epsilon, mu, delta) recursion must be the Strang step in
-    disguise: map V to P = 2V/tau, step, map back, to 1e-12."""
+    disguise: map V to P = 2V/tau, step, map back, to 1e-12.  Ten
+    parameter draws, ten random states each."""
     rng = np.random.default_rng(seed)
-    worst_crgd = 0.0
-    worst_rgd = 0.0
-    for _ in range(n_params):
+    worst = {"crgd": 0.0, "rgd": 0.0}
+    for _ in range(10):
         dim = int(rng.integers(1, 6))
         obj = make_random_quadratic(int(rng.integers(1_000_000)), dim, 0.1, 2.0)
         eps = float(rng.uniform(0.001, 0.5))
@@ -295,14 +267,13 @@ def check_equivalence(seed: int = 0, n_states: int = 100, n_params: int = 10) ->
         tau = math.sqrt(2.0 * eps)
         delta = 4.0 / tau**2
         gamma = -math.log(mu) / tau
-        for _ in range(n_states // n_params):
+        for _ in range(10):
             k = int(rng.integers(0, 30))
             x = rng.standard_normal(dim)
             v = rng.standard_normal(dim)
             s_val = float(rng.standard_normal())
-            for kind, schedule in (("crgd", "nag_like"), ("rgd", "constant")):
+            for kind, stepper, schedule in (("crgd", crgd_step, "nag_like"), ("rgd", rgd_step, "constant")):
                 cfg = OptimizerConfig(kind=kind, epsilon=eps, mu=mu, delta=delta)
-                stepper = crgd_step if kind == "crgd" else rgd_step
                 s1 = stepper(OptState(X=x, V=v, S=s_val, k=k), obj, cfg)
                 params = RelativisticParams(m=1.0, c=2.0 / (math.sqrt(delta) * tau), gamma=gamma, schedule=schedule)
                 c1 = strang_step(
@@ -317,25 +288,10 @@ def check_equivalence(seed: int = 0, n_states: int = 100, n_params: int = 10) ->
                     float(np.max(np.abs(s1.V - tau * c1.P / 2.0))),
                     abs(s1.S - c1.S),
                 )
-                if kind == "crgd":
-                    worst_crgd = max(worst_crgd, dev)
-                else:
-                    worst_rgd = max(worst_rgd, dev)
+                worst[kind] = max(worst[kind], dev)
     results = [
-        CheckResult(
-            family="equivalence",
-            name="crgd_step vs strang_step",
-            passed=worst_crgd < TOL_EQUIVALENCE,
-            value=worst_crgd,
-            detail=f"tol {TOL_EQUIVALENCE:g}",
-        ),
-        CheckResult(
-            family="equivalence",
-            name="rgd_step vs strang_step (constant h)",
-            passed=worst_rgd < TOL_EQUIVALENCE,
-            value=worst_rgd,
-            detail=f"tol {TOL_EQUIVALENCE:g}",
-        ),
+        _bounded("equivalence", "crgd_step vs strang_step", worst["crgd"], TOL_EQUIVALENCE),
+        _bounded("equivalence", "rgd_step vs strang_step (constant h)", worst["rgd"], TOL_EQUIVALENCE),
     ]
     # mu = 1 collapses crgd onto rgd exactly
     rng2 = np.random.default_rng(seed + 99)
@@ -363,26 +319,25 @@ def check_equivalence(seed: int = 0, n_states: int = 100, n_params: int = 10) ->
 # ---------------------------------------------------------------------------
 
 
+def _rk4_residual(ham: ContactHamiltonian, x0: np.ndarray, p0: np.ndarray) -> float:
+    """The dissipation residual along 1000 RK4 steps of dt = 1e-3 from
+    (x0, p0, S = 0.5, t = 1)."""
+    traj = reference_integrate(
+        ham, "std1", ContactState(X=x0, P=p0, S=0.5, t=1.0), 1e-3, 1000
+    )
+    return dissipation_residual(ham, traj)
+
+
 def check_dissipation(seed: int = 0) -> List[CheckResult]:
     """dH/dt = -(dH/dS) H + dH/dt|_explicit along RK4 trajectories."""
     obj = make_random_quadratic(seed + 21, 4, 0.2, 1.5)
     rng = np.random.default_rng(seed + 5)
     x0 = rng.standard_normal(4)
     p0 = rng.standard_normal(4)
-
-    params = RelativisticParams(m=1.0, c=1.0, gamma=0.1, schedule="nag_like")
-    ham = crgd_hamiltonian(obj, params)
-    traj = reference_integrate(
-        ham, "std1", ContactState(X=x0, P=p0, S=0.5, t=1.0), 1e-3, 1000
-    )
-    res_full = dissipation_residual(ham, traj)
-
+    full = RelativisticParams(m=1.0, c=1.0, gamma=0.1, schedule="nag_like")
     cons = RelativisticParams(m=1.0, c=1.0, gamma=0.0, schedule="constant")
-    ham_cons = crgd_hamiltonian(obj, cons)
-    traj_cons = reference_integrate(
-        ham_cons, "std1", ContactState(X=x0, P=p0, S=0.5, t=1.0), 1e-3, 1000
-    )
-    res_cons = dissipation_residual(ham_cons, traj_cons)
+    res_full = _rk4_residual(crgd_hamiltonian(obj, full), x0, p0)
+    res_cons = _rk4_residual(crgd_hamiltonian(obj, cons), x0, p0)
 
     # pure decay: H = c S has the closed form H(t) = H(0) exp(-c t)
     c_decay = 0.7
@@ -403,20 +358,8 @@ def check_dissipation(seed: int = 0) -> List[CheckResult]:
         worst_decay = max(worst_decay, abs(ham_decay.at(st) - exact) / abs(exact))
 
     return [
-        CheckResult(
-            family="dissipation",
-            name="relativistic H residual",
-            passed=res_full < TOL_DISSIPATION,
-            value=res_full,
-            detail=f"tol {TOL_DISSIPATION:g}",
-        ),
-        CheckResult(
-            family="dissipation",
-            name="conservative H residual",
-            passed=res_cons < TOL_CONSERVATIVE,
-            value=res_cons,
-            detail=f"tol {TOL_CONSERVATIVE:g}",
-        ),
+        _bounded("dissipation", "relativistic H residual", res_full, TOL_DISSIPATION),
+        _bounded("dissipation", "conservative H residual", res_cons, TOL_CONSERVATIVE),
         CheckResult(
             family="dissipation",
             name="H = cS exponential decay",
@@ -432,6 +375,29 @@ def check_dissipation(seed: int = 0) -> List[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def _newtonian(obj, h: Callable[[float], float], dh: Callable[[float], float]) -> ContactHamiltonian:
+    """H = |P|^2/2 + f(X) + h(t) S; dh is the derivative of h."""
+    return ContactHamiltonian(
+        value=lambda x, p, s, t: 0.5 * float(p @ p) + obj.eval(x) + h(t) * s,
+        grad_X=lambda x, p, s, t: obj.grad(x),
+        grad_P=lambda x, p, s, t: p,
+        dS=lambda x, p, s, t: h(t),
+        dt=lambda x, p, s, t: dh(t) * s,
+    )
+
+
+def _field_residual(rng, dim, field, ham, residual) -> float:
+    """Worst entry of residual(state, field(ham, state)) over 20 random
+    states; residual returns the deviations of dX and dP from the
+    classical equations."""
+    worst = 0.0
+    for _ in range(20):
+        st = _random_state(rng, dim)
+        for r in residual(st, field(ham, st)):
+            worst = max(worst, float(np.max(np.abs(r))))
+    return worst
+
+
 def check_specialization(seed: int = 0) -> List[CheckResult]:
     """The contact fields must reduce to the classical equations they
     generalize, pointwise and (for the accelerated-gradient ODE) along a
@@ -439,98 +405,34 @@ def check_specialization(seed: int = 0) -> List[CheckResult]:
     rng = np.random.default_rng(seed + 7)
     dim = 3
     obj = make_random_quadratic(seed + 13, dim, 0.2, 1.5)
-
-    def h0_value(x, p):
-        return 0.5 * float(p @ p) + obj.eval(x)
-
-    results = []
+    zero = lambda t: 0.0  # noqa: E731
 
     # (a) no S dependence: plain Hamilton equations
-    ham = ContactHamiltonian(
-        value=lambda x, p, s, t: h0_value(x, p),
-        grad_X=lambda x, p, s, t: obj.grad(x),
-        grad_P=lambda x, p, s, t: p,
-        dS=lambda x, p, s, t: 0.0,
-        dt=lambda x, p, s, t: 0.0,
+    worst_a = _field_residual(
+        rng, dim, contact_field_std1, _newtonian(obj, zero, zero),
+        lambda st, v: (v.dX - st.P, v.dP + obj.grad(st.X)),
     )
-    worst = 0.0
-    for _ in range(20):
-        st = _random_state(rng, dim)
-        v = contact_field_std1(ham, st)
-        worst = max(
-            worst,
-            float(np.max(np.abs(v.dX - st.P))),
-            float(np.max(np.abs(v.dP + obj.grad(st.X)))),
-        )
-    results.append(
-        CheckResult(
-            family="specialization",
-            name="S-independent H -> Hamilton equations",
-            passed=worst < TOL_SPECIALIZATION,
-            value=worst,
-            detail=f"tol {TOL_SPECIALIZATION:g}",
-        )
-    )
-
     # (b) H0 + cS: linear friction -cP on the momentum equation
     c_lin = 0.8
-    ham_cs = ContactHamiltonian(
-        value=lambda x, p, s, t: h0_value(x, p) + c_lin * s,
-        grad_X=lambda x, p, s, t: obj.grad(x),
-        grad_P=lambda x, p, s, t: p,
-        dS=lambda x, p, s, t: c_lin,
-        dt=lambda x, p, s, t: 0.0,
+    worst_b = _field_residual(
+        rng, dim, contact_field_std1, _newtonian(obj, lambda t: c_lin, zero),
+        lambda st, v: (v.dX - st.P, v.dP + obj.grad(st.X) + c_lin * st.P),
     )
-    worst = 0.0
-    for _ in range(20):
-        st = _random_state(rng, dim)
-        v = contact_field_std1(ham_cs, st)
-        worst = max(
-            worst,
-            float(np.max(np.abs(v.dX - st.P))),
-            float(np.max(np.abs(v.dP + obj.grad(st.X) + c_lin * st.P))),
-        )
-    results.append(
-        CheckResult(
-            family="specialization",
-            name="H0 + cS -> conformally damped equations",
-            passed=worst < TOL_SPECIALIZATION,
-            value=worst,
-            detail=f"tol {TOL_SPECIALIZATION:g}",
-        )
-    )
-
     # (c) H0 + <X*, P> - <P*, X> + 2S in the symmetric convention:
     # relaxation toward the anchors (X*, P*)
     x_star = rng.standard_normal(dim)
     p_star = rng.standard_normal(dim)
     ham_hd = ContactHamiltonian(
-        value=lambda x, p, s, t: h0_value(x, p)
-        + float(x_star @ p)
-        - float(p_star @ x)
-        + 2.0 * s,
+        value=lambda x, p, s, t: 0.5 * float(p @ p) + obj.eval(x)
+        + float(x_star @ p) - float(p_star @ x) + 2.0 * s,
         grad_X=lambda x, p, s, t: obj.grad(x) - p_star,
         grad_P=lambda x, p, s, t: p + x_star,
         dS=lambda x, p, s, t: 2.0,
         dt=lambda x, p, s, t: 0.0,
     )
-    worst = 0.0
-    for _ in range(20):
-        st = _random_state(rng, dim)
-        v = contact_field_std2(ham_hd, st)
-        worst = max(
-            worst,
-            float(np.max(np.abs(v.dX - (st.P + x_star - st.X)))),
-            float(np.max(np.abs(v.dP - (-obj.grad(st.X) + p_star - st.P)))),
-        )
-    results.append(
-        CheckResult(
-            family="specialization",
-            name="H0 + <X*,P> - <P*,X> + 2S -> anchored descent equations",
-            passed=worst < TOL_SPECIALIZATION,
-            value=worst,
-            detail=f"tol {TOL_SPECIALIZATION:g}",
-        )
+    worst_c = _field_residual(
+        rng, dim, contact_field_std2, ham_hd,
+        lambda st, v: (v.dX - (st.P + x_star - st.X), v.dP - (-obj.grad(st.X) + p_star - st.P)),
     )
 
     # (d) H = |P|^2/2 + f + (3/t) S: the accelerated-gradient limit ODE
@@ -538,22 +440,15 @@ def check_specialization(seed: int = 0) -> List[CheckResult]:
     # trajectory with x'' from a five-point centered difference of P
     # (the three-point stencil's dt^2 truncation error already exceeds
     # the tolerance near t = 1, where P''' is large)
-    ham_nag = ContactHamiltonian(
-        value=lambda x, p, s, t: h0_value(x, p) + (3.0 / t) * s,
-        grad_X=lambda x, p, s, t: obj.grad(x),
-        grad_P=lambda x, p, s, t: p,
-        dS=lambda x, p, s, t: 3.0 / t,
-        dt=lambda x, p, s, t: -3.0 * s / (t * t),
-    )
     dt = 1e-3
     traj = reference_integrate(
-        ham_nag,
+        _newtonian(obj, lambda t: 3.0 / t, lambda t: -3.0 / (t * t)),
         "std1",
         ContactState(X=rng.standard_normal(dim), P=np.zeros(dim), S=0.0, t=1.0),
         dt,
         1000,
     )
-    worst = 0.0
+    worst_d = 0.0
     states = list(traj)
     for i in range(2, len(states) - 2):
         xdd = (
@@ -564,17 +459,14 @@ def check_specialization(seed: int = 0) -> List[CheckResult]:
         ) / (12.0 * dt)
         st = states[i]
         res = xdd + (3.0 / st.t) * st.P + obj.grad(st.X)
-        worst = max(worst, float(np.max(np.abs(res))))
-    results.append(
-        CheckResult(
-            family="specialization",
-            name="accelerated-gradient ODE residual",
-            passed=worst < TOL_NAG_ODE,
-            value=worst,
-            detail=f"tol {TOL_NAG_ODE:g}",
-        )
-    )
-    return results
+        worst_d = max(worst_d, float(np.max(np.abs(res))))
+    return [
+        _bounded("specialization", "S-independent H -> Hamilton equations", worst_a, TOL_SPECIALIZATION),
+        _bounded("specialization", "H0 + cS -> conformally damped equations", worst_b, TOL_SPECIALIZATION),
+        _bounded("specialization", "H0 + <X*,P> - <P*,X> + 2S -> anchored descent equations",
+                 worst_c, TOL_SPECIALIZATION),
+        _bounded("specialization", "accelerated-gradient ODE residual", worst_d, TOL_NAG_ODE),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -597,23 +489,13 @@ def check_nag(seed: int = 0) -> List[CheckResult]:
 
     # S follows the product of coefficients, starting from a nonzero S at k0
     k0, s0_val, steps = 5, 1.7, 6
-    st = OptState(X=rng.standard_normal(dim), V=rng.standard_normal(dim), S=s0_val, k=k0)
+    cur = OptState(X=rng.standard_normal(dim), V=rng.standard_normal(dim), S=s0_val, k=k0)
     expected = s0_val
     for j in range(k0 + 1, k0 + steps + 1):
         expected *= (j - 1.0) / (j + 2.0)
-    cur = st
     for _ in range(steps):
         cur = nag_decomposed_step(cur, obj, cfg)
-    dev_s = abs(cur.S - expected)
-    results = [
-        CheckResult(
-            family="nag",
-            name="factorized S = S0 * prod (k-1)/(k+2)",
-            passed=dev_s < 1e-12,
-            value=dev_s,
-            detail="tol 1e-12",
-        )
-    ]
+    results = [_bounded("nag", "factorized S = S0 * prod (k-1)/(k+2)", abs(cur.S - expected), 1e-12)]
 
     # first step has zero momentum coefficient: the contact stage must set
     # the new momentum equal to the new point

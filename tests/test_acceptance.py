@@ -66,7 +66,7 @@ def test_criterion_02_integrator_orders(acceptance, order_check):
 
 def test_criterion_03_discrete_update_equals_splitting_step(acceptance):
     t0 = time.perf_counter()
-    results = check_equivalence(0, n_states=100, n_params=10)
+    results = check_equivalence(0)
     elapsed = time.perf_counter() - t0
     worst = max(r.value for r in results)
     ok = all(r.passed for r in results) and elapsed < 5.0
