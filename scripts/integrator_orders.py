@@ -23,7 +23,7 @@ def main(argv=None) -> int:
                     help="comma list of composition plans")
     ap.add_argument("--taus", default="0.1,0.05,0.025,0.0125")
     ap.add_argument("--horizon", type=float, default=1.0)
-    ap.add_argument("--seed", type=int, default=4)
+    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
     taus = [float(v) for v in args.taus.split(",") if v]

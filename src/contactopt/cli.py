@@ -238,7 +238,7 @@ def cmd_rates(args) -> int:
 
 def cmd_check(args) -> int:
     only = args.only.split(",") if args.only else None
-    results = run_checks(only=only, seed=args.seed if args.seed is not None else 0)
+    results = run_checks(only=only, seed=_master_seed(args.seed))
     for r in results:
         print(r.line())
     n_fail = sum(1 for r in results if not r.passed)

@@ -353,23 +353,19 @@ class QuantileBand:
         object.__setattr__(self, "q975", hi)
 
 
-def _quantile(sorted_vals: Sequence[float], q: float) -> float:
-    """Linear interpolation between order statistics; +inf entries stay +inf
-    instead of poisoning the arithmetic."""
-    n = len(sorted_vals)
-    if n == 1:
-        return sorted_vals[0]
+def _quantile(sorted_vals, q: float):
+    """Linear interpolation between order statistics along the last axis
+    (values sorted along it); +inf entries stay +inf instead of poisoning
+    the arithmetic.  A list of scalars gives a scalar."""
+    s = np.asarray(sorted_vals, dtype=float)
+    n = s.shape[-1]
     pos = q * (n - 1)
-    i = int(math.floor(pos))
-    if i >= n - 1:
-        return sorted_vals[-1]
+    i = min(int(math.floor(pos)), n - 1)
     frac = pos - i
-    lo, hi = sorted_vals[i], sorted_vals[i + 1]
-    if frac == 0.0 or lo == hi:
-        return lo
-    if math.isinf(hi):
-        return hi
-    return lo + frac * (hi - lo)
+    lo, hi = s[..., i], s[..., min(i + 1, n - 1)]
+    with np.errstate(invalid="ignore"):  # inf - inf, masked below
+        mid = lo + frac * (hi - lo)
+    return np.where((frac == 0.0) | (lo == hi), lo, np.where(np.isinf(hi), hi, mid))[()]
 
 
 # What run_bench shares across its optimizers: the search objective with the
@@ -453,24 +449,20 @@ def monte_carlo(
     not in the label, so every optimizer sees the same draws.  The random
     pieces are the objective draw (quadratic only) and the init box (when
     used).  All runs are one batch; ``problem`` passes in the drawn runs
-    when run_bench shares them.  Diverged traces are padded with +inf
-    before taking quantiles.
+    when run_bench shares them.  A diverged run counts as +inf from its
+    stop on when the quantiles are taken.
     """
     cfg = entry.make_config(params)
     seeds, obj, starts = _monte_carlo_problem(spec) if problem is None else problem
-    records = list(run_batch(obj, [cfg] * len(seeds), starts, spec.iters, seeds))
-    width = spec.iters + 1
-    padded = [
-        list(r.trace) + [math.inf] * (width - len(r.trace)) for r in records
-    ]
-    med, lo, hi = [], [], []
-    for i in range(width):
-        col = sorted(row[i] for row in padded)
-        med.append(_quantile(col, 0.5))
-        lo.append(_quantile(col, 0.025))
-        hi.append(_quantile(col, 0.975))
-    band = QuantileBand(kind=entry.kind, median=tuple(med), q025=tuple(lo), q975=tuple(hi))
-    return band, records
+    batch = run_batch(obj, [cfg] * len(seeds), starts, spec.iters, seeds)
+    ranked = np.sort(batch.gaps, axis=1)  # (iters + 1, runs), +inf after a divergence
+    band = QuantileBand(
+        kind=entry.kind,
+        median=_quantile(ranked, 0.5),
+        q025=_quantile(ranked, 0.025),
+        q975=_quantile(ranked, 0.975),
+    )
+    return band, list(batch)
 
 
 def _mc_start(spec: ExperimentSpec, rseed: int) -> np.ndarray:

@@ -388,10 +388,10 @@ class _Columns:
 
 
 class BatchRecords(Sequence):
-    """The runs of one batch: row i of the gap matrix is run i.
+    """The runs of one batch: column i of the gap matrix is run i.
 
-    ``gaps`` is (iters + 1, T); a row that diverged holds +inf from its stop
-    index on.  Indexing builds the RunRecord of one run (its finite prefix
+    ``gaps`` is (iters + 1, T); a column that diverged holds +inf from its
+    stop index on.  Indexing builds the RunRecord of one run (its finite prefix
     and the flag); ``final_gaps`` and ``diverged`` serve callers, such as a
     search, that need no traces.
     """

@@ -5,13 +5,20 @@ terminal-summary hook reprints the collected lines at the end of the run
 so the verdicts stay visible regardless of output capture settings.
 """
 
-import time
+import os
 
-import pytest
+# One BLAS thread: on a few-core machine the thread pool's spin-up costs the
+# suite's 500x500 builds and eigensolves more than it saves (1.1 s against
+# 0.05 s for one test).  Set before anything below imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import contactopt.checks as checks
-from contactopt.harness import run_bench
-from contactopt.presets import experiment_preset
+import time  # noqa: E402
+
+import pytest  # noqa: E402
+
+import contactopt.checks as checks  # noqa: E402
+from contactopt.harness import run_bench  # noqa: E402
+from contactopt.presets import experiment_preset  # noqa: E402
 
 _ACCEPTANCE_LINES = []
 

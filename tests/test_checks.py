@@ -1,3 +1,6 @@
+import contextlib
+
+import contactopt.checks as checks
 from contactopt.checks import fit_order, order_errors
 
 
@@ -15,3 +18,30 @@ def test_order_errors_per_plan():
     assert both["strang"] == order_errors(["strang"], taus)["strang"]
     assert abs(fit_order(taus, both["strang"]) - 2.0) <= 0.1
 
+
+class _Stop(Exception):
+    pass
+
+
+def _stop(*args, **kwargs):
+    raise _Stop
+
+
+def test_no_two_families_or_seeds_share_an_objective(monkeypatch):
+    # Every family builds its random quadratics before its first RK4
+    # reference, so it stops there: the builds are all recorded and the
+    # integrations, which take most of a check run, are skipped.
+    built = {}  # (seed, dim, eigen_lo, eigen_hi) -> {(master seed, family)}
+    real = checks.make_random_quadratic
+    monkeypatch.setattr(checks, "reference_integrate", _stop)
+    for seed in (0, 4, 21):
+        for family in checks.CHECK_FAMILIES:
+            def counting(*args, pair=(seed, family)):
+                built.setdefault(args, set()).add(pair)
+                return real(*args)
+
+            monkeypatch.setattr(checks, "make_random_quadratic", counting)
+            with contextlib.suppress(_Stop):
+                checks.run_checks([family], seed=seed)
+    shared = {args: sorted(pairs) for args, pairs in built.items() if len(pairs) > 1}
+    assert shared == {}

@@ -251,6 +251,13 @@ class TestCheckCommand:
         assert main(["check"]) == 0
         assert "27/27 checks passed" in capsys.readouterr().out
 
+    def test_env_seed_matches_flag(self, monkeypatch, capsys):
+        assert main(["check", "--only", "conformal", "--seed", "21"]) == 0
+        flag = capsys.readouterr().out
+        monkeypatch.setenv("CONTACT_OPT_SEED", "21")
+        assert main(["check", "--only", "conformal"]) == 0
+        assert capsys.readouterr().out == flag
+
     def test_unknown_family(self, capsys):
         rc = main(["check", "--only", "bogus"])
         assert rc == 1

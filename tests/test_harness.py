@@ -218,6 +218,9 @@ class TestQuantiles:
         assert _quantile([1.0, 2.0, math.inf], 0.5) == 2.0
         assert _quantile([1.0, 2.0, math.inf], 0.975) == math.inf
         assert _quantile([5.0], 0.025) == 5.0
+        # a stack is reduced row by row
+        rows = [[1.0, math.inf, math.inf], [1.0, 2.0, math.inf]]
+        assert _quantile(rows, 0.5).tolist() == [math.inf, 2.0]
 
 
 class TestRateEstimation:
