@@ -4,10 +4,10 @@
 Integrates the relativistic contact Hamiltonian over a fixed horizon with
 each composition plan at a ladder of step sizes, measures the endpoint error
 against a fine RK4 reference (``checks.order_errors``: 4 dims, gamma = 0.1,
-one reference per step size shared by every plan), and fits the log-log
-slope with ``checks.fit_order``.  The slope should sit at the plan's design
-order: 2 for strang, 4 for jump4/suzuki4, 6 for jump6 (whose constant is
-large, so its small-tau end needs care).
+one reference per sweep at dt = max(taus)/100, shared by every plan and step
+size), and fits the log-log slope with ``checks.fit_order``.  The slope
+should sit at the plan's design order: 2 for strang, 4 for jump4/suzuki4,
+6 for jump6 (whose constant is large, so its small-tau end needs care).
 """
 
 import argparse
@@ -26,12 +26,18 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
-    taus = [float(v) for v in args.taus.split(",") if v]
+    try:
+        taus = [float(v) for v in args.taus.split(",") if v]
+    except ValueError:
+        ap.error(f"--taus: expected comma-separated numbers, got {args.taus!r}")
     if len(taus) < 2:
         ap.error("--taus needs at least two step sizes to fit a slope")
 
     plans = args.plans.split(",")
-    errors = order_errors(plans, taus, args.horizon, args.seed)
+    try:
+        errors = order_errors(plans, taus, args.horizon, args.seed)
+    except ValueError as e:
+        ap.error(str(e))
     print(f"{'plan':<8} {'tau':>9} {'endpoint error':>16}")
     for name in plans:
         for tau, err in zip(taus, errors[name]):

@@ -202,10 +202,15 @@ def order_errors(
 
     Integrates the relativistic Hamiltonian (m = c = 1, gamma = 0.1,
     random quadratic potential in 4 dims) to a fixed horizon from t = 1 and
-    takes the max-norm distance to the RK4 reference at dt = tau/100.  The
-    plans share the start state, the Hamiltonian and the tau grid, so each
-    reference is integrated once per tau and its endpoint is compared with
-    every plan.  Returns {plan name: [error per tau]}.
+    takes the max-norm distance to one RK4 reference, integrated once per
+    sweep at dt = max(taus)/100 and shared by every plan and tau: each
+    tau's n = round(horizon/tau) steps end on reference step n tau/dt,
+    which must be a whole number.  Sharing relies on the reference's own
+    error sitting far below the smallest error it measures; RK4 at
+    dt = 1e-3 already agrees with dt/2 to the double-precision floor,
+    about 1e-14 against plan errors of 1e-10 and up, and
+    tests/test_checks.py guards the margin.  Returns
+    {plan name: [error per tau]}.
     """
     plans = {name: split_plan(name) for name in plan_names}
     rng, obj_seed = _draws(seed, "orders")
@@ -215,14 +220,22 @@ def order_errors(
     s0 = ContactState(
         X=rng.standard_normal(4), P=rng.standard_normal(4), S=0.3, t=1.0
     )
-    errors: Dict[str, List[float]] = {name: [] for name in plans}
+    dt = max(taus) / 100.0
+    sweep = []  # (tau, its step count, the reference step it ends on)
     for tau in taus:
         n = int(round(horizon / tau))
-        ref = reference_integrate(ham, "std1", s0, tau / 100.0, n * 100)
-        if ref.diverged:
-            raise RuntimeError(f"order sweep reference diverged at tau={tau}")
-        ref_end = ref[-1].coords()
-        del ref  # only the endpoint is compared; free the n * 100 states
+        k = int(round(n * tau / dt))
+        if not math.isclose(k * dt, n * tau, rel_tol=1e-9):
+            raise ValueError(
+                f"tau={tau:g} ends at t0 + {n * tau:g}, between the reference steps of dt={dt:g}"
+            )
+        sweep.append((tau, n, k))
+    ref = reference_integrate(ham, "std1", s0, dt, max(k for _, _, k in sweep))
+    if ref.diverged:
+        raise RuntimeError(f"order sweep reference diverged at dt={dt}")
+    errors: Dict[str, List[float]] = {name: [] for name in plans}
+    for tau, n, k in sweep:
+        ref_end = ref[k].coords()
         for name, plan in plans.items():
             approx = integrate_split(s0, tau, n, obj, params, plan)
             if approx.diverged:
@@ -575,11 +588,13 @@ def run_checks(
 ) -> List[CheckResult]:
     """Run the selected families (all by default) and pool their results."""
     names = list(only) if only else list(CHECK_FAMILIES)
-    for n in names:
+    for i, n in enumerate(names):
         if n not in CHECK_FAMILIES:
             raise ValueError(
                 f"unknown check family {n!r}; valid: {', '.join(CHECK_FAMILIES)}"
             )
+        if n in names[:i]:
+            raise ValueError(f"check family {n!r} named twice")
     results: List[CheckResult] = []
     for n in names:
         results.extend(CHECK_FAMILIES[n](seed))

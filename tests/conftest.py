@@ -67,8 +67,9 @@ def order_check():
     """One ``check_orders()`` run per session, shared by the order tests.
 
     Returns (results, the dt of every RK4 reference the run integrated,
-    elapsed seconds); a counter wraps ``checks.reference_integrate`` for
-    the length of the run only.
+    elapsed seconds); the sweep integrates one reference, at the coarsest
+    tau / 100, and a counter wraps ``checks.reference_integrate`` for the
+    length of the run only.
     """
     calls = []
     real = checks.reference_integrate

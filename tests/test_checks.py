@@ -1,14 +1,43 @@
 import contextlib
 
+import numpy as np
+import pytest
+
 import contactopt.checks as checks
 from contactopt.checks import fit_order, order_errors
+from contactopt.contact import ContactState, reference_integrate
+from contactopt.integrators import RelativisticParams, crgd_hamiltonian
+from contactopt.objectives import make_random_quadratic
 
 
-def test_order_check_integrates_one_reference_per_step_size(order_check):
+def test_order_check_integrates_one_reference_per_sweep(order_check):
     results, calls, _ = order_check
     assert all(r.passed for r in results)
-    # the three plans share each reference: one per tau, not one per plan and tau
-    assert calls == [tau / 100.0 for tau in (0.1, 0.05, 0.025, 0.0125)]
+    # every plan and tau shares one reference, at the coarsest tau / 100
+    assert calls == [0.1 / 100.0]
+
+
+def test_order_reference_error_is_far_below_the_plan_errors():
+    # Richardson bound: RK4's own endpoint error is about 16/15 of the
+    # distance between the dt and dt/2 endpoints, so that distance must sit
+    # well below the smallest plan error the shared reference measures.
+    rng, obj_seed = checks._draws(0, "orders")
+    obj = make_random_quadratic(obj_seed, 4, 0.2, 1.5)
+    params = RelativisticParams(m=1.0, c=1.0, gamma=0.1, schedule="nag_like")
+    ham = crgd_hamiltonian(obj, params)
+    s0 = ContactState(X=rng.standard_normal(4), P=rng.standard_normal(4), S=0.3, t=1.0)
+    dt = 1e-3
+    coarse = reference_integrate(ham, "std1", s0, dt, 1000)[-1].coords()
+    fine = reference_integrate(ham, "std1", s0, dt / 2.0, 2000)[-1].coords()
+    errors = order_errors(["strang", "jump4", "suzuki4"])
+    smallest = min(min(errs) for errs in errors.values())
+    assert float(np.max(np.abs(coarse - fine))) < 1e-2 * smallest
+
+
+def test_order_errors_rejects_a_tau_between_reference_steps():
+    # 32 steps of 0.0317 end at 1.0144, between steps of the dt = 1e-3 reference
+    with pytest.raises(ValueError, match="between the reference steps"):
+        order_errors(["strang"], (0.1, 0.0317))
 
 
 def test_order_errors_per_plan():

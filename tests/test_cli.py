@@ -263,6 +263,11 @@ class TestCheckCommand:
         assert rc == 1
         assert "unknown check family" in capsys.readouterr().err
 
+    def test_repeated_family(self, capsys):
+        rc = main(["check", "--only", "nag,nag"])
+        assert rc == 1
+        assert "named twice" in capsys.readouterr().err
+
     def test_failed_check_has_own_exit_code(self, monkeypatch, capsys):
         failing = CheckResult(family="orders", name="planted", passed=False,
                               value=1.0)
