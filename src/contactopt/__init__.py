@@ -11,7 +11,6 @@ structure, and a reproducible benchmark harness.
 from .contact import (
     ContactHamiltonian,
     ContactState,
-    PointMap,
     Tangent,
     Trajectory,
     conformal_factor,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ContactHamiltonian",
     "ContactState",
-    "PointMap",
     "Tangent",
     "Trajectory",
     "conformal_factor",

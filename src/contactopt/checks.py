@@ -25,7 +25,6 @@ import numpy as np
 from .contact import (
     ContactHamiltonian,
     ContactState,
-    PointMap,
     conformal_factor,
     contact_field_std1,
     contact_field_std2,
@@ -36,16 +35,16 @@ from .contact import (
 )
 from .integrators import (
     RelativisticParams,
-    compose_map,
+    compose_step,
     crgd_hamiltonian,
+    flow_phi1,
+    flow_phi2,
+    flow_phi3,
     integrate_split,
-    phi1_map,
-    phi2_map,
-    phi3_map,
-    shift_map,
+    phi1_jacobian,
     split_plan,
-    strang_map,
     strang_step,
+    time_shift,
 )
 from .harness import derive_seed
 from .objectives import make_random_quadratic
@@ -53,6 +52,7 @@ from .optimizers import (
     OptState,
     OptimizerConfig,
     crgd_step,
+    nag_contact_jacobian,
     nag_contact_map,
     nag_decomposed_step,
     nag_step,
@@ -151,22 +151,27 @@ def check_conformal(seed: int = 0) -> List[CheckResult]:
     # map_F turns the std2 form into the std1 form on the nose
     pinned = {"phi1": lambda s: math.exp(-params.h(s.t) * dtau), "map_F": lambda s: 1.0}
     factor_dev = dict.fromkeys(pinned, 0.0)
+    jump4 = split_plan("jump4")
+    # (name, map, its exact Jacobian or None, form, source form)
     candidates = [
-        ("phi1", phi1_map(dtau, params), "std1", None),
-        ("phi2", phi2_map(dtau, obj), "std1", None),
-        ("phi3", phi3_map(dtau, params), "std1", None),
-        ("time_shift", shift_map(dtau), "std1", None),
-        ("strang", strang_map(dtau, obj, params), "std1", None),
-        ("jump4", compose_map(dtau, obj, params, split_plan("jump4")), "std1", None),
-        ("nag_contact(k=7)", nag_contact_map(7), "std2", None),
-        ("map_F", PointMap("map_F", map_F, map_F_jacobian), "std2", "std1"),
+        ("phi1", lambda s: flow_phi1(s, dtau, params),
+         lambda s: phi1_jacobian(s, dtau, params), "std1", None),
+        ("phi2", lambda s: flow_phi2(s, dtau, obj), None, "std1", None),
+        ("phi3", lambda s: flow_phi3(s, dtau, params), None, "std1", None),
+        ("time_shift", lambda s: time_shift(s, dtau),
+         lambda s: np.eye(2 * s.dim + 1), "std1", None),
+        ("strang", lambda s: strang_step(s, dtau, obj, params), None, "std1", None),
+        ("jump4", lambda s: compose_step(s, dtau, obj, params, jump4), None, "std1", None),
+        ("nag_contact(k=7)", lambda s: nag_contact_map(s, 7),
+         lambda s: nag_contact_jacobian(s, 7), "std2", None),
+        ("map_F", map_F, map_F_jacobian, "std2", "std1"),
     ]
     results = []
-    for name, pm, form, src in candidates:
+    for name, func, jac, form, src in candidates:
         worst = 0.0
         for _ in range(20):
             s = _random_state(rng, dim)
-            lam, res = conformal_factor(pm, form, s, source_form=src)
+            lam, res = conformal_factor(func, form, s, source_form=src, jacobian=jac)
             worst = max(worst, res)
             if name in pinned:
                 factor_dev[name] = max(factor_dev[name], abs(lam - pinned[name](s)))
@@ -178,7 +183,10 @@ def check_conformal(seed: int = 0) -> List[CheckResult]:
     worst = 0.0
     s = _random_state(rng, dim)
     for k in range(2, 51):
-        lam, _ = conformal_factor(nag_contact_map(k), "std2", s)
+        lam, _ = conformal_factor(
+            lambda st: nag_contact_map(st, k), "std2", s,
+            jacobian=lambda st: nag_contact_jacobian(st, k),
+        )
         worst = max(worst, abs(lam - (k - 1.0) / (k + 2.0)))
     results.append(
         _bounded("conformal", "nag_contact factor = (k-1)/(k+2), k=2..50", worst, TOL_LAMBDA)

@@ -188,10 +188,9 @@ def cmd_search(args) -> int:
     except json.JSONDecodeError as e:
         raise ValueError(f"config {args.config!r} is not valid JSON: {e}") from e
     spec = parse_experiment(doc)
-    if args.seed is not None or os.environ.get("CONTACT_OPT_SEED"):
-        spec = dataclasses.replace(
-            spec, master_seed=_master_seed(args.seed, default=spec.master_seed)
-        )
+    spec = dataclasses.replace(
+        spec, master_seed=_master_seed(args.seed, default=spec.master_seed)
+    )
     return _run_pipeline(spec, args)
 
 

@@ -13,10 +13,14 @@ the accuracy oracle everywhere else, and the two numerical self-checks the
 rest of the package leans on: the dissipation-identity residual and
 conformal-factor extraction (is a given discrete map a contact
 transformation, and by what scaling factor?).
+
+A discrete map is a plain function of a :class:`ContactState`.  A map with
+an exact Jacobian keeps it in a sibling function of the state, as
+:func:`map_F` and :func:`map_F_jacobian` do.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +28,6 @@ __all__ = [
     "ContactState",
     "Tangent",
     "ContactHamiltonian",
-    "PointMap",
     "Trajectory",
     "DIVERGENCE_LIMIT",
     "eta_std1",
@@ -128,41 +131,6 @@ class ContactHamiltonian:
         return float(self.value(s.X, s.P, s.S, s.t))
 
 
-@dataclass(frozen=True)
-class PointMap:
-    """A discrete map of contact states, optionally with an exact Jacobian.
-
-    ``jacobian(state)`` must return the (2n+1) x (2n+1) matrix of partial
-    derivatives of the mapped (X, P, S) with respect to the source (X, P, S).
-    When absent, :func:`conformal_factor` falls back to central differences.
-    """
-
-    name: str
-    func: Callable[[ContactState], ContactState]
-    jacobian: Optional[Callable[[ContactState], np.ndarray]] = None
-
-    def __call__(self, s: ContactState) -> ContactState:
-        return self.func(s)
-
-
-def eta_std1(state: ContactState, v: Tangent) -> float:
-    """Evaluate dS - <P, dX> on a tangent vector."""
-    if v.dX.shape[0] != state.dim:
-        raise ValueError(
-            f"tangent dimension {v.dX.shape[0]} does not match state dimension {state.dim}"
-        )
-    return float(v.dS - state.P @ v.dX)
-
-
-def eta_std2(state: ContactState, v: Tangent) -> float:
-    """Evaluate dS - (1/2)<P, dX> + (1/2)<X, dP> on a tangent vector."""
-    if v.dX.shape[0] != state.dim:
-        raise ValueError(
-            f"tangent dimension {v.dX.shape[0]} does not match state dimension {state.dim}"
-        )
-    return float(v.dS - 0.5 * (state.P @ v.dX) + 0.5 * (state.X @ v.dP))
-
-
 def _form_coeffs(form: str, state: ContactState) -> np.ndarray:
     """Covector components of the named form at a state, in (X, P, S) order."""
     n = state.dim
@@ -176,6 +144,24 @@ def _form_coeffs(form: str, state: ContactState) -> np.ndarray:
         raise ValueError(f"unknown contact form {form!r}; expected 'std1' or 'std2'")
     w[2 * n] = 1.0
     return w
+
+
+def _eta(form: str, state: ContactState, v: Tangent) -> float:
+    if v.dX.shape[0] != state.dim:
+        raise ValueError(
+            f"tangent dimension {v.dX.shape[0]} does not match state dimension {state.dim}"
+        )
+    return float(_form_coeffs(form, state) @ np.concatenate([v.dX, v.dP, [v.dS]]))
+
+
+def eta_std1(state: ContactState, v: Tangent) -> float:
+    """Evaluate dS - <P, dX> on a tangent vector."""
+    return _eta("std1", state, v)
+
+
+def eta_std2(state: ContactState, v: Tangent) -> float:
+    """Evaluate dS - (1/2)<P, dX> + (1/2)<X, dP> on a tangent vector."""
+    return _eta("std2", state, v)
 
 
 def map_F(state: ContactState) -> ContactState:
@@ -258,10 +244,6 @@ class Trajectory(Sequence):
 
     def __iter__(self):
         return iter(self._states)
-
-    @property
-    def states(self):
-        return self._states
 
 
 def reference_integrate(
@@ -349,39 +331,34 @@ def _fd_jacobian(func: Callable[[ContactState], ContactState], state: ContactSta
 
 
 def conformal_factor(
-    point_map: Union[PointMap, Callable[[ContactState], ContactState]],
+    func: Callable[[ContactState], ContactState],
     form: str,
     state: ContactState,
     source_form: Optional[str] = None,
+    jacobian: Optional[Callable[[ContactState], np.ndarray]] = None,
 ) -> tuple:
     """Extract the scalar by which a map rescales a contact form.
 
-    Pulls the named form back through the map's Jacobian (exact when the map
-    declares one, else central differences with step 1e-6 * max(1, |coord|))
-    and fits pullback = lambda * eta in least squares over all 2n+1 covector
-    components.  Returns (lambda, max absolute residual).  ``source_form``
-    lets the comparison form at the source differ from the pulled-back one,
-    which is how a change of convention such as :func:`map_F` is certified;
-    it defaults to ``form``.
+    Pulls the named form back through the Jacobian of the state map ``func``
+    (``jacobian(state)``, the map's exact (2n+1) x (2n+1) Jacobian in
+    (X, P, S), when given, else central differences with step
+    1e-6 * max(1, |coord|)) and fits pullback = lambda * eta in least squares
+    over all 2n+1 covector components.  Returns (lambda, max absolute
+    residual).  ``source_form`` lets the comparison form at the source
+    differ from the pulled-back one, which is how a change of convention
+    such as :func:`map_F` is certified; it defaults to ``form``.
 
     A fitted |lambda| below 1e-10 means the map crushes the contact structure
     and is reported as an error rather than a value.
     """
-    if isinstance(point_map, PointMap):
-        func = point_map.func
-        jac = point_map.jacobian
-        name = point_map.name
-    else:
-        func = point_map
-        jac = None
-        name = getattr(point_map, "__name__", "map")
     mapped = func(state)
-    j = jac(state) if jac is not None else _fd_jacobian(func, state)
+    j = jacobian(state) if jacobian is not None else _fd_jacobian(func, state)
     eta_target = _form_coeffs(form, mapped)
     eta_src = _form_coeffs(source_form if source_form is not None else form, state)
     pullback = j.T @ eta_target
     lam = float(pullback @ eta_src) / float(eta_src @ eta_src)
     if abs(lam) < 1e-10:
+        name = getattr(func, "__name__", "map")
         raise ValueError(f"map {name!r} is degenerate: conformal factor ~ 0")
     residual = float(np.max(np.abs(pullback - lam * eta_src)))
     return lam, residual

@@ -30,9 +30,10 @@ quantile bands, floats in shortest round-trip decimal, infinities spelled
 """
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -545,102 +546,68 @@ TRACE_HEADER = "optimizer,trial,iter,f_gap,diverged"
 BAND_HEADER = "optimizer,iter,median,q025,q975"
 
 
-def export_trace_csv(records: Sequence[RunRecord], path: str) -> None:
-    """One row per iteration: optimizer,trial,iter,f_gap,diverged."""
+def _write_text(path: str, what: str, lines: Iterable[str]) -> None:
+    """Write each line plus a newline to path, naming ``what`` on failure."""
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(TRACE_HEADER + "\n")
-            for trial, rec in enumerate(records):
-                flag = "true" if rec.diverged else "false"
-                for it, gap in enumerate(rec.trace):
-                    fh.write(f"{rec.kind},{trial},{it},{_fmt(gap)},{flag}\n")
+            fh.writelines(ln + "\n" for ln in lines)
     except OSError as e:
-        raise OSError(f"cannot write trace CSV {path!r}: {e}") from e
+        raise OSError(f"cannot write {what} {path!r}: {e}") from e
+
+
+def _read_rows(path: str, what: str, header: str) -> List[List[str]]:
+    """The comma-split non-empty rows below a file's header line."""
+    try:
+        with open(path) as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except OSError as e:
+        raise OSError(f"cannot read {what} {path!r}: {e}") from e
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path!r} is not a {what} (bad header)")
+    return [ln.split(",") for ln in lines[1:] if ln]
+
+
+def export_trace_csv(records: Sequence[RunRecord], path: str) -> None:
+    """One row per iteration: optimizer,trial,iter,f_gap,diverged."""
+    rows = (
+        f"{rec.kind},{trial},{it},{_fmt(gap)},{'true' if rec.diverged else 'false'}"
+        for trial, rec in enumerate(records)
+        for it, gap in enumerate(rec.trace)
+    )
+    _write_text(path, "trace CSV", itertools.chain([TRACE_HEADER], rows))
 
 
 def export_band_csv(bands: Sequence[QuantileBand], path: str) -> None:
     """One row per iteration per band: optimizer,iter,median,q025,q975."""
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(BAND_HEADER + "\n")
-            for band in bands:
-                for it in range(len(band.median)):
-                    fh.write(
-                        f"{band.kind},{it},{_fmt(band.median[it])},"
-                        f"{_fmt(band.q025[it])},{_fmt(band.q975[it])}\n"
-                    )
-    except OSError as e:
-        raise OSError(f"cannot write band CSV {path!r}: {e}") from e
+    rows = (
+        f"{band.kind},{it},{_fmt(med)},{_fmt(lo)},{_fmt(hi)}"
+        for band in bands
+        for it, (med, lo, hi) in enumerate(zip(band.median, band.q025, band.q975))
+    )
+    _write_text(path, "band CSV", itertools.chain([BAND_HEADER], rows))
 
 
 def read_trace_csv(path: str) -> List[Tuple[int, RunRecord]]:
     """Inverse of export_trace_csv; returns (trial id, record) pairs in file
     order.  Values round-trip exactly."""
-    try:
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as e:
-        raise OSError(f"cannot read trace CSV {path!r}: {e}") from e
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ValueError(f"{path!r} is not a trace CSV (bad header)")
-    order: List[Tuple[str, int]] = []
-    buckets: Dict[Tuple[str, int], dict] = {}
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        kind, trial, it, gap, flag = ln.split(",")
+    traces: Dict[Tuple[str, int], List[float]] = {}
+    diverged: Dict[Tuple[str, int], bool] = {}
+    for kind, trial, _it, gap, flag in _read_rows(path, "trace CSV", TRACE_HEADER):
         key = (kind, int(trial))
-        if key not in buckets:
-            buckets[key] = {"trace": [], "diverged": flag == "true"}
-            order.append(key)
-        buckets[key]["trace"].append(float(gap))
-        buckets[key]["diverged"] = flag == "true"
-    out = []
-    for kind, trial in order:
-        b = buckets[(kind, trial)]
-        out.append(
-            (
-                trial,
-                RunRecord(
-                    kind=kind,
-                    params={},
-                    trace=tuple(b["trace"]),
-                    diverged=b["diverged"],
-                ),
-            )
-        )
-    return out
+        traces.setdefault(key, []).append(float(gap))
+        diverged[key] = flag == "true"
+    return [
+        (trial, RunRecord(kind=kind, params={}, trace=tuple(tr), diverged=diverged[kind, trial]))
+        for (kind, trial), tr in traces.items()
+    ]
 
 
 def read_band_csv(path: str) -> List[QuantileBand]:
-    try:
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as e:
-        raise OSError(f"cannot read band CSV {path!r}: {e}") from e
-    if not lines or lines[0] != BAND_HEADER:
-        raise ValueError(f"{path!r} is not a band CSV (bad header)")
-    order: List[str] = []
-    buckets: Dict[str, dict] = {}
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        kind, _it, med, lo, hi = ln.split(",")
-        if kind not in buckets:
-            buckets[kind] = {"median": [], "q025": [], "q975": []}
-            order.append(kind)
-        buckets[kind]["median"].append(float(med))
-        buckets[kind]["q025"].append(float(lo))
-        buckets[kind]["q975"].append(float(hi))
-    return [
-        QuantileBand(
-            kind=kind,
-            median=tuple(buckets[kind]["median"]),
-            q025=tuple(buckets[kind]["q025"]),
-            q975=tuple(buckets[kind]["q975"]),
-        )
-        for kind in order
-    ]
+    columns: Dict[str, Tuple[list, list, list]] = {}
+    for kind, _it, med, lo, hi in _read_rows(path, "band CSV", BAND_HEADER):
+        for col, v in zip(columns.setdefault(kind, ([], [], [])), (med, lo, hi)):
+            col.append(float(v))
+    return [QuantileBand(kind, *cols) for kind, cols in columns.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -756,11 +723,7 @@ def export_svg(
         )
         parts.append(f'<text x="{lx + 28}" y="{ly + 4}">{band.kind}</text>')
     parts.append("</svg>")
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(parts) + "\n")
-    except OSError as e:
-        raise OSError(f"cannot write SVG {path!r}: {e}") from e
+    _write_text(path, "SVG", parts)
 
 
 # ---------------------------------------------------------------------------

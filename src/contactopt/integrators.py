@@ -11,8 +11,11 @@ pieces whose contact flows are known in closed form:
 A time-shift operator advances the clock between flows.  The palindromic
 arrangement shift/phi1/phi3/phi2/phi3/phi1/shift is a second-order contact
 integrator; symmetric compositions of it (triple jump, Suzuki five-stage)
-raise the order by two per level.  Every map here is a contact
-transformation, which `contact.conformal_factor` can certify numerically.
+raise the order by two per level.  Every flow and step here is a contact
+transformation, a plain function of the state that
+`contact.conformal_factor` can certify numerically; phi1, whose Jacobian is
+diagonal, also comes with :func:`phi1_jacobian`.  The named composition
+plans live in one table, read through :func:`split_plan`.
 
 Steps accept an optional ``clock_dtau`` that decouples the clock advance
 from the flow stepsize.  The optimizer family runs on an iteration clock
@@ -26,7 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .contact import ContactHamiltonian, ContactState, PointMap, Trajectory
+from .contact import ContactHamiltonian, ContactState, Trajectory
 from .objectives import Objective
 
 __all__ = [
@@ -34,6 +37,7 @@ __all__ = [
     "SplitFlowPlan",
     "crgd_hamiltonian",
     "flow_phi1",
+    "phi1_jacobian",
     "flow_phi2",
     "flow_phi3",
     "time_shift",
@@ -44,12 +48,6 @@ __all__ = [
     "split_plan",
     "triple_jump_plan",
     "PLAN_NAMES",
-    "phi1_map",
-    "phi2_map",
-    "phi3_map",
-    "shift_map",
-    "strang_map",
-    "compose_map",
 ]
 
 
@@ -127,6 +125,14 @@ def flow_phi1(state: ContactState, dtau: float, params: RelativisticParams) -> C
     """
     a = math.exp(-params.h(state.t) * dtau)
     return ContactState(X=state.X, P=a * state.P, S=a * state.S, t=state.t)
+
+
+def phi1_jacobian(state: ContactState, dtau: float, params: RelativisticParams) -> np.ndarray:
+    """Exact Jacobian of :func:`flow_phi1` in (X, P, S): diag(1, a, a)."""
+    n = state.dim
+    d = np.ones(2 * n + 1)
+    d[n:] = math.exp(-params.h(state.t) * dtau)
+    return np.diag(d)
 
 
 def flow_phi2(state: ContactState, dtau: float, obj: Objective) -> ContactState:
@@ -257,39 +263,26 @@ def triple_jump_plan(base: SplitFlowPlan) -> SplitFlowPlan:
     )
 
 
-def _strang_plan() -> SplitFlowPlan:
-    return SplitFlowPlan(stage_weights=(1.0,), base_order=2, name="strang")
-
-
-def _jump4_plan() -> SplitFlowPlan:
-    z0, z1 = triple_jump_coefficients(1)
-    return SplitFlowPlan(stage_weights=(z1, z0, z1), base_order=4, name="jump4")
-
-
-def _suzuki4_plan() -> SplitFlowPlan:
-    w1 = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
-    w0 = 1.0 - 4.0 * w1
-    return SplitFlowPlan(
-        stage_weights=(w1, w1, w0, w1, w1), base_order=4, name="suzuki4"
-    )
-
-
-PLAN_NAMES = ("strang", "jump4", "suzuki4", "jump6")
+_Z0, _Z1 = triple_jump_coefficients(1)
+_W1 = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+_PLANS = {
+    "strang": SplitFlowPlan(stage_weights=(1.0,), base_order=2, name="strang"),
+    "jump4": SplitFlowPlan(stage_weights=(_Z1, _Z0, _Z1), base_order=4, name="jump4"),
+    "suzuki4": SplitFlowPlan(
+        stage_weights=(_W1, _W1, 1.0 - 4.0 * _W1, _W1, _W1), base_order=4, name="suzuki4"
+    ),
+}
+_PLANS["jump6"] = triple_jump_plan(_PLANS["jump4"])
+PLAN_NAMES = tuple(_PLANS)
 
 
 def split_plan(name: str) -> SplitFlowPlan:
     """Look a composition plan up by preset name."""
-    if name == "strang":
-        return _strang_plan()
-    if name == "jump4":
-        return _jump4_plan()
-    if name == "suzuki4":
-        return _suzuki4_plan()
-    if name == "jump6":
-        return triple_jump_plan(_jump4_plan())
-    raise ValueError(
-        f"unknown plan {name!r}; valid names: {', '.join(PLAN_NAMES)}"
-    )
+    if name not in _PLANS:
+        raise ValueError(
+            f"unknown plan {name!r}; valid names: {', '.join(PLAN_NAMES)}"
+        )
+    return _PLANS[name]
 
 
 def integrate_split(
@@ -306,7 +299,7 @@ def integrate_split(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if plan is None:
-        plan = _strang_plan()
+        plan = _PLANS["strang"]
     states = [state0]
     s = state0
     diverged = False
@@ -318,73 +311,3 @@ def integrate_split(
                 break
             states.append(s)
     return Trajectory(states, diverged)
-
-
-# ---------------------------------------------------------------------------
-# PointMap wrappers so conformal_factor can certify each map.  phi1 and the
-# time shift declare exact Jacobians (diagonal / identity); the rest rely on
-# finite differences.
-# ---------------------------------------------------------------------------
-
-
-def phi1_map(dtau: float, params: RelativisticParams) -> PointMap:
-    def jac(state: ContactState) -> np.ndarray:
-        n = state.dim
-        a = math.exp(-params.h(state.t) * dtau)
-        d = np.ones(2 * n + 1)
-        d[n:] = a
-        return np.diag(d)
-
-    return PointMap(
-        name=f"phi1(dtau={dtau})",
-        func=lambda s: flow_phi1(s, dtau, params),
-        jacobian=jac,
-    )
-
-
-def phi2_map(dtau: float, obj: Objective) -> PointMap:
-    return PointMap(
-        name=f"phi2(dtau={dtau})", func=lambda s: flow_phi2(s, dtau, obj)
-    )
-
-
-def phi3_map(dtau: float, params: RelativisticParams) -> PointMap:
-    return PointMap(
-        name=f"phi3(dtau={dtau})", func=lambda s: flow_phi3(s, dtau, params)
-    )
-
-
-def shift_map(dtau: float) -> PointMap:
-    def jac(state: ContactState) -> np.ndarray:
-        return np.eye(2 * state.dim + 1)
-
-    return PointMap(
-        name=f"time_shift(dtau={dtau})",
-        func=lambda s: time_shift(s, dtau),
-        jacobian=jac,
-    )
-
-
-def strang_map(
-    tau: float,
-    obj: Objective,
-    params: RelativisticParams,
-    clock_dtau: Optional[float] = None,
-) -> PointMap:
-    return PointMap(
-        name=f"strang(tau={tau})",
-        func=lambda s: strang_step(s, tau, obj, params, clock_dtau=clock_dtau),
-    )
-
-
-def compose_map(
-    tau: float,
-    obj: Objective,
-    params: RelativisticParams,
-    plan: SplitFlowPlan,
-    clock_dtau: Optional[float] = None,
-) -> PointMap:
-    return PointMap(
-        name=f"{plan.name or 'composed'}(tau={tau})",
-        func=lambda s: compose_step(s, tau, obj, params, plan, clock_dtau=clock_dtau),
-    )

@@ -23,14 +23,13 @@ each step costs O(n) instead of O(n^2) and has no BLAS product.  Its
 eigenvalues may differ per row of a stack, one quadratic per run.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "Objective",
-    "QuadraticSpec",
     "draw_quadratic",
     "make_random_quadratic",
     "diagonal_quadratic",
@@ -70,16 +69,6 @@ class Objective:
 def _value(v):
     """A float for one point, the array of row values for a stack."""
     return float(v) if v.ndim == 0 else v
-
-
-@dataclass(frozen=True)
-class QuadraticSpec:
-    """The matrix behind a random quadratic objective, kept for inspection."""
-
-    matrix: np.ndarray = field(repr=False)
-    seed: int = 0
-    eigen_lo: float = 0.0
-    eigen_hi: float = 0.0
 
 
 def draw_quadratic(
@@ -124,7 +113,7 @@ def make_random_quadratic(
     def g(x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ a
 
-    obj = Objective(
+    return Objective(
         name="quadratic",
         dim=dim,
         eval=f,
@@ -132,10 +121,6 @@ def make_random_quadratic(
         known_min_value=0.0,
         known_minimizer=np.zeros(dim),
     )
-    object.__setattr__(
-        obj, "spec", QuadraticSpec(matrix=a, seed=seed, eigen_lo=eigen_lo, eigen_hi=eigen_hi)
-    )
-    return obj
 
 
 def diagonal_quadratic(lam) -> Objective:

@@ -30,7 +30,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .contact import DIVERGENCE_LIMIT, ContactState, PointMap
+from .contact import DIVERGENCE_LIMIT, ContactState
 from .objectives import Objective
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "nag_step",
     "nag_decomposed_step",
     "nag_contact_map",
+    "nag_contact_jacobian",
     "rgd_step",
     "crgd_step",
     "run",
@@ -286,36 +287,40 @@ def nag_decomposed_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> Op
     return OptState(X=x2, V=p1, S=s1, k=k_new)
 
 
-def nag_contact_map(k: int) -> PointMap:
-    """The momentum half of the Nesterov factorization at iteration k, as a
-    map of contact states with its exact (linear) Jacobian.
-
-    (X, P, S) -> (P, P + c (P - X), c S) with c = (k-1)/(k+2); the map
-    rescales the std2 contact form by exactly c.
-    """
+def _nag_contact_coefficient(k: int) -> float:
     if k < 1:
         raise ValueError(f"iteration index must be >= 1, got {k}")
-    c = (k - 1.0) / (k + 2.0)
+    return (k - 1.0) / (k + 2.0)
 
-    def func(state: ContactState) -> ContactState:
-        return ContactState(
-            X=state.P.copy(),
-            P=state.P + c * (state.P - state.X),
-            S=c * state.S,
-            t=state.t,
-        )
 
-    def jac(state: ContactState) -> np.ndarray:
-        n = state.dim
-        j = np.zeros((2 * n + 1, 2 * n + 1))
-        eye = np.eye(n)
-        j[:n, n : 2 * n] = eye
-        j[n : 2 * n, :n] = -c * eye
-        j[n : 2 * n, n : 2 * n] = (1.0 + c) * eye
-        j[2 * n, 2 * n] = c
-        return j
+def nag_contact_map(state: ContactState, k: int) -> ContactState:
+    """The momentum half of the Nesterov factorization at iteration k >= 1,
+    as a map of contact states.
 
-    return PointMap(name=f"nag_contact(k={k})", func=func, jacobian=jac)
+    (X, P, S) -> (P, P + c (P - X), c S) with c = (k-1)/(k+2); the map
+    rescales the std2 contact form by exactly c.  Its exact (linear)
+    Jacobian is :func:`nag_contact_jacobian`.
+    """
+    c = _nag_contact_coefficient(k)
+    return ContactState(
+        X=state.P.copy(),
+        P=state.P + c * (state.P - state.X),
+        S=c * state.S,
+        t=state.t,
+    )
+
+
+def nag_contact_jacobian(state: ContactState, k: int) -> np.ndarray:
+    """Jacobian of :func:`nag_contact_map` in (X, P, S)."""
+    c = _nag_contact_coefficient(k)
+    n = state.dim
+    j = np.zeros((2 * n + 1, 2 * n + 1))
+    eye = np.eye(n)
+    j[:n, n : 2 * n] = eye
+    j[n : 2 * n, :n] = -c * eye
+    j[n : 2 * n, n : 2 * n] = (1.0 + c) * eye
+    j[2 * n, 2 * n] = c
+    return j
 
 
 def _relativistic_step(

@@ -158,6 +158,13 @@ class TestSearchCommand:
         assert main(["search", "--config", cfg, "--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_empty_env_seed_is_an_error(self, tmp_path, monkeypatch, capsys):
+        cfg = tiny_config(tmp_path)
+        monkeypatch.setenv("CONTACT_OPT_SEED", "")
+        rc = main(["search", "--config", cfg, "--out", str(tmp_path / "e.csv")])
+        assert rc == 1
+        assert "must be an integer, got ''" in capsys.readouterr().err
+
     def test_unknown_config_key_reports_path(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, bogus=1)
         rc = main(["search", "--config", cfg])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from contactopt.contact import (
     ContactHamiltonian,
     ContactState,
-    PointMap,
     Tangent,
     check_hamiltonian_gradients,
     conformal_factor,
@@ -142,9 +141,10 @@ class TestMapF:
             )
 
     def test_conformal_factor_is_one(self):
-        pm = PointMap("map_F", map_F, map_F_jacobian)
         for s in random_states(21, 50, 4):
-            lam, res = conformal_factor(pm, "std2", s, source_form="std1")
+            lam, res = conformal_factor(
+                map_F, "std2", s, source_form="std1", jacobian=map_F_jacobian
+            )
             assert lam == pytest.approx(1.0, abs=1e-12)
             assert res < 1e-10
 

@@ -16,7 +16,7 @@ from contactopt.integrators import (
     flow_phi2,
     flow_phi3,
     integrate_split,
-    phi1_map,
+    phi1_jacobian,
     split_plan,
     strang_step,
     time_shift,
@@ -87,7 +87,10 @@ class TestStageFlows:
         for _ in range(10):
             s = ContactState(X=rng.standard_normal(3), P=rng.standard_normal(3),
                              S=float(rng.standard_normal()), t=float(rng.uniform(0.5, 2)))
-            lam, res = conformal_factor(phi1_map(0.07, params), "std1", s)
+            lam, res = conformal_factor(
+                lambda st: flow_phi1(st, 0.07, params), "std1", s,
+                jacobian=lambda st: phi1_jacobian(st, 0.07, params),
+            )
             assert lam == pytest.approx(math.exp(-params.h(s.t) * 0.07), abs=1e-12)
             assert res < 1e-12
 

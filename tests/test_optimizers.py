@@ -25,6 +25,7 @@ from contactopt.optimizers import (
     crgd_step,
     gd_step,
     init_state,
+    nag_contact_jacobian,
     nag_contact_map,
     nag_decomposed_step,
     nag_step,
@@ -231,13 +232,19 @@ class TestNesterovFactorization:
 
 class TestNesterovContactMap:
     def test_rejects_k_below_one(self):
+        state = ContactState(X=np.zeros(2), P=np.ones(2), S=0.4, t=1.0)
         with pytest.raises(ValueError):
-            nag_contact_map(0)
+            nag_contact_map(state, 0)
+        with pytest.raises(ValueError):
+            nag_contact_jacobian(state, 0)
 
     def test_k3_factor_is_two_fifths(self):
         state = ContactState(X=np.array([0.7, -0.2]), P=np.array([0.1, 0.5]),
                              S=0.4, t=1.0)
-        lam, res = conformal_factor(nag_contact_map(3), "std2", state)
+        lam, res = conformal_factor(
+            lambda st: nag_contact_map(st, 3), "std2", state,
+            jacobian=lambda st: nag_contact_jacobian(st, 3),
+        )
         assert lam == pytest.approx(0.4, abs=1e-12)
         assert res < 1e-10
 
@@ -246,7 +253,10 @@ class TestNesterovContactMap:
         for k in range(2, 51, 7):
             state = ContactState(X=rng.standard_normal(3), P=rng.standard_normal(3),
                                  S=float(rng.standard_normal()), t=1.0)
-            lam, res = conformal_factor(nag_contact_map(k), "std2", state)
+            lam, res = conformal_factor(
+                lambda st: nag_contact_map(st, k), "std2", state,
+                jacobian=lambda st: nag_contact_jacobian(st, k),
+            )
             assert lam == pytest.approx((k - 1.0) / (k + 2.0), abs=1e-12)
             assert res < 1e-10
 
