@@ -1,11 +1,12 @@
 """Contact-geometric optimization toolkit.
 
 Dissipative optimization dynamics written as contact Hamiltonian systems:
-exact-flow splitting integrators for the relativistic kinetic + potential +
-dissipation Hamiltonian, the discrete optimizer family they induce (RGD and
-its time-rescaled variant CRGD, next to GD/heavy-ball/Nesterov baselines),
-numerical certification that every discrete map preserves the contact
-structure, and a reproducible benchmark harness.
+exact-flow splitting integrators for the separable kinetic (relativistic or
+Newtonian) + potential + dissipation Hamiltonian, the discrete optimizer
+family they induce (RGD and its time-rescaled variant CRGD, next to
+GD/heavy-ball/Nesterov baselines), numerical certification that every
+discrete map preserves the contact structure, and a reproducible benchmark
+harness.
 """
 
 from .contact import (
@@ -35,14 +36,16 @@ from .harness import (
     run_bench,
 )
 from .integrators import (
-    RelativisticParams,
+    ContactParams,
     SplitFlowPlan,
     compose_step,
-    crgd_hamiltonian,
+    constant_damping,
+    contact_hamiltonian,
     flow_phi1,
     flow_phi2,
     flow_phi3,
     integrate_split,
+    nag_like_damping,
     split_plan,
     strang_step,
     time_shift,
@@ -91,14 +94,16 @@ __all__ = [
     "monte_carlo",
     "random_search",
     "run_bench",
-    "RelativisticParams",
+    "ContactParams",
     "SplitFlowPlan",
     "compose_step",
-    "crgd_hamiltonian",
+    "constant_damping",
+    "contact_hamiltonian",
     "flow_phi1",
     "flow_phi2",
     "flow_phi3",
     "integrate_split",
+    "nag_like_damping",
     "split_plan",
     "strang_step",
     "time_shift",

@@ -34,13 +34,15 @@ from .contact import (
     reference_integrate,
 )
 from .integrators import (
-    RelativisticParams,
+    ContactParams,
     compose_step,
-    crgd_hamiltonian,
+    constant_damping,
+    contact_hamiltonian,
     flow_phi1,
     flow_phi2,
     flow_phi3,
     integrate_split,
+    nag_like_damping,
     phi1_jacobian,
     split_plan,
     strang_step,
@@ -145,7 +147,7 @@ def check_conformal(seed: int = 0) -> List[CheckResult]:
     rng, obj_seed = _draws(seed, "conformal")
     dim = 3
     obj = make_random_quadratic(obj_seed, dim, 0.1, 2.0)
-    params = RelativisticParams(m=1.2, c=0.8, gamma=0.3, schedule="nag_like")
+    params = ContactParams(*nag_like_damping(0.3), m=1.2, c=0.8)
     dtau = 0.07
     # factors pinned in closed form, read from the residual loop's fits;
     # map_F turns the std2 form into the std1 form on the nose
@@ -223,8 +225,8 @@ def order_errors(
     plans = {name: split_plan(name) for name in plan_names}
     rng, obj_seed = _draws(seed, "orders")
     obj = make_random_quadratic(obj_seed, 4, 0.2, 1.5)
-    params = RelativisticParams(m=1.0, c=1.0, gamma=0.1, schedule="nag_like")
-    ham = crgd_hamiltonian(obj, params)
+    params = ContactParams(*nag_like_damping(0.1), m=1.0, c=1.0)
+    ham = contact_hamiltonian(obj, params)
     s0 = ContactState(
         X=rng.standard_normal(4), P=rng.standard_normal(4), S=0.3, t=1.0
     )
@@ -305,13 +307,13 @@ def check_equivalence(seed: int = 0) -> List[CheckResult]:
             x = rng.standard_normal(dim)
             v = rng.standard_normal(dim)
             s_val = float(rng.standard_normal())
-            for kind, stepper, schedule in (
-                ("crgd", crgd_step, "nag_like"),
-                ("rgd", rgd_step, "constant"),
+            for kind, stepper, damping in (
+                ("crgd", crgd_step, nag_like_damping),
+                ("rgd", rgd_step, constant_damping),
             ):
                 cfg = OptimizerConfig(kind=kind, epsilon=eps, mu=mu, delta=delta)
                 s1 = stepper(OptState(X=x, V=v, S=s_val, k=k), obj, cfg)
-                params = RelativisticParams(m=1.0, c=2.0 / (math.sqrt(delta) * tau), gamma=gamma, schedule=schedule)
+                params = ContactParams(*damping(gamma), m=1.0, c=2.0 / (math.sqrt(delta) * tau))
                 c1 = strang_step(
                     ContactState(X=x, P=2.0 * v / tau, S=s_val, t=float(k)),
                     tau,
@@ -371,10 +373,10 @@ def check_dissipation(seed: int = 0) -> List[CheckResult]:
     obj = make_random_quadratic(obj_seed, 4, 0.2, 1.5)
     x0 = rng.standard_normal(4)
     p0 = rng.standard_normal(4)
-    full = RelativisticParams(m=1.0, c=1.0, gamma=0.1, schedule="nag_like")
-    cons = RelativisticParams(m=1.0, c=1.0, gamma=0.0, schedule="constant")
-    res_full = _rk4_residual(crgd_hamiltonian(obj, full), x0, p0)
-    res_cons = _rk4_residual(crgd_hamiltonian(obj, cons), x0, p0)
+    full = ContactParams(*nag_like_damping(0.1), m=1.0, c=1.0)
+    cons = ContactParams(*constant_damping(0.0), m=1.0, c=1.0)
+    res_full = _rk4_residual(contact_hamiltonian(obj, full), x0, p0)
+    res_cons = _rk4_residual(contact_hamiltonian(obj, cons), x0, p0)
 
     # pure decay: H = c S has the closed form H(t) = H(0) exp(-c t)
     c_decay = 0.7
@@ -412,19 +414,6 @@ def check_dissipation(seed: int = 0) -> List[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _newtonian(
-    obj, h: Callable[[float], float], dh: Callable[[float], float]
-) -> ContactHamiltonian:
-    """H = |P|^2/2 + f(X) + h(t) S; dh is the derivative of h."""
-    return ContactHamiltonian(
-        value=lambda x, p, s, t: 0.5 * float(p @ p) + obj.eval(x) + h(t) * s,
-        grad_X=lambda x, p, s, t: obj.grad(x),
-        grad_P=lambda x, p, s, t: p,
-        dS=lambda x, p, s, t: h(t),
-        dt=lambda x, p, s, t: dh(t) * s,
-    )
-
-
 def _field_residual(rng, dim, field, ham, residual) -> float:
     """Worst entry of residual(state, field(ham, state)) over 20 random
     states; residual returns the deviations of dX and dP from the
@@ -444,17 +433,18 @@ def check_specialization(seed: int = 0) -> List[CheckResult]:
     rng, obj_seed = _draws(seed, "specialization")
     dim = 3
     obj = make_random_quadratic(obj_seed, dim, 0.2, 1.5)
-    zero = lambda t: 0.0  # noqa: E731
 
     # (a) no S dependence: plain Hamilton equations
     worst_a = _field_residual(
-        rng, dim, contact_field_std1, _newtonian(obj, zero, zero),
+        rng, dim, contact_field_std1,
+        contact_hamiltonian(obj, ContactParams(*constant_damping(0.0), c=None)),
         lambda st, v: (v.dX - st.P, v.dP + obj.grad(st.X)),
     )
     # (b) H0 + cS: linear friction -cP on the momentum equation
     c_lin = 0.8
     worst_b = _field_residual(
-        rng, dim, contact_field_std1, _newtonian(obj, lambda t: c_lin, zero),
+        rng, dim, contact_field_std1,
+        contact_hamiltonian(obj, ContactParams(*constant_damping(c_lin), c=None)),
         lambda st, v: (v.dX - st.P, v.dP + obj.grad(st.X) + c_lin * st.P),
     )
     # (c) H0 + <X*, P> - <P*, X> + 2S in the symmetric convention:
@@ -481,7 +471,9 @@ def check_specialization(seed: int = 0) -> List[CheckResult]:
     # the tolerance near t = 1, where P''' is large)
     dt = 1e-3
     traj = reference_integrate(
-        _newtonian(obj, lambda t: 3.0 / t, lambda t: -3.0 / (t * t)),
+        contact_hamiltonian(
+            obj, ContactParams(lambda t: 3.0 / t, lambda t: -3.0 / (t * t), c=None)
+        ),
         "std1",
         ContactState(X=rng.standard_normal(dim), P=np.zeros(dim), S=0.0, t=1.0),
         dt,

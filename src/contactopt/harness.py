@@ -33,7 +33,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -555,8 +555,10 @@ def _write_text(path: str, what: str, lines: Iterable[str]) -> None:
         raise OSError(f"cannot write {what} {path!r}: {e}") from e
 
 
-def _read_rows(path: str, what: str, header: str) -> List[List[str]]:
-    """The comma-split non-empty rows below a file's header line."""
+def _read_rows(path: str, what: str, header: str, parse: Callable) -> list:
+    """parse(*fields) of each non-empty row below a file's header line.  A
+    row whose width differs from the header's, or whose fields parse
+    rejects, raises a ValueError that names path:line."""
     try:
         with open(path) as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -564,7 +566,19 @@ def _read_rows(path: str, what: str, header: str) -> List[List[str]]:
         raise OSError(f"cannot read {what} {path!r}: {e}") from e
     if not lines or lines[0] != header:
         raise ValueError(f"{path!r} is not a {what} (bad header)")
-    return [ln.split(",") for ln in lines[1:] if ln]
+    width = header.count(",") + 1
+    rows = []
+    for lineno, ln in enumerate(lines[1:], start=2):
+        if not ln:
+            continue
+        fields = ln.split(",")
+        try:
+            if len(fields) != width:
+                raise ValueError(f"{len(fields)} fields where the header {header!r} has {width}")
+            rows.append(parse(*fields))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: bad {what} row: {e}") from e
+    return rows
 
 
 def export_trace_csv(records: Sequence[RunRecord], path: str) -> None:
@@ -592,10 +606,14 @@ def read_trace_csv(path: str) -> List[Tuple[int, RunRecord]]:
     order.  Values round-trip exactly."""
     traces: Dict[Tuple[str, int], List[float]] = {}
     diverged: Dict[Tuple[str, int], bool] = {}
-    for kind, trial, _it, gap, flag in _read_rows(path, "trace CSV", TRACE_HEADER):
-        key = (kind, int(trial))
-        traces.setdefault(key, []).append(float(gap))
-        diverged[key] = flag == "true"
+    rows = _read_rows(
+        path, "trace CSV", TRACE_HEADER,
+        lambda kind, trial, _it, gap, flag: (kind, int(trial), float(gap), flag == "true"),
+    )
+    for kind, trial, gap, flag in rows:
+        key = (kind, trial)
+        traces.setdefault(key, []).append(gap)
+        diverged[key] = flag
     return [
         (trial, RunRecord(kind=kind, params={}, trace=tuple(tr), diverged=diverged[kind, trial]))
         for (kind, trial), tr in traces.items()
@@ -604,9 +622,13 @@ def read_trace_csv(path: str) -> List[Tuple[int, RunRecord]]:
 
 def read_band_csv(path: str) -> List[QuantileBand]:
     columns: Dict[str, Tuple[list, list, list]] = {}
-    for kind, _it, med, lo, hi in _read_rows(path, "band CSV", BAND_HEADER):
-        for col, v in zip(columns.setdefault(kind, ([], [], [])), (med, lo, hi)):
-            col.append(float(v))
+    rows = _read_rows(
+        path, "band CSV", BAND_HEADER,
+        lambda kind, _it, med, lo, hi: (kind, float(med), float(lo), float(hi)),
+    )
+    for kind, *vals in rows:
+        for col, v in zip(columns.setdefault(kind, ([], [], [])), vals):
+            col.append(v)
     return [QuantileBand(kind, *cols) for kind, cols in columns.items()]
 
 
@@ -675,8 +697,11 @@ def export_svg(
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333"/>',
     ]
     if title:
+        # escaped by hand: xml.sax.saxutils.escape would import urllib.request,
+        # about 3 MiB and 40 ms on every start of the CLI
+        text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>'
+            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="14">{text}</text>'
         )
     # y ticks at decades (thin to at most ~10 labels)
     step = max(1, int(math.ceil((y_hi - y_lo) / 10)))

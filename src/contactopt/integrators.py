@@ -1,12 +1,17 @@
-"""Splitting integrators for the relativistic contact Hamiltonian.
+"""Splitting integrators for the separable contact Hamiltonian.
 
-The Hamiltonian c*sqrt(|P|^2 + (mc)^2) + f(X) + h(t)*S splits into three
-pieces whose contact flows are known in closed form:
+Every Hamiltonian integrated here has the form K(P) + f(X) + h(t)*S, with
+the kinetic energy K relativistic, c*sqrt(|P|^2 + (mc)^2), or Newtonian,
+|P|^2/2m, and a damping h(t) given with its derivative; :class:`ContactParams`
+holds K and h, and :func:`contact_hamiltonian` assembles the whole H for the
+RK4 oracle.  H splits into three pieces whose contact flows are known in
+closed form:
 
 * phi1 (dissipation, h(t)*S): P and S decay by exp(-h(t) * dtau), with the
   clock frozen during the flow;
 * phi2 (potential, f(X)):     gradient kick on P, action drop on S;
-* phi3 (kinetic):             relativistic drift of X with speed limit c.
+* phi3 (kinetic, K(P)):       drift of X, with speed limit c when K is
+  relativistic.
 
 A time-shift operator advances the clock between flows.  The palindromic
 arrangement shift/phi1/phi3/phi2/phi3/phi1/shift is a second-order contact
@@ -25,7 +30,7 @@ mu^(1 + 1/(k+1/2)) dissipation factors of the discrete algorithms arise.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -33,9 +38,11 @@ from .contact import ContactHamiltonian, ContactState, Trajectory
 from .objectives import Objective
 
 __all__ = [
-    "RelativisticParams",
+    "ContactParams",
     "SplitFlowPlan",
-    "crgd_hamiltonian",
+    "constant_damping",
+    "nag_like_damping",
+    "contact_hamiltonian",
     "flow_phi1",
     "phi1_jacobian",
     "flow_phi2",
@@ -52,72 +59,69 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RelativisticParams:
-    """Physical constants of the relativistic contact Hamiltonian.
+class ContactParams:
+    """The separable Hamiltonian K(P) + f(X) + h(t)*S, less its potential f.
 
-    ``schedule`` picks the dissipation coefficient h(t): "constant" means
-    h = gamma, "nag_like" means h = gamma * (1 + 1/t), which needs t > 0.
+    ``h`` is the damping and ``dh`` its derivative, as returned by
+    :func:`constant_damping` or :func:`nag_like_damping`.  K is relativistic,
+    c*sqrt(|P|^2 + (mc)^2); when ``c`` is None it is Newtonian, |P|^2/2m.
     """
 
+    h: Callable[[float], float]
+    dh: Callable[[float], float]
     m: float = 1.0
-    c: float = 1.0
-    gamma: float = 0.0
-    schedule: str = "nag_like"
+    c: Optional[float] = 1.0
 
     def __post_init__(self):
         if not (self.m > 0):
             raise ValueError(f"mass m must be positive, got {self.m}")
-        if not (self.c > 0):
+        if self.c is not None and not (self.c > 0):
             raise ValueError(f"speed parameter c must be positive, got {self.c}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
-        if self.schedule not in ("constant", "nag_like"):
-            raise ValueError(
-                f"schedule must be 'constant' or 'nag_like', got {self.schedule!r}"
-            )
 
-    def h(self, t: float) -> float:
-        if self.schedule == "constant":
-            return self.gamma
+
+def constant_damping(gamma: float) -> Tuple[Callable, Callable]:
+    """h(t) = gamma and its derivative 0."""
+    if gamma < 0:
+        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    return (lambda t: gamma), (lambda t: 0.0)
+
+
+def nag_like_damping(gamma: float) -> Tuple[Callable, Callable]:
+    """h(t) = gamma*(1 + 1/t) and its derivative -gamma/t^2; both need t > 0."""
+    if gamma < 0:
+        raise ValueError(f"gamma must be non-negative, got {gamma}")
+
+    def positive(t):
         if t <= 0:
             raise ValueError(
                 f"nag_like dissipation h(t) = gamma*(1 + 1/t) needs t > 0, got t = {t}"
             )
-        return self.gamma * (1.0 + 1.0 / t)
+        return t
 
-    def h_prime(self, t: float) -> float:
-        if self.schedule == "constant":
-            return 0.0
-        if t <= 0:
-            raise ValueError(
-                f"nag_like dissipation h(t) = gamma*(1 + 1/t) needs t > 0, got t = {t}"
-            )
-        return -self.gamma / (t * t)
+    return (lambda t: gamma * (1.0 + 1.0 / positive(t))), (lambda t: -gamma / (positive(t) * t))
 
 
-def crgd_hamiltonian(obj: Objective, params: RelativisticParams) -> ContactHamiltonian:
-    """Assemble c*sqrt(|P|^2 + (mc)^2) + f(X) + h(t)*S with its partials."""
-    m, c = params.m, params.c
+def contact_hamiltonian(obj: Objective, params: ContactParams) -> ContactHamiltonian:
+    """Assemble K(P) + f(X) + h(t)*S with its partials."""
+    m, c, h, dh = params.m, params.c, params.h, params.dh
 
-    def value(x, p, s, t):
-        return c * math.sqrt(float(p @ p) + (m * c) ** 2) + obj.eval(x) + params.h(t) * s
+    def kinetic(p):
+        pp = float(p @ p)
+        return 0.5 * pp / m if c is None else c * math.sqrt(pp + (m * c) ** 2)
 
-    def grad_x(x, p, s, t):
-        return obj.grad(x)
+    def velocity(p):
+        return p / m if c is None else c * p / math.sqrt(float(p @ p) + (m * c) ** 2)
 
-    def grad_p(x, p, s, t):
-        return c * p / math.sqrt(float(p @ p) + (m * c) ** 2)
-
-    def d_s(x, p, s, t):
-        return params.h(t)
-
-    def d_t(x, p, s, t):
-        return params.h_prime(t) * s
-
-    return ContactHamiltonian(value=value, grad_X=grad_x, grad_P=grad_p, dS=d_s, dt=d_t)
+    return ContactHamiltonian(
+        value=lambda x, p, s, t: kinetic(p) + obj.eval(x) + h(t) * s,
+        grad_X=lambda x, p, s, t: obj.grad(x),
+        grad_P=lambda x, p, s, t: velocity(p),
+        dS=lambda x, p, s, t: h(t),
+        dt=lambda x, p, s, t: dh(t) * s,
+    )
 
 
-def flow_phi1(state: ContactState, dtau: float, params: RelativisticParams) -> ContactState:
+def flow_phi1(state: ContactState, dtau: float, params: ContactParams) -> ContactState:
     """Exact flow of the dissipative piece h(t)*S for a span dtau.
 
     P and S contract by exp(-h(t) * dtau); the clock is frozen, so h is
@@ -127,7 +131,7 @@ def flow_phi1(state: ContactState, dtau: float, params: RelativisticParams) -> C
     return ContactState(X=state.X, P=a * state.P, S=a * state.S, t=state.t)
 
 
-def phi1_jacobian(state: ContactState, dtau: float, params: RelativisticParams) -> np.ndarray:
+def phi1_jacobian(state: ContactState, dtau: float, params: ContactParams) -> np.ndarray:
     """Exact Jacobian of :func:`flow_phi1` in (X, P, S): diag(1, a, a)."""
     n = state.dim
     d = np.ones(2 * n + 1)
@@ -145,20 +149,20 @@ def flow_phi2(state: ContactState, dtau: float, obj: Objective) -> ContactState:
     )
 
 
-def flow_phi3(state: ContactState, dtau: float, params: RelativisticParams) -> ContactState:
-    """Exact flow of the kinetic piece: relativistic drift.
+def flow_phi3(state: ContactState, dtau: float, params: ContactParams) -> ContactState:
+    """Exact flow of the kinetic piece K(P): a drift of X.
 
-    X moves at most c*|dtau| regardless of P; S decreases by the rest-energy
-    rate m^2 c^3 / sqrt(|P|^2 + (mc)^2).
+    Relativistic: X moves at most c*|dtau| regardless of P; S decreases by
+    the rest-energy rate m^2 c^3 / sqrt(|P|^2 + (mc)^2).  Newtonian:
+    X += P*dtau/m and S += |P|^2*dtau/2m.
     """
-    m, c = params.m, params.c
-    r = math.sqrt(float(state.P @ state.P) + (m * c) ** 2)
-    return ContactState(
-        X=state.X + c * state.P * dtau / r,
-        P=state.P,
-        S=state.S - m * m * c**3 * dtau / r,
-        t=state.t,
-    )
+    m, c, p = params.m, params.c, state.P
+    if c is None:
+        dx, ds = p * dtau / m, float(p @ p) * dtau / (2.0 * m)
+    else:
+        r = math.sqrt(float(p @ p) + (m * c) ** 2)
+        dx, ds = c * p * dtau / r, -(m * m * c**3 * dtau / r)
+    return ContactState(X=state.X + dx, P=p, S=state.S + ds, t=state.t)
 
 
 def time_shift(state: ContactState, dtau: float) -> ContactState:
@@ -170,7 +174,7 @@ def strang_step(
     state: ContactState,
     tau: float,
     obj: Objective,
-    params: RelativisticParams,
+    params: ContactParams,
     clock_dtau: Optional[float] = None,
 ) -> ContactState:
     """One palindromic second-order step of span tau.
@@ -238,7 +242,7 @@ def compose_step(
     state: ContactState,
     tau: float,
     obj: Objective,
-    params: RelativisticParams,
+    params: ContactParams,
     plan: SplitFlowPlan,
     clock_dtau: Optional[float] = None,
 ) -> ContactState:
@@ -290,7 +294,7 @@ def integrate_split(
     tau: float,
     n: int,
     obj: Objective,
-    params: RelativisticParams,
+    params: ContactParams,
     plan: Optional[SplitFlowPlan] = None,
     clock_dtau: Optional[float] = None,
 ) -> Trajectory:

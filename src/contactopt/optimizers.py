@@ -182,10 +182,21 @@ def _cm(X, V, k, obj, p):
     return X + v, v
 
 
+def _nesterov_coefficient(k: int) -> float:
+    """(k-1)/(k+2), the classical momentum coefficient at iteration k >= 1."""
+    if k < 1:
+        raise ValueError(f"iteration index must be >= 1, got {k}")
+    return (k - 1.0) / (k + 2.0)
+
+
 def _nag_coefficient(k_new: int, p):
-    if p.momentum_schedule == "nesterov_k":
-        return (k_new - 1.0) / (k_new + 2.0)
-    return p.mu
+    return _nesterov_coefficient(k_new) if p.momentum_schedule == "nesterov_k" else p.mu
+
+
+def _momentum(x, p, s, c):
+    """(X, P, S) -> (P, P + c (P - X), c S): the momentum half of the
+    Nesterov factorization."""
+    return p, p + c * (p - x), c * s
 
 
 def _nag(X, V, k, obj, p):
@@ -279,18 +290,8 @@ def nag_decomposed_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> Op
     the momentum slot at finite k.
     """
     k_new = s.k + 1
-    c = _nag_coefficient(k_new, cfg)
-    x1 = s.V
-    p1 = s.V + c * (s.V - s.X)
-    s1 = c * s.S
-    x2 = x1 - cfg.tau * obj.grad(x1)
-    return OptState(X=x2, V=p1, S=s1, k=k_new)
-
-
-def _nag_contact_coefficient(k: int) -> float:
-    if k < 1:
-        raise ValueError(f"iteration index must be >= 1, got {k}")
-    return (k - 1.0) / (k + 2.0)
+    x1, p1, s1 = _momentum(s.X, s.V, s.S, _nag_coefficient(k_new, cfg))
+    return OptState(X=x1 - cfg.tau * obj.grad(x1), V=p1, S=s1, k=k_new)
 
 
 def nag_contact_map(state: ContactState, k: int) -> ContactState:
@@ -301,18 +302,13 @@ def nag_contact_map(state: ContactState, k: int) -> ContactState:
     rescales the std2 contact form by exactly c.  Its exact (linear)
     Jacobian is :func:`nag_contact_jacobian`.
     """
-    c = _nag_contact_coefficient(k)
-    return ContactState(
-        X=state.P.copy(),
-        P=state.P + c * (state.P - state.X),
-        S=c * state.S,
-        t=state.t,
-    )
+    x, p, s = _momentum(state.X, state.P, state.S, _nesterov_coefficient(k))
+    return ContactState(X=x, P=p, S=s, t=state.t)
 
 
 def nag_contact_jacobian(state: ContactState, k: int) -> np.ndarray:
     """Jacobian of :func:`nag_contact_map` in (X, P, S)."""
-    c = _nag_contact_coefficient(k)
+    c = _nesterov_coefficient(k)
     n = state.dim
     j = np.zeros((2 * n + 1, 2 * n + 1))
     eye = np.eye(n)

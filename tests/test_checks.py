@@ -6,7 +6,7 @@ import pytest
 import contactopt.checks as checks
 from contactopt.checks import fit_order, order_errors
 from contactopt.contact import ContactState, reference_integrate
-from contactopt.integrators import RelativisticParams, crgd_hamiltonian
+from contactopt.integrators import ContactParams, contact_hamiltonian, nag_like_damping
 from contactopt.objectives import make_random_quadratic
 
 
@@ -23,8 +23,8 @@ def test_order_reference_error_is_far_below_the_plan_errors():
     # well below the smallest plan error the shared reference measures.
     rng, obj_seed = checks._draws(0, "orders")
     obj = make_random_quadratic(obj_seed, 4, 0.2, 1.5)
-    params = RelativisticParams(m=1.0, c=1.0, gamma=0.1, schedule="nag_like")
-    ham = crgd_hamiltonian(obj, params)
+    params = ContactParams(*nag_like_damping(0.1), m=1.0, c=1.0)
+    ham = contact_hamiltonian(obj, params)
     s0 = ContactState(X=rng.standard_normal(4), P=rng.standard_normal(4), S=0.3, t=1.0)
     dt = 1e-3
     coarse = reference_integrate(ham, "std1", s0, dt, 1000)[-1].coords()

@@ -20,7 +20,12 @@ from contactopt.contact import (
     map_F_jacobian,
     reference_integrate,
 )
-from contactopt.integrators import RelativisticParams, crgd_hamiltonian
+from contactopt.integrators import (
+    ContactParams,
+    constant_damping,
+    contact_hamiltonian,
+    nag_like_damping,
+)
 from contactopt.objectives import make_random_quadratic
 
 
@@ -225,11 +230,18 @@ class TestContactFields:
             np.testing.assert_allclose(v.dX, s.P + x_star - s.X, atol=1e-12)
             np.testing.assert_allclose(v.dP, -s.X + p_star - s.P, atol=1e-12)
 
-    def test_declared_gradients_match_value(self):
+    @pytest.mark.parametrize("damping", [
+        pytest.param(constant_damping(0.3), id="constant"),
+        pytest.param(nag_like_damping(0.3), id="nag_like"),
+        pytest.param((lambda t: 3.0 / t, lambda t: -3.0 / (t * t)), id="3_over_t"),
+    ])
+    @pytest.mark.parametrize("c", [
+        pytest.param(0.8, id="relativistic"),
+        pytest.param(None, id="newtonian"),
+    ])
+    def test_declared_gradients_match_value(self, c, damping):
         obj = make_random_quadratic(11, 3, 0.1, 2.0)
-        ham = crgd_hamiltonian(
-            obj, RelativisticParams(m=1.2, c=0.8, gamma=0.3, schedule="nag_like")
-        )
+        ham = contact_hamiltonian(obj, ContactParams(*damping, m=1.2, c=c))
         for s in random_states(9, 10, 3):
             assert check_hamiltonian_gradients(ham, s) < 1e-5
 
@@ -260,7 +272,7 @@ class TestReferenceIntegrate:
 
     def test_self_convergence_fourth_order(self):
         obj = make_random_quadratic(2, 2, 0.2, 1.5)
-        ham = crgd_hamiltonian(obj, RelativisticParams(gamma=0.1, schedule="constant"))
+        ham = contact_hamiltonian(obj, ContactParams(*constant_damping(0.1)))
         s0 = ContactState(X=np.array([1.0, -0.5]), P=np.array([0.2, 0.1]), S=0.0, t=0.0)
         ref = reference_integrate(ham, "std1", s0, 1e-3, 2000)[-1]
         errs = []
@@ -277,9 +289,9 @@ class TestReferenceIntegrate:
         # the flat-vector stages must reproduce, bit for bit, RK4 stepped by
         # hand over the public Tangent-valued fields
         if which == "crgd":
-            ham = crgd_hamiltonian(
+            ham = contact_hamiltonian(
                 make_random_quadratic(3, 3, 0.2, 1.5),
-                RelativisticParams(m=1.2, c=0.8, gamma=0.3, schedule="nag_like"),
+                ContactParams(*nag_like_damping(0.3), m=1.2, c=0.8),
             )
         else:
             ham = anchored_hamiltonian(np.array([0.3, -1.1, 0.4]), np.array([0.8, 0.2, -0.5]))

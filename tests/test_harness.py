@@ -512,6 +512,26 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="band CSV"):
             read_band_csv(path)
 
+    @pytest.mark.parametrize("reader, header, good, bad, message", [
+        pytest.param(read_trace_csv, TRACE_HEADER, "gd,0,0,1.0,false", "gd,0,1",
+                     "3 fields", id="trace-short-row"),
+        pytest.param(read_trace_csv, TRACE_HEADER, "gd,0,0,1.0,false", "gd,0,1,abc,false",
+                     "'abc'", id="trace-non-number"),
+        pytest.param(read_band_csv, BAND_HEADER, "gd,0,1.0,0.5,2.0", "gd,1,1.0,0.5",
+                     "4 fields", id="band-short-row"),
+        pytest.param(read_band_csv, BAND_HEADER, "gd,0,1.0,0.5,2.0", "gd,1,1.0,abc,2.0",
+                     "'abc'", id="band-non-number"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, reader, header, good, bad, message):
+        # the blank third line is skipped but still counted
+        path = str(tmp_path / "bad.csv")
+        with open(path, "w") as fh:
+            fh.write(f"{header}\n{good}\n\n{bad}\n")
+        with pytest.raises(ValueError) as err:
+            reader(path)
+        assert str(err.value).startswith(f"{path}:4: ")
+        assert message in str(err.value)
+
 
 class TestSvg:
     def bands(self):
@@ -528,17 +548,19 @@ class TestSvg:
         ]
 
     def test_two_bands_render_distinctly(self, tmp_path):
-        path = str(tmp_path / "p.svg")
-        export_svg(self.bands(), path, title="demo")
-        root = ET.parse(path).getroot()
-        assert root.tag.endswith("svg")
-        polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
-        polygons = [el for el in root.iter() if el.tag.endswith("polygon")]
-        texts = [el.text for el in root.iter() if el.tag.endswith("text")]
-        assert len(polylines) == 2 and len(polygons) == 2
-        strokes = {el.get("stroke") for el in polylines}
-        assert len(strokes) == 2
-        assert "gd" in texts and "crgd" in texts and "demo" in texts
+        # the second title holds XML markup characters, which must be escaped
+        for title in ("demo", "CM & NAG <desk>"):
+            path = str(tmp_path / "p.svg")
+            export_svg(self.bands(), path, title=title)
+            root = ET.parse(path).getroot()
+            assert root.tag.endswith("svg")
+            polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
+            polygons = [el for el in root.iter() if el.tag.endswith("polygon")]
+            texts = [el.text for el in root.iter() if el.tag.endswith("text")]
+            assert len(polylines) == 2 and len(polygons) == 2
+            strokes = {el.get("stroke") for el in polylines}
+            assert len(strokes) == 2
+            assert "gd" in texts and "crgd" in texts and title in texts
 
     def test_constant_band_is_horizontal(self, tmp_path):
         path = str(tmp_path / "c.svg")

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from contactopt.contact import ContactState, conformal_factor
 from contactopt.integrators import (
     PLAN_NAMES,
-    RelativisticParams,
+    ContactParams,
     SplitFlowPlan,
     compose_step,
-    crgd_hamiltonian,
+    constant_damping,
+    contact_hamiltonian,
     flow_phi1,
     flow_phi2,
     flow_phi3,
     integrate_split,
+    nag_like_damping,
     phi1_jacobian,
     split_plan,
     strang_step,
@@ -41,48 +43,56 @@ def zero_objective(dim):
     )
 
 
-class TestRelativisticParams:
+def contact_params(gamma=0.0, damping=constant_damping, **kwargs):
+    return ContactParams(*damping(gamma), **kwargs)
+
+
+class TestContactParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RelativisticParams(m=0.0)
-        with pytest.raises(ValueError):
-            RelativisticParams(c=-1.0)
-        with pytest.raises(ValueError):
-            RelativisticParams(gamma=-0.1)
-        with pytest.raises(ValueError):
-            RelativisticParams(schedule="linear")
+        with pytest.raises(ValueError, match="mass m"):
+            contact_params(m=0.0)
+        with pytest.raises(ValueError, match="speed parameter c"):
+            contact_params(c=-1.0)
+        with pytest.raises(ValueError, match="speed parameter c"):
+            contact_params(c=0.0, m=2.0)
+        for damping in (constant_damping, nag_like_damping):
+            with pytest.raises(ValueError, match="gamma"):
+                damping(-0.1)
+        assert contact_params(c=None, m=2.0).c is None
 
-    def test_constant_schedule(self):
-        p = RelativisticParams(gamma=0.3, schedule="constant")
-        assert p.h(0.1) == 0.3
-        assert p.h(10.0) == 0.3
+    def test_constant_damping(self):
+        h, dh = constant_damping(0.3)
+        assert h(0.1) == 0.3
+        assert h(10.0) == 0.3
+        assert dh(0.1) == 0.0 and dh(-5.0) == 0.0
 
-    def test_time_varying_schedule(self):
-        p = RelativisticParams(gamma=0.3, schedule="nag_like")
-        assert p.h(2.0) == pytest.approx(0.3 * 1.5, abs=1e-15)
-        with pytest.raises(ValueError):
-            p.h(0.0)
-        with pytest.raises(ValueError):
-            p.h(-1.0)
+    def test_nag_like_damping(self):
+        h, dh = nag_like_damping(0.3)
+        assert h(2.0) == pytest.approx(0.3 * 1.5, abs=1e-15)
+        assert dh(2.0) == pytest.approx(-0.3 / 4.0, abs=1e-15)
+        for f in (h, dh):
+            for t in (0.0, -1.0):
+                with pytest.raises(ValueError, match="t > 0"):
+                    f(t)
 
 
 class TestStageFlows:
     def test_phi1_identity_without_dissipation(self):
         s = state_of([1.0, 2.0], [0.5, -0.5], s=3.0)
-        out = flow_phi1(s, 0.7, RelativisticParams(gamma=0.0))
+        out = flow_phi1(s, 0.7, contact_params(damping=nag_like_damping))
         np.testing.assert_array_equal(out.P, s.P)
         assert out.S == s.S
 
     def test_phi1_hand_value(self):
         s = state_of([1.0], [1.0], s=2.0)
-        out = flow_phi1(s, 0.5, RelativisticParams(gamma=0.2, schedule="constant"))
+        out = flow_phi1(s, 0.5, contact_params(0.2))
         assert out.P[0] == pytest.approx(math.exp(-0.1), abs=1e-16)
         assert out.S == pytest.approx(2.0 * math.exp(-0.1), abs=1e-15)
         np.testing.assert_array_equal(out.X, s.X)
         assert out.t == s.t
 
     def test_phi1_conformal_factor_pinned(self):
-        params = RelativisticParams(gamma=0.3, schedule="nag_like")
+        params = contact_params(0.3, nag_like_damping)
         rng = np.random.default_rng(2)
         for _ in range(10):
             s = ContactState(X=rng.standard_normal(3), P=rng.standard_normal(3),
@@ -110,7 +120,7 @@ class TestStageFlows:
 
     def test_phi3_rest_state(self):
         s = state_of([2.0], [0.0], s=1.0)
-        out = flow_phi3(s, 0.3, RelativisticParams())
+        out = flow_phi3(s, 0.3, contact_params())
         assert out.X[0] == 2.0
         assert out.S == pytest.approx(0.7, abs=1e-15)
 
@@ -118,10 +128,31 @@ class TestStageFlows:
            st.floats(0.01, 2.0), st.floats(0.1, 5.0))
     @settings(max_examples=60, deadline=None)
     def test_phi3_speed_limit(self, p, dtau, c):
-        params = RelativisticParams(c=c)
+        params = contact_params(c=c)
         s = state_of(np.zeros(len(p)), np.array(p))
         out = flow_phi3(s, dtau, params)
         assert np.linalg.norm(out.X - s.X) <= c * dtau * (1 + 1e-12)
+
+    def test_newtonian_phi3_hand_value(self):
+        # X += P dtau/m, S += |P|^2 dtau/2m; P and the clock stay put
+        s = state_of([1.0, -2.0], [0.5, 1.5], s=0.3, t=2.0)
+        out = flow_phi3(s, 0.4, contact_params(m=2.0, c=None))
+        np.testing.assert_allclose(out.X, [1.1, -1.7], atol=1e-15)
+        np.testing.assert_array_equal(out.P, s.P)
+        assert out.S == pytest.approx(0.3 + 2.5 * 0.4 / 4.0, abs=1e-15)
+        assert out.t == s.t
+
+    def test_newtonian_phi3_is_exactly_contact(self):
+        # the drift leaves the std1 form unchanged: factor 1, by pullback
+        # through a finite-difference Jacobian
+        newtonian = contact_params(m=1.7, c=None)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            s = ContactState(X=rng.standard_normal(3), P=rng.standard_normal(3),
+                             S=float(rng.standard_normal()), t=1.0)
+            lam, res = conformal_factor(lambda st: flow_phi3(st, 0.07, newtonian), "std1", s)
+            assert res < 1e-8
+            assert lam == pytest.approx(1.0, abs=1e-8)
 
     def test_time_shift_additivity_and_purity(self):
         s = state_of([1.0, -1.0], [0.5, 0.5], s=2.0, t=1.0)
@@ -137,7 +168,7 @@ class TestStageFlows:
 class TestStrangStep:
     def test_pure_drift_when_conservative_and_flat(self):
         # gamma=0 and f=0: only the kinetic drift moves anything
-        params = RelativisticParams(m=1.0, c=2.0, gamma=0.0)
+        params = contact_params(m=1.0, c=2.0)
         obj = zero_objective(2)
         s = state_of([0.0, 0.0], [3.0, 4.0])
         tau = 0.4
@@ -148,7 +179,7 @@ class TestStrangStep:
         assert out.t == pytest.approx(s.t + tau, abs=1e-15)
 
     def test_time_symmetry_without_dissipation(self):
-        params = RelativisticParams(gamma=0.0)
+        params = contact_params(damping=nag_like_damping)
         obj = make_random_quadratic(3, 3, 0.2, 1.5)
         s0 = ContactState(X=np.array([1.0, -0.5, 0.2]), P=np.array([0.3, 0.1, -0.2]),
                           S=0.4, t=1.0)
@@ -160,7 +191,7 @@ class TestStrangStep:
         assert back.t == pytest.approx(s0.t, abs=1e-12)
 
     def test_iteration_clock_decouples_span_from_time(self):
-        params = RelativisticParams(gamma=0.1, schedule="nag_like")
+        params = contact_params(0.1, nag_like_damping)
         obj = quartic(2)
         s0 = state_of([1.0, 1.0], [0.0, 0.0], t=0.0)
         out = strang_step(s0, 0.05, obj, params, clock_dtau=1.0)
@@ -170,8 +201,8 @@ class TestStrangStep:
         # over 10^4 conservative steps the energy error stays bounded and
         # shrinks ~4x when tau halves (second-order signature)
         obj = make_random_quadratic(6, 2, 0.2, 1.0)
-        params = RelativisticParams(gamma=0.0, schedule="constant")
-        ham = crgd_hamiltonian(obj, params)
+        params = contact_params()
+        ham = contact_hamiltonian(obj, params)
         s0 = ContactState(X=np.array([1.0, -0.7]), P=np.array([0.4, 0.2]), S=0.0, t=0.0)
         devs = {}
         for tau in (0.1, 0.05):
@@ -240,7 +271,7 @@ class TestSplitFlowPlan:
     def test_single_stage_equals_strang(self):
         plan = SplitFlowPlan(stage_weights=(1.0,))
         obj = make_random_quadratic(4, 2, 0.2, 1.5)
-        params = RelativisticParams(gamma=0.2, schedule="constant")
+        params = contact_params(0.2)
         s = state_of([1.0, 0.5], [0.2, -0.1], s=0.3, t=2.0)
         a = compose_step(s, 0.3, obj, params, plan)
         b = strang_step(s, 0.3, obj, params)
@@ -251,7 +282,7 @@ class TestSplitFlowPlan:
     def test_jump4_is_three_strang_stages(self):
         z0, z1 = triple_jump_coefficients(1)
         obj = make_random_quadratic(4, 2, 0.2, 1.5)
-        params = RelativisticParams(gamma=0.2, schedule="constant")
+        params = contact_params(0.2)
         s = state_of([1.0, 0.5], [0.2, -0.1], s=0.3, t=2.0)
         tau = 0.3
         a = compose_step(s, tau, obj, params, split_plan("jump4"))
@@ -270,7 +301,7 @@ class TestSplitFlowPlan:
 class TestIntegrateSplit:
     def test_trajectory_length(self):
         obj = quartic(2)
-        params = RelativisticParams(gamma=0.1, schedule="constant")
+        params = contact_params(0.1)
         s0 = state_of([1.0, 1.0], [0.0, 0.0], t=0.0)
         traj = integrate_split(s0, 0.05, 20, obj, params)
         assert len(traj) == 21
@@ -280,7 +311,7 @@ class TestIntegrateSplit:
         # the S ledger subtracts f*tau each step; starting far out on the
         # quartic pushes it past the magnitude cap after a handful of steps
         obj = quartic(2)
-        params = RelativisticParams(gamma=0.0, schedule="constant")
+        params = contact_params()
         s0 = state_of([1e76, 1e76], [0.0, 0.0], t=1.0)
         traj = integrate_split(s0, 1e-5, 40, obj, params)
         assert traj.diverged
@@ -290,4 +321,4 @@ class TestIntegrateSplit:
     def test_rejects_nonpositive_count(self):
         obj = quartic(1)
         with pytest.raises(ValueError):
-            integrate_split(state_of([1.0], [0.0]), 0.1, 0, obj, RelativisticParams())
+            integrate_split(state_of([1.0], [0.0]), 0.1, 0, obj, contact_params())
