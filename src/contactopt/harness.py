@@ -11,7 +11,12 @@ independent streams.
 
 Each search runs all of its trials as one (T, n) batch
 (optimizers.run_batch), and so does each Monte Carlo.  run_bench builds
-the objectives once and shares them across the optimizers.  The random
+the objectives once and shares them across the optimizers.  When neither
+the objective nor the start is random (every preset but the quadratic),
+nothing is left to draw after the search: run_bench takes each Monte-Carlo
+run to be the search winner's run, re-seeded, instead of running it again.
+A batch row is computed exactly as that run alone, so the bands and traces
+are the same bits either way.  The random
 quadratic runs in its eigenbasis: each matrix is drawn once per bench as
 (lam, Q), the runs see diag(lam) from the rotated start x0 @ Q, and Monte
 Carlo stacks its draws as one diagonal quadratic with a row of
@@ -32,7 +37,7 @@ quantile bands, floats in shortest round-trip decimal, infinities spelled
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -318,11 +323,15 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """``best_record`` is the winning trial's run (None when no trial is
+    viable)."""
+
     kind: str
     best_params: Optional[Dict[str, float]]
     best_gap: float
     n_trials: int
     n_diverged: int
+    best_record: Optional[RunRecord] = field(default=None, repr=False)
 
     @property
     def viable(self) -> bool:
@@ -369,6 +378,18 @@ def _quantile(sorted_vals, q: float):
     return np.where((frac == 0.0) | (lo == hi), lo, np.where(np.isinf(hi), hi, mid))[()]
 
 
+def _band(kind: str, gaps: np.ndarray) -> QuantileBand:
+    """The quantile band of an (iters + 1, runs) gap matrix, +inf after a
+    divergence."""
+    ranked = np.sort(gaps, axis=1)
+    return QuantileBand(
+        kind=kind,
+        median=_quantile(ranked, 0.5),
+        q025=_quantile(ranked, 0.025),
+        q975=_quantile(ranked, 0.975),
+    )
+
+
 # What run_bench shares across its optimizers: the search objective with the
 # basis each trial's start is rotated into (None: starts are used as drawn),
 # and the Monte-Carlo run seeds, objective and start stack.
@@ -383,11 +404,15 @@ def _search_problem(spec: ExperimentSpec) -> SearchProblem:
     return diagonal_quadratic(lam), q
 
 
+def _mc_seeds(spec: ExperimentSpec) -> List[int]:
+    """Monte-Carlo run j is seeded with derive_seed(master_seed, "mc", j)."""
+    return [derive_seed(spec.master_seed, "mc", j) for j in range(spec.mc_runs)]
+
+
 def _monte_carlo_problem(spec: ExperimentSpec) -> MonteCarloProblem:
-    """Run j is seeded with derive_seed(master_seed, "mc", j).  A quadratic
-    is redrawn per run from derive_seed(run seed, "objective", 0); only its
-    eigenvalues and rotated start are kept."""
-    seeds = [derive_seed(spec.master_seed, "mc", j) for j in range(spec.mc_runs)]
+    """A quadratic is redrawn per run from derive_seed(run seed,
+    "objective", 0); only its eigenvalues and rotated start are kept."""
+    seeds = _mc_seeds(spec)
     x0s = [_mc_start(spec, rseed) for rseed in seeds]
     if not spec.objective.randomized:
         return seeds, spec.objective.build(), np.array(x0s)
@@ -410,8 +435,9 @@ def random_search(
     Trial i draws its parameters, then its start vector, from the generator
     seeded with derive_seed(master_seed, "search:<kind>", i).  All trials
     run as one batch on the objective built (or, for the quadratic, drawn)
-    from the spec's seed; only their final gaps and diverged flags are
-    read.  ``problem`` passes in that objective when run_bench shares it.
+    from the spec's seed; the final gaps and diverged flags are read, and
+    the winner's run is kept as ``best_record`` (a copy, not a view of the
+    batch).  ``problem`` passes in that objective when run_bench shares it.
     """
     trial_seeds, cfgs, x0s = [], [], []
     for i in range(spec.search_trials):
@@ -435,6 +461,7 @@ def random_search(
         best_gap=float(final[best]),
         n_trials=spec.search_trials,
         n_diverged=int(np.count_nonzero(batch.diverged)),
+        best_record=batch[best] if viable else None,
     )
 
 
@@ -456,14 +483,16 @@ def monte_carlo(
     cfg = entry.make_config(params)
     seeds, obj, starts = _monte_carlo_problem(spec) if problem is None else problem
     batch = run_batch(obj, [cfg] * len(seeds), starts, spec.iters, seeds)
-    ranked = np.sort(batch.gaps, axis=1)  # (iters + 1, runs), +inf after a divergence
-    band = QuantileBand(
-        kind=entry.kind,
-        median=_quantile(ranked, 0.5),
-        q025=_quantile(ranked, 0.025),
-        q975=_quantile(ranked, 0.975),
-    )
-    return band, list(batch)
+    return _band(entry.kind, batch.gaps), list(batch)
+
+
+def _winner_runs(spec: ExperimentSpec, best: RunRecord) -> Tuple[QuantileBand, List[RunRecord]]:
+    """What monte_carlo returns when it would run the search winner again:
+    mc_runs copies of its run, each re-seeded as monte_carlo seeds its runs.
+    A viable winner did not diverge, so its trace is a full gap column."""
+    seeds = _mc_seeds(spec)
+    gaps = np.repeat(np.array(best.trace)[:, None], len(seeds), axis=1)
+    return _band(best.kind, gaps), [replace(best, trial_seed=s) for s in seeds]
 
 
 def _mc_start(spec: ExperimentSpec, rseed: int) -> np.ndarray:
@@ -486,16 +515,25 @@ def run_bench(spec: ExperimentSpec) -> List[BenchOutcome]:
     The search objective and the Monte-Carlo runs are drawn once and shared
     by every optimizer; the Monte-Carlo draws come first, so that only one
     eigenbasis, the search's, is held at a time.
+
+    When neither the objective nor the start is random, every Monte-Carlo
+    run would be the search winner's run again, bit for bit: same
+    objective, same start, same config.  The Monte-Carlo records and band
+    are then built from the winner's run (re-seeded as monte_carlo seeds
+    its runs) and no Monte-Carlo batch runs.
     """
-    mc_problem = _monte_carlo_problem(spec)
+    replay = not spec.objective.randomized and not spec.init.random
+    mc_problem = None if replay else _monte_carlo_problem(spec)
     search_problem = _search_problem(spec)
     outcomes = []
     for entry in spec.optimizers:
         sr = random_search(spec, entry, search_problem)
-        if sr.viable:
-            band, records = monte_carlo(spec, entry, sr.best_params, mc_problem)
-        else:
+        if not sr.viable:
             band, records = None, []
+        elif replay:
+            band, records = _winner_runs(spec, sr.best_record)
+        else:
+            band, records = monte_carlo(spec, entry, sr.best_params, mc_problem)
         outcomes.append(BenchOutcome(search=sr, band=band, records=tuple(records)))
     return outcomes
 
@@ -555,9 +593,9 @@ def _write_text(path: str, what: str, lines: Iterable[str]) -> None:
         raise OSError(f"cannot write {what} {path!r}: {e}") from e
 
 
-def _read_rows(path: str, what: str, header: str, parse: Callable) -> list:
-    """parse(*fields) of each non-empty row below a file's header line.  A
-    row whose width differs from the header's, or whose fields parse
+def _read_rows(path: str, what: str, header: str, parse: Callable) -> None:
+    """Call parse(*fields) on each non-empty row below a file's header line.
+    A row whose width differs from the header's, or whose fields parse
     rejects, raises a ValueError that names path:line."""
     try:
         with open(path) as fh:
@@ -567,7 +605,6 @@ def _read_rows(path: str, what: str, header: str, parse: Callable) -> list:
     if not lines or lines[0] != header:
         raise ValueError(f"{path!r} is not a {what} (bad header)")
     width = header.count(",") + 1
-    rows = []
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
@@ -575,10 +612,15 @@ def _read_rows(path: str, what: str, header: str, parse: Callable) -> list:
         try:
             if len(fields) != width:
                 raise ValueError(f"{len(fields)} fields where the header {header!r} has {width}")
-            rows.append(parse(*fields))
+            parse(*fields)
         except ValueError as e:
             raise ValueError(f"{path}:{lineno}: bad {what} row: {e}") from e
-    return rows
+
+
+def _check_iter(it: str, expected: int, of: str) -> None:
+    """A row's iter must be its position within the trace or band it extends."""
+    if int(it) != expected:
+        raise ValueError(f"iter {it} where {of} is at iteration {expected}")
 
 
 def export_trace_csv(records: Sequence[RunRecord], path: str) -> None:
@@ -603,17 +645,21 @@ def export_band_csv(bands: Sequence[QuantileBand], path: str) -> None:
 
 def read_trace_csv(path: str) -> List[Tuple[int, RunRecord]]:
     """Inverse of export_trace_csv; returns (trial id, record) pairs in file
-    order.  Values round-trip exactly."""
+    order.  Values round-trip exactly.  Each row's iter must count up from 0
+    within its (optimizer, trial) trace, and diverged must be true or false."""
     traces: Dict[Tuple[str, int], List[float]] = {}
     diverged: Dict[Tuple[str, int], bool] = {}
-    rows = _read_rows(
-        path, "trace CSV", TRACE_HEADER,
-        lambda kind, trial, _it, gap, flag: (kind, int(trial), float(gap), flag == "true"),
-    )
-    for kind, trial, gap, flag in rows:
-        key = (kind, trial)
-        traces.setdefault(key, []).append(gap)
-        diverged[key] = flag
+
+    def parse(kind, trial, it, gap, flag):
+        key = (kind, int(trial))
+        trace = traces.setdefault(key, [])
+        _check_iter(it, len(trace), f"{kind} trial {trial}")
+        if flag not in ("true", "false"):
+            raise ValueError(f"diverged must be 'true' or 'false', got {flag!r}")
+        trace.append(float(gap))
+        diverged[key] = flag == "true"
+
+    _read_rows(path, "trace CSV", TRACE_HEADER, parse)
     return [
         (trial, RunRecord(kind=kind, params={}, trace=tuple(tr), diverged=diverged[kind, trial]))
         for (kind, trial), tr in traces.items()
@@ -621,14 +667,17 @@ def read_trace_csv(path: str) -> List[Tuple[int, RunRecord]]:
 
 
 def read_band_csv(path: str) -> List[QuantileBand]:
+    """Inverse of export_band_csv.  Each row's iter must count up from 0
+    within its optimizer's band."""
     columns: Dict[str, Tuple[list, list, list]] = {}
-    rows = _read_rows(
-        path, "band CSV", BAND_HEADER,
-        lambda kind, _it, med, lo, hi: (kind, float(med), float(lo), float(hi)),
-    )
-    for kind, *vals in rows:
-        for col, v in zip(columns.setdefault(kind, ([], [], [])), vals):
+
+    def parse(kind, it, *vals):
+        cols = columns.setdefault(kind, ([], [], []))
+        _check_iter(it, len(cols[0]), f"the {kind} band")
+        for col, v in zip(cols, [float(v) for v in vals]):
             col.append(v)
+
+    _read_rows(path, "band CSV", BAND_HEADER, parse)
     return [QuantileBand(kind, *cols) for kind, cols in columns.items()]
 
 

@@ -366,7 +366,7 @@ class TestRandomSearch:
         outcomes = run_bench(spec)
         sr = outcomes[0].search
         assert not sr.viable
-        assert sr.best_params is None
+        assert sr.best_params is None and sr.best_record is None
         assert sr.best_gap == math.inf
         assert sr.n_diverged == 6
         assert outcomes[0].band is None
@@ -463,6 +463,71 @@ class TestSharedDraws:
             np.testing.assert_allclose(rec.trace, alone.trace, rtol=1e-12, atol=0)
 
 
+def trimmed_preset(name, seed, **over):
+    """A desk preset cut to a dozen search trials."""
+    return dataclasses.replace(
+        experiment_preset(name, master_seed=seed), search_trials=12, **over)
+
+
+class TestWinnerRuns:
+    """A spec with nothing random left after the search takes its Monte-Carlo
+    runs from the search winner instead of running them again."""
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    @pytest.mark.parametrize("name, over", [
+        pytest.param("quartic", {}, id="quartic"),
+        pytest.param("camelback", {}, id="camelback"),
+        pytest.param("rosenbrock", {}, id="rosenbrock"),
+        # a box start is drawn per run, so this bench still runs its Monte Carlo
+        pytest.param("camelback", {"init": InitSpec(kind="box", lo=-0.5, hi=0.5)},
+                     id="camelback-box"),
+    ])
+    def test_bench_equals_running_monte_carlo(self, name, over, seed):
+        spec = trimmed_preset(name, seed, **over)
+        for entry, oc in zip(spec.optimizers, run_bench(spec)):
+            assert oc.search.viable
+            band, records = monte_carlo(spec, entry, oc.search.best_params)
+            assert oc.band == band
+            # RunRecord equality covers every field, trial_seed included
+            assert oc.records == tuple(records)
+
+    def test_every_run_is_the_winner_reseeded(self):
+        spec = trimmed_preset("camelback", 7, mc_runs=3)
+        for oc in run_bench(spec):
+            assert len(oc.records) == 3
+            assert oc.band.median == oc.band.q025 == oc.band.q975 == oc.records[0].trace
+            assert {r.trace for r in oc.records} == {oc.search.best_record.trace}
+            assert [r.trial_seed for r in oc.records] == [
+                derive_seed(spec.master_seed, "mc", j) for j in range(3)]
+
+    def test_search_keeps_a_copy_of_the_winner(self):
+        spec = trimmed_preset("quartic", 42)
+        sr = random_search(spec, spec.optimizers[3])
+        rec = sr.best_record
+        assert rec.final_gap == sr.best_gap and not rec.diverged
+        assert rec.params == sr.best_params and len(rec.trace) == spec.iters + 1
+
+    @pytest.mark.parametrize("make, per_optimizer", [
+        pytest.param(lambda: trimmed_preset("camelback", 42), 1, id="deterministic"),
+        pytest.param(quadratic_spec, 2, id="quadratic"),
+        pytest.param(lambda: trimmed_preset(
+            "camelback", 42, init=InitSpec(kind="box", lo=-0.5, hi=0.5)), 2, id="box-init"),
+    ])
+    def test_batches_per_optimizer(self, monkeypatch, make, per_optimizer):
+        calls = []
+        real = harness.run_batch
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_batch", counting)
+        spec = make()
+        outcomes = run_bench(spec)
+        assert all(oc.search.viable for oc in outcomes)
+        assert len(calls) == per_optimizer * len(spec.optimizers)
+
+
 class TestCsvRoundTrip:
     def make_records(self):
         return [
@@ -482,6 +547,18 @@ class TestCsvRoundTrip:
             assert got.kind == want.kind
             assert got.trace == want.trace
             assert got.diverged == want.diverged
+
+    def test_interleaved_rows_count_iters_per_trace_and_band(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        with open(path, "w") as fh:
+            fh.write(f"{TRACE_HEADER}\ngd,0,0,1.0,false\ngd,1,0,2.0,true\n"
+                     "cm,0,0,3.0,false\ngd,0,1,0.5,false\n")
+        got = [(t, r.kind, r.trace, r.diverged) for t, r in read_trace_csv(path)]
+        assert got == [(0, "gd", (1.0, 0.5), False), (1, "gd", (2.0,), True),
+                       (0, "cm", (3.0,), False)]
+        with open(path, "w") as fh:
+            fh.write(f"{BAND_HEADER}\ncm,0,1.0,0.5,2.0\ngd,0,3.0,3.0,3.0\ncm,1,0.5,0.5,0.5\n")
+        assert [len(b.median) for b in read_band_csv(path)] == [2, 1]
 
     def test_band_roundtrip_with_inf(self, tmp_path):
         path = str(tmp_path / "b.csv")
@@ -521,6 +598,16 @@ class TestCsvRoundTrip:
                      "4 fields", id="band-short-row"),
         pytest.param(read_band_csv, BAND_HEADER, "gd,0,1.0,0.5,2.0", "gd,1,1.0,abc,2.0",
                      "'abc'", id="band-non-number"),
+        pytest.param(read_trace_csv, TRACE_HEADER, "gd,0,0,1.0,false", "gd,0,1,0.5,TRUE",
+                     "'TRUE'", id="trace-bad-diverged-flag"),
+        pytest.param(read_trace_csv, TRACE_HEADER, "gd,0,0,1.0,false", "gd,0,0,0.5,false",
+                     "iter 0 where gd trial 0 is at iteration 1", id="trace-repeated-iter"),
+        pytest.param(read_trace_csv, TRACE_HEADER, "gd,0,0,1.0,false", "gd,0,7,0.5,false",
+                     "iter 7 where gd trial 0 is at iteration 1", id="trace-skipped-iter"),
+        pytest.param(read_band_csv, BAND_HEADER, "cm,0,1.0,0.5,2.0", "cm,0,1.0,0.5,2.0",
+                     "iter 0 where the cm band is at iteration 1", id="band-repeated-iter"),
+        pytest.param(read_band_csv, BAND_HEADER, "cm,0,1.0,0.5,2.0", "cm,5,1.0,0.5,2.0",
+                     "iter 5 where the cm band is at iteration 1", id="band-skipped-iter"),
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, reader, header, good, bad, message):
         # the blank third line is skipped but still counted
