@@ -20,7 +20,7 @@ an exact Jacobian keeps it in a sibling function of the state, as
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -127,9 +127,6 @@ class ContactHamiltonian:
     dS: Callable[[np.ndarray, np.ndarray, float, float], float]
     dt: Callable[[np.ndarray, np.ndarray, float, float], float]
 
-    def at(self, s: ContactState) -> float:
-        return float(self.value(s.X, s.P, s.S, s.t))
-
 
 def _form_coeffs(form: str, state: ContactState) -> np.ndarray:
     """Covector components of the named form at a state, in (X, P, S) order."""
@@ -229,21 +226,43 @@ def contact_field_std2(H: ContactHamiltonian, state: ContactState) -> Tangent:
 _FIELDS = {"std1": _field_std1, "std2": _field_std2}
 
 
-class Trajectory(Sequence):
-    """An immutable sequence of states plus a divergence flag."""
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """A sampled run of a flow: clock readings t, an (N,) array, and the
+    (X, P, S) rows z, an (N, 2n+1) array, both read-only, plus a flag set
+    when the run stopped at its last finite row.  ``X``, ``P`` and ``S``
+    are read-only column views of z."""
 
-    def __init__(self, states, diverged: bool = False):
-        self._states = tuple(states)
-        self.diverged = bool(diverged)
+    t: np.ndarray
+    z: np.ndarray
+    diverged: bool = False
+
+    def __post_init__(self):
+        t, z = np.array(self.t, dtype=float), np.array(self.z, dtype=float)
+        if t.ndim != 1 or z.ndim != 2 or len(z) != len(t) or z.shape[1] % 2 != 1:
+            raise ValueError(
+                f"need t of shape (N,) and z of shape (N, 2n+1), got {t.shape} and {z.shape}"
+            )
+        for name, arr in (("t", t), ("z", z)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "diverged", bool(self.diverged))
 
     def __len__(self) -> int:
-        return len(self._states)
+        return self.t.shape[0]
 
-    def __getitem__(self, i):
-        return self._states[i]
+    @property
+    def X(self) -> np.ndarray:
+        return self.z[:, : self.z.shape[1] // 2]
 
-    def __iter__(self):
-        return iter(self._states)
+    @property
+    def P(self) -> np.ndarray:
+        n = self.z.shape[1] // 2
+        return self.z[:, n : 2 * n]
+
+    @property
+    def S(self) -> np.ndarray:
+        return self.z[:, -1]
 
 
 def reference_integrate(
@@ -255,10 +274,10 @@ def reference_integrate(
 ) -> Trajectory:
     """Classical RK4 on the contact field; the accuracy oracle.
 
-    Returns n+1 states (including s0) unless the solution blows up, in which
-    case the trajectory is truncated at the last finite state and flagged.
-    The stages run on the flat (X, P, S) vector; a ContactState is built
-    once per accepted step, for the returned trajectory only.
+    Returns n+1 rows (including s0) unless the solution blows up, in which
+    case the trajectory is truncated at the last finite row and flagged.
+    The stages run on the flat (X, P, S) vector, and each accepted step is
+    written into the trajectory's next row.
     """
     if coords not in _FIELDS:
         raise ValueError(f"unknown coords {coords!r}; expected 'std1' or 'std2'")
@@ -273,11 +292,12 @@ def reference_integrate(
         dx, dp, ds = field(H, z[:m], z[m : 2 * m], float(z[2 * m]), t)
         return np.concatenate([dx, dp, [ds]])
 
-    states = [s0]
+    ts = np.empty(n + 1)
+    zs = np.empty((n + 1, 2 * m + 1))
     z, t = s0.coords(), s0.t
-    diverged = False
+    ts[0], zs[0] = t, z
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(n):
+        for i in range(1, n + 1):
             k1 = f(z, t)
             k2 = f(z + 0.5 * dt * k1, t + 0.5 * dt)
             k3 = f(z + 0.5 * dt * k2, t + 0.5 * dt)
@@ -285,33 +305,28 @@ def reference_integrate(
             z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = t + dt
             if not np.all(np.abs(z) <= DIVERGENCE_LIMIT):
-                diverged = True
-                break
-            states.append(ContactState.from_coords(z, t))
-    return Trajectory(states, diverged)
+                return Trajectory(ts[:i], zs[:i], diverged=True)
+            ts[i], zs[i] = t, z
+    return Trajectory(ts, zs)
 
 
 def dissipation_residual(H: ContactHamiltonian, traj: Trajectory) -> float:
     """Max relative mismatch of dH/dt = -(dH/dS) H + dH/dt along a trajectory.
 
-    The left side is a centered finite difference of H sampled along the
-    trajectory (assumed uniformly spaced); the residual at each interior
-    point is normalized by max(1, |H|).
+    The left side is a centered finite difference of H, evaluated once per
+    row of the trajectory (assumed uniformly spaced); the residual at each
+    interior row is normalized by max(1, |H|).  A NaN residual is skipped.
     """
-    states = list(traj)
-    if len(states) < 3:
+    if len(traj) < 3:
         raise ValueError("trajectory too short for a centered difference")
-    dt = states[1].t - states[0].t
-    h_vals = np.array([H.at(s) for s in states])
-    worst = 0.0
-    for i in range(1, len(states) - 1):
-        s = states[i]
-        lhs = (h_vals[i + 1] - h_vals[i - 1]) / (2.0 * dt)
-        rhs = -float(H.dS(s.X, s.P, s.S, s.t)) * h_vals[i] + float(
-            H.dt(s.X, s.P, s.S, s.t)
-        )
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(h_vals[i])))
-    return worst
+    rows = list(zip(traj.X, traj.P, traj.S, traj.t))
+    h = np.array([H.value(*row) for row in rows], dtype=float)
+    rate = np.array([H.dS(*row) for row in rows[1:-1]], dtype=float)
+    explicit = np.array([H.dt(*row) for row in rows[1:-1]], dtype=float)
+    lhs = (h[2:] - h[:-2]) / (2.0 * (traj.t[1] - traj.t[0]))
+    rhs = -rate * h[1:-1] + explicit
+    residual = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(h[1:-1]))
+    return float(np.fmax.reduce(residual, initial=0.0))  # fmax skips a NaN
 
 
 def _fd_jacobian(func: Callable[[ContactState], ContactState], state: ContactState) -> np.ndarray:

@@ -646,9 +646,10 @@ def export_band_csv(bands: Sequence[QuantileBand], path: str) -> None:
 def read_trace_csv(path: str) -> List[Tuple[int, RunRecord]]:
     """Inverse of export_trace_csv; returns (trial id, record) pairs in file
     order.  Values round-trip exactly.  Each row's iter must count up from 0
-    within its (optimizer, trial) trace, and diverged must be true or false."""
+    within its (optimizer, trial) trace, and diverged must be true or false
+    and the same on every row of a trace."""
     traces: Dict[Tuple[str, int], List[float]] = {}
-    diverged: Dict[Tuple[str, int], bool] = {}
+    diverged: Dict[Tuple[str, int], str] = {}
 
     def parse(kind, trial, it, gap, flag):
         key = (kind, int(trial))
@@ -656,12 +657,14 @@ def read_trace_csv(path: str) -> List[Tuple[int, RunRecord]]:
         _check_iter(it, len(trace), f"{kind} trial {trial}")
         if flag not in ("true", "false"):
             raise ValueError(f"diverged must be 'true' or 'false', got {flag!r}")
+        if flag != diverged.setdefault(key, flag):
+            raise ValueError(f"diverged {flag} where {kind} trial {trial} began {diverged[key]}")
         trace.append(float(gap))
-        diverged[key] = flag == "true"
 
     _read_rows(path, "trace CSV", TRACE_HEADER, parse)
     return [
-        (trial, RunRecord(kind=kind, params={}, trace=tuple(tr), diverged=diverged[kind, trial]))
+        (trial, RunRecord(kind=kind, params={}, trace=tuple(tr),
+                          diverged=diverged[kind, trial] == "true"))
         for (kind, trial), tr in traces.items()
     ]
 

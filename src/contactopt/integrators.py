@@ -304,14 +304,14 @@ def integrate_split(
         raise ValueError(f"n must be >= 1, got {n}")
     if plan is None:
         plan = _PLANS["strang"]
-    states = [state0]
+    ts = np.empty(n + 1)
+    zs = np.empty((n + 1, 2 * state0.dim + 1))
     s = state0
-    diverged = False
+    ts[0], zs[0] = s.t, s.coords()
     with np.errstate(all="ignore"):
-        for _ in range(n):
+        for i in range(1, n + 1):
             s = compose_step(s, tau, obj, params, plan, clock_dtau=clock_dtau)
             if not s.is_finite():
-                diverged = True
-                break
-            states.append(s)
-    return Trajectory(states, diverged)
+                return Trajectory(ts[:i], zs[:i], diverged=True)
+            ts[i], zs[i] = s.t, s.coords()
+    return Trajectory(ts, zs)

@@ -27,8 +27,8 @@ def test_order_reference_error_is_far_below_the_plan_errors():
     ham = contact_hamiltonian(obj, params)
     s0 = ContactState(X=rng.standard_normal(4), P=rng.standard_normal(4), S=0.3, t=1.0)
     dt = 1e-3
-    coarse = reference_integrate(ham, "std1", s0, dt, 1000)[-1].coords()
-    fine = reference_integrate(ham, "std1", s0, dt / 2.0, 2000)[-1].coords()
+    coarse = reference_integrate(ham, "std1", s0, dt, 1000).z[-1]
+    fine = reference_integrate(ham, "std1", s0, dt / 2.0, 2000).z[-1]
     errors = order_errors(["strang", "jump4", "suzuki4"])
     smallest = min(min(errs) for errs in errors.values())
     assert float(np.max(np.abs(coarse - fine))) < 1e-2 * smallest
@@ -46,6 +46,15 @@ def test_order_errors_per_plan():
     assert set(both) == {"strang", "jump4"}
     assert both["strang"] == order_errors(["strang"], taus)["strang"]
     assert abs(fit_order(taus, both["strang"]) - 2.0) <= 0.1
+
+
+def test_jump6_fits_order_six():
+    # jump6 stays out of the orders family, so the check run's result
+    # count and time do not change; its large error constant needs the
+    # coarser taus
+    taus = (0.2, 0.1, 0.05)
+    errors = order_errors(["jump6"], taus)
+    assert abs(fit_order(taus, errors["jump6"]) - 6.0) <= 0.2
 
 
 class _Stop(Exception):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactopt.contact import (
+    DIVERGENCE_LIMIT,
     ContactHamiltonian,
     ContactState,
     Tangent,
+    Trajectory,
     check_hamiltonian_gradients,
     conformal_factor,
     contact_field_std1,
@@ -193,7 +196,7 @@ class TestContactFields:
             np.testing.assert_allclose(v.dX, s.P, atol=1e-14)
             np.testing.assert_allclose(v.dP, -s.X, atol=1e-14)
             assert v.dS == pytest.approx(
-                float(s.P @ s.P) - ham.at(s), abs=1e-12
+                float(s.P @ s.P) - ham.value(s.X, s.P, s.S, s.t), abs=1e-12
             )
 
     def test_std1_linear_s_term_damps_momentum(self):
@@ -246,6 +249,43 @@ class TestContactFields:
             assert check_hamiltonian_gradients(ham, s) < 1e-5
 
 
+class TestTrajectory:
+    def test_columns_are_views_of_the_rows(self):
+        z = np.arange(15.0).reshape(3, 5)
+        traj = Trajectory(np.arange(3.0), z)
+        assert len(traj) == 3 and not traj.diverged
+        np.testing.assert_array_equal(traj.X, z[:, :2])
+        np.testing.assert_array_equal(traj.P, z[:, 2:4])
+        np.testing.assert_array_equal(traj.S, z[:, 4])
+        for col in (traj.X, traj.P, traj.S):
+            assert np.shares_memory(col, traj.z)
+
+    def test_arrays_are_read_only_copies(self):
+        t, z = np.arange(3.0), np.arange(9.0).reshape(3, 3)
+        traj = Trajectory(t, z)
+        t[0] = z[0, 0] = 7.0
+        assert traj.t[0] == 0.0 and traj.z[0, 0] == 0.0
+        for arr in (traj.t, traj.z, traj.X, traj.P, traj.S):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.z = z
+        out = reference_integrate(quadratic_hamiltonian(), "std1", state_of([1.0], [0.3]), 0.1, 5)
+        for arr in (out.t, out.z):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[-1] = 1.0
+
+    @pytest.mark.parametrize("t, z", [
+        (np.zeros(3), np.zeros((2, 3))),
+        (np.zeros(3), np.zeros((3, 4))),
+        (np.zeros((3, 1)), np.zeros((3, 3))),
+        (np.zeros(3), np.zeros(3)),
+    ], ids=["rows-vs-times", "even-width", "2d-times", "1d-rows"])
+    def test_rejects_bad_shapes(self, t, z):
+        with pytest.raises(ValueError, match="shape"):
+            Trajectory(t, z)
+
+
 class TestReferenceIntegrate:
     def test_free_particle_exact(self):
         ham = ContactHamiltonian(
@@ -258,27 +298,26 @@ class TestReferenceIntegrate:
         s0 = state_of([0.0, 1.0], [0.5, -0.25], t=0.0)
         traj = reference_integrate(ham, "std1", s0, 1e-3, 1000)
         assert not traj.diverged
-        end = traj[-1]
-        np.testing.assert_allclose(end.X, s0.X + s0.P * 1.0, atol=1e-10)
-        np.testing.assert_allclose(end.P, s0.P, atol=1e-12)
+        np.testing.assert_allclose(traj.X[-1], s0.X + s0.P * 1.0, atol=1e-10)
+        np.testing.assert_allclose(traj.P[-1], s0.P, atol=1e-12)
 
     def test_harmonic_energy_drift(self):
         ham = quadratic_hamiltonian()
         s0 = state_of([1.0], [0.0], t=0.0)
         n = int(round(10 * 2 * math.pi / 1e-2))
         traj = reference_integrate(ham, "std1", s0, 1e-2, n)
-        h = [ham.at(s) for s in traj]
+        h = [ham.value(*row) for row in zip(traj.X, traj.P, traj.S, traj.t)]
         assert max(abs(v - h[0]) for v in h) < 1e-8
 
     def test_self_convergence_fourth_order(self):
         obj = make_random_quadratic(2, 2, 0.2, 1.5)
         ham = contact_hamiltonian(obj, ContactParams(*constant_damping(0.1)))
         s0 = ContactState(X=np.array([1.0, -0.5]), P=np.array([0.2, 0.1]), S=0.0, t=0.0)
-        ref = reference_integrate(ham, "std1", s0, 1e-3, 2000)[-1]
+        ref = reference_integrate(ham, "std1", s0, 1e-3, 2000).z[-1]
         errs = []
         for dt in (0.1, 0.05, 0.025):
-            end = reference_integrate(ham, "std1", s0, dt, int(round(2.0 / dt)))[-1]
-            errs.append(float(np.max(np.abs(end.coords() - ref.coords()))))
+            end = reference_integrate(ham, "std1", s0, dt, int(round(2.0 / dt))).z[-1]
+            errs.append(float(np.max(np.abs(end - ref))))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for o in orders:
             assert 3.8 <= o <= 4.2
@@ -306,15 +345,15 @@ class TestReferenceIntegrate:
         traj = reference_integrate(ham, coords, s0, dt, 50)
         assert len(traj) == 51 and not traj.diverged
         z, t = s0.coords(), s0.t
-        for state in traj[1:]:
+        for row, row_t in zip(traj.z[1:], traj.t[1:]):
             k1 = f(z, t)
             k2 = f(z + 0.5 * dt * k1, t + 0.5 * dt)
             k3 = f(z + 0.5 * dt * k2, t + 0.5 * dt)
             k4 = f(z + dt * k3, t + dt)
             z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = t + dt
-            np.testing.assert_array_equal(state.coords(), z)
-            assert state.t == t
+            np.testing.assert_array_equal(row, z)
+            assert row_t == t
 
     def test_divergence_flag_truncates(self):
         # cubic feedback blows up fast from a large start
@@ -329,7 +368,7 @@ class TestReferenceIntegrate:
         traj = reference_integrate(ham, "std1", s0, 0.5, 50)
         assert traj.diverged
         assert len(traj) < 51
-        assert all(s.is_finite() for s in traj)
+        assert np.all(np.abs(traj.z) <= DIVERGENCE_LIMIT)
 
     def test_argument_validation(self):
         ham = quadratic_hamiltonian()
@@ -359,10 +398,9 @@ class TestDissipation:
         )
         s0 = state_of([0.0], [0.0], s=2.0, t=0.0)
         traj = reference_integrate(ham, "std1", s0, 1e-3, 1000)
-        h0 = ham.at(traj[0])
-        for i, s in enumerate(traj):
-            expected = h0 * math.exp(-c * i * 1e-3)
-            assert ham.at(s) == pytest.approx(expected, rel=1e-6)
+        h = ham.value(traj.X, traj.P, traj.S, traj.t)
+        expected = h[0] * np.exp(-c * np.arange(len(traj)) * 1e-3)
+        np.testing.assert_allclose(h, expected, rtol=1e-6)
 
     def test_short_trajectory_rejected(self):
         ham = quadratic_hamiltonian()

@@ -600,6 +600,8 @@ class TestCsvRoundTrip:
                      "'abc'", id="band-non-number"),
         pytest.param(read_trace_csv, TRACE_HEADER, "gd,0,0,1.0,false", "gd,0,1,0.5,TRUE",
                      "'TRUE'", id="trace-bad-diverged-flag"),
+        pytest.param(read_trace_csv, TRACE_HEADER, "gd,0,0,1.0,true", "gd,0,1,0.5,false",
+                     "diverged false where gd trial 0 began true", id="trace-flag-flips"),
         pytest.param(read_trace_csv, TRACE_HEADER, "gd,0,0,1.0,false", "gd,0,0,0.5,false",
                      "iter 0 where gd trial 0 is at iteration 1", id="trace-repeated-iter"),
         pytest.param(read_trace_csv, TRACE_HEADER, "gd,0,0,1.0,false", "gd,0,7,0.5,false",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactopt.contact import ContactState, conformal_factor
+from contactopt.contact import DIVERGENCE_LIMIT, ContactState, conformal_factor
 from contactopt.integrators import (
     PLAN_NAMES,
     ContactParams,
@@ -208,7 +208,7 @@ class TestStrangStep:
         for tau in (0.1, 0.05):
             traj = integrate_split(s0, tau, 10_000, obj, params)
             assert not traj.diverged
-            h = np.array([ham.at(s) for s in traj])
+            h = np.array([ham.value(*row) for row in zip(traj.X, traj.P, traj.S, traj.t)])
             dev = np.abs(h - h[0])
             devs[tau] = dev.max()
             # bounded oscillation, not growth: the late-window error is no
@@ -316,7 +316,25 @@ class TestIntegrateSplit:
         traj = integrate_split(s0, 1e-5, 40, obj, params)
         assert traj.diverged
         assert 2 <= len(traj) < 41
-        assert all(s.is_finite() for s in traj)
+        assert np.all(np.abs(traj.z) <= DIVERGENCE_LIMIT)
+
+    @pytest.mark.parametrize("x0, tau, n", [(1.0, 0.05, 20), (1e76, 1e-5, 40)],
+                             ids=["finite", "diverged"])
+    def test_rows_repeat_compose_step(self, x0, tau, n):
+        # row k is k composed steps from the start, bit for bit, and a
+        # diverged run keeps every finite step and stops at the first
+        # that is not
+        obj = quartic(2)
+        params = contact_params(0.1)
+        plan = split_plan("jump4")
+        s = state_of([x0, x0], [0.0, 0.0], t=1.0)
+        traj = integrate_split(s, tau, n, obj, params, plan, clock_dtau=1.0)
+        with np.errstate(all="ignore"):
+            for row, row_t in zip(traj.z, traj.t):
+                np.testing.assert_array_equal(row, s.coords())
+                assert row_t == s.t
+                s = compose_step(s, tau, obj, params, plan, clock_dtau=1.0)
+        assert traj.diverged == (len(traj) < n + 1) == (not s.is_finite())
 
     def test_rejects_nonpositive_count(self):
         obj = quartic(1)
