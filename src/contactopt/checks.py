@@ -110,12 +110,12 @@ class CheckResult:
         return f"[{mark}] {self.family}: {self.name} = {self.value:.3e}{extra}"
 
 
-def _random_state(rng: np.random.Generator, dim: int, t_lo: float = 0.5, t_hi: float = 3.0) -> ContactState:
+def _random_state(rng: np.random.Generator, dim: int) -> ContactState:
     return ContactState(
         X=rng.standard_normal(dim),
         P=rng.standard_normal(dim),
         S=float(rng.standard_normal()),
-        t=float(rng.uniform(t_lo, t_hi)),
+        t=float(rng.uniform(0.5, 3.0)),
     )
 
 

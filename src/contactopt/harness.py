@@ -114,6 +114,17 @@ def derive_seed(master: int, label: str, index: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The JSON keys each init kind takes besides "kind": read by parse_experiment
+# and written by spec_to_doc ("pattern" holds InitSpec.values).
+_INIT_KIND_KEYS = {"fixed": ("pattern",), "pattern": ("pattern",), "box": ("lo", "hi")}
+
+
+def _init_keys(kind: str) -> Tuple[str, ...]:
+    if kind not in _INIT_KIND_KEYS:
+        raise ValueError(f"init kind must be 'fixed', 'pattern' or 'box', got {kind!r}")
+    return _INIT_KIND_KEYS[kind]
+
+
 @dataclass(frozen=True)
 class InitSpec:
     """Initialization rule for X0.
@@ -121,7 +132,8 @@ class InitSpec:
     kind "fixed": values is the full start vector (length must match dim).
     kind "pattern": values is a cycle tiled to the dimension, e.g.
     (-1.2, 1.0) alternates the two.  kind "box": each coordinate uniform on
-    [lo, hi], drawn from the seeded per-run generator.
+    [lo, hi], drawn from the seeded per-run generator.  Values, bounds and
+    the box width hi - lo must be finite.
     """
 
     kind: str
@@ -130,13 +142,19 @@ class InitSpec:
     hi: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "pattern", "box"):
-            raise ValueError(
-                f"init kind must be 'fixed', 'pattern' or 'box', got {self.kind!r}"
-            )
+        _init_keys(self.kind)
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "hi", float(self.hi))
         if self.kind in ("fixed", "pattern") and len(self.values) == 0:
             raise ValueError(f"init kind {self.kind!r} needs at least one value")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError(f"init values must be finite, got {self.values}")
+        # inf - x and nan - x are not finite either
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(
+                f"init bounds and their width hi - lo must be finite, got [{self.lo}, {self.hi}]"
+            )
         if self.kind == "box" and not (self.lo < self.hi):
             raise ValueError(f"box init needs lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -236,7 +254,9 @@ class OptimizerEntry:
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
+            raise ValueError(
+                f"unknown optimizer kind {self.kind!r}; valid: {', '.join(OPTIMIZER_KINDS)}"
+            )
         for name in KIND_PARAMS[self.kind]:
             if getattr(self.ranges, name) is None:
                 raise ValueError(
@@ -805,198 +825,151 @@ def export_svg(
 
 # ---------------------------------------------------------------------------
 # JSON config parsing
+#
+# Each reader takes a JSON value and its path, and checks only what the spec
+# types cannot know: the JSON types, and in an object its unknown and missing
+# keys.  Every value check is the spec type's own; _build reports it at the
+# path of the object the spec was read from.  A section's reader table is
+# its key set, read by spec_to_doc as well.
 # ---------------------------------------------------------------------------
 
 
-def _expect_mapping(doc, path: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ConfigError(path, f"expected an object, got {type(doc).__name__}")
-    return doc
+def _build(path: str, make: Callable, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError raised as a ConfigError at path."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(path, str(e)) from e
 
 
-def _reject_unknown(doc: dict, allowed, path: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}", "unknown key")
-
-
-def _get_number(doc: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in doc:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return default
-    v = doc[key]
+def _number(v, path: str):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {type(v).__name__}")
+        raise ConfigError(path, f"expected a number, got {type(v).__name__}")
     return v
 
 
-def _get_int(doc: dict, key: str, path: str, required: bool = True, default=None):
-    v = _get_number(doc, key, path, required, default)
-    if v is None:
-        return None
-    if isinstance(v, float) and not v.is_integer():
-        raise ConfigError(f"{path}.{key}", f"expected an integer, got {v}")
+def _int(v, path: str) -> int:
+    if isinstance(_number(v, path), float) and not v.is_integer():
+        raise ConfigError(path, f"expected an integer, got {v}")
     return int(v)
 
 
-def _get_str(doc: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in doc:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return default
-    v = doc[key]
+def _str(v, path: str) -> str:
     if not isinstance(v, str):
-        raise ConfigError(f"{path}.{key}", f"expected a string, got {type(v).__name__}")
+        raise ConfigError(path, f"expected a string, got {type(v).__name__}")
     return v
 
 
-def _parse_interval(v, path: str) -> Tuple[float, float]:
-    if (
-        not isinstance(v, (list, tuple))
-        or len(v) != 2
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)
-    ):
+def _numbers(v, path: str) -> Tuple[float, ...]:
+    if not isinstance(v, (list, tuple)):
+        raise ConfigError(path, f"expected a list of numbers, got {type(v).__name__}")
+    return tuple(float(_number(x, f"{path}[{i}]")) for i, x in enumerate(v))
+
+
+def _interval(v, path: str) -> Tuple[float, ...]:
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise ConfigError(path, "expected an interval [lo, hi] of two numbers")
-    return float(v[0]), float(v[1])
+    return _numbers(v, path)
+
+
+def _keys(doc, path: str, allowed, required=(), why: str = "unknown key") -> dict:
+    """doc, once it is a JSON object of allowed keys with every required one."""
+    if not isinstance(doc, dict):
+        raise ConfigError(path, f"expected an object, got {type(doc).__name__}")
+    for key in doc:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}", why)
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"{path}.{key}", "missing required key")
+    return doc
+
+
+def _object(readers: Dict[str, Callable], required=()) -> Callable:
+    """The reader of a JSON object whose keys are those of ``readers``."""
+
+    def read(doc, path: str) -> dict:
+        _keys(doc, path, readers, required)
+        return {key: readers[key](v, f"{path}.{key}") for key, v in doc.items()}
+
+    return read
+
+
+_OBJECTIVE_KEYS = {"name": _str, "dim": _int, "seed": _int}
+_INIT_KEYS = {"kind": _str, "pattern": _numbers, "lo": _number, "hi": _number}
+_ENTRY_FIELDS = {"kind": _str}
+_ENTRY_KEYS = {
+    **_ENTRY_FIELDS,
+    "ranges": _object(dict.fromkeys(_PARAM_NAMES, _interval)),
+    "sampling": _object(dict.fromkeys(_PARAM_NAMES, _str)),
+}
+
+
+def _objective(doc, path: str) -> ObjectiveSpec:
+    return _build(path, ObjectiveSpec, **_object(_OBJECTIVE_KEYS, ("name", "dim"))(doc, path))
+
+
+def _init(doc, path: str) -> InitSpec:
+    """An unknown kind is rejected, by InitSpec's own check, before the
+    keys that depend on it are read."""
+    kind = _str(_keys(doc, path, _INIT_KEYS, ("kind",))["kind"], f"{path}.kind")
+    takes = ("kind", *_build(path, _init_keys, kind))
+    _keys(doc, path, takes, takes, f"not allowed for {kind} init")
+    fields = {key: _INIT_KEYS[key](v, f"{path}.{key}") for key, v in doc.items()}
+    return _build(path, InitSpec, values=fields.pop("pattern", ()), **fields)
+
+
+def _entry(doc, path: str) -> OptimizerEntry:
+    fields = _object(_ENTRY_KEYS, ("kind",))(doc, path)
+    ranges = _build(
+        path, SearchRanges, **fields.pop("ranges", {}), sampling=fields.pop("sampling", {})
+    )
+    return _build(path, OptimizerEntry, ranges=ranges, **fields)
+
+
+def _optimizers(v, path: str) -> Tuple[OptimizerEntry, ...]:
+    if not isinstance(v, list):
+        raise ConfigError(path, f"expected a list, got {type(v).__name__}")
+    return tuple(_entry(e, f"{path}[{i}]") for i, e in enumerate(v))
+
+
+_EXPERIMENT_KEYS = {
+    "objective": _objective,
+    "init": _init,
+    "optimizers": _optimizers,
+    "search_trials": _int,
+    "mc_runs": _int,
+    "iters": _int,
+    "master_seed": _int,
+}
+_read_experiment = _object(
+    _EXPERIMENT_KEYS, ("objective", "init", "optimizers", "search_trials", "mc_runs", "iters")
+)
 
 
 def parse_experiment(doc) -> ExperimentSpec:
     """Validate a JSON document (already loaded) into an ExperimentSpec.
 
     Unknown keys anywhere are rejected with the JSON path of the offender,
-    so a typo fails loudly instead of silently using a default.
+    so a typo fails loudly instead of silently using a default.  A value
+    the spec types reject is reported at the path of its object.
     """
-    root = _expect_mapping(doc, "$")
-    _reject_unknown(
-        root,
-        {"objective", "init", "optimizers", "search_trials", "mc_runs", "iters", "master_seed"},
-        "$",
-    )
-    for key in ("objective", "init", "optimizers"):
-        if key not in root:
-            raise ConfigError(f"$.{key}", "missing required key")
-
-    odoc = _expect_mapping(root["objective"], "$.objective")
-    _reject_unknown(odoc, {"name", "dim", "seed"}, "$.objective")
-    name = _get_str(odoc, "name", "$.objective")
-    dim = _get_int(odoc, "dim", "$.objective")
-    oseed = _get_int(odoc, "seed", "$.objective", required=False, default=1)
-    try:
-        ospec = ObjectiveSpec(name=name, dim=dim, seed=oseed)
-    except ValueError as e:
-        raise ConfigError("$.objective", str(e)) from e
-
-    idoc = _expect_mapping(root["init"], "$.init")
-    _reject_unknown(idoc, {"kind", "lo", "hi", "pattern"}, "$.init")
-    ikind = _get_str(idoc, "kind", "$.init")
-    if ikind == "box":
-        lo = _get_number(idoc, "lo", "$.init")
-        hi = _get_number(idoc, "hi", "$.init")
-        if "pattern" in idoc:
-            raise ConfigError("$.init.pattern", "not allowed for box init")
-        try:
-            init = InitSpec(kind="box", lo=float(lo), hi=float(hi))
-        except ValueError as e:
-            raise ConfigError("$.init", str(e)) from e
-    elif ikind in ("fixed", "pattern"):
-        if "lo" in idoc or "hi" in idoc:
-            raise ConfigError("$.init", f"lo/hi not allowed for {ikind} init")
-        pat = idoc.get("pattern")
-        if (
-            not isinstance(pat, (list, tuple))
-            or len(pat) == 0
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pat)
-        ):
-            raise ConfigError("$.init.pattern", "expected a non-empty list of numbers")
-        try:
-            init = InitSpec(kind=ikind, values=tuple(float(x) for x in pat))
-        except ValueError as e:
-            raise ConfigError("$.init", str(e)) from e
-    else:
-        raise ConfigError("$.init.kind", f"expected 'fixed', 'pattern' or 'box', got {ikind!r}")
-
-    opt_docs = root["optimizers"]
-    if not isinstance(opt_docs, list) or len(opt_docs) == 0:
-        raise ConfigError("$.optimizers", "expected a non-empty list")
-    entries = []
-    for i, edoc in enumerate(opt_docs):
-        path = f"$.optimizers[{i}]"
-        edoc = _expect_mapping(edoc, path)
-        _reject_unknown(edoc, {"kind", "ranges", "sampling"}, path)
-        kind = _get_str(edoc, "kind", path)
-        if kind not in OPTIMIZER_KINDS:
-            raise ConfigError(
-                f"{path}.kind", f"unknown optimizer {kind!r}; valid: {', '.join(OPTIMIZER_KINDS)}"
-            )
-        rdoc = _expect_mapping(edoc.get("ranges", {}), f"{path}.ranges")
-        _reject_unknown(rdoc, set(_PARAM_NAMES), f"{path}.ranges")
-        intervals = {
-            p: _parse_interval(rdoc[p], f"{path}.ranges.{p}") for p in rdoc
-        }
-        sampling = {}
-        if "sampling" in edoc:
-            sdoc = _expect_mapping(edoc["sampling"], f"{path}.sampling")
-            _reject_unknown(sdoc, set(_PARAM_NAMES), f"{path}.sampling")
-            for p, law in sdoc.items():
-                if not isinstance(law, str):
-                    raise ConfigError(f"{path}.sampling.{p}", "expected a string law")
-                sampling[p] = law
-        try:
-            entry = OptimizerEntry(
-                kind=kind, ranges=SearchRanges(**intervals, sampling=sampling)
-            )
-        except (TypeError, ValueError) as e:
-            raise ConfigError(path, str(e)) from e
-        entries.append(entry)
-
-    st = _get_int(root, "search_trials", "$")
-    mc = _get_int(root, "mc_runs", "$")
-    iters = _get_int(root, "iters", "$")
-    mseed = _get_int(root, "master_seed", "$", required=False, default=0)
-    try:
-        return ExperimentSpec(
-            objective=ospec,
-            init=init,
-            optimizers=tuple(entries),
-            search_trials=st,
-            mc_runs=mc,
-            iters=iters,
-            master_seed=mseed,
-        )
-    except ValueError as e:
-        raise ConfigError("$", str(e)) from e
+    return _build("$", ExperimentSpec, **_read_experiment(doc, "$"))
 
 
 def spec_to_doc(spec: ExperimentSpec) -> dict:
     """Inverse of parse_experiment, for dumping presets as editable JSON."""
-    init: Dict[str, object] = {"kind": spec.init.kind}
-    if spec.init.kind == "box":
-        init["lo"] = spec.init.lo
-        init["hi"] = spec.init.hi
-    else:
-        init["pattern"] = list(spec.init.values)
-    optimizers = []
+    doc = {key: getattr(spec, key) for key in _EXPERIMENT_KEYS}
+    doc["objective"] = {key: getattr(spec.objective, key) for key in _OBJECTIVE_KEYS}
+    init = spec.init
+    as_json = {"kind": init.kind, "pattern": list(init.values), "lo": init.lo, "hi": init.hi}
+    doc["init"] = {key: as_json[key] for key in ("kind", *_INIT_KIND_KEYS[init.kind])}
+    doc["optimizers"] = []
     for e in spec.optimizers:
-        ranges = {
-            p: list(getattr(e.ranges, p))
-            for p in _PARAM_NAMES
-            if getattr(e.ranges, p) is not None
-        }
-        entry: Dict[str, object] = {"kind": e.kind, "ranges": ranges}
+        entry = {key: getattr(e, key) for key in _ENTRY_FIELDS}
+        ranges = {p: getattr(e.ranges, p) for p in _PARAM_NAMES}
+        entry["ranges"] = {p: list(iv) for p, iv in ranges.items() if iv is not None}
         if e.ranges.sampling:
             entry["sampling"] = dict(e.ranges.sampling)
-        optimizers.append(entry)
-    return {
-        "objective": {
-            "name": spec.objective.name,
-            "dim": spec.objective.dim,
-            "seed": spec.objective.seed,
-        },
-        "init": init,
-        "optimizers": optimizers,
-        "search_trials": spec.search_trials,
-        "mc_runs": spec.mc_runs,
-        "iters": spec.iters,
-        "master_seed": spec.master_seed,
-    }
+        doc["optimizers"].append(entry)
+    return doc

@@ -14,11 +14,13 @@ Each kind's X/V update is written once, as an array function that takes
 one point (n,) with float tunables or a stack of T points (T, n) with the
 tunables as (T, 1) columns.  run_batch() iterates it over a stack of T runs
 of one kind and records only the objective gaps, one (iters + 1, T) matrix;
-run() is its T=1 case.  The contact action S is computed only by the step
-functions (gd_step ... crgd_step), which wrap the same update on an
-OptState for the checks and for callers that step by hand; S never feeds
-back into X or V.  Its per-step update is derived by composing the exact
-stage flows in the m=1 gauge (tau = sqrt(2*epsilon)).  With delta = 0 the
+run() is its T=1 case.  Neither computes the contact action S.  The step
+functions (gd_step ... crgd_step) wrap the same update on an OptState for
+the checks and for callers that step by hand.  Of these, only rgd_step,
+crgd_step and nag_decomposed_step advance S; gd_step, cm_step and nag_step
+carry it unchanged.  S never feeds back into X or V.  The relativistic
+update of S is derived by composing the exact stage flows in the m=1 gauge
+(tau = sqrt(2*epsilon)).  With delta = 0 the
 kinetic rate keeps only the velocity-dependent part, since the rest-energy
 constant diverges in that limit.
 """

@@ -21,29 +21,75 @@ as it is until the paper's quartic protocol says otherwise.
   rosenbrock  chained Rosenbrock, start alternating (-1.2, 1, -1.2, 1, ...)
 """
 
+from dataclasses import replace
 from typing import Optional
 
-from .harness import (
-    ExperimentSpec,
-    InitSpec,
-    ObjectiveSpec,
-    OptimizerEntry,
-    SearchRanges,
-)
+from .harness import ExperimentSpec, InitSpec, parse_experiment
 
 __all__ = ["PRESET_NAMES", "SCALES", "experiment_preset"]
 
-PRESET_NAMES = ("quadratic", "quartic", "camelback", "rosenbrock")
 SCALES = ("desk", "paper")
 
+# Each preset is the JSON config `contactopt search` reads, except that a
+# value given as a (desk, paper) tuple depends on the scale.
+_PRESETS = {
+    # CM and NAG search different step ranges here; the relativistic pair
+    # shares one table.
+    "quadratic": {
+        "objective": {"name": "quadratic", "dim": (50, 500)},
+        "init": {"kind": "pattern", "pattern": [1.0]},
+        "optimizers": [
+            {"kind": "cm", "ranges": {"tau": [1e-2, 0.8], "mu": [0.8, 0.99]}},
+            {"kind": "nag", "ranges": {"tau": [1e-3, 0.5], "mu": [0.8, 0.99]}},
+            {"kind": "rgd", "ranges": {"epsilon": [0.0, 0.6], "mu": [0.49, 0.95], "delta": [0.0, 20.0]}},
+            {"kind": "crgd", "ranges": {"epsilon": [0.0, 0.6], "mu": [0.49, 0.95], "delta": [0.0, 20.0]}},
+        ],
+        "search_trials": 150, "mc_runs": (10, 50), "iters": 200,
+    },
+    "quartic": {
+        "objective": {"name": "quartic", "dim": 50},
+        "init": {"kind": "pattern", "pattern": [2.0]},
+        "optimizers": [
+            {"kind": "cm", "ranges": {"tau": [1e-5, 1e-1], "mu": [0.8, 0.99]}},
+            {"kind": "nag", "ranges": {"tau": [1e-5, 1e-1], "mu": [0.8, 0.99]}},
+            {"kind": "rgd", "ranges": {"epsilon": [1e-5, 1e-2], "mu": [0.6, 0.99], "delta": [0.0, 30.0]}},
+            {"kind": "crgd", "ranges": {"epsilon": [1e-5, 1e-2], "mu": [0.6, 0.99], "delta": [0.0, 30.0]}},
+        ],
+        "search_trials": (300, 1000), "mc_runs": 1, "iters": 500,
+    },
+    "camelback": {
+        "objective": {"name": "camelback", "dim": 2},
+        "init": {"kind": "fixed", "pattern": [1.8, -0.9]},
+        "optimizers": [
+            {"kind": "cm", "ranges": {"tau": [1e-5, 1e-3], "mu": [0.8, 0.999]}},
+            {"kind": "nag", "ranges": {"tau": [1e-5, 1e-3], "mu": [0.8, 0.999]}},
+            {"kind": "rgd", "ranges": {"epsilon": [1e-1, 1.0], "mu": [0.1, 0.8], "delta": [0.0, 20.0]}},
+            {"kind": "crgd", "ranges": {"epsilon": [1e-1, 1.0], "mu": [0.1, 0.8], "delta": [0.0, 20.0]}},
+        ],
+        "search_trials": (300, 1500), "mc_runs": 1, "iters": 300,
+    },
+    "rosenbrock": {
+        "objective": {"name": "rosenbrock", "dim": 100},
+        "init": {"kind": "pattern", "pattern": [-1.2, 1.0]},
+        "optimizers": [
+            {"kind": "cm", "ranges": {"tau": [2e-4, 4e-4], "mu": [0.94, 0.98]}},
+            {"kind": "nag", "ranges": {"tau": [2e-4, 4e-4], "mu": [0.94, 0.98]}},
+            {"kind": "rgd", "ranges": {"epsilon": [1e-3, 1e-2], "mu": [0.9, 0.99], "delta": [0.0, 20.0]}},
+            {"kind": "crgd", "ranges": {"epsilon": [1e-3, 1e-2], "mu": [0.9, 0.99], "delta": [0.0, 20.0]}},
+        ],
+        "search_trials": (100, 500), "mc_runs": 1, "iters": (400, 1200),
+    },
+}
+PRESET_NAMES = tuple(_PRESETS)
 
-def _entries(cm_nag: dict, rgd_crgd: dict, nag: Optional[dict] = None):
-    return (
-        OptimizerEntry(kind="cm", ranges=SearchRanges(**cm_nag)),
-        OptimizerEntry(kind="nag", ranges=SearchRanges(**(nag or cm_nag))),
-        OptimizerEntry(kind="rgd", ranges=SearchRanges(**rgd_crgd)),
-        OptimizerEntry(kind="crgd", ranges=SearchRanges(**rgd_crgd)),
-    )
+
+def _at_scale(doc, i: int):
+    """doc with each (desk, paper) tuple replaced by its i-th value."""
+    if isinstance(doc, dict):
+        return {key: _at_scale(v, i) for key, v in doc.items()}
+    if isinstance(doc, list):
+        return [_at_scale(v, i) for v in doc]
+    return doc[i] if isinstance(doc, tuple) else doc
 
 
 def experiment_preset(
@@ -59,69 +105,7 @@ def experiment_preset(
     """
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {', '.join(SCALES)}; got {scale!r}")
-    paper = scale == "paper"
-
-    if name == "quadratic":
-        # CM and NAG search different step ranges here; the relativistic
-        # pair shares one table.
-        entries = _entries(
-            cm_nag={"tau": (1e-2, 0.8), "mu": (0.8, 0.99)},
-            nag={"tau": (1e-3, 0.5), "mu": (0.8, 0.99)},
-            rgd_crgd={"epsilon": (0.0, 0.6), "mu": (0.49, 0.95), "delta": (0.0, 20.0)},
-        )
-        spec = ExperimentSpec(
-            objective=ObjectiveSpec(name="quadratic", dim=500 if paper else 50, seed=1),
-            init=init or InitSpec(kind="pattern", values=(1.0,)),
-            optimizers=entries,
-            search_trials=150,
-            mc_runs=50 if paper else 10,
-            iters=200,
-            master_seed=master_seed,
-        )
-    elif name == "quartic":
-        entries = _entries(
-            cm_nag={"tau": (1e-5, 1e-1), "mu": (0.8, 0.99)},
-            rgd_crgd={"epsilon": (1e-5, 1e-2), "mu": (0.6, 0.99), "delta": (0.0, 30.0)},
-        )
-        spec = ExperimentSpec(
-            objective=ObjectiveSpec(name="quartic", dim=50),
-            init=init or InitSpec(kind="pattern", values=(2.0,)),
-            optimizers=entries,
-            search_trials=1000 if paper else 300,
-            mc_runs=1,
-            iters=500,
-            master_seed=master_seed,
-        )
-    elif name == "camelback":
-        entries = _entries(
-            cm_nag={"tau": (1e-5, 1e-3), "mu": (0.8, 0.999)},
-            rgd_crgd={"epsilon": (1e-1, 1.0), "mu": (0.1, 0.8), "delta": (0.0, 20.0)},
-        )
-        spec = ExperimentSpec(
-            objective=ObjectiveSpec(name="camelback", dim=2),
-            init=init or InitSpec(kind="fixed", values=(1.8, -0.9)),
-            optimizers=entries,
-            search_trials=1500 if paper else 300,
-            mc_runs=1,
-            iters=300,
-            master_seed=master_seed,
-        )
-    elif name == "rosenbrock":
-        entries = _entries(
-            cm_nag={"tau": (2e-4, 4e-4), "mu": (0.94, 0.98)},
-            rgd_crgd={"epsilon": (1e-3, 1e-2), "mu": (0.9, 0.99), "delta": (0.0, 20.0)},
-        )
-        spec = ExperimentSpec(
-            objective=ObjectiveSpec(name="rosenbrock", dim=100),
-            init=init or InitSpec(kind="pattern", values=(-1.2, 1.0)),
-            optimizers=entries,
-            search_trials=500 if paper else 100,
-            mc_runs=1,
-            iters=1200 if paper else 400,
-            master_seed=master_seed,
-        )
-    else:
-        raise ValueError(
-            f"unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}"
-        )
-    return spec
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}")
+    spec = parse_experiment(_at_scale(_PRESETS[name], SCALES.index(scale)))
+    return replace(spec, master_seed=master_seed, init=init or spec.init)

@@ -9,6 +9,7 @@ fence at the end pins the bytes of the desk benchmarks at seed 42.
 import hashlib
 import statistics
 import time
+from pathlib import Path
 
 import pytest
 
@@ -201,7 +202,7 @@ def test_criterion_10_bench_cli_is_deterministic(acceptance, desk_bench,
     assert rc == 0
     outcomes, _ = desk_bench("quartic", 42)
     _export_viable(outcomes, paths["lib_bands"], paths["lib_traces"])
-    blobs = {name: open(path, "rb").read() for name, path in paths.items()}
+    blobs = {name: Path(path).read_bytes() for name, path in paths.items()}
     ok = (blobs["cli_bands"] == blobs["lib_bands"]
           and blobs["cli_traces"] == blobs["lib_traces"])
     detail = ("band and trace CSVs of `contactopt bench` byte-identical to "

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -85,7 +86,7 @@ class TestRunCommand:
                 "--init", "box:-1,1", "--out", out,
             ])
             assert rc == 0
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
     def test_env_seed_matches_flag(self, tmp_path, monkeypatch):
@@ -96,7 +97,7 @@ class TestRunCommand:
         monkeypatch.setenv("CONTACT_OPT_SEED", "11")
         b = str(tmp_path / "env.csv")
         assert main(args + ["--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_unknown_optimizer_is_usage_error(self, capsys):
         rc = main(["run", "--objective", "quartic", "--optimizer", "bogus"])
@@ -112,6 +113,19 @@ class TestRunCommand:
         ])
         assert rc == 2
         assert "diverged" in capsys.readouterr().err
+
+    def test_non_finite_init_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.json"
+        cfg.write_text(Path(tiny_config(tmp_path)).read_text().replace("-1.0", "-Infinity"))
+        for argv, prefix in (
+            (["run", "--objective", "quartic", "--dim", "3", "--optimizer", "gd",
+              "--init", "const:nan"], "error: "),
+            (["bench", "--preset", "quartic", "--init", "box:-1e308,1e308"], "error: "),
+            (["search", "--config", str(cfg)], "config error at $.init: "),
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(prefix) and "finite" in err and "Traceback" not in err
 
     def test_init_length_mismatch(self, capsys):
         rc = main([
@@ -137,7 +151,7 @@ class TestSearchCommand:
         assert [b.kind for b in got] == ["gd"]
         assert len(got[0].median) == 13
         assert len(read_trace_csv(traces)) == 3
-        assert open(svg).read(4) == "<svg"
+        assert Path(svg).read_text().startswith("<svg")
 
     def test_jobs_do_not_change_bytes(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -146,7 +160,7 @@ class TestSearchCommand:
             out = str(tmp_path / name)
             assert main(["search", "--config", cfg, "--jobs", jobs,
                          "--out", out]) == 0
-            blobs.append(open(out, "rb").read())
+            blobs.append(Path(out).read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_seed_flag_and_env_agree(self, tmp_path, monkeypatch):
@@ -156,7 +170,7 @@ class TestSearchCommand:
         monkeypatch.setenv("CONTACT_OPT_SEED", "11")
         b = str(tmp_path / "sb.csv")
         assert main(["search", "--config", cfg, "--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_empty_env_seed_is_an_error(self, tmp_path, monkeypatch, capsys):
         cfg = tiny_config(tmp_path)

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,8 @@ from contactopt.harness import (
     run_bench,
     spec_to_doc,
 )
-from contactopt.optimizers import RunRecord, run
+from contactopt.objectives import OBJECTIVE_NAMES
+from contactopt.optimizers import KIND_PARAMS, OPTIMIZER_KINDS, RunRecord, run
 from contactopt.presets import PRESET_NAMES, SCALES, experiment_preset
 
 
@@ -89,6 +92,16 @@ class TestInitSpec:
             InitSpec(kind="pattern")
         with pytest.raises(ValueError, match="lo < hi"):
             InitSpec(kind="box", lo=1.0, hi=1.0)
+        # a start that is not finite is bad input, not a divergence
+        for bad in (
+            {"kind": "pattern", "values": (math.nan,)},
+            {"kind": "fixed", "values": (1.0, -math.inf)},
+            {"kind": "box", "lo": -math.inf, "hi": 0.0},
+            {"kind": "box", "lo": 0.0, "hi": math.nan},
+            {"kind": "box", "lo": -1e308, "hi": 1e308},  # finite bounds, width overflows
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                InitSpec(**bad)
 
 
 class _ZeroRng:
@@ -571,13 +584,13 @@ class TestCsvRoundTrip:
         export_band_csv([band], path)
         got = read_band_csv(path)
         assert got == [band]
-        text = open(path).read()
+        text = Path(path).read_text()
         assert "inf" in text
 
     def test_empty_exports_header_only(self, tmp_path):
         path = str(tmp_path / "e.csv")
         export_trace_csv([], path)
-        assert open(path).read() == TRACE_HEADER + "\n"
+        assert Path(path).read_text() == TRACE_HEADER + "\n"
         assert read_trace_csv(path) == []
 
     def test_bad_header_rejected(self, tmp_path):
@@ -677,6 +690,43 @@ def base_doc():
     }
 
 
+_finite = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def experiment_docs(draw):
+    """Valid JSON configs: every objective, init kind and optimizer kind,
+    with optional keys and sampling laws present or left to their defaults."""
+    name = draw(st.sampled_from(OBJECTIVE_NAMES))
+    dim = 2 if name == "camelback" else draw(st.integers(1, 8))
+    objective = {"name": name, "dim": dim}
+    init_kind = draw(st.sampled_from(["fixed", "pattern", "box"]))
+    if init_kind == "box":
+        lo = draw(_finite)
+        init = {"kind": "box", "lo": lo, "hi": lo + draw(st.floats(1e-3, 1e3))}
+    else:
+        size = dim if init_kind == "fixed" else draw(st.integers(1, 3))
+        init = {"kind": init_kind, "pattern": draw(st.lists(_finite, min_size=size, max_size=size))}
+    optimizers = []
+    for kind in draw(st.lists(st.sampled_from(OPTIMIZER_KINDS), min_size=1, max_size=5)):
+        names = set(KIND_PARAMS[kind]) | draw(st.sets(st.sampled_from(harness._PARAM_NAMES)))
+        ranges = {p: sorted(draw(st.lists(_finite, min_size=2, max_size=2))) for p in names}
+        entry = {"kind": kind, "ranges": ranges}
+        laws = {p: "log_uniform" if lo > 0 and draw(st.booleans()) else "uniform"
+                for p, (lo, _) in ranges.items() if draw(st.booleans())}
+        if laws or draw(st.booleans()):
+            entry["sampling"] = laws
+        optimizers.append(entry)
+    doc = {"objective": objective, "init": init, "optimizers": optimizers}
+    for key in ("search_trials", "mc_runs", "iters"):
+        doc[key] = draw(st.integers(1, 10 ** 4))
+    if draw(st.booleans()):
+        objective["seed"] = draw(st.integers(0, 2 ** 64 - 1))
+    if draw(st.booleans()):
+        doc["master_seed"] = draw(st.integers(-(2 ** 63), 2 ** 64 - 1))
+    return doc
+
+
 class TestConfigParsing:
     def test_minimal_doc_parses(self):
         spec = parse_experiment(base_doc())
@@ -741,6 +791,33 @@ class TestConfigParsing:
         doc["objective"] = {"name": "camelback", "dim": 3}
         with pytest.raises(ConfigError, match="two-dimensional"):
             parse_experiment(doc)
+
+    def test_non_finite_init_is_a_config_error(self):
+        for text in ('{"kind": "box", "lo": -Infinity, "hi": 1.0}',
+                     '{"kind": "box", "lo": -1e308, "hi": 1e308}',
+                     '{"kind": "pattern", "pattern": [NaN]}'):
+            doc = base_doc()
+            doc["init"] = json.loads(text)
+            with pytest.raises(ConfigError, match=r"^at \$\.init: .*finite"):
+                parse_experiment(doc)
+
+    def test_unknown_kinds_name_the_valid_ones(self):
+        doc = base_doc()
+        doc["init"] = {"kind": "gaussian"}  # rejected before its keys are looked for
+        with pytest.raises(ConfigError, match=r"^at \$\.init: .*'fixed', 'pattern' or 'box'"):
+            parse_experiment(doc)
+        doc = base_doc()
+        doc["optimizers"][0]["kind"] = "adam"
+        with pytest.raises(ConfigError, match=r"^at \$\.optimizers\[0\]: .*valid: gd, cm"):
+            parse_experiment(doc)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_valid_doc_roundtrips(self, data):
+        doc = data.draw(experiment_docs())
+        spec = parse_experiment(doc)
+        assert parse_experiment(spec_to_doc(spec)) == spec
+        assert parse_experiment(json.loads(json.dumps(spec_to_doc(spec)))) == spec
 
     def test_sampling_law_parsed_and_checked(self):
         doc = base_doc()
