@@ -53,12 +53,10 @@ from .objectives import make_random_quadratic
 from .optimizers import (
     OptState,
     OptimizerConfig,
-    crgd_step,
     nag_contact_jacobian,
     nag_contact_map,
     nag_decomposed_step,
-    nag_step,
-    rgd_step,
+    step,
 )
 
 __all__ = [
@@ -306,12 +304,9 @@ def check_equivalence(seed: int = 0) -> List[CheckResult]:
             x = rng.standard_normal(dim)
             v = rng.standard_normal(dim)
             s_val = float(rng.standard_normal())
-            for kind, stepper, damping in (
-                ("crgd", crgd_step, nag_like_damping),
-                ("rgd", rgd_step, constant_damping),
-            ):
+            for kind, damping in (("crgd", nag_like_damping), ("rgd", constant_damping)):
                 cfg = OptimizerConfig(kind=kind, epsilon=eps, mu=mu, delta=delta)
-                s1 = stepper(OptState(X=x, V=v, S=s_val, k=k), obj, cfg)
+                s1 = step(OptState(X=x, V=v, S=s_val, k=k), obj, cfg)
                 params = ContactParams(*damping(gamma), m=1.0, c=2.0 / (math.sqrt(delta) * tau))
                 c1 = strang_step(
                     ContactState(X=x, P=2.0 * v / tau, S=s_val, t=float(k)),
@@ -337,7 +332,7 @@ def check_equivalence(seed: int = 0) -> List[CheckResult]:
     cfg1 = OptimizerConfig(kind="rgd", epsilon=0.05, mu=1.0, delta=2.0)
     cfg2 = OptimizerConfig(kind="crgd", epsilon=0.05, mu=1.0, delta=2.0)
     s0 = OptState(X=rng.standard_normal(3), V=rng.standard_normal(3), S=0.2, k=3)
-    a, b = rgd_step(s0, obj, cfg1), crgd_step(s0, obj, cfg2)
+    a, b = step(s0, obj, cfg1), step(s0, obj, cfg2)
     bitwise = (
         np.array_equal(a.X, b.X) and np.array_equal(a.V, b.V) and a.S == b.S
     )
@@ -533,7 +528,7 @@ def check_nag(seed: int = 0) -> List[CheckResult]:
     b = OptState(X=x0, V=x0.copy(), S=0.0, k=0)
     worst_x = 0.0
     for _ in range(30):
-        a = nag_step(a, obj, cfg)
+        a = step(a, obj, cfg)
         b = nag_decomposed_step(b, obj, cfg)
         worst_x = max(worst_x, float(np.max(np.abs(a.X - b.X))))
     results.append(

@@ -9,12 +9,12 @@ Subcommands:
   check   the geometric self-verification suite
   list    every name the other subcommands accept
 
-Exit codes are a stable contract: 0 success, 1 usage or config error,
-2 the requested run diverged, 3 a self-check failed.  All randomness flows
-from one master seed (--seed, falling back to the CONTACT_OPT_SEED
-environment variable), and outputs are byte-identical for a given seed.
-Every run is serial; search and bench accept --jobs (a positive integer)
-and ignore it.
+Exit codes are a stable contract: 0 success, 1 usage or config error or
+a closed stdout, 2 the requested run diverged, 3 a self-check failed.
+All randomness flows from one master seed (--seed, falling back to the
+CONTACT_OPT_SEED environment variable), and outputs are byte-identical
+for a given seed.  Every run is serial; search and bench accept --jobs (a
+positive integer) and ignore it.
 """
 
 import argparse
@@ -331,9 +331,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "jobs", 1) < 1:
             raise ValueError("--jobs must be >= 1")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except SystemExit as e:
         return int(e.code or 0)
+    except BrokenPipeError:
+        # end quietly; what is still buffered goes to devnull at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except ConfigError as e:
         print(f"config error {e}", file=sys.stderr)
         return EXIT_USAGE

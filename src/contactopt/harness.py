@@ -285,6 +285,8 @@ class ObjectiveSpec:
             raise ValueError(
                 f"unknown objective {self.name!r}; valid: {', '.join(OBJECTIVE_NAMES)}"
             )
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.name == "camelback" and self.dim != 2:
             raise ValueError("camelback is two-dimensional; set dim = 2")
 

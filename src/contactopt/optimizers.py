@@ -10,19 +10,17 @@ contact Hamiltonian under the substitutions V = tau*P/2m, epsilon =
 tau^2/2m, mu = exp(-gamma*tau), delta = 4/(c*tau)^2; the test suite holds
 the two code paths to 1e-12 of each other.
 
-Each kind's X/V update is written once, as an array function that takes
-one point (n,) with float tunables or a stack of T points (T, n) with the
-tunables as (T, 1) columns.  run_batch() iterates it over a stack of T runs
-of one kind and records only the objective gaps, one (iters + 1, T) matrix;
-run() is its T=1 case.  Neither computes the contact action S.  The step
-functions (gd_step ... crgd_step) wrap the same update on an OptState for
-the checks and for callers that step by hand.  Of these, only rgd_step,
-crgd_step and nag_decomposed_step advance S; gd_step, cm_step and nag_step
-carry it unchanged.  S never feeds back into X or V.  The relativistic
-update of S is derived by composing the exact stage flows in the m=1 gauge
-(tau = sqrt(2*epsilon)).  With delta = 0 the
-kinetic rate keeps only the velocity-dependent part, since the rest-energy
-constant diverges in that limit.
+Each kind's update is written once, as an array function of (X, V, S)
+that takes one point (n,) with float tunables or a stack of T points
+(T, n) with the tunables as (T, 1) columns.  S rides along as a trailing
+column, (1,) or (T, 1): gd, cm and nag carry it unchanged, rgd and crgd
+advance it by composing the exact stage flows in the m=1 gauge (tau =
+sqrt(2*epsilon)).  With delta = 0 the kinetic rate keeps only the
+velocity-dependent part, since the rest-energy constant diverges in that
+limit.  S never feeds back into X or V.  step() applies the update its
+config's kind selects to one OptState; run_batch() iterates it over a
+stack of T runs of one kind without S and records only the objective
+gaps, one (iters + 1, T) matrix; run() is its T=1 case.
 """
 
 import math
@@ -43,14 +41,10 @@ __all__ = [
     "RunRecord",
     "BatchRecords",
     "init_state",
-    "gd_step",
-    "cm_step",
-    "nag_step",
+    "step",
     "nag_decomposed_step",
     "nag_contact_map",
     "nag_contact_jacobian",
-    "rgd_step",
-    "crgd_step",
     "run",
     "run_batch",
 ]
@@ -169,19 +163,21 @@ def _start_velocity(X0: np.ndarray, kind: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The update, once per kind.  X and V are one point (n,) or a stack (T, n);
-# p holds the tunables as attributes, floats (an OptimizerConfig) or (T, 1)
-# columns (_Columns), so one expression serves a single step and a batch.
+# The update, once per kind: update(X, V, S, k, obj, p) -> (X, V, S).  X and
+# V are one point (n,) or a stack (T, n); S is a trailing column like
+# _sqnorm's, (1,) or (T, 1), or None to skip its recursion.  p holds the
+# tunables as attributes, floats (an OptimizerConfig) or (T, 1) columns
+# (_Columns), so one expression serves a single step and a batch.
 # ---------------------------------------------------------------------------
 
 
-def _gd(X, V, k, obj, p):
-    return X - p.tau * obj.grad(X), V
+def _gd(X, V, S, k, obj, p):
+    return X - p.tau * obj.grad(X), V, S
 
 
-def _cm(X, V, k, obj, p):
+def _cm(X, V, S, k, obj, p):
     v = p.mu * V - p.tau * obj.grad(X)
-    return X + v, v
+    return X + v, v, S
 
 
 def _nesterov_coefficient(k: int) -> float:
@@ -201,10 +197,10 @@ def _momentum(x, p, s, c):
     return p, p + c * (p - x), c * s
 
 
-def _nag(X, V, k, obj, p):
+def _nag(X, V, S, k, obj, p):
     c = _nag_coefficient(k + 1, p)
     x = V - p.tau * obj.grad(V)
-    return x, x + c * (x - X)
+    return x, x + c * (x - X), S
 
 
 def _sqnorm(V):
@@ -213,13 +209,13 @@ def _sqnorm(V):
     return (V * V).sum(axis=-1, keepdims=True)
 
 
-def _relativistic(X, V, obj, p, mu_h):
+def _relativistic(X, V, S, obj, p, mu_h):
     """Shared RGD/CRGD update; mu_h is the per-step dissipation factor.
 
     Half drift, gradient kick, half drift, with the velocity renormalized
     relativistically (each drift moves X by at most 1/sqrt(delta)) and
-    sqrt(mu_h) damping applied around the kick.  Returns the new X and V
-    plus what the S recursion reads: x_mid, a, b, |V|^2 and |v_mid|^2.
+    sqrt(mu_h) damping applied around the kick.  S follows the same
+    composition of exact stage flows in the m=1 gauge, tau = sqrt(2 eps).
     """
     sq = np.sqrt(mu_h)
     eps, delta = p.epsilon, p.delta
@@ -229,7 +225,15 @@ def _relativistic(X, V, obj, p, mu_h):
     v_mid = sq * V - eps * obj.grad(x_mid)
     v2_mid = _sqnorm(v_mid)
     b = 1.0 / np.sqrt(delta * v2_mid + 1.0)
-    return x_mid + v_mid * b, sq * v_mid, (x_mid, a, b, v2_k, v2_mid)
+    if S is not None:
+        # delta -> 0 limit with the constant rest-energy rate dropped
+        with np.errstate(all="ignore"):
+            kin = np.where(
+                delta > 0, (a + b) / (eps * delta), -(mu_h * v2_k + v2_mid) / (2.0 * eps)
+            )
+        f_mid = np.expand_dims(obj.eval(x_mid), -1)
+        S = mu_h * S - sq * np.sqrt(2.0 * eps) * (f_mid + kin)
+    return x_mid + v_mid * b, sq * v_mid, S
 
 
 # libm's pow, elementwise: numpy's vectorized power rounds differently on
@@ -246,39 +250,21 @@ def _crgd_factor(k: int, p):
     return np.asarray(_libm_pow(p.mu, 1.0 + 1.0 / t_mid), dtype=float)
 
 
-def _rgd(X, V, k, obj, p):
-    return _relativistic(X, V, obj, p, p.mu)[:2]
+def _rgd(X, V, S, k, obj, p):
+    return _relativistic(X, V, S, obj, p, p.mu)
 
 
-def _crgd(X, V, k, obj, p):
-    return _relativistic(X, V, obj, p, _crgd_factor(k, p))[:2]
+def _crgd(X, V, S, k, obj, p):
+    return _relativistic(X, V, S, obj, p, _crgd_factor(k, p))
 
 
 _UPDATES = {"gd": _gd, "cm": _cm, "nag": _nag, "rgd": _rgd, "crgd": _crgd}
 
 
-# ---------------------------------------------------------------------------
-# Single steps on an OptState, for the checks and callers stepping by hand
-# ---------------------------------------------------------------------------
-
-
-def gd_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
-    """Plain gradient descent: X -= tau * grad f(X)."""
-    x, v = _gd(s.X, s.V, s.k, obj, cfg)
-    return OptState(X=x, V=v, S=s.S, k=s.k + 1)
-
-
-def cm_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
-    """Heavy ball: V <- mu V - tau grad f(X); X <- X + V."""
-    x, v = _cm(s.X, s.V, s.k, obj, cfg)
-    return OptState(X=x, V=v, S=s.S, k=s.k + 1)
-
-
-def nag_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
-    """Nesterov's method in two-sequence form; V carries the look-ahead
-    point.  X+ = V - tau grad f(V); V+ = X+ + c (X+ - X)."""
-    x, v = _nag(s.X, s.V, s.k, obj, cfg)
-    return OptState(X=x, V=v, S=s.S, k=s.k + 1)
+def step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
+    """One step of the update cfg.kind selects, S included."""
+    x, v, S = _UPDATES[cfg.kind](s.X, s.V, np.array([s.S]), s.k, obj, cfg)
+    return OptState(X=x, V=v, S=S.item(), k=s.k + 1)
 
 
 def nag_decomposed_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
@@ -286,7 +272,7 @@ def nag_decomposed_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> Op
 
     First the momentum map (X, V, S) -> (V, V + c (V - X), c S), which is a
     contact transformation of the std2 form with factor c, then a plain
-    gradient step on the new X.  The X sequence matches nag_step whenever
+    gradient step on the new X.  The X sequence matches a nag step whenever
     the look-ahead slot is consistent; the full sequences are compared (not
     asserted) by the `check` report because the two orderings disagree in
     the momentum slot at finite k.
@@ -319,37 +305,6 @@ def nag_contact_jacobian(state: ContactState, k: int) -> np.ndarray:
     j[n : 2 * n, n : 2 * n] = (1.0 + c) * eye
     j[2 * n, 2 * n] = c
     return j
-
-
-def _relativistic_step(
-    s: OptState, obj: Objective, cfg: OptimizerConfig, mu_h: float
-) -> OptState:
-    """The shared update plus the S recursion, written as the same
-    composition of exact stage flows in the m=1 gauge."""
-    x_new, v_new, (x_mid, a, b, v2_k, v2_mid) = _relativistic(s.X, s.V, obj, cfg, mu_h)
-    a, b, v2_k, v2_mid = a.item(), b.item(), v2_k.item(), v2_mid.item()
-    eps, delta = cfg.epsilon, cfg.delta
-    sq = math.sqrt(mu_h)
-    tau = math.sqrt(2.0 * eps)
-    if delta > 0:
-        kin = (a + b) / (eps * delta)
-    else:
-        # delta -> 0 limit with the constant rest-energy rate dropped
-        kin = -(mu_h * v2_k + v2_mid) / (2.0 * eps)
-    s_new = mu_h * s.S - sq * tau * (obj.eval(x_mid) + kin)
-    return OptState(X=x_new, V=v_new, S=s_new, k=s.k + 1)
-
-
-def rgd_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
-    """Relativistic gradient descent: constant dissipation factor mu."""
-    return _relativistic_step(s, obj, cfg, cfg.mu)
-
-
-def crgd_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
-    """Contact RGD: dissipation factor mu^(1 + 1/t) read at the step's
-    midpoint, t = k + 1/2 on the iteration clock (or (k + 1/2) tau on the
-    physical clock with tau = sqrt(2 epsilon))."""
-    return _relativistic_step(s, obj, cfg, float(_crgd_factor(s.k, cfg)))
 
 
 _TUNABLES = ("tau", "epsilon", "mu", "delta")
@@ -440,7 +395,7 @@ def run_batch(
     gap leaves DIVERGENCE_LIMIT in magnitude (NaN and +-inf included) is
     flagged diverged and dropped from the stack, together with its row of
     an objective that has per-row parameters (``obj.rows``); its record
-    keeps only the gaps before that step.  S is not computed: it never
+    keeps only the gaps before that step.  S is skipped: it never
     feeds back into X or V, and a blown-up X or V shows up in the same
     step's gap.
 
@@ -477,7 +432,7 @@ def run_batch(
     with np.errstate(all="ignore"):
         gaps[0] = _start_gaps(obj, gap, X)
         for k in range(iters):
-            X, V = update(X, V, k, obj, p)
+            X, V, _ = update(X, V, None, k, obj, p)
             g = gap(X)
             if not np.abs(g).max() <= DIVERGENCE_LIMIT:  # a NaN max fails too
                 keep = np.abs(g) <= DIVERGENCE_LIMIT

@@ -83,3 +83,41 @@ def test_no_two_families_or_seeds_share_an_objective(monkeypatch):
                 checks.run_checks([family], seed=seed)
     shared = {args: sorted(pairs) for args, pairs in built.items() if len(pairs) > 1}
     assert shared == {}
+
+
+# The equivalence and nag families are the checks that call optimizer
+# steps; their results are pinned bit for bit, as (name, passed,
+# float.hex(value), detail), at five seeds.
+_REPORT_ONLY = (
+    "informational; the factorization reproduces each step from the classical "
+    "state but is not self-consistent as an iteration, so the sequences drift apart"
+)
+_STEP_CHECKS = (  # name and detail of each result, in report order
+    ("crgd_step vs strang_step", "tol 1e-12"),
+    ("rgd_step vs strang_step (constant h)", "tol 1e-12"),
+    ("rgd == crgd at mu = 1 (bitwise)", ""),
+    ("factorized S = S0 * prod (k-1)/(k+2)", "tol 1e-12"),
+    ("k=1 momentum stage is trivial (c=0)", ""),
+    ("classical vs factorized X sequence (report only)", _REPORT_ONLY),
+)
+_STEP_CHECK_VALUES = {
+    0: ("0x1.0000000000000p-50", "0x1.0000000000000p-50", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.ce0852ca4ffe0p+8"),
+    1: ("0x1.8000000000000p-49", "0x1.0000000000000p-50", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.aa86074cb27d9p+6"),
+    7: ("0x1.0000000000000p-50", "0x1.0000000000000p-50", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.f2d6ba509c1e6p+7"),
+    42: ("0x1.0000000000000p-49", "0x1.0000000000000p-50", "0x0.0p+0", "0x0.0p+0",
+         "0x0.0p+0", "0x1.e9c8db49e58d4p+6"),
+    4242: ("0x1.0000000000000p-50", "0x1.0000000000000p-50", "0x0.0p+0", "0x0.0p+0",
+           "0x0.0p+0", "0x1.9d0951379a714p+7"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_STEP_CHECK_VALUES))
+def test_step_calling_checks_are_pinned_bit_for_bit(seed):
+    got = [(r.name, r.passed, float.hex(float(r.value)), r.detail)
+           for r in checks.run_checks(["equivalence", "nag"], seed=seed)]
+    want = [(name, True, value, detail)
+            for (name, detail), value in zip(_STEP_CHECKS, _STEP_CHECK_VALUES[seed])]
+    assert got == want

@@ -1,4 +1,6 @@
+import contextlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -192,6 +194,13 @@ class TestSearchCommand:
         assert rc == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_nonpositive_dim_reports_path(self, tmp_path, capsys, dim):
+        cfg = tiny_config(tmp_path, objective={"name": "quartic", "dim": dim})
+        assert main(["search", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error at $.objective: dim must be >= 1, got {dim}\n"
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["search", "--config", str(tmp_path / "nope.json")])
         assert rc == 1
@@ -307,12 +316,40 @@ class TestListCommand:
             assert token in out
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone away; fileno() is a file of the test's."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
 class TestTopLevel:
     def test_no_subcommand(self, capsys):
         assert main([]) == 1
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv", [["check", "--only", "nag"],
+                                      ["bench", "--preset", "quartic", "--dump-config"]],
+                             ids=["check", "dump-config"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, capsys, argv):
+        path = tmp_path / "stdout"
+        with open(path, "wb") as f, contextlib.redirect_stdout(_ClosedPipe(f.fileno())):
+            assert main(argv) == 1
+            # the interpreter's exit flush now writes to devnull
+            os.write(f.fileno(), b"buffered")
+        assert path.read_bytes() == b""
+        assert capsys.readouterr().err == ""
 
     def test_jobs_must_be_positive(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)

@@ -792,6 +792,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="two-dimensional"):
             parse_experiment(doc)
 
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_nonpositive_dim_is_a_config_error(self, dim):
+        doc = base_doc()
+        doc["objective"]["dim"] = dim
+        with pytest.raises(ConfigError, match=rf"^at \$\.objective: dim must be >= 1, got {dim}$"):
+            parse_experiment(doc)
+
     def test_non_finite_init_is_a_config_error(self):
         for text in ('{"kind": "box", "lo": -Infinity, "hi": 1.0}',
                      '{"kind": "box", "lo": -1e308, "hi": 1e308}',

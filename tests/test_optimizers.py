@@ -21,17 +21,15 @@ from contactopt.optimizers import (
     OptimizerConfig,
     OptState,
     RunRecord,
-    cm_step,
-    crgd_step,
-    gd_step,
+    _Columns,
+    _UPDATES,
     init_state,
     nag_contact_jacobian,
     nag_contact_map,
     nag_decomposed_step,
-    nag_step,
-    rgd_step,
     run,
     run_batch,
+    step,
 )
 
 
@@ -115,7 +113,7 @@ class TestGradientDescent:
         cfg = OptimizerConfig(kind="gd", tau=0.1)
         s = init_state(np.array([1.0]), "gd")
         for k in range(1, 6):
-            s = gd_step(s, obj, cfg)
+            s = step(s, obj, cfg)
             assert s.X[0] == pytest.approx(0.9 ** k, abs=1e-15)
             assert s.k == k
 
@@ -123,7 +121,7 @@ class TestGradientDescent:
         obj = halfsq()
         cfg = OptimizerConfig(kind="gd", tau=0.3)
         s = init_state(np.array([0.0]), "gd")
-        out = gd_step(s, obj, cfg)
+        out = step(s, obj, cfg)
         assert out.X[0] == 0.0 and out.S == 0.0
 
 
@@ -135,18 +133,18 @@ class TestHeavyBall:
         cfg_cm = OptimizerConfig(kind="cm", tau=0.2, mu=1e-300)
         cfg_gd = OptimizerConfig(kind="gd", tau=0.2)
         s0 = init_state(np.array([1.0, -0.5, 2.0]), "cm")
-        a = cm_step(s0, obj, cfg_cm)
-        b = gd_step(init_state(s0.X, "gd"), obj, cfg_gd)
+        a = step(s0, obj, cfg_cm)
+        b = step(init_state(s0.X, "gd"), obj, cfg_gd)
         np.testing.assert_array_equal(a.X, b.X)
 
     def test_hand_iterates(self):
         obj = halfsq()
         cfg = OptimizerConfig(kind="cm", tau=0.1, mu=0.5)
         s = init_state(np.array([1.0]), "cm")
-        s = cm_step(s, obj, cfg)
+        s = step(s, obj, cfg)
         assert s.X[0] == pytest.approx(0.9, abs=1e-15)
         assert s.V[0] == pytest.approx(-0.1, abs=1e-15)
-        s = cm_step(s, obj, cfg)
+        s = step(s, obj, cfg)
         # V2 = 0.5*(-0.1) - 0.1*0.9 = -0.14; X2 = 0.9 - 0.14
         assert s.X[0] == pytest.approx(0.76, abs=1e-15)
         assert s.V[0] == pytest.approx(-0.14, abs=1e-15)
@@ -155,7 +153,7 @@ class TestHeavyBall:
         obj = halfsq()
         cfg = OptimizerConfig(kind="cm", tau=0.1, mu=0.9)
         s = init_state(np.array([0.0]), "cm")
-        out = cm_step(s, obj, cfg)
+        out = step(s, obj, cfg)
         assert out.X[0] == 0.0 and out.V[0] == 0.0
 
 
@@ -165,21 +163,21 @@ class TestNesterov:
         cfg = OptimizerConfig(kind="nag", tau=0.1, mu=0.7)
         s = init_state(np.array([1.0, 2.0]), "nag")
         for _ in range(3):
-            s = nag_step(s, obj, cfg)
+            s = step(s, obj, cfg)
         np.testing.assert_array_equal(s.X, [1.0, 2.0])
         np.testing.assert_array_equal(s.V, [1.0, 2.0])
 
     def test_hand_iterate_constant_momentum(self):
         obj = halfsq()
         cfg = OptimizerConfig(kind="nag", tau=0.1, mu=0.5)
-        s = nag_step(init_state(np.array([1.0]), "nag"), obj, cfg)
+        s = step(init_state(np.array([1.0]), "nag"), obj, cfg)
         assert s.X[0] == pytest.approx(0.9, abs=1e-15)
         assert s.V[0] == pytest.approx(0.85, abs=1e-15)
 
     def test_nesterov_schedule_first_step_has_no_momentum(self):
         obj = halfsq()
         cfg = OptimizerConfig(kind="nag", tau=0.1, momentum_schedule="nesterov_k")
-        s = nag_step(init_state(np.array([1.0]), "nag"), obj, cfg)
+        s = step(init_state(np.array([1.0]), "nag"), obj, cfg)
         # c = (1-1)/(1+2) = 0 so the look-ahead equals the iterate
         assert s.V[0] == s.X[0] == pytest.approx(0.9, abs=1e-15)
 
@@ -191,7 +189,7 @@ class TestNesterovFactorization:
         rng = np.random.default_rng(0)
         s0 = OptState(X=rng.standard_normal(4), V=rng.standard_normal(4),
                       S=0.3, k=6)
-        a = nag_step(s0, obj, cfg)
+        a = step(s0, obj, cfg)
         b = nag_decomposed_step(s0, obj, cfg)
         # same input state: X+ = V - tau grad f(V) either way, bitwise
         np.testing.assert_array_equal(a.X, b.X)
@@ -203,7 +201,7 @@ class TestNesterovFactorization:
         a = b = init_state(x0, "nag")
         gaps = []
         for _ in range(12):
-            a = nag_step(a, obj, cfg)
+            a = step(a, obj, cfg)
             b = nag_decomposed_step(b, obj, cfg)
             gaps.append(float(np.linalg.norm(a.X - b.X)))
         assert gaps[0] == 0.0
@@ -265,7 +263,7 @@ class TestRelativisticSteps:
     def test_rgd_hand_values(self):
         obj = halfsq()
         cfg = OptimizerConfig(kind="rgd", epsilon=0.1, mu=0.81, delta=1.0)
-        s = rgd_step(init_state(np.array([1.0]), "rgd"), obj, cfg)
+        s = step(init_state(np.array([1.0]), "rgd"), obj, cfg)
         # sqrt(mu) = 0.9; V0 = 0 so the first half drift is a no-op, the kick
         # gives v_mid = -0.1, and the second drift normalizes by sqrt(1.01)
         assert s.X[0] == pytest.approx(1.0 - 0.1 / math.sqrt(1.01), abs=1e-15)
@@ -280,7 +278,7 @@ class TestRelativisticSteps:
             cfg = OptimizerConfig(kind="rgd", epsilon=0.05, mu=0.9, delta=delta)
             s = init_state(x0, "rgd")
             for _ in range(3):
-                s = rgd_step(s, obj, cfg)
+                s = step(s, obj, cfg)
             outs[delta] = s
         np.testing.assert_allclose(outs[0.0].X, outs[1e-12].X, atol=1e-9)
         np.testing.assert_allclose(outs[0.0].V, outs[1e-12].V, atol=1e-9)
@@ -289,7 +287,7 @@ class TestRelativisticSteps:
         obj = halfsq()
         cfg = OptimizerConfig(kind="rgd", epsilon=0.1, mu=1.0, delta=0.0)
         s0 = OptState(X=np.array([1.0]), V=np.array([0.5]), S=0.0, k=0)
-        s = rgd_step(s0, obj, cfg)
+        s = step(s0, obj, cfg)
         # mu = 1, delta = 0: x_mid = 1.5, v_mid = 0.5 - 0.15 = 0.35
         assert s.X[0] == pytest.approx(1.85, abs=1e-15)
         assert s.V[0] == pytest.approx(0.35, abs=1e-15)
@@ -299,9 +297,10 @@ class TestRelativisticSteps:
         cfg = OptimizerConfig(kind="crgd", epsilon=0.02, mu=1.0, delta=2.0)
         a = init_state(np.array([2.0, 2.0]), "crgd")
         b = init_state(np.array([2.0, 2.0]), "rgd")
+        rgd = dataclasses.replace(cfg, kind="rgd")
         for _ in range(5):
-            a = crgd_step(a, obj, cfg)
-            b = rgd_step(b, obj, cfg)
+            a = step(a, obj, cfg)
+            b = step(b, obj, rgd)
         np.testing.assert_array_equal(a.X, b.X)
         np.testing.assert_array_equal(a.V, b.V)
         assert a.S == b.S
@@ -311,8 +310,8 @@ class TestRelativisticSteps:
         cfg = OptimizerConfig(kind="crgd", epsilon=0.02, mu=0.9, delta=2.0)
         s0 = OptState(X=np.array([1.0, 1.0]), V=np.array([0.2, -0.1]), S=0.0,
                       k=10 ** 6)
-        a = crgd_step(s0, obj, cfg)
-        b = rgd_step(s0, obj, cfg)
+        a = step(s0, obj, cfg)
+        b = step(s0, obj, dataclasses.replace(cfg, kind="rgd"))
         # dissipation factors differ by O(1/k): mu^(1 + 1/k) vs mu
         assert np.max(np.abs(a.X - b.X)) < 1e-7
         assert np.max(np.abs(a.V - b.V)) < 1e-7
@@ -323,8 +322,8 @@ class TestRelativisticSteps:
         obj = zero_objective(1)
         cfg = OptimizerConfig(kind="crgd", epsilon=0.02, mu=0.9, delta=0.0)
         s0 = OptState(X=np.array([0.0]), V=np.array([1.0]), S=0.0, k=0)
-        a = crgd_step(s0, obj, cfg)
-        b = rgd_step(s0, obj, cfg)
+        a = step(s0, obj, cfg)
+        b = step(s0, obj, dataclasses.replace(cfg, kind="rgd"))
         assert a.V[0] == pytest.approx(0.9 ** 3, abs=1e-14)
         assert b.V[0] == pytest.approx(0.9, abs=1e-14)
 
@@ -332,9 +331,30 @@ class TestRelativisticSteps:
         obj = quartic(1)
         base = dict(kind="crgd", epsilon=0.02, mu=0.9, delta=1.0)
         s0 = OptState(X=np.array([1.0]), V=np.array([0.3]), S=0.0, k=2)
-        a = crgd_step(s0, obj, OptimizerConfig(**base))
-        b = crgd_step(s0, obj, OptimizerConfig(**base, clock="physical"))
+        a = step(s0, obj, OptimizerConfig(**base))
+        b = step(s0, obj, OptimizerConfig(**base, clock="physical"))
         assert a.V[0] != b.V[0]
+
+    @pytest.mark.parametrize("kind, clock", [("rgd", "iteration"), ("crgd", "iteration"),
+                                             ("crgd", "physical")])
+    def test_stack_rows_equal_single_steps_with_s(self, kind, clock):
+        # S is a trailing column: each row of a stack, delta = 0 included,
+        # advances X, V and S exactly as that row stepped alone
+        obj = rosenbrock(4)
+        cfgs = [OptimizerConfig(kind=kind, epsilon=eps, mu=mu, delta=delta, clock=clock)
+                for eps, mu, delta in ((0.002, 0.6, 0.0), (0.01, 0.9, 0.7), (0.05, 0.99, 5.0))]
+        rng = np.random.default_rng(11)
+        X, V = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        S = rng.standard_normal((3, 1))
+        singles = [OptState(X=x, V=v, S=float(s[0]), k=2) for x, v, s in zip(X, V, S)]
+        p = _Columns.of(cfgs)
+        for k in range(2, 6):
+            X, V, S = _UPDATES[kind](X, V, S, k, obj, p)
+            singles = [step(s, obj, cfg) for s, cfg in zip(singles, cfgs)]
+            for i, s in enumerate(singles):
+                assert (X[i].tobytes(), V[i].tobytes(), S[i, 0]) == (
+                    s.X.tobytes(), s.V.tobytes(), s.S)
+        assert np.all(np.isfinite(S)) and len(set(S[:, 0])) == 3
 
     @given(st.integers(0, 2 ** 31), st.floats(0.1, 10.0))
     @settings(max_examples=40, deadline=None)
@@ -345,7 +365,7 @@ class TestRelativisticSteps:
         cfg = OptimizerConfig(kind="rgd", epsilon=0.5, mu=0.95, delta=delta)
         s0 = OptState(X=rng.uniform(-5, 5, 3), V=rng.uniform(-50, 50, 3),
                       S=0.0, k=0)
-        s1 = rgd_step(s0, obj, cfg)
+        s1 = step(s0, obj, cfg)
         bound = 2.0 / math.sqrt(delta)
         assert np.linalg.norm(s1.X - s0.X) <= bound * (1 + 1e-12)
 
@@ -514,9 +534,7 @@ class TestRunBatch:
     def test_matches_stepping_by_hand(self):
         obj = rosenbrock(4)
         x0 = np.array([-1.2, 1.0, -1.2, 1.0])
-        steps = {"gd": gd_step, "cm": cm_step, "nag": nag_step,
-                 "rgd": rgd_step, "crgd": crgd_step}
-        for kind, step in steps.items():
+        for kind in OPTIMIZER_KINDS:
             cfg = OptimizerConfig(kind=kind, tau=1e-3, epsilon=1e-3, mu=0.9)
             s = init_state(x0, kind)
             gaps = [obj.eval(s.X)]
@@ -524,6 +542,7 @@ class TestRunBatch:
                 s = step(s, obj, cfg)
                 gaps.append(obj.eval(s.X))
             assert run(obj, cfg, x0, 25).trace == tuple(gaps)
+            assert (s.S == 0.0) == (kind in ("gd", "cm", "nag"))
 
     def test_rejects_mixed_batches(self):
         obj = quartic(2)
