@@ -12,14 +12,11 @@ harness.
 from .contact import (
     ContactHamiltonian,
     ContactState,
-    Tangent,
     Trajectory,
     conformal_factor,
-    contact_field_std1,
-    contact_field_std2,
+    contact_field,
     dissipation_residual,
-    eta_std1,
-    eta_std2,
+    eta,
     map_F,
     reference_integrate,
 )
@@ -74,14 +71,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ContactHamiltonian",
     "ContactState",
-    "Tangent",
     "Trajectory",
     "conformal_factor",
-    "contact_field_std1",
-    "contact_field_std2",
+    "contact_field",
     "dissipation_residual",
-    "eta_std1",
-    "eta_std2",
+    "eta",
     "map_F",
     "reference_integrate",
     "ExperimentSpec",

@@ -26,8 +26,7 @@ from .contact import (
     ContactHamiltonian,
     ContactState,
     conformal_factor,
-    contact_field_std1,
-    contact_field_std2,
+    contact_field,
     dissipation_residual,
     map_F,
     map_F_jacobian,
@@ -400,14 +399,15 @@ def check_dissipation(seed: int = 0) -> List[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _field_residual(rng, dim, field, ham, residual) -> float:
-    """Worst entry of residual(state, field(ham, state)) over 20 random
-    states; residual returns the deviations of dX and dP from the
-    classical equations."""
+def _field_residual(rng, dim, form, ham, residual) -> float:
+    """Worst entry of residual(state, dX, dP) over 20 random states, with
+    dX and dP read from the named form's field of ham; residual returns
+    their deviations from the classical equations."""
     worst = 0.0
     for _ in range(20):
         st = _random_state(rng, dim)
-        for r in residual(st, field(ham, st)):
+        v = contact_field(ham, form, st)
+        for r in residual(st, v[:dim], v[dim : 2 * dim]):
             worst = max(worst, float(np.max(np.abs(r))))
     return worst
 
@@ -422,16 +422,16 @@ def check_specialization(seed: int = 0) -> List[CheckResult]:
 
     # (a) no S dependence: plain Hamilton equations
     worst_a = _field_residual(
-        rng, dim, contact_field_std1,
+        rng, dim, "std1",
         contact_hamiltonian(obj, ContactParams(*constant_damping(0.0), c=None)),
-        lambda st, v: (v.dX - st.P, v.dP + obj.grad(st.X)),
+        lambda st, dx, dp: (dx - st.P, dp + obj.grad(st.X)),
     )
     # (b) H0 + cS: linear friction -cP on the momentum equation
     c_lin = 0.8
     worst_b = _field_residual(
-        rng, dim, contact_field_std1,
+        rng, dim, "std1",
         contact_hamiltonian(obj, ContactParams(*constant_damping(c_lin), c=None)),
-        lambda st, v: (v.dX - st.P, v.dP + obj.grad(st.X) + c_lin * st.P),
+        lambda st, dx, dp: (dx - st.P, dp + obj.grad(st.X) + c_lin * st.P),
     )
     # (c) H0 + <X*, P> - <P*, X> + 2S in the symmetric convention:
     # relaxation toward the anchors (X*, P*)
@@ -446,8 +446,8 @@ def check_specialization(seed: int = 0) -> List[CheckResult]:
         dt=lambda x, p, s, t: 0.0,
     )
     worst_c = _field_residual(
-        rng, dim, contact_field_std2, ham_hd,
-        lambda st, v: (v.dX - (st.P + x_star - st.X), v.dP - (-obj.grad(st.X) + p_star - st.P)),
+        rng, dim, "std2", ham_hd,
+        lambda st, dx, dp: (dx - (st.P + x_star - st.X), dp - (-obj.grad(st.X) + p_star - st.P)),
     )
 
     # (d) H = |P|^2/2 + f + (3/t) S: the accelerated-gradient limit ODE

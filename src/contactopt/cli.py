@@ -214,10 +214,11 @@ def cmd_rates(args) -> int:
     pairs = read_trace_csv(args.trace)
     windows = []
     for token in args.windows.split(","):
-        lo, sep, hi = token.partition("-")
-        if not sep:
-            raise ValueError(f"--windows: expected lo-hi, got {token!r}")
-        windows.append((int(lo), int(hi)))
+        lo, _, hi = token.partition("-")
+        try:
+            windows.append((int(lo), int(hi)))
+        except ValueError:
+            raise ValueError(f"--windows: expected lo-hi, got {token!r}") from None
     print(f"{'optimizer':<10} {'trial':>5} {'window':>12} {'p':>10}")
     for trial, rec in pairs:
         for k_lo, k_hi in windows:

@@ -1,18 +1,23 @@
 """Contact phase space on R^(2n+1): states, 1-forms, Hamiltonian fields.
 
 Coordinates are (X, P, S) plus a clock t.  Two coordinate conventions for the
-contact form are supported:
+contact form are supported, chosen by name:
 
 * ``std1``: eta = dS - <P, dX>
 * ``std2``: eta = dS - (1/2)<P, dX> + (1/2)<X, dP>
 
+A tangent vector is a flat (dX, dP, dS) row of length 2n+1, like a state's
+:meth:`ContactState.coords`; the clock direction is not part of the contact
+geometry.  :func:`eta` evaluates a named form on one.
+
 A contact Hamiltonian H(X, P, S, t) generates a flow that dissipates H at
-rate dH/dt = -(dH/dS) H + dH/dt|_explicit.  This module provides the vector
-fields in both conventions, a hand-rolled RK4 reference integrator used as
-the accuracy oracle everywhere else, and the two numerical self-checks the
-rest of the package leans on: the dissipation-identity residual and
-conformal-factor extraction (is a given discrete map a contact
-transformation, and by what scaling factor?).
+rate dH/dt = -(dH/dS) H + dH/dt|_explicit.  This module provides its vector
+field in either convention (:func:`contact_field`), a hand-rolled RK4
+reference integrator over that same field used as the accuracy oracle
+everywhere else, and the two numerical self-checks the rest of the package
+leans on: the dissipation-identity residual and conformal-factor extraction
+(is a given discrete map a contact transformation, and by what scaling
+factor?).
 
 A discrete map is a plain function of a :class:`ContactState`.  A map with
 an exact Jacobian keeps it in a sibling function of the state, as
@@ -26,16 +31,13 @@ import numpy as np
 
 __all__ = [
     "ContactState",
-    "Tangent",
     "ContactHamiltonian",
     "Trajectory",
     "DIVERGENCE_LIMIT",
-    "eta_std1",
-    "eta_std2",
+    "eta",
     "map_F",
     "map_F_jacobian",
-    "contact_field_std1",
-    "contact_field_std2",
+    "contact_field",
     "reference_integrate",
     "dissipation_residual",
     "conformal_factor",
@@ -96,23 +98,6 @@ class ContactState:
 
 
 @dataclass(frozen=True)
-class Tangent:
-    """A tangent vector (dX, dP, dS) at a state; the clock direction is not
-    part of the contact geometry and is omitted."""
-
-    dX: np.ndarray
-    dP: np.ndarray
-    dS: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "dX", np.asarray(self.dX, dtype=float))
-        object.__setattr__(self, "dP", np.asarray(self.dP, dtype=float))
-        object.__setattr__(self, "dS", float(self.dS))
-        if self.dX.shape != self.dP.shape:
-            raise ValueError("dX and dP must have the same length")
-
-
-@dataclass(frozen=True)
 class ContactHamiltonian:
     """H(X, P, S, t) bundled with its partial derivatives.
 
@@ -128,37 +113,33 @@ class ContactHamiltonian:
     dt: Callable[[np.ndarray, np.ndarray, float, float], float]
 
 
+def _field(form: str) -> Callable[..., np.ndarray]:
+    """The field function of the named form; the one check of a form name."""
+    if form not in _FIELDS:
+        raise ValueError(f"unknown contact form {form!r}; expected 'std1' or 'std2'")
+    return _FIELDS[form]
+
+
 def _form_coeffs(form: str, state: ContactState) -> np.ndarray:
     """Covector components of the named form at a state, in (X, P, S) order."""
+    _field(form)  # rejects an unknown name
     n = state.dim
     w = np.zeros(2 * n + 1)
     if form == "std1":
         w[:n] = -state.P
-    elif form == "std2":
+    else:
         w[:n] = -0.5 * state.P
         w[n : 2 * n] = 0.5 * state.X
-    else:
-        raise ValueError(f"unknown contact form {form!r}; expected 'std1' or 'std2'")
     w[2 * n] = 1.0
     return w
 
 
-def _eta(form: str, state: ContactState, v: Tangent) -> float:
-    if v.dX.shape[0] != state.dim:
-        raise ValueError(
-            f"tangent dimension {v.dX.shape[0]} does not match state dimension {state.dim}"
-        )
-    return float(_form_coeffs(form, state) @ np.concatenate([v.dX, v.dP, [v.dS]]))
-
-
-def eta_std1(state: ContactState, v: Tangent) -> float:
-    """Evaluate dS - <P, dX> on a tangent vector."""
-    return _eta("std1", state, v)
-
-
-def eta_std2(state: ContactState, v: Tangent) -> float:
-    """Evaluate dS - (1/2)<P, dX> + (1/2)<X, dP> on a tangent vector."""
-    return _eta("std2", state, v)
+def eta(form: str, state: ContactState, v: np.ndarray) -> float:
+    """Evaluate the named form at a state on a flat tangent v = (dX, dP, dS)."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (2 * state.dim + 1,):
+        raise ValueError(f"need a tangent of length {2 * state.dim + 1}, got shape {v.shape}")
+    return float(_form_coeffs(form, state) @ v)
 
 
 def map_F(state: ContactState) -> ContactState:
@@ -190,40 +171,37 @@ def map_F_jacobian(state: ContactState) -> np.ndarray:
     return j
 
 
-def _field_std1(H: ContactHamiltonian, x: np.ndarray, p: np.ndarray, s: float, t: float) -> tuple:
-    """(dX, dP, dS) of H in std1 coordinates at the flat point (x, p, s, t)."""
+def _partials(H: ContactHamiltonian, z: np.ndarray, t: float) -> tuple:
+    """x, p, grad_X, grad_P, dH/dS and H at the flat point z = (X, P, S)."""
+    n = len(z) // 2
+    x, p, s = z[:n], z[n : 2 * n], float(z[2 * n])
     gp = np.asarray(H.grad_P(x, p, s, t), dtype=float)
     gx = np.asarray(H.grad_X(x, p, s, t), dtype=float)
-    hs = float(H.dS(x, p, s, t))
-    return gp, -gx - p * hs, float(gp @ p) - float(H.value(x, p, s, t))
+    return x, p, gx, gp, float(H.dS(x, p, s, t)), float(H.value(x, p, s, t))
 
 
-def _field_std2(H: ContactHamiltonian, x: np.ndarray, p: np.ndarray, s: float, t: float) -> tuple:
-    """(dX, dP, dS) of H in std2 coordinates at the flat point (x, p, s, t)."""
-    gp = np.asarray(H.grad_P(x, p, s, t), dtype=float)
-    gx = np.asarray(H.grad_X(x, p, s, t), dtype=float)
-    hs = float(H.dS(x, p, s, t))
-    return (
-        gp - 0.5 * x * hs,
-        -gx - 0.5 * p * hs,
-        0.5 * (float(x @ gx) + float(p @ gp)) - float(H.value(x, p, s, t)),
+def _field_std1(H: ContactHamiltonian, z: np.ndarray, t: float) -> np.ndarray:
+    """(dX, dP, dS) of H in std1 coordinates at the flat point z."""
+    x, p, gx, gp, hs, h = _partials(H, z, t)
+    return np.concatenate([gp, -gx - p * hs, [float(gp @ p) - h]])
+
+
+def _field_std2(H: ContactHamiltonian, z: np.ndarray, t: float) -> np.ndarray:
+    """(dX, dP, dS) of H in std2 coordinates at the flat point z."""
+    x, p, gx, gp, hs, h = _partials(H, z, t)
+    return np.concatenate(
+        [gp - 0.5 * x * hs, -gx - 0.5 * p * hs, [0.5 * (float(x @ gx) + float(p @ gp)) - h]]
     )
 
 
-def contact_field_std1(H: ContactHamiltonian, state: ContactState) -> Tangent:
-    """Vector field of H in std1 coordinates.  The clock always runs at
-    rate 1 and is handled by the integrator, not the tangent."""
-    dx, dp, ds = _field_std1(H, state.X, state.P, state.S, state.t)
-    return Tangent(dX=dx, dP=dp, dS=ds)
-
-
-def contact_field_std2(H: ContactHamiltonian, state: ContactState) -> Tangent:
-    """Vector field of H in std2 coordinates."""
-    dx, dp, ds = _field_std2(H, state.X, state.P, state.S, state.t)
-    return Tangent(dX=dx, dP=dp, dS=ds)
-
-
 _FIELDS = {"std1": _field_std1, "std2": _field_std2}
+
+
+def contact_field(H: ContactHamiltonian, form: str, state: ContactState) -> np.ndarray:
+    """Vector field of H in the named convention, as the flat (dX, dP, dS)
+    row.  The clock always runs at rate 1 and is handled by the
+    integrator, not the tangent."""
+    return _field(form)(H, state.coords(), state.t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,32 +254,25 @@ def reference_integrate(
 
     Returns n+1 rows (including s0) unless the solution blows up, in which
     case the trajectory is truncated at the last finite row and flagged.
-    The stages run on the flat (X, P, S) vector, and each accepted step is
-    written into the trajectory's next row.
+    The stages call the same field function as :func:`contact_field` on the
+    flat (X, P, S) vector, and each accepted step is written into the
+    trajectory's next row.
     """
-    if coords not in _FIELDS:
-        raise ValueError(f"unknown coords {coords!r}; expected 'std1' or 'std2'")
+    f = _field(coords)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    field = _FIELDS[coords]
-    m = s0.dim
-
-    def f(z: np.ndarray, t: float) -> np.ndarray:
-        dx, dp, ds = field(H, z[:m], z[m : 2 * m], float(z[2 * m]), t)
-        return np.concatenate([dx, dp, [ds]])
-
     ts = np.empty(n + 1)
-    zs = np.empty((n + 1, 2 * m + 1))
+    zs = np.empty((n + 1, 2 * s0.dim + 1))
     z, t = s0.coords(), s0.t
     ts[0], zs[0] = t, z
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(1, n + 1):
-            k1 = f(z, t)
-            k2 = f(z + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = f(z + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = f(z + dt * k3, t + dt)
+            k1 = f(H, z, t)
+            k2 = f(H, z + 0.5 * dt * k1, t + 0.5 * dt)
+            k3 = f(H, z + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = f(H, z + dt * k3, t + dt)
             z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = t + dt
             if not np.all(np.abs(z) <= DIVERGENCE_LIMIT):

@@ -43,8 +43,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .objectives import (
-    OBJECTIVE_NAMES,
     Objective,
+    check_objective,
     diagonal_quadratic,
     draw_quadratic,
     get_objective,
@@ -281,14 +281,7 @@ class ObjectiveSpec:
     eigen_hi: float = 1.0
 
     def __post_init__(self):
-        if self.name not in OBJECTIVE_NAMES:
-            raise ValueError(
-                f"unknown objective {self.name!r}; valid: {', '.join(OBJECTIVE_NAMES)}"
-            )
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.name == "camelback" and self.dim != 2:
-            raise ValueError("camelback is two-dimensional; set dim = 2")
+        check_objective(self.name, self.dim)
 
     @property
     def randomized(self) -> bool:

@@ -38,6 +38,7 @@ __all__ = [
     "rosenbrock",
     "check_gradient",
     "get_objective",
+    "check_objective",
     "OBJECTIVE_NAMES",
 ]
 
@@ -274,14 +275,24 @@ def get_objective(
     eigen_hi: float = 1.0,
 ) -> Objective:
     """Look an objective up by its CLI/config name."""
+    check_objective(name, dim)
     if name == "quadratic":
         return make_random_quadratic(seed, dim, eigen_lo, eigen_hi)
     if name == "quartic":
         return quartic(dim)
     if name == "camelback":
         return camelback()
-    if name == "rosenbrock":
-        return rosenbrock(dim)
-    raise ValueError(
-        f"unknown objective {name!r}; valid names: {', '.join(OBJECTIVE_NAMES)}"
-    )
+    return rosenbrock(dim)
+
+
+def check_objective(name: str, dim: int) -> None:
+    """Reject an unknown objective name, or a dimension the named objective
+    cannot take, before anything is built."""
+    if name not in OBJECTIVE_NAMES:
+        raise ValueError(f"unknown objective {name!r}; valid: {', '.join(OBJECTIVE_NAMES)}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if name == "camelback" and dim != 2:
+        raise ValueError("camelback is two-dimensional; set dim = 2")
+    if name == "rosenbrock" and dim < 2:
+        raise ValueError(f"rosenbrock needs dim >= 2, got {dim}")

@@ -85,9 +85,10 @@ def test_no_two_families_or_seeds_share_an_objective(monkeypatch):
     assert shared == {}
 
 
-# The equivalence and nag families are the checks that call optimizer
-# steps; their results are pinned bit for bit, as (name, passed,
-# float.hex(value), detail), at five seeds.
+# The families that call optimizer steps (equivalence, nag) or the contact
+# field and its RK4 oracle (orders, dissipation, specialization) have their
+# results pinned bit for bit, as (name, passed, float.hex(value), detail), at
+# five seeds.
 _REPORT_ONLY = (
     "informational; the factorization reproduces each step from the classical "
     "state but is not self-consistent as an iteration, so the sequences drift apart"
@@ -113,11 +114,43 @@ _STEP_CHECK_VALUES = {
            "0x0.0p+0", "0x1.9d0951379a714p+7"),
 }
 
+_CONTACT_CHECKS = (  # orders, dissipation and specialization, in report order
+    ("strang observed order", "target 2.0 +/- 0.1"),
+    ("jump4 observed order", "target 4.0 +/- 0.2"),
+    ("suzuki4 observed order", "target 4.0 +/- 0.2"),
+    ("relativistic H residual", "tol 0.0001"),
+    ("conservative H residual", "tol 1e-06"),
+    ("H = cS exponential decay", "closed form, tol 1e-06"),
+    ("S-independent H -> Hamilton equations", "tol 1e-08"),
+    ("H0 + cS -> conformally damped equations", "tol 1e-08"),
+    ("H0 + <X*,P> - <P*,X> + 2S -> anchored descent equations", "tol 1e-08"),
+    ("accelerated-gradient ODE residual", "tol 1e-06"),
+)
+_CONTACT_CHECK_VALUES = {
+    0: ("0x1.0010e467abc2dp+1", "0x1.ff7e9837f1b5cp+1", "0x1.0005bcf938d9bp+2",
+        "0x1.c4a0e338af20dp-24", "0x1.77d749ca8a815p-43", "0x1.3c2c5ef42ec94p-44",
+        "0x0.0p+0", "0x1.0000000000000p-52", "0x0.0p+0", "0x1.3b4f800000000p-35"),
+    1: ("0x1.001e83d583106p+1", "0x1.ff86cf274bb1dp+1", "0x1.ffc5bda4f08ddp+1",
+        "0x1.8290f594c2eb2p-24", "0x1.b80c44a43c195p-43", "0x1.3c2c5ef42ec94p-44",
+        "0x0.0p+0", "0x1.0000000000000p-53", "0x0.0p+0", "0x1.333c800000000p-35"),
+    7: ("0x1.00164fb3234f8p+1", "0x1.ffbdc08ae7812p+1", "0x1.0007d72183f46p+2",
+        "0x1.a7c39e466d18bp-24", "0x1.a757ccbe9eaa3p-42", "0x1.3c2c5ef42ec94p-44",
+        "0x0.0p+0", "0x1.0000000000000p-52", "0x0.0p+0", "0x1.c3cd000000000p-36"),
+    42: ("0x1.00151bc0a38ebp+1", "0x1.ff20c0e3596dep+1", "0x1.0011c481db9dcp+2",
+         "0x1.63322978a86cdp-24", "0x1.f155cfa83ae91p-44", "0x1.3c2c5ef42ec94p-44",
+         "0x0.0p+0", "0x1.0000000000000p-52", "0x0.0p+0", "0x1.4f4d800000000p-37"),
+    4242: ("0x1.000f9caa15839p+1", "0x1.0001ebe80180bp+2", "0x1.000fb91f2a57bp+2",
+           "0x1.d0c4b83d9c2bfp-24", "0x1.5bcd026136dbfp-43", "0x1.3c2c5ef42ec94p-44",
+           "0x0.0p+0", "0x1.0000000000000p-52", "0x0.0p+0", "0x1.fd28000000000p-37"),
+}
+
 
 @pytest.mark.parametrize("seed", sorted(_STEP_CHECK_VALUES))
 def test_step_calling_checks_are_pinned_bit_for_bit(seed):
+    families = ["equivalence", "nag", "orders", "dissipation", "specialization"]
     got = [(r.name, r.passed, float.hex(float(r.value)), r.detail)
-           for r in checks.run_checks(["equivalence", "nag"], seed=seed)]
+           for r in checks.run_checks(families, seed=seed)]
     want = [(name, True, value, detail)
-            for (name, detail), value in zip(_STEP_CHECKS, _STEP_CHECK_VALUES[seed])]
+            for (name, detail), value in zip(_STEP_CHECKS + _CONTACT_CHECKS,
+                                             _STEP_CHECK_VALUES[seed] + _CONTACT_CHECK_VALUES[seed])]
     assert got == want

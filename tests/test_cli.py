@@ -116,6 +116,13 @@ class TestRunCommand:
         assert rc == 2
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", ["1", "3", "5"])
+    def test_camelback_rejects_other_dims(self, capsys, dim):
+        rc = main(["run", "--objective", "camelback", "--dim", dim,
+                   "--optimizer", "gd", "--iters", "5"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: camelback is two-dimensional; set dim = 2\n"
+
     def test_non_finite_init_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "inf.json"
         cfg.write_text(Path(tiny_config(tmp_path)).read_text().replace("-1.0", "-Infinity"))
@@ -201,6 +208,12 @@ class TestSearchCommand:
         err = capsys.readouterr().err
         assert err == f"config error at $.objective: dim must be >= 1, got {dim}\n"
 
+    def test_one_dimensional_rosenbrock_reports_path(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, objective={"name": "rosenbrock", "dim": 1})
+        assert main(["search", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error at $.objective: rosenbrock needs dim >= 2, got 1\n"
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["search", "--config", str(tmp_path / "nope.json")])
         assert rc == 1
@@ -265,9 +278,10 @@ class TestRatesCommand:
 
     def test_bad_window_token(self, tmp_path, capsys):
         path = self.write_trace(tmp_path, [1.0, 0.5, 0.25])
-        rc = main(["rates", "--trace", path, "--windows", "10:300"])
-        assert rc == 1
-        assert "lo-hi" in capsys.readouterr().err
+        for token in ("10:300", "a-b", "1-", "-5", "2-x"):
+            rc = main(["rates", "--trace", path, "--windows", f"1-2,{token}"])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: --windows: expected lo-hi, got {token!r}\n"
 
 
 class TestCheckCommand:

@@ -10,15 +10,12 @@ from contactopt.contact import (
     DIVERGENCE_LIMIT,
     ContactHamiltonian,
     ContactState,
-    Tangent,
     Trajectory,
     check_hamiltonian_gradients,
     conformal_factor,
-    contact_field_std1,
-    contact_field_std2,
+    contact_field,
     dissipation_residual,
-    eta_std1,
-    eta_std2,
+    eta,
     map_F,
     map_F_jacobian,
     reference_integrate,
@@ -76,46 +73,49 @@ class TestContactState:
 
     def test_tangent_length_checked_by_forms(self):
         s = state_of([1.0, 2.0], [0.0, 0.0])
-        v = Tangent(dX=np.ones(3), dP=np.ones(3), dS=0.0)
-        with pytest.raises(ValueError):
-            eta_std1(s, v)
+        for form in ("std1", "std2"):
+            with pytest.raises(ValueError, match=r"need a tangent of length 5, got shape \(7,\)"):
+                eta(form, s, np.ones(7))
 
 
 class TestContactForms:
+    def test_unknown_form_rejected_everywhere(self):
+        s = state_of([1.0], [0.0])
+        calls = (
+            lambda: eta("std3", s, np.ones(3)),
+            lambda: contact_field(quadratic_hamiltonian(), "std3", s),
+            lambda: reference_integrate(quadratic_hamiltonian(), "std3", s, 0.1, 10),
+            lambda: conformal_factor(map_F, "std3", s),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="unknown contact form 'std3'; expected 'std1' or 'std2'"):
+                call()
+
     def test_std1_reduces_to_ds_at_zero_momentum(self):
         s = state_of([3.0, -1.0], [0.0, 0.0])
-        v = Tangent(dX=np.array([7.0, 2.0]), dP=np.array([1.0, 1.0]), dS=1.0)
-        assert eta_std1(s, v) == 1.0
+        assert eta("std1", s, [7.0, 2.0, 1.0, 1.0, 1.0]) == 1.0
 
     def test_std1_momentum_pairing(self):
         s = state_of([0.0], [2.0])
-        v = Tangent(dX=np.array([3.0]), dP=np.array([0.0]), dS=0.0)
-        assert eta_std1(s, v) == -6.0
+        assert eta("std1", s, [3.0, 0.0, 0.0]) == -6.0
 
     def test_std2_at_origin(self):
         s = state_of([0.0], [0.0])
-        v = Tangent(dX=np.array([4.0]), dP=np.array([5.0]), dS=2.5)
-        assert eta_std2(s, v) == 2.5
+        assert eta("std2", s, [4.0, 5.0, 2.5]) == 2.5
 
     def test_std2_antisymmetric_cancellation(self):
         s = state_of([1.0], [1.0])
-        v = Tangent(dX=np.array([1.0]), dP=np.array([1.0]), dS=0.0)
-        assert eta_std2(s, v) == 0.0
+        assert eta("std2", s, [1.0, 1.0, 0.0]) == 0.0
 
     @given(st.floats(-10, 10), st.floats(-10, 10))
     @settings(max_examples=30, deadline=None)
     def test_linearity_in_tangent(self, a, b):
         rng = np.random.default_rng(3)
         s = next(iter(random_states(8, 1, 3)))
-        v = Tangent(dX=rng.standard_normal(3), dP=rng.standard_normal(3),
-                    dS=float(rng.standard_normal()))
-        w = Tangent(dX=rng.standard_normal(3), dP=rng.standard_normal(3),
-                    dS=float(rng.standard_normal()))
-        combo = Tangent(dX=a * v.dX + b * w.dX, dP=a * v.dP + b * w.dP,
-                        dS=a * v.dS + b * w.dS)
-        for eta in (eta_std1, eta_std2):
-            lhs = eta(s, combo)
-            rhs = a * eta(s, v) + b * eta(s, w)
+        v, w = rng.standard_normal(7), rng.standard_normal(7)
+        for form in ("std1", "std2"):
+            lhs = eta(form, s, a * v + b * w)
+            rhs = a * eta(form, s, v) + b * eta(form, s, w)
             assert lhs == pytest.approx(rhs, abs=1e-9 * (1 + abs(rhs)))
 
 
@@ -135,18 +135,14 @@ class TestMapF:
         assert out.t == 4.5
 
     def test_pullback_identity_pointwise(self):
-        # eta_std2 after the map, applied to the pushed tangent, equals
-        # eta_std1 before the map
+        # the std2 form after the map, applied to the pushed tangent, equals
+        # the std1 form before the map
         rng = np.random.default_rng(12)
         for s in random_states(12, 50, 3):
             v = np.concatenate([rng.standard_normal(6), rng.standard_normal(1)])
             j = map_F_jacobian(s)
             w = j @ v
-            tv = Tangent(dX=v[:3], dP=v[3:6], dS=float(v[6]))
-            tw = Tangent(dX=w[:3], dP=w[3:6], dS=float(w[6]))
-            assert eta_std2(map_F(s), tw) == pytest.approx(
-                eta_std1(s, tv), abs=1e-12
-            )
+            assert eta("std2", map_F(s), w) == pytest.approx(eta("std1", s, v), abs=1e-12)
 
     def test_conformal_factor_is_one(self):
         for s in random_states(21, 50, 4):
@@ -188,14 +184,21 @@ def anchored_hamiltonian(x_star, p_star):
     )
 
 
+def field_parts(ham, form, s):
+    # the (dX, dP, dS) parts of the flat field row
+    v = contact_field(ham, form, s)
+    assert v.shape == (2 * s.dim + 1,)
+    return v[: s.dim], v[s.dim : 2 * s.dim], v[-1]
+
+
 class TestContactFields:
     def test_std1_s_independent_gives_hamilton_equations(self):
         ham = quadratic_hamiltonian()
         for s in random_states(4, 10, 3):
-            v = contact_field_std1(ham, s)
-            np.testing.assert_allclose(v.dX, s.P, atol=1e-14)
-            np.testing.assert_allclose(v.dP, -s.X, atol=1e-14)
-            assert v.dS == pytest.approx(
+            dx, dp, ds = field_parts(ham, "std1", s)
+            np.testing.assert_allclose(dx, s.P, atol=1e-14)
+            np.testing.assert_allclose(dp, -s.X, atol=1e-14)
+            assert ds == pytest.approx(
                 float(s.P @ s.P) - ham.value(s.X, s.P, s.S, s.t), abs=1e-12
             )
 
@@ -209,18 +212,18 @@ class TestContactFields:
             dt=lambda x, p, s, t: 0.0,
         )
         for s in random_states(5, 10, 2):
-            v = contact_field_std1(ham, s)
-            np.testing.assert_allclose(v.dP, -s.X - c * s.P, atol=1e-14)
+            _, dp, _ = field_parts(ham, "std1", s)
+            np.testing.assert_allclose(dp, -s.X - c * s.P, atol=1e-14)
 
     def test_std2_quadratic_field_matrix(self):
         # H = (|P|^2 + |X|^2) / 2 under the symmetric form:
         # dX = P - 0, dP = -X - 0, dS = (<X, X> + <P, P>)/2 - H = H - H... 0
         ham = quadratic_hamiltonian()
         for s in random_states(6, 10, 2):
-            v = contact_field_std2(ham, s)
-            np.testing.assert_allclose(v.dX, s.P, atol=1e-14)
-            np.testing.assert_allclose(v.dP, -s.X, atol=1e-14)
-            assert v.dS == pytest.approx(0.0, abs=1e-12)
+            dx, dp, ds = field_parts(ham, "std2", s)
+            np.testing.assert_allclose(dx, s.P, atol=1e-14)
+            np.testing.assert_allclose(dp, -s.X, atol=1e-14)
+            assert ds == pytest.approx(0.0, abs=1e-12)
 
     def test_std2_anchored_linear_terms(self):
         # H = H0 + <x*, P> - <p*, X> + 2 S  =>  dX = grad_P H0 + x* - X,
@@ -229,9 +232,9 @@ class TestContactFields:
         p_star = np.array([0.8, 0.2])
         ham = anchored_hamiltonian(x_star, p_star)
         for s in random_states(7, 10, 2):
-            v = contact_field_std2(ham, s)
-            np.testing.assert_allclose(v.dX, s.P + x_star - s.X, atol=1e-12)
-            np.testing.assert_allclose(v.dP, -s.X + p_star - s.P, atol=1e-12)
+            dx, dp, _ = field_parts(ham, "std2", s)
+            np.testing.assert_allclose(dx, s.P + x_star - s.X, atol=1e-12)
+            np.testing.assert_allclose(dp, -s.X + p_star - s.P, atol=1e-12)
 
     @pytest.mark.parametrize("damping", [
         pytest.param(constant_damping(0.3), id="constant"),
@@ -326,7 +329,7 @@ class TestReferenceIntegrate:
     @pytest.mark.parametrize("which", ["crgd", "anchored"])
     def test_matches_rk4_over_public_field(self, coords, which):
         # the flat-vector stages must reproduce, bit for bit, RK4 stepped by
-        # hand over the public Tangent-valued fields
+        # hand over the public field
         if which == "crgd":
             ham = contact_hamiltonian(
                 make_random_quadratic(3, 3, 0.2, 1.5),
@@ -334,11 +337,9 @@ class TestReferenceIntegrate:
             )
         else:
             ham = anchored_hamiltonian(np.array([0.3, -1.1, 0.4]), np.array([0.8, 0.2, -0.5]))
-        field = {"std1": contact_field_std1, "std2": contact_field_std2}[coords]
 
         def f(z, t):
-            v = field(ham, ContactState.from_coords(z, t))
-            return np.concatenate([v.dX, v.dP, [v.dS]])
+            return contact_field(ham, coords, ContactState.from_coords(z, t))
 
         s0 = next(iter(random_states(40, 1, 3)))
         dt = 0.01

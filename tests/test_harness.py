@@ -698,7 +698,7 @@ def experiment_docs(draw):
     """Valid JSON configs: every objective, init kind and optimizer kind,
     with optional keys and sampling laws present or left to their defaults."""
     name = draw(st.sampled_from(OBJECTIVE_NAMES))
-    dim = 2 if name == "camelback" else draw(st.integers(1, 8))
+    dim = 2 if name == "camelback" else draw(st.integers(2 if name == "rosenbrock" else 1, 8))
     objective = {"name": name, "dim": dim}
     init_kind = draw(st.sampled_from(["fixed", "pattern", "box"]))
     if init_kind == "box":
@@ -790,6 +790,9 @@ class TestConfigParsing:
         doc = base_doc()
         doc["objective"] = {"name": "camelback", "dim": 3}
         with pytest.raises(ConfigError, match="two-dimensional"):
+            parse_experiment(doc)
+        doc["objective"] = {"name": "rosenbrock", "dim": 1}
+        with pytest.raises(ConfigError, match=r"^at \$\.objective: rosenbrock needs dim >= 2, got 1$"):
             parse_experiment(doc)
 
     @pytest.mark.parametrize("dim", [0, -2])

@@ -191,6 +191,11 @@ class TestGetObjective:
         with pytest.raises(ValueError, match="quartic"):
             get_objective("bogus", dim=3, seed=1)
 
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    def test_camelback_rejects_other_dims(self, dim):
+        with pytest.raises(ValueError, match="^camelback is two-dimensional; set dim = 2$"):
+            get_objective("camelback", dim=dim)
+
 
 class TestStacks:
     """eval and grad on a (T, n) stack equal the row-by-row calls."""
