@@ -33,8 +33,8 @@ from .harness import (
     run_bench,
 )
 from .integrators import (
+    PLANS,
     ContactParams,
-    SplitFlowPlan,
     compose_step,
     constant_damping,
     contact_hamiltonian,
@@ -43,7 +43,6 @@ from .integrators import (
     flow_phi3,
     integrate_split,
     nag_like_damping,
-    split_plan,
     strang_step,
     time_shift,
     triple_jump_coefficients,
@@ -88,8 +87,8 @@ __all__ = [
     "monte_carlo",
     "random_search",
     "run_bench",
+    "PLANS",
     "ContactParams",
-    "SplitFlowPlan",
     "compose_step",
     "constant_damping",
     "contact_hamiltonian",
@@ -98,7 +97,6 @@ __all__ = [
     "flow_phi3",
     "integrate_split",
     "nag_like_damping",
-    "split_plan",
     "strang_step",
     "time_shift",
     "triple_jump_coefficients",

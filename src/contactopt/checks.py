@@ -33,6 +33,7 @@ from .contact import (
     reference_integrate,
 )
 from .integrators import (
+    PLANS,
     ContactParams,
     compose_step,
     constant_damping,
@@ -43,7 +44,6 @@ from .integrators import (
     integrate_split,
     nag_like_damping,
     phi1_jacobian,
-    split_plan,
     strang_step,
     time_shift,
 )
@@ -150,7 +150,6 @@ def check_conformal(seed: int = 0) -> List[CheckResult]:
     # map_F turns the std2 form into the std1 form on the nose
     pinned = {"phi1": lambda s: math.exp(-params.h(s.t) * dtau), "map_F": lambda s: 1.0}
     factor_dev = dict.fromkeys(pinned, 0.0)
-    jump4 = split_plan("jump4")
     # (name, map, its exact Jacobian or None, form, source form)
     candidates = [
         ("phi1", lambda s: flow_phi1(s, dtau, params),
@@ -160,7 +159,7 @@ def check_conformal(seed: int = 0) -> List[CheckResult]:
         ("time_shift", lambda s: time_shift(s, dtau),
          lambda s: np.eye(2 * s.dim + 1), "std1", None),
         ("strang", lambda s: strang_step(s, dtau, obj, params), None, "std1", None),
-        ("jump4", lambda s: compose_step(s, dtau, obj, params, jump4), None, "std1", None),
+        ("jump4", lambda s: compose_step(s, dtau, obj, params, "jump4"), None, "std1", None),
         ("nag_contact(k=7)", lambda s: nag_contact_map(s, 7),
          lambda s: nag_contact_jacobian(s, 7), "std2", None),
         ("map_F", map_F, map_F_jacobian, "std2", "std1"),
@@ -219,7 +218,6 @@ def order_errors(
     tests/test_checks.py guards the margin.  Returns
     {plan name: [error per tau]}.
     """
-    plans = {name: split_plan(name) for name in plan_names}
     rng, obj_seed = _draws(seed, "orders")
     obj = make_random_quadratic(obj_seed, 4, 0.2, 1.5)
     params = ContactParams(*nag_like_damping(0.1), m=1.0, c=1.0)
@@ -240,10 +238,10 @@ def order_errors(
     ref = reference_integrate(ham, "std1", s0, dt, max(k for _, _, k in sweep))
     if ref.diverged:
         raise RuntimeError(f"order sweep reference diverged at dt={dt}")
-    errors: Dict[str, List[float]] = {name: [] for name in plans}
+    errors: Dict[str, List[float]] = {name: [] for name in plan_names}
     for tau, n, k in sweep:
-        for name, plan in plans.items():
-            approx = integrate_split(s0, tau, n, obj, params, plan)
+        for name in errors:
+            approx = integrate_split(s0, tau, n, obj, params, name)
             if approx.diverged:
                 raise RuntimeError(f"{name} order sweep diverged at tau={tau}")
             errors[name].append(float(np.max(np.abs(approx.z[-1] - ref.z[k]))))
@@ -257,15 +255,13 @@ def fit_order(taus: Sequence[float], errors: Sequence[float]) -> float:
 
 
 def check_orders(seed: int = 0) -> List[CheckResult]:
-    """Strang must land at order 2, the fourth-order compositions at 4."""
-    targets = (
-        ("strang", 2.0, ORDER2_SLACK),
-        ("jump4", 4.0, ORDER4_SLACK),
-        ("suzuki4", 4.0, ORDER4_SLACK),
-    )
-    errors = order_errors([name for name, _, _ in targets], seed=seed)
+    """Strang and the fourth-order compositions must each land at their
+    design order in :data:`PLANS`."""
+    slacks = {"strang": ORDER2_SLACK, "jump4": ORDER4_SLACK, "suzuki4": ORDER4_SLACK}
+    errors = order_errors(list(slacks), seed=seed)
     results = []
-    for plan_name, target, slack in targets:
+    for plan_name, slack in slacks.items():
+        target = float(PLANS[plan_name][0])
         p = fit_order(_ORDER_TAUS, errors[plan_name])
         results.append(
             CheckResult(

@@ -216,9 +216,12 @@ def cmd_rates(args) -> int:
     for token in args.windows.split(","):
         lo, _, hi = token.partition("-")
         try:
-            windows.append((int(lo), int(hi)))
+            k_lo, k_hi = int(lo), int(hi)
         except ValueError:
             raise ValueError(f"--windows: expected lo-hi, got {token!r}") from None
+        if k_hi <= k_lo:
+            raise ValueError(f"--windows: expected lo < hi, got {token!r}")
+        windows.append((k_lo, k_hi))
     print(f"{'optimizer':<10} {'trial':>5} {'window':>12} {'p':>10}")
     for trial, rec in pairs:
         for k_lo, k_hi in windows:

@@ -245,12 +245,13 @@ class Trajectory:
 
 def reference_integrate(
     H: ContactHamiltonian,
-    coords: str,
+    form: str,
     s0: ContactState,
     dt: float,
     n: int,
 ) -> Trajectory:
-    """Classical RK4 on the contact field; the accuracy oracle.
+    """Classical RK4 on the contact field of the named ``form`` ('std1' or
+    'std2'); the accuracy oracle.
 
     Returns n+1 rows (including s0) unless the solution blows up, in which
     case the trajectory is truncated at the last finite row and flagged.
@@ -258,7 +259,7 @@ def reference_integrate(
     flat (X, P, S) vector, and each accepted step is written into the
     trajectory's next row.
     """
-    f = _field(coords)
+    f = _field(form)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if n < 1:

@@ -19,13 +19,15 @@ integrator; symmetric compositions of it (triple jump, Suzuki five-stage)
 raise the order by two per level.  Every flow and step here is a contact
 transformation, a plain function of the state that
 `contact.conformal_factor` can certify numerically; phi1, whose Jacobian is
-diagonal, also comes with :func:`phi1_jacobian`.  The named composition
-plans live in one table, read through :func:`split_plan`.
+diagonal, also comes with :func:`phi1_jacobian`.  A composition plan is a
+name in :data:`PLANS`, which holds each plan's design order and stage
+weights; :func:`compose_step` and :func:`integrate_split` take the name.
 
-Steps accept an optional ``clock_dtau`` that decouples the clock advance
-from the flow stepsize.  The optimizer family runs on an iteration clock
-(one step advances t by 1 while the flows use tau), which is how the
-mu^(1 + 1/(k+1/2)) dissipation factors of the discrete algorithms arise.
+:func:`strang_step` accepts an optional ``clock_dtau`` that decouples the
+clock advance from the flow stepsize.  The optimizer family runs on an
+iteration clock (one step advances t by 1 while the flows use tau), which
+is how the mu^(1 + 1/(k+1/2)) dissipation factors of the discrete
+algorithms arise.
 """
 
 import math
@@ -39,7 +41,6 @@ from .objectives import Objective
 
 __all__ = [
     "ContactParams",
-    "SplitFlowPlan",
     "constant_damping",
     "nag_like_damping",
     "contact_hamiltonian",
@@ -52,8 +53,7 @@ __all__ = [
     "triple_jump_coefficients",
     "compose_step",
     "integrate_split",
-    "split_plan",
-    "triple_jump_plan",
+    "PLANS",
     "PLAN_NAMES",
 ]
 
@@ -207,35 +207,21 @@ def triple_jump_coefficients(n: int) -> Tuple[float, float]:
     return z0, z1
 
 
-@dataclass(frozen=True)
-class SplitFlowPlan:
-    """A palindromic list of Strang-step scalings plus its design order.
-
-    Stage j runs a Strang step of span stage_weights[j] * tau.  Weights must
-    read the same forwards and backwards and sum to 1 so the composition
-    covers exactly one step.  ``base_order`` is the even convergence order
-    the weight pattern is designed to achieve on the second-order base step;
-    nesting via :func:`triple_jump_plan` raises it by 2 per level.
-    """
-
-    stage_weights: Tuple[float, ...]
-    base_order: int = 2
-    name: str = ""
-
-    def __post_init__(self):
-        w = tuple(float(x) for x in self.stage_weights)
-        object.__setattr__(self, "stage_weights", w)
-        if len(w) == 0:
-            raise ValueError("plan needs at least one stage weight")
-        for j in range(len(w)):
-            if abs(w[j] - w[-1 - j]) > 1e-15:
-                raise ValueError("stage weights must be palindromic")
-        if abs(sum(w) - 1.0) > 1e-12:
-            raise ValueError(f"stage weights must sum to 1, got {sum(w)!r}")
-        if self.base_order < 2 or self.base_order % 2 != 0:
-            raise ValueError(
-                f"base_order must be a positive even integer, got {self.base_order}"
-            )
+_Z0, _Z1 = triple_jump_coefficients(1)
+_Y0, _Y1 = triple_jump_coefficients(2)
+_W1 = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+_JUMP4 = (_Z1, _Z0, _Z1)
+# name -> (design order, stage weights).  Stage j runs a Strang step of span
+# weights[j] * tau; the weights read the same forwards and backwards and sum
+# to 1, so a composition covers exactly one step.
+PLANS = {
+    "strang": (2, (1.0,)),
+    "jump4": (4, _JUMP4),
+    "suzuki4": (4, (_W1, _W1, 1.0 - 4.0 * _W1, _W1, _W1)),
+    # the triple jump of jump4, flattened: each outer stage rescales every jump4 stage
+    "jump6": (6, tuple(u * w for u in (_Y1, _Y0, _Y1) for w in _JUMP4)),
+}
+PLAN_NAMES = tuple(PLANS)
 
 
 def compose_step(
@@ -243,50 +229,14 @@ def compose_step(
     tau: float,
     obj: Objective,
     params: ContactParams,
-    plan: SplitFlowPlan,
-    clock_dtau: Optional[float] = None,
+    plan: str,
 ) -> ContactState:
-    """Run the plan's Strang stages with spans w_j * tau (clock scaled alike)."""
-    dclock = tau if clock_dtau is None else clock_dtau
-    for w in plan.stage_weights:
-        state = strang_step(state, w * tau, obj, params, clock_dtau=w * dclock)
+    """Run the named plan's Strang stages with spans w_j * tau."""
+    if plan not in PLANS:
+        raise ValueError(f"unknown plan {plan!r}; valid names: {', '.join(PLAN_NAMES)}")
+    for w in PLANS[plan][1]:
+        state = strang_step(state, w * tau, obj, params)
     return state
-
-
-def triple_jump_plan(base: SplitFlowPlan) -> SplitFlowPlan:
-    """Promote a plan two orders by the triple jump, flattening the nesting
-    into a single weight list (each outer stage rescales every base stage)."""
-    n = base.base_order // 2
-    z0, z1 = triple_jump_coefficients(n)
-    weights = tuple(
-        u * w for u in (z1, z0, z1) for w in base.stage_weights
-    )
-    name = f"jump{base.base_order + 2}" if base.name else ""
-    return SplitFlowPlan(
-        stage_weights=weights, base_order=base.base_order + 2, name=name
-    )
-
-
-_Z0, _Z1 = triple_jump_coefficients(1)
-_W1 = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
-_PLANS = {
-    "strang": SplitFlowPlan(stage_weights=(1.0,), base_order=2, name="strang"),
-    "jump4": SplitFlowPlan(stage_weights=(_Z1, _Z0, _Z1), base_order=4, name="jump4"),
-    "suzuki4": SplitFlowPlan(
-        stage_weights=(_W1, _W1, 1.0 - 4.0 * _W1, _W1, _W1), base_order=4, name="suzuki4"
-    ),
-}
-_PLANS["jump6"] = triple_jump_plan(_PLANS["jump4"])
-PLAN_NAMES = tuple(_PLANS)
-
-
-def split_plan(name: str) -> SplitFlowPlan:
-    """Look a composition plan up by preset name."""
-    if name not in _PLANS:
-        raise ValueError(
-            f"unknown plan {name!r}; valid names: {', '.join(PLAN_NAMES)}"
-        )
-    return _PLANS[name]
 
 
 def integrate_split(
@@ -295,22 +245,19 @@ def integrate_split(
     n: int,
     obj: Objective,
     params: ContactParams,
-    plan: Optional[SplitFlowPlan] = None,
-    clock_dtau: Optional[float] = None,
+    plan: str = "strang",
 ) -> Trajectory:
     """Advance n composed steps, truncating with a divergence flag (never an
     exception) when a component stops being finite."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if plan is None:
-        plan = _PLANS["strang"]
     ts = np.empty(n + 1)
     zs = np.empty((n + 1, 2 * state0.dim + 1))
     s = state0
     ts[0], zs[0] = s.t, s.coords()
     with np.errstate(all="ignore"):
         for i in range(1, n + 1):
-            s = compose_step(s, tau, obj, params, plan, clock_dtau=clock_dtau)
+            s = compose_step(s, tau, obj, params, plan)
             if not s.is_finite():
                 return Trajectory(ts[:i], zs[:i], diverged=True)
             ts[i], zs[i] = s.t, s.coords()

@@ -85,10 +85,10 @@ def test_no_two_families_or_seeds_share_an_objective(monkeypatch):
     assert shared == {}
 
 
-# The families that call optimizer steps (equivalence, nag) or the contact
-# field and its RK4 oracle (orders, dissipation, specialization) have their
-# results pinned bit for bit, as (name, passed, float.hex(value), detail), at
-# five seeds.
+# The families that call optimizer steps (equivalence, nag), the contact
+# field and its RK4 oracle (orders, dissipation, specialization) or the
+# splitting flows and composed steps (conformal) have their results pinned
+# bit for bit, as (name, passed, float.hex(value), detail), at five seeds.
 _REPORT_ONLY = (
     "informational; the factorization reproduces each step from the classical "
     "state but is not self-consistent as an iteration, so the sequences drift apart"
@@ -144,13 +144,47 @@ _CONTACT_CHECK_VALUES = {
            "0x0.0p+0", "0x1.0000000000000p-52", "0x0.0p+0", "0x1.fd28000000000p-37"),
 }
 
+_CONFORMAL_CHECKS = tuple(
+    (f"{name} residual", "tol 1e-08")
+    for name in ("phi1", "phi2", "phi3", "time_shift", "strang", "jump4",
+                 "nag_contact(k=7)", "map_F")
+) + (
+    ("phi1 factor = exp(-h dtau)", "tol 1e-12"),
+    ("nag_contact factor = (k-1)/(k+2), k=2..50", "tol 1e-12"),
+    ("map_F factor = 1", "tol 1e-12"),
+)
+_CONFORMAL_CHECK_VALUES = {
+    0: ("0x1.0000000000000p-51", "0x1.2206200000000p-33", "0x1.ed16f44000000p-34", "0x0.0p+0",
+        "0x1.8667a10000000p-32", "0x1.5a8f70e800000p-31", "0x1.0000000000000p-52",
+        "0x1.0000000000000p-51", "0x1.8000000000000p-52", "0x1.0000000000000p-52",
+        "0x1.0000000000000p-52"),
+    1: ("0x1.0000000000000p-52", "0x1.62bd800000000p-34", "0x1.71baf62800000p-33", "0x0.0p+0",
+        "0x1.07cbd80000000p-32", "0x1.4fdf440000000p-31", "0x1.0000000000000p-52",
+        "0x1.0000000000000p-52", "0x1.0000000000000p-52", "0x1.0000000000000p-53",
+        "0x1.0000000000000p-52"),
+    7: ("0x1.0000000000000p-51", "0x1.2bcf500000000p-33", "0x1.e4a57b7000000p-34", "0x0.0p+0",
+        "0x1.067cc12000000p-32", "0x1.3c6129e000000p-32", "0x1.0000000000000p-52",
+        "0x1.0000000000000p-52", "0x1.0000000000000p-52", "0x1.0000000000000p-52",
+        "0x1.0000000000000p-53"),
+    42: ("0x1.0000000000000p-51", "0x1.278c000000000p-33", "0x1.daa4168000000p-33", "0x0.0p+0",
+         "0x1.2b5a6ac800000p-32", "0x1.6f3b50a000000p-31", "0x1.0000000000000p-52",
+         "0x1.0000000000000p-52", "0x1.0000000000000p-52", "0x1.0000000000000p-52",
+         "0x1.0000000000000p-52"),
+    4242: ("0x1.0000000000000p-51", "0x1.7831000000000p-34", "0x1.e078cbc000000p-33", "0x0.0p+0",
+           "0x1.a9a932e800000p-31", "0x1.57f1dde000000p-31", "0x1.2000000000000p-52",
+           "0x1.0000000000000p-52", "0x1.0000000000000p-52", "0x1.0000000000000p-52",
+           "0x1.0000000000000p-52"),
+}
+
 
 @pytest.mark.parametrize("seed", sorted(_STEP_CHECK_VALUES))
 def test_step_calling_checks_are_pinned_bit_for_bit(seed):
-    families = ["equivalence", "nag", "orders", "dissipation", "specialization"]
+    families = ["equivalence", "nag", "orders", "dissipation", "specialization", "conformal"]
     got = [(r.name, r.passed, float.hex(float(r.value)), r.detail)
            for r in checks.run_checks(families, seed=seed)]
     want = [(name, True, value, detail)
-            for (name, detail), value in zip(_STEP_CHECKS + _CONTACT_CHECKS,
-                                             _STEP_CHECK_VALUES[seed] + _CONTACT_CHECK_VALUES[seed])]
+            for (name, detail), value in zip(
+                _STEP_CHECKS + _CONTACT_CHECKS + _CONFORMAL_CHECKS,
+                _STEP_CHECK_VALUES[seed] + _CONTACT_CHECK_VALUES[seed]
+                + _CONFORMAL_CHECK_VALUES[seed])]
     assert got == want

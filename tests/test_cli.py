@@ -278,10 +278,12 @@ class TestRatesCommand:
 
     def test_bad_window_token(self, tmp_path, capsys):
         path = self.write_trace(tmp_path, [1.0, 0.5, 0.25])
-        for token in ("10:300", "a-b", "1-", "-5", "2-x"):
+        cases = [(token, "lo-hi") for token in ("10:300", "a-b", "1-", "-5", "2-x")]
+        cases += [(token, "lo < hi") for token in ("5-2", "0-0", "3-3")]
+        for token, expected in cases:
             rc = main(["rates", "--trace", path, "--windows", f"1-2,{token}"])
             assert rc == 1
-            assert capsys.readouterr().err == f"error: --windows: expected lo-hi, got {token!r}\n"
+            assert capsys.readouterr().err == f"error: --windows: expected {expected}, got {token!r}\n"
 
 
 class TestCheckCommand:

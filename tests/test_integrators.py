@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from contactopt.contact import DIVERGENCE_LIMIT, ContactState, conformal_factor
 from contactopt.integrators import (
     PLAN_NAMES,
+    PLANS,
     ContactParams,
-    SplitFlowPlan,
     compose_step,
     constant_damping,
     contact_hamiltonian,
@@ -19,11 +19,9 @@ from contactopt.integrators import (
     integrate_split,
     nag_like_damping,
     phi1_jacobian,
-    split_plan,
     strang_step,
     time_shift,
     triple_jump_coefficients,
-    triple_jump_plan,
 )
 from contactopt.objectives import Objective, make_random_quadratic, quartic
 
@@ -242,38 +240,37 @@ class TestTripleJump:
 
 class TestSplitFlowPlan:
     def test_preset_names_and_orders(self):
-        orders = {"strang": 2, "jump4": 4, "suzuki4": 4, "jump6": 6}
-        for name in PLAN_NAMES:
-            plan = split_plan(name)
-            assert plan.base_order == orders[name]
-            assert sum(plan.stage_weights) == pytest.approx(1.0, abs=1e-12)
+        assert PLAN_NAMES == tuple(PLANS)
+        orders = {name: order for name, (order, _) in PLANS.items()}
+        assert orders == {"strang": 2, "jump4": 4, "suzuki4": 4, "jump6": 6}
+
+    def test_every_plan_is_palindromic_and_covers_one_step(self):
+        for name, (order, w) in PLANS.items():
+            assert all(abs(w[j] - w[-1 - j]) <= 1e-15 for j in range(len(w))), name
+            assert abs(sum(w) - 1.0) <= 1e-12, name
+            assert order >= 2 and order % 2 == 0, name
 
     def test_jump6_is_flattened_nesting(self):
-        plan = split_plan("jump6")
-        assert len(plan.stage_weights) == 9
-        w = plan.stage_weights
-        assert all(abs(w[j] - w[-1 - j]) < 1e-15 for j in range(9))
+        # the triple jump (n = 2) of jump4, every weight to the bit
+        z0, z1 = triple_jump_coefficients(2)
+        jump4 = PLANS["jump4"][1]
+        assert PLANS["jump6"][1] == tuple(u * w for u in (z1, z0, z1) for w in jump4)
+        assert len(PLANS["jump6"][1]) == 9
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="strang"):
-            split_plan("rk4")
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="palindromic"):
-            SplitFlowPlan(stage_weights=(0.7, 0.3))
-        with pytest.raises(ValueError, match="sum to 1"):
-            SplitFlowPlan(stage_weights=(0.5, 0.5, 0.5))
-        with pytest.raises(ValueError, match="base_order"):
-            SplitFlowPlan(stage_weights=(1.0,), base_order=3)
-        with pytest.raises(ValueError):
-            SplitFlowPlan(stage_weights=())
+        message = "unknown plan 'rk4'; valid names: strang, jump4, suzuki4, jump6"
+        obj = quartic(1)
+        s = state_of([1.0], [0.0])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compose_step(s, 0.1, obj, contact_params(), "rk4")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            integrate_split(s, 0.1, 5, obj, contact_params(), "rk4")
 
     def test_single_stage_equals_strang(self):
-        plan = SplitFlowPlan(stage_weights=(1.0,))
         obj = make_random_quadratic(4, 2, 0.2, 1.5)
         params = contact_params(0.2)
         s = state_of([1.0, 0.5], [0.2, -0.1], s=0.3, t=2.0)
-        a = compose_step(s, 0.3, obj, params, plan)
+        a = compose_step(s, 0.3, obj, params, "strang")
         b = strang_step(s, 0.3, obj, params)
         np.testing.assert_array_equal(a.X, b.X)
         np.testing.assert_array_equal(a.P, b.P)
@@ -285,17 +282,12 @@ class TestSplitFlowPlan:
         params = contact_params(0.2)
         s = state_of([1.0, 0.5], [0.2, -0.1], s=0.3, t=2.0)
         tau = 0.3
-        a = compose_step(s, tau, obj, params, split_plan("jump4"))
+        a = compose_step(s, tau, obj, params, "jump4")
         b = s
         for w in (z1, z0, z1):
             b = strang_step(b, w * tau, obj, params)
         np.testing.assert_allclose(a.coords(), b.coords(), atol=1e-15)
         assert a.t == pytest.approx(b.t, abs=1e-15)
-
-    def test_promotion_adds_two_orders(self):
-        plan = triple_jump_plan(split_plan("strang"))
-        assert plan.base_order == 4
-        assert len(plan.stage_weights) == 3
 
 
 class TestIntegrateSplit:
@@ -326,14 +318,13 @@ class TestIntegrateSplit:
         # that is not
         obj = quartic(2)
         params = contact_params(0.1)
-        plan = split_plan("jump4")
         s = state_of([x0, x0], [0.0, 0.0], t=1.0)
-        traj = integrate_split(s, tau, n, obj, params, plan, clock_dtau=1.0)
+        traj = integrate_split(s, tau, n, obj, params, "jump4")
         with np.errstate(all="ignore"):
             for row, row_t in zip(traj.z, traj.t):
                 np.testing.assert_array_equal(row, s.coords())
                 assert row_t == s.t
-                s = compose_step(s, tau, obj, params, plan, clock_dtau=1.0)
+                s = compose_step(s, tau, obj, params, "jump4")
         assert traj.diverged == (len(traj) < n + 1) == (not s.is_finite())
 
     def test_rejects_nonpositive_count(self):
