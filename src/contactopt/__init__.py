@@ -12,6 +12,7 @@ harness.
 from .contact import (
     ContactHamiltonian,
     ContactState,
+    Partials,
     Trajectory,
     conformal_factor,
     contact_field,
@@ -70,6 +71,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ContactHamiltonian",
     "ContactState",
+    "Partials",
     "Trajectory",
     "conformal_factor",
     "contact_field",

@@ -23,8 +23,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .contact import (
-    ContactHamiltonian,
     ContactState,
+    Partials,
     conformal_factor,
     contact_field,
     dissipation_residual,
@@ -362,17 +362,14 @@ def check_dissipation(seed: int = 0) -> List[CheckResult]:
 
     # pure decay: H = c S has the closed form H(t) = H(0) exp(-c t)
     c_decay = 0.7
-    ham_decay = ContactHamiltonian(
-        value=lambda x, p, s, t: c_decay * s,
-        grad_X=lambda x, p, s, t: np.zeros_like(x),
-        grad_P=lambda x, p, s, t: np.zeros_like(p),
-        dS=lambda x, p, s, t: c_decay,
-        dt=lambda x, p, s, t: 0.0,
-    )
+
+    def ham_decay(x, p, s, t) -> Partials:
+        return Partials(c_decay * s, np.zeros_like(x), np.zeros_like(p), c_decay, 0.0)
+
     traj_decay = reference_integrate(
         ham_decay, "std1", ContactState(X=x0, P=p0, S=1.3, t=0.0), 1e-3, 2000
     )
-    h = ham_decay.value(traj_decay.X, traj_decay.P, traj_decay.S, traj_decay.t)
+    h = ham_decay(traj_decay.X, traj_decay.P, traj_decay.S, traj_decay.t).value
     exact = h[0] * np.exp(-c_decay * traj_decay.t)
     # the largest deviation, or 0; fmax skips a NaN one
     worst_decay = float(np.fmax.reduce(np.abs(h - exact) / np.abs(exact), initial=0.0))
@@ -433,14 +430,11 @@ def check_specialization(seed: int = 0) -> List[CheckResult]:
     # relaxation toward the anchors (X*, P*)
     x_star = rng.standard_normal(dim)
     p_star = rng.standard_normal(dim)
-    ham_hd = ContactHamiltonian(
-        value=lambda x, p, s, t: 0.5 * float(p @ p) + obj.eval(x)
-        + float(x_star @ p) - float(p_star @ x) + 2.0 * s,
-        grad_X=lambda x, p, s, t: obj.grad(x) - p_star,
-        grad_P=lambda x, p, s, t: p + x_star,
-        dS=lambda x, p, s, t: 2.0,
-        dt=lambda x, p, s, t: 0.0,
-    )
+
+    def ham_hd(x, p, s, t) -> Partials:
+        value = 0.5 * float(p @ p) + obj.eval(x) + float(x_star @ p) - float(p_star @ x) + 2.0 * s
+        return Partials(value, obj.grad(x) - p_star, p + x_star, 2.0, 0.0)
+
     worst_c = _field_residual(
         rng, dim, "std2", ham_hd,
         lambda st, dx, dp: (dx - (st.P + x_star - st.X), dp - (-obj.grad(st.X) + p_star - st.P)),

@@ -10,7 +10,8 @@ A tangent vector is a flat (dX, dP, dS) row of length 2n+1, like a state's
 :meth:`ContactState.coords`; the clock direction is not part of the contact
 geometry.  :func:`eta` evaluates a named form on one.
 
-A contact Hamiltonian H(X, P, S, t) generates a flow that dissipates H at
+A contact Hamiltonian is one function H(X, P, S, t) returning its value and
+partials as one :class:`Partials`.  It generates a flow that dissipates H at
 rate dH/dt = -(dH/dS) H + dH/dt|_explicit.  This module provides its vector
 field in either convention (:func:`contact_field`), a hand-rolled RK4
 reference integrator over that same field used as the accuracy oracle
@@ -25,13 +26,14 @@ an exact Jacobian keeps it in a sibling function of the state, as
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 __all__ = [
     "ContactState",
     "ContactHamiltonian",
+    "Partials",
     "Trajectory",
     "DIVERGENCE_LIMIT",
     "eta",
@@ -97,20 +99,18 @@ class ContactState:
         return bool(np.all(np.abs(self.coords()) <= DIVERGENCE_LIMIT))
 
 
-@dataclass(frozen=True)
-class ContactHamiltonian:
-    """H(X, P, S, t) bundled with its partial derivatives.
+class Partials(NamedTuple):
+    """H and its partials at one point (X, P, S, t); the gradients are vectors."""
 
-    All five callables take (X, P, S, t).  ``grad_X``/``grad_P`` return
-    vectors, ``dS``/``dt`` scalars.  Consistency of the derivatives with
-    ``value`` can be audited via :func:`check_hamiltonian_gradients`.
-    """
+    value: float
+    grad_X: np.ndarray
+    grad_P: np.ndarray
+    dS: float
+    dt: float
 
-    value: Callable[[np.ndarray, np.ndarray, float, float], float]
-    grad_X: Callable[[np.ndarray, np.ndarray, float, float], np.ndarray]
-    grad_P: Callable[[np.ndarray, np.ndarray, float, float], np.ndarray]
-    dS: Callable[[np.ndarray, np.ndarray, float, float], float]
-    dt: Callable[[np.ndarray, np.ndarray, float, float], float]
+
+# H(X, P, S, t) -> Partials, audited by :func:`check_hamiltonian_gradients`
+ContactHamiltonian = Callable[[np.ndarray, np.ndarray, float, float], Partials]
 
 
 def _field(form: str) -> Callable[..., np.ndarray]:
@@ -171,24 +171,19 @@ def map_F_jacobian(state: ContactState) -> np.ndarray:
     return j
 
 
-def _partials(H: ContactHamiltonian, z: np.ndarray, t: float) -> tuple:
-    """x, p, grad_X, grad_P, dH/dS and H at the flat point z = (X, P, S)."""
-    n = len(z) // 2
-    x, p, s = z[:n], z[n : 2 * n], float(z[2 * n])
-    gp = np.asarray(H.grad_P(x, p, s, t), dtype=float)
-    gx = np.asarray(H.grad_X(x, p, s, t), dtype=float)
-    return x, p, gx, gp, float(H.dS(x, p, s, t)), float(H.value(x, p, s, t))
-
-
 def _field_std1(H: ContactHamiltonian, z: np.ndarray, t: float) -> np.ndarray:
     """(dX, dP, dS) of H in std1 coordinates at the flat point z."""
-    x, p, gx, gp, hs, h = _partials(H, z, t)
+    n = len(z) // 2
+    p = z[n : 2 * n]
+    h, gx, gp, hs, _ = H(z[:n], p, float(z[2 * n]), t)
     return np.concatenate([gp, -gx - p * hs, [float(gp @ p) - h]])
 
 
 def _field_std2(H: ContactHamiltonian, z: np.ndarray, t: float) -> np.ndarray:
     """(dX, dP, dS) of H in std2 coordinates at the flat point z."""
-    x, p, gx, gp, hs, h = _partials(H, z, t)
+    n = len(z) // 2
+    x, p = z[:n], z[n : 2 * n]
+    h, gx, gp, hs, _ = H(x, p, float(z[2 * n]), t)
     return np.concatenate(
         [gp - 0.5 * x * hs, -gx - 0.5 * p * hs, [0.5 * (float(x @ gx) + float(p @ gp)) - h]]
     )
@@ -291,10 +286,10 @@ def dissipation_residual(H: ContactHamiltonian, traj: Trajectory) -> float:
     """
     if len(traj) < 3:
         raise ValueError("trajectory too short for a centered difference")
-    rows = list(zip(traj.X, traj.P, traj.S, traj.t))
-    h = np.array([H.value(*row) for row in rows], dtype=float)
-    rate = np.array([H.dS(*row) for row in rows[1:-1]], dtype=float)
-    explicit = np.array([H.dt(*row) for row in rows[1:-1]], dtype=float)
+    parts = [H(*row) for row in zip(traj.X, traj.P, traj.S, traj.t)]
+    h = np.array([q.value for q in parts], dtype=float)
+    rate = np.array([q.dS for q in parts[1:-1]], dtype=float)
+    explicit = np.array([q.dt for q in parts[1:-1]], dtype=float)
     lhs = (h[2:] - h[:-2]) / (2.0 * (traj.t[1] - traj.t[0]))
     rhs = -rate * h[1:-1] + explicit
     residual = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(h[1:-1]))
@@ -354,25 +349,25 @@ def conformal_factor(
 def check_hamiltonian_gradients(
     H: ContactHamiltonian, state: ContactState, h: float = 1e-6
 ) -> float:
-    """Worst relative error of the declared partials vs central differences
-    of ``value``, with denominator max(1, |analytic|)."""
+    """Worst relative error of the partials of one call at ``state`` vs
+    central differences of the values at the shifted points, with
+    denominator max(1, |analytic|)."""
     x, p, s, t = state.X, state.P, state.S, state.t
     worst = 0.0
 
     def rel(fd: float, an: float) -> float:
         return abs(fd - an) / max(1.0, abs(an))
 
-    gx = np.asarray(H.grad_X(x, p, s, t), dtype=float)
-    gp = np.asarray(H.grad_P(x, p, s, t), dtype=float)
+    _, gx, gp, hs, ht = H(x, p, s, t)
     for i in range(len(x)):
         e = np.zeros_like(x)
         e[i] = h
-        fd = (H.value(x + e, p, s, t) - H.value(x - e, p, s, t)) / (2 * h)
+        fd = (H(x + e, p, s, t).value - H(x - e, p, s, t).value) / (2 * h)
         worst = max(worst, rel(fd, gx[i]))
-        fd = (H.value(x, p + e, s, t) - H.value(x, p - e, s, t)) / (2 * h)
+        fd = (H(x, p + e, s, t).value - H(x, p - e, s, t).value) / (2 * h)
         worst = max(worst, rel(fd, gp[i]))
-    fd = (H.value(x, p, s + h, t) - H.value(x, p, s - h, t)) / (2 * h)
-    worst = max(worst, rel(fd, float(H.dS(x, p, s, t))))
-    fd = (H.value(x, p, s, t + h) - H.value(x, p, s, t - h)) / (2 * h)
-    worst = max(worst, rel(fd, float(H.dt(x, p, s, t))))
+    fd = (H(x, p, s + h, t).value - H(x, p, s - h, t).value) / (2 * h)
+    worst = max(worst, rel(fd, float(hs)))
+    fd = (H(x, p, s, t + h).value - H(x, p, s, t - h).value) / (2 * h)
+    worst = max(worst, rel(fd, float(ht)))
     return worst

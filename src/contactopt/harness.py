@@ -205,6 +205,14 @@ class SearchRanges:
                 raise ValueError(f"{name} interval bounds must be finite")
             if lo > hi:
                 raise ValueError(f"{name} interval has lo > hi: [{lo}, {hi}]")
+            # no draw may leave the tunable's domain; a tau or epsilon draw
+            # of 0 becomes ulp(0), so only hi must be positive there
+            if name == "mu" and not (0.0 < lo and hi <= 1.0):
+                raise ValueError(f"mu interval [{lo}, {hi}] must lie in (0, 1]")
+            if name == "delta" and lo < 0:
+                raise ValueError(f"delta interval [{lo}, {hi}] must be non-negative")
+            if name in ("tau", "epsilon") and hi <= 0:
+                raise ValueError(f"{name} interval [{lo}, {hi}] needs a positive hi")
             object.__setattr__(self, name, (lo, hi))
         for name, law in self.sampling.items():
             if name not in _PARAM_NAMES:

@@ -4,8 +4,8 @@ Every Hamiltonian integrated here has the form K(P) + f(X) + h(t)*S, with
 the kinetic energy K relativistic, c*sqrt(|P|^2 + (mc)^2), or Newtonian,
 |P|^2/2m, and a damping h(t) given with its derivative; :class:`ContactParams`
 holds K and h, and :func:`contact_hamiltonian` assembles the whole H for the
-RK4 oracle.  H splits into three pieces whose contact flows are known in
-closed form:
+RK4 oracle, one function returning its value and partials together.  H
+splits into three pieces whose contact flows are known in closed form:
 
 * phi1 (dissipation, h(t)*S): P and S decay by exp(-h(t) * dtau), with the
   clock frozen during the flow;
@@ -36,7 +36,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .contact import ContactHamiltonian, ContactState, Trajectory
+from .contact import ContactHamiltonian, ContactState, Partials, Trajectory
 from .objectives import Objective
 
 __all__ = [
@@ -102,23 +102,21 @@ def nag_like_damping(gamma: float) -> Tuple[Callable, Callable]:
 
 
 def contact_hamiltonian(obj: Objective, params: ContactParams) -> ContactHamiltonian:
-    """Assemble K(P) + f(X) + h(t)*S with its partials."""
+    """K(P) + f(X) + h(t)*S as one function returning its value and partials;
+    |P|^2, the relativistic root and h(t) are computed once per point."""
     m, c, h, dh = params.m, params.c, params.h, params.dh
 
-    def kinetic(p):
+    def H(x, p, s, t) -> Partials:
         pp = float(p @ p)
-        return 0.5 * pp / m if c is None else c * math.sqrt(pp + (m * c) ** 2)
+        if c is None:
+            kinetic, velocity = 0.5 * pp / m, p / m
+        else:
+            r = math.sqrt(pp + (m * c) ** 2)
+            kinetic, velocity = c * r, c * p / r
+        ht = h(t)
+        return Partials(kinetic + obj.eval(x) + ht * s, obj.grad(x), velocity, ht, dh(t) * s)
 
-    def velocity(p):
-        return p / m if c is None else c * p / math.sqrt(float(p @ p) + (m * c) ** 2)
-
-    return ContactHamiltonian(
-        value=lambda x, p, s, t: kinetic(p) + obj.eval(x) + h(t) * s,
-        grad_X=lambda x, p, s, t: obj.grad(x),
-        grad_P=lambda x, p, s, t: velocity(p),
-        dS=lambda x, p, s, t: h(t),
-        dt=lambda x, p, s, t: dh(t) * s,
-    )
+    return H
 
 
 def flow_phi1(state: ContactState, dtau: float, params: ContactParams) -> ContactState:

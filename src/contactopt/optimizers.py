@@ -84,14 +84,14 @@ class OptimizerConfig:
             raise ValueError(
                 f"unknown optimizer kind {self.kind!r}; valid: {', '.join(OPTIMIZER_KINDS)}"
             )
-        if not (self.tau > 0):
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if not (self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (0.0 < self.tau < math.inf):
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not (0.0 < self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not (0.0 < self.mu <= 1.0):
             raise ValueError(f"mu must lie in (0, 1], got {self.mu}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be non-negative, got {self.delta}")
+        if not (0.0 <= self.delta < math.inf):
+            raise ValueError(f"delta must be non-negative and finite, got {self.delta}")
         if self.momentum_schedule not in ("constant", "nesterov_k"):
             raise ValueError(
                 f"momentum_schedule must be 'constant' or 'nesterov_k', got {self.momentum_schedule!r}"

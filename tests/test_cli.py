@@ -129,6 +129,10 @@ class TestRunCommand:
         for argv, prefix in (
             (["run", "--objective", "quartic", "--dim", "3", "--optimizer", "gd",
               "--init", "const:nan"], "error: "),
+            *((["run", "--objective", "quartic", "--dim", "3", "--iters", "5",
+                "--optimizer", *tunable], "error: ")
+              for tunable in (("rgd", "--delta", "nan"), ("cm", "--tau", "inf"),
+                              ("crgd", "--epsilon", "inf"), ("rgd", "--delta", "inf"))),
             (["bench", "--preset", "quartic", "--init", "box:-1e308,1e308"], "error: "),
             (["search", "--config", str(cfg)], "config error at $.init: "),
         ):

@@ -10,6 +10,7 @@ from contactopt.contact import (
     DIVERGENCE_LIMIT,
     ContactHamiltonian,
     ContactState,
+    Partials,
     Trajectory,
     check_hamiltonian_gradients,
     conformal_factor,
@@ -161,27 +162,18 @@ class TestMapF:
             assert res < 1e-8
 
 
-def quadratic_hamiltonian():
+def quadratic_hamiltonian() -> ContactHamiltonian:
     # H = (|P|^2 + |X|^2) / 2, S- and t-independent
-    return ContactHamiltonian(
-        value=lambda x, p, s, t: 0.5 * float(p @ p + x @ x),
-        grad_X=lambda x, p, s, t: x,
-        grad_P=lambda x, p, s, t: p,
-        dS=lambda x, p, s, t: 0.0,
-        dt=lambda x, p, s, t: 0.0,
-    )
+    return lambda x, p, s, t: Partials(0.5 * float(p @ p + x @ x), x, p, 0.0, 0.0)
 
 
-def anchored_hamiltonian(x_star, p_star):
+def anchored_hamiltonian(x_star, p_star) -> ContactHamiltonian:
     # H = (|P|^2 + |X|^2) / 2 + <x*, P> - <p*, X> + 2 S, the std2 example
-    return ContactHamiltonian(
-        value=lambda x, p, s, t: 0.5 * float(p @ p + x @ x)
-        + float(x_star @ p) - float(p_star @ x) + 2.0 * s,
-        grad_X=lambda x, p, s, t: x - p_star,
-        grad_P=lambda x, p, s, t: p + x_star,
-        dS=lambda x, p, s, t: 2.0,
-        dt=lambda x, p, s, t: 0.0,
-    )
+    def H(x, p, s, t):
+        value = 0.5 * float(p @ p + x @ x) + float(x_star @ p) - float(p_star @ x) + 2.0 * s
+        return Partials(value, x - p_star, p + x_star, 2.0, 0.0)
+
+    return H
 
 
 def field_parts(ham, form, s):
@@ -199,18 +191,15 @@ class TestContactFields:
             np.testing.assert_allclose(dx, s.P, atol=1e-14)
             np.testing.assert_allclose(dp, -s.X, atol=1e-14)
             assert ds == pytest.approx(
-                float(s.P @ s.P) - ham.value(s.X, s.P, s.S, s.t), abs=1e-12
+                float(s.P @ s.P) - ham(s.X, s.P, s.S, s.t).value, abs=1e-12
             )
 
     def test_std1_linear_s_term_damps_momentum(self):
         c = 0.7
-        ham = ContactHamiltonian(
-            value=lambda x, p, s, t: 0.5 * float(p @ p + x @ x) + c * s,
-            grad_X=lambda x, p, s, t: x,
-            grad_P=lambda x, p, s, t: p,
-            dS=lambda x, p, s, t: c,
-            dt=lambda x, p, s, t: 0.0,
-        )
+
+        def ham(x, p, s, t):
+            return Partials(0.5 * float(p @ p + x @ x) + c * s, x, p, c, 0.0)
+
         for s in random_states(5, 10, 2):
             _, dp, _ = field_parts(ham, "std1", s)
             np.testing.assert_allclose(dp, -s.X - c * s.P, atol=1e-14)
@@ -291,13 +280,9 @@ class TestTrajectory:
 
 class TestReferenceIntegrate:
     def test_free_particle_exact(self):
-        ham = ContactHamiltonian(
-            value=lambda x, p, s, t: 0.5 * float(p @ p),
-            grad_X=lambda x, p, s, t: np.zeros_like(x),
-            grad_P=lambda x, p, s, t: p,
-            dS=lambda x, p, s, t: 0.0,
-            dt=lambda x, p, s, t: 0.0,
-        )
+        def ham(x, p, s, t):
+            return Partials(0.5 * float(p @ p), np.zeros_like(x), p, 0.0, 0.0)
+
         s0 = state_of([0.0, 1.0], [0.5, -0.25], t=0.0)
         traj = reference_integrate(ham, "std1", s0, 1e-3, 1000)
         assert not traj.diverged
@@ -309,7 +294,7 @@ class TestReferenceIntegrate:
         s0 = state_of([1.0], [0.0], t=0.0)
         n = int(round(10 * 2 * math.pi / 1e-2))
         traj = reference_integrate(ham, "std1", s0, 1e-2, n)
-        h = [ham.value(*row) for row in zip(traj.X, traj.P, traj.S, traj.t)]
+        h = [ham(*row).value for row in zip(traj.X, traj.P, traj.S, traj.t)]
         assert max(abs(v - h[0]) for v in h) < 1e-8
 
     def test_self_convergence_fourth_order(self):
@@ -358,13 +343,9 @@ class TestReferenceIntegrate:
 
     def test_divergence_flag_truncates(self):
         # cubic feedback blows up fast from a large start
-        ham = ContactHamiltonian(
-            value=lambda x, p, s, t: 0.0,
-            grad_X=lambda x, p, s, t: -(x**3),
-            grad_P=lambda x, p, s, t: p**3,
-            dS=lambda x, p, s, t: 0.0,
-            dt=lambda x, p, s, t: 0.0,
-        )
+        def ham(x, p, s, t):
+            return Partials(0.0, -(x**3), p**3, 0.0, 0.0)
+
         s0 = state_of([5.0], [5.0], t=0.0)
         traj = reference_integrate(ham, "std1", s0, 0.5, 50)
         assert traj.diverged
@@ -382,6 +363,27 @@ class TestReferenceIntegrate:
             reference_integrate(ham, "std1", s0, 0.1, 0)
 
 
+class TestOneEvaluationPerPoint:
+    @pytest.mark.parametrize("form", ["std1", "std2"])
+    def test_each_reader_calls_h_once_per_point(self, form):
+        points = []
+        quadratic = quadratic_hamiltonian()
+
+        def ham(*point):
+            points.append(point)
+            return quadratic(*point)
+
+        n = 7
+        traj = reference_integrate(ham, form, state_of([1.0, -0.5], [0.3, 0.2], t=0.0), 0.01, n)
+        assert len(points) == 4 * n  # one call per RK4 stage
+        points.clear()
+        contact_field(ham, form, state_of([1.0], [0.3]))
+        assert len(points) == 1
+        points.clear()
+        dissipation_residual(ham, traj)
+        assert len(points) == len(traj) == n + 1
+
+
 class TestDissipation:
     def test_conserved_when_s_and_t_independent(self):
         ham = quadratic_hamiltonian()
@@ -390,16 +392,13 @@ class TestDissipation:
 
     def test_pure_s_hamiltonian_decays_exponentially(self):
         c = 0.7
-        ham = ContactHamiltonian(
-            value=lambda x, p, s, t: c * s,
-            grad_X=lambda x, p, s, t: np.zeros_like(x),
-            grad_P=lambda x, p, s, t: np.zeros_like(p),
-            dS=lambda x, p, s, t: c,
-            dt=lambda x, p, s, t: 0.0,
-        )
+
+        def ham(x, p, s, t):
+            return Partials(c * s, np.zeros_like(x), np.zeros_like(p), c, 0.0)
+
         s0 = state_of([0.0], [0.0], s=2.0, t=0.0)
         traj = reference_integrate(ham, "std1", s0, 1e-3, 1000)
-        h = ham.value(traj.X, traj.P, traj.S, traj.t)
+        h = ham(traj.X, traj.P, traj.S, traj.t).value
         expected = h[0] * np.exp(-c * np.arange(len(traj)) * 1e-3)
         np.testing.assert_allclose(h, expected, rtol=1e-6)
 

@@ -693,6 +693,20 @@ def base_doc():
 _finite = st.floats(-1e6, 1e6)
 
 
+def _intervals(values):
+    return st.lists(values, min_size=2, max_size=2).map(sorted)
+
+
+# search intervals inside each tunable's domain; tau and epsilon need only hi > 0
+_positive_hi = _intervals(_finite).filter(lambda iv: iv[1] > 0)
+_IN_DOMAIN = {
+    "tau": _positive_hi,
+    "epsilon": _positive_hi,
+    "mu": _intervals(st.floats(0, 1, exclude_min=True)),
+    "delta": _intervals(st.floats(0, 1e6)),
+}
+
+
 @st.composite
 def experiment_docs(draw):
     """Valid JSON configs: every objective, init kind and optimizer kind,
@@ -710,7 +724,7 @@ def experiment_docs(draw):
     optimizers = []
     for kind in draw(st.lists(st.sampled_from(OPTIMIZER_KINDS), min_size=1, max_size=5)):
         names = set(KIND_PARAMS[kind]) | draw(st.sets(st.sampled_from(harness._PARAM_NAMES)))
-        ranges = {p: sorted(draw(st.lists(_finite, min_size=2, max_size=2))) for p in names}
+        ranges = {p: draw(_IN_DOMAIN[p]) for p in names}
         entry = {"kind": kind, "ranges": ranges}
         laws = {p: "log_uniform" if lo > 0 and draw(st.booleans()) else "uniform"
                 for p, (lo, _) in ranges.items() if draw(st.booleans())}
@@ -828,6 +842,29 @@ class TestConfigParsing:
         spec = parse_experiment(doc)
         assert parse_experiment(spec_to_doc(spec)) == spec
         assert parse_experiment(json.loads(json.dumps(spec_to_doc(spec)))) == spec
+
+    @pytest.mark.parametrize("kind, ranges, why", [
+        ("cm", {"tau": [0.01, 0.1], "mu": [0.5, 1.5]}, r"mu interval \[0.5, 1.5\] must lie in \(0, 1\]"),
+        ("cm", {"tau": [0.01, 0.1], "mu": [0.0, 0.5]}, r"mu interval \[0.0, 0.5\] must lie in \(0, 1\]"),
+        ("rgd", {"epsilon": [0.1, 1], "mu": [0.5, 0.9], "delta": [-5, -1]},
+         r"delta interval \[-5.0, -1.0\] must be non-negative"),
+        ("gd", {"tau": [-1, -0.5]}, r"tau interval \[-1.0, -0.5\] needs a positive hi"),
+        ("rgd", {"epsilon": [-1, 0], "mu": [0.5, 0.9], "delta": [0, 1]},
+         r"epsilon interval \[-1.0, 0.0\] needs a positive hi"),
+    ], ids=["mu-above-1", "mu-at-0", "delta-negative", "tau-nonpositive", "epsilon-nonpositive"])
+    def test_interval_outside_its_domain_is_rejected_at_its_entry(self, kind, ranges, why):
+        doc = base_doc()
+        doc["optimizers"] = [{"kind": "gd", "ranges": {"tau": [0.01, 0.1]}},
+                             {"kind": kind, "ranges": ranges}]
+        with pytest.raises(ConfigError, match=r"^at \$\.optimizers\[1\]: " + why):
+            parse_experiment(doc)
+
+    def test_interval_may_touch_the_edge_of_its_domain(self):
+        doc = base_doc()
+        doc["optimizers"][0] = {"kind": "rgd",
+                                "ranges": {"epsilon": [0, 1], "mu": [1, 1], "delta": [0, 0]}}
+        ranges = parse_experiment(doc).optimizers[0].ranges
+        assert (ranges.epsilon, ranges.mu, ranges.delta) == ((0.0, 1.0), (1.0, 1.0), (0.0, 0.0))
 
     def test_sampling_law_parsed_and_checked(self):
         doc = base_doc()

@@ -206,7 +206,7 @@ class TestStrangStep:
         for tau in (0.1, 0.05):
             traj = integrate_split(s0, tau, 10_000, obj, params)
             assert not traj.diverged
-            h = np.array([ham.value(*row) for row in zip(traj.X, traj.P, traj.S, traj.t)])
+            h = np.array([ham(*row).value for row in zip(traj.X, traj.P, traj.S, traj.t)])
             dev = np.abs(h - h[0])
             devs[tau] = dev.max()
             # bounded oscillation, not growth: the late-window error is no
