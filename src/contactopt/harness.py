@@ -18,12 +18,13 @@ run to be the search winner's run, re-seeded, instead of running it again.
 A batch row is computed exactly as that run alone, so the bands and traces
 are the same bits either way.  The random
 quadratic runs in its eigenbasis: each matrix is drawn once per bench as
-(lam, Q), the runs see diag(lam) from the rotated start x0 @ Q, and Monte
-Carlo stacks its draws as one diagonal quadratic with a row of
+its eigenvalues lam and the Householder reflectors of its eigenbasis Q,
+never formed; the runs see diag(lam) from the rotated start x0 @ Q, and
+Monte Carlo stacks its draws as one diagonal quadratic with a row of
 eigenvalues per run.  The optimizers are rotation-equivariant, so the
 gaps are those of the assembled matrix up to rounding.  The bits do not
 depend on the CPU, except that each quadratic draw goes through LAPACK's
-QR and each start through one rotation by Q.
+QR: the reflectors rotate a start with elementwise products and row sums.
 
 Diverged runs are first-class data: they score +inf during search and
 their traces are padded with +inf before quantiles, so instability shows
@@ -44,6 +45,7 @@ import numpy as np
 
 from .objectives import (
     Objective,
+    Rotation,
     check_objective,
     diagonal_quadratic,
     draw_quadratic,
@@ -206,13 +208,13 @@ class SearchRanges:
             if lo > hi:
                 raise ValueError(f"{name} interval has lo > hi: [{lo}, {hi}]")
             # no draw may leave the tunable's domain; a tau or epsilon draw
-            # of 0 becomes ulp(0), so only hi must be positive there
+            # of exactly 0 becomes ulp(0), so lo = 0 is legal there
             if name == "mu" and not (0.0 < lo and hi <= 1.0):
                 raise ValueError(f"mu interval [{lo}, {hi}] must lie in (0, 1]")
-            if name == "delta" and lo < 0:
-                raise ValueError(f"delta interval [{lo}, {hi}] must be non-negative")
             if name in ("tau", "epsilon") and hi <= 0:
                 raise ValueError(f"{name} interval [{lo}, {hi}] needs a positive hi")
+            if name in ("tau", "epsilon", "delta") and lo < 0:
+                raise ValueError(f"{name} interval [{lo}, {hi}] must be non-negative")
             object.__setattr__(self, name, (lo, hi))
         for name, law in self.sampling.items():
             if name not in _PARAM_NAMES:
@@ -305,8 +307,9 @@ class ObjectiveSpec:
             eigen_hi=self.eigen_hi,
         )
 
-    def draw(self, seed: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """The eigenvalues and eigenbasis of the quadratic ``build`` makes."""
+    def draw(self, seed: Optional[int] = None) -> Tuple[np.ndarray, Rotation]:
+        """The eigenvalues of the quadratic ``build`` makes and the rotation
+        of a start into its eigenbasis (see draw_quadratic)."""
         return draw_quadratic(
             self.seed if seed is None else seed, self.dim, self.eigen_lo, self.eigen_hi
         )
@@ -414,17 +417,17 @@ def _band(kind: str, gaps: np.ndarray) -> QuantileBand:
 
 
 # What run_bench shares across its optimizers: the search objective with the
-# basis each trial's start is rotated into (None: starts are used as drawn),
-# and the Monte-Carlo run seeds, objective and start stack.
-SearchProblem = Tuple[Objective, Optional[np.ndarray]]
+# rotation of the trials' starts into its eigenbasis (None: starts are used
+# as drawn), and the Monte-Carlo run seeds, objective and start stack.
+SearchProblem = Tuple[Objective, Optional[Rotation]]
 MonteCarloProblem = Tuple[List[int], Objective, np.ndarray]
 
 
 def _search_problem(spec: ExperimentSpec) -> SearchProblem:
     if not spec.objective.randomized:
         return spec.objective.build(), None
-    lam, q = spec.objective.draw()
-    return diagonal_quadratic(lam), q
+    lam, rotate = spec.objective.draw()
+    return diagonal_quadratic(lam), rotate
 
 
 def _mc_seeds(spec: ExperimentSpec) -> List[int]:
@@ -441,10 +444,10 @@ def _monte_carlo_problem(spec: ExperimentSpec) -> MonteCarloProblem:
         return seeds, spec.objective.build(), np.array(x0s)
     lams, starts = [], []
     for rseed, x0 in zip(seeds, x0s):
-        lam, q = spec.objective.draw(seed=derive_seed(rseed, "objective", 0))
+        lam, rotate = spec.objective.draw(seed=derive_seed(rseed, "objective", 0))
         lams.append(lam)
-        starts.append(x0 @ q)
-        del q  # hold one basis at a time
+        starts.append(rotate(x0))
+        del rotate  # hold one set of reflectors at a time
     return seeds, diagonal_quadratic(np.array(lams)), np.array(starts)
 
 
@@ -470,10 +473,10 @@ def random_search(
         cfgs.append(entry.make_config(params))
         x0s.append(spec.init.materialize(spec.objective.dim, rng))
         trial_seeds.append(tseed)
-    obj, basis = _search_problem(spec) if problem is None else problem
+    obj, rotate = _search_problem(spec) if problem is None else problem
     starts = np.array(x0s)
-    if basis is not None:
-        starts = starts @ basis
+    if rotate is not None:
+        starts = rotate(starts)
     batch = run_batch(obj, cfgs, starts, spec.iters, trial_seeds)
     final = batch.final_gaps
     best = int(np.argmin(final))  # the first of equal gaps, as trials are drawn
@@ -537,7 +540,7 @@ def run_bench(spec: ExperimentSpec) -> List[BenchOutcome]:
 
     The search objective and the Monte-Carlo runs are drawn once and shared
     by every optimizer; the Monte-Carlo draws come first, so that only one
-    eigenbasis, the search's, is held at a time.
+    set of reflectors, the search's, is held at a time.
 
     When neither the objective nor the start is random, every Monte-Carlo
     run would be the search winner's run again, bit for bit: same

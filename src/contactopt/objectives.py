@@ -15,9 +15,12 @@ product may differ in the last bits.  Integer powers are written as
 products: numpy's vectorized ``power`` rounds differently on different
 CPUs, a product does not.
 
-The random quadratic comes in two forms.  :func:`draw_quadratic` draws its
-eigenvalues and eigenbasis, which goes through LAPACK's QR;
-:func:`make_random_quadratic` assembles A = Q diag(lam) Q' from them, and
+The random quadratic comes in two forms, both from one seeded Gaussian
+matrix and its LAPACK QR.  :func:`make_random_quadratic` forms the
+eigenbasis Q and assembles A = Q diag(lam) Q'.  :func:`draw_quadratic`
+never forms Q: it returns lam and a rotation that applies the QR's
+Householder reflectors to a start, with elementwise products and row
+sums, so a row's bits do not depend on the rows rotated with it.
 :func:`diagonal_quadratic` is the same function in the eigenbasis, where
 each step costs O(n) instead of O(n^2) and has no BLAS product.  Its
 eigenvalues may differ per row of a stack, one quadratic per run.
@@ -67,20 +70,18 @@ class Objective:
         return self.eval(x)
 
 
+# X -> X @ Q for a (n,) start or a (T, n) stack; see draw_quadratic
+Rotation = Callable[[np.ndarray], np.ndarray]
+
+
 def _value(v):
     """A float for one point, the array of row values for a stack."""
     return float(v) if v.ndim == 0 else v
 
 
-def draw_quadratic(
-    seed: int, dim: int, eigen_lo: float, eigen_hi: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Draw the eigenvalues lam and eigenbasis Q of a random quadratic.
-
-    lam_i ~ U(eigen_lo, eigen_hi) and Q is the orthogonal factor of the QR
-    decomposition of a seeded standard-Gaussian matrix, with the diagonal
-    of R forced positive so the factorization is deterministic in the seed.
-    """
+def _gauss_and_lam(seed: int, dim: int, eigen_lo: float, eigen_hi: float):
+    """The seeded standard-Gaussian matrix, then the eigenvalues
+    lam_i ~ U(eigen_lo, eigen_hi), from one generator."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if not (0.0 < eigen_lo <= eigen_hi):
@@ -89,20 +90,63 @@ def draw_quadratic(
         )
     rng = np.random.default_rng(seed)
     gauss = rng.standard_normal((dim, dim))
-    lam = rng.uniform(eigen_lo, eigen_hi, size=dim)
-    q, r = np.linalg.qr(gauss)
-    signs = np.sign(np.diag(r))
+    return gauss, rng.uniform(eigen_lo, eigen_hi, size=dim)
+
+
+def _signs(r_diag: np.ndarray) -> np.ndarray:
+    """The column signs that make the diagonal of R positive."""
+    signs = np.sign(r_diag)
     signs[signs == 0] = 1.0
-    q *= signs
-    return lam, q
+    return signs
+
+
+def draw_quadratic(
+    seed: int, dim: int, eigen_lo: float, eigen_hi: float
+) -> Tuple[np.ndarray, Rotation]:
+    """Draw the eigenvalues lam of a random quadratic and the rotation
+    into its eigenbasis Q, without forming Q.
+
+    Q is the orthogonal factor of the QR decomposition of a seeded
+    standard-Gaussian matrix, with the diagonal of R forced positive so the
+    factorization is deterministic in the seed; lam and the matrix are
+    those of :func:`make_random_quadratic`.  ``rotate(X)`` is ``X @ Q`` for
+    a ``(n,)`` start or a ``(T, n)`` stack: it applies the Householder
+    reflectors H_0, ..., H_{n-1} of Q = H_0 ... H_{n-1} to each distinct
+    row with elementwise products and row sums, then the signs.  A row's
+    bits depend only on that row and the factorization, and equal rows are
+    rotated once.
+    """
+    gauss, lam = _gauss_and_lam(seed, dim, eigen_lo, eigen_hi)
+    # row k of h is R's column k down to R[k, k], then v_k's entries below k
+    h, tau = np.linalg.qr(gauss, mode="raw")
+    del gauss
+    signs = _signs(np.diagonal(h))
+    np.fill_diagonal(h, 1.0)  # v_k[k] = 1, so v_k = h[k, k:] from row k down
+
+    def rotate(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        rows = np.ascontiguousarray(x.reshape(-1, dim))
+        keys = rows.view(np.dtype((np.void, rows.itemsize * dim)))[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        y = rows[first]
+        # x @ Q = (H_{n-1} ... H_0 x')' with H_k = I - tau_k v_k v_k'
+        for k in range(dim):
+            v, tail = h[k, k:], y[:, k:]
+            tail -= (tau[k] * (tail * v).sum(axis=-1))[:, None] * v
+        return (y * signs)[inverse].reshape(x.shape)
+
+    return lam, rotate
 
 
 def make_random_quadratic(
     seed: int, dim: int, eigen_lo: float, eigen_hi: float
 ) -> Objective:
     """Build f(x) = x'Ax/2 with A = Q diag(lam) Q' symmetric positive
-    definite, (lam, Q) from :func:`draw_quadratic`."""
-    lam, q = draw_quadratic(seed, dim, eigen_lo, eigen_hi)
+    definite, lam and Q those :func:`draw_quadratic` rotates by; Q is formed
+    from the reduced QR."""
+    gauss, lam = _gauss_and_lam(seed, dim, eigen_lo, eigen_hi)
+    q, r = np.linalg.qr(gauss)
+    q *= _signs(np.diag(r))
     a = (q * lam) @ q.T
     a = 0.5 * (a + a.T)  # exact symmetry
 

@@ -216,14 +216,14 @@ def test_criterion_10_bench_cli_is_deterministic(acceptance, desk_bench,
 # why in CHANGES.md.  Quartic, camelback and rosenbrock use elementwise
 # IEEE arithmetic, row sums and libm's pow only, so their digests do not
 # depend on the CPU.  The quadratic runs in its eigenbasis with the same
-# arithmetic, but each of its draws still goes through LAPACK's QR and each
-# start through one rotation by the drawn basis (a BLAS product), whose
-# rounding may differ with the LAPACK/BLAS build and the CPU it dispatches
-# for.
+# arithmetic, and each start is rotated into it by applying the drawn
+# Householder reflectors with elementwise products and row sums; but each
+# of its draws goes through LAPACK's QR, whose reflectors may round
+# differently with the LAPACK build and the CPU it dispatches for.
 GOLDEN_DESK_SEED_42 = {
     "quadratic": (
-        "892cf36e045830ebed9aa1a04858658713cb20ef90d1e65ce38a567f457d342f",
-        "5830e9954130de22bc7796e6ce8c946e8000f46d1e7bb2575d214b8bb1ea2124",
+        "bd46932ec17a3ee3ef98290343a3231ecaa1856e20f49bf628b06d4ab0174acd",
+        "ec49a26167588a16d39f59816903d671dba47f6f38ddad0740a499314a9e6c95",
     ),
     "quartic": (
         "d206dc10eb6a3c68d6f754fac596b2c3959f94e9d5e148de24e2d518dc3a8f0d",

@@ -697,8 +697,8 @@ def _intervals(values):
     return st.lists(values, min_size=2, max_size=2).map(sorted)
 
 
-# search intervals inside each tunable's domain; tau and epsilon need only hi > 0
-_positive_hi = _intervals(_finite).filter(lambda iv: iv[1] > 0)
+# search intervals inside each tunable's domain; tau and epsilon may touch 0
+_positive_hi = _intervals(st.floats(0, 1e6)).filter(lambda iv: iv[1] > 0)
 _IN_DOMAIN = {
     "tau": _positive_hi,
     "epsilon": _positive_hi,
@@ -851,7 +851,9 @@ class TestConfigParsing:
         ("gd", {"tau": [-1, -0.5]}, r"tau interval \[-1.0, -0.5\] needs a positive hi"),
         ("rgd", {"epsilon": [-1, 0], "mu": [0.5, 0.9], "delta": [0, 1]},
          r"epsilon interval \[-1.0, 0.0\] needs a positive hi"),
-    ], ids=["mu-above-1", "mu-at-0", "delta-negative", "tau-nonpositive", "epsilon-nonpositive"])
+        ("gd", {"tau": [-1, 0.01]}, r"tau interval \[-1.0, 0.01\] must be non-negative"),
+    ], ids=["mu-above-1", "mu-at-0", "delta-negative", "tau-nonpositive", "epsilon-nonpositive",
+            "tau-negative-lo"])
     def test_interval_outside_its_domain_is_rejected_at_its_entry(self, kind, ranges, why):
         doc = base_doc()
         doc["optimizers"] = [{"kind": "gd", "ranges": {"tau": [0.01, 0.1]}},

@@ -119,18 +119,36 @@ class TestRandomQuadratic:
 
 class TestEigenbasisQuadratic:
     def test_draw_is_the_assembled_matrix(self):
-        lam, q = draw_quadratic(3, 20, 0.1, 1.0)
+        lam, rotate = draw_quadratic(3, 20, 0.1, 1.0)
+        q = rotate(np.eye(20))
         np.testing.assert_allclose(q.T @ q, np.eye(20), rtol=0, atol=1e-12)
         a = make_random_quadratic(3, 20, 0.1, 1.0).grad(np.eye(20))
         np.testing.assert_allclose(q.T @ a @ q, np.diag(lam), rtol=0, atol=1e-12)
 
     def test_value_and_gradient_in_the_eigenbasis(self):
-        lam, q = draw_quadratic(7, 6, 0.2, 1.5)
+        lam, rotate = draw_quadratic(7, 6, 0.2, 1.5)
         full, diag = make_random_quadratic(7, 6, 0.2, 1.5), diagonal_quadratic(lam)
         x = np.random.default_rng(1).standard_normal((4, 6))
-        np.testing.assert_allclose(diag.eval(x @ q), full.eval(x), rtol=1e-13)
-        np.testing.assert_allclose(diag.grad(x @ q), full.grad(x) @ q, rtol=0, atol=1e-13)
-        assert diag.rows is None and check_gradient(diag, x[0] @ q) < 1e-7
+        y = rotate(x)
+        np.testing.assert_allclose(diag.eval(y), full.eval(x), rtol=1e-13)
+        np.testing.assert_allclose(diag.grad(y), rotate(full.grad(x)), rtol=0, atol=1e-13)
+        assert diag.rows is None and check_gradient(diag, rotate(x[0])) < 1e-7
+
+    def test_rotation_where_the_qr_blocks(self):
+        # dim 200 is above LAPACK's crossover to the blocked QR; a row is
+        # rotated exactly as it is alone, whatever is stacked with it
+        n = 200
+        lam, rotate = draw_quadratic(11, n, 0.1, 1.0)
+        x = np.random.default_rng(2).standard_normal((5, n))
+        x[3] = x[1]
+        y = rotate(x)
+        for row, alone in zip(y, x):
+            np.testing.assert_array_equal(row, rotate(alone))
+        np.testing.assert_array_equal(y[3], y[1])
+        q = rotate(np.eye(n))
+        np.testing.assert_allclose(q.T @ q, np.eye(n), rtol=0, atol=1e-12)
+        a = make_random_quadratic(11, n, 0.1, 1.0).grad(np.eye(n))
+        np.testing.assert_allclose((q * lam) @ q.T, a, rtol=0, atol=1e-12)
 
     def test_per_row_eigenvalues(self):
         lam = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])

@@ -576,8 +576,8 @@ class TestEigenbasis:
         # no speed limit and a huge step: this run diverges
         cfgs.append(dataclasses.replace(cfgs[0], tau=500.0, epsilon=500.0, delta=0.0))
         x0s = rng.uniform(-2.0, 2.0, (len(cfgs), 8))
-        lam, q = draw_quadratic(4, 8, 0.1, 1.0)
-        batch = run_batch(diagonal_quadratic(lam), cfgs, x0s @ q, iters=60)
+        lam, rotate = draw_quadratic(4, 8, 0.1, 1.0)
+        batch = run_batch(diagonal_quadratic(lam), cfgs, rotate(x0s), iters=60)
         assembled = make_random_quadratic(4, 8, 0.1, 1.0)
         for i, (cfg, x0) in enumerate(zip(cfgs, x0s)):
             rec = run(assembled, cfg, x0, 60)
