@@ -4,8 +4,11 @@ Each family below certifies one mathematical property of the build against
 an independent route: conformal factors through numerical pullback,
 convergence orders against the RK4 oracle, the discrete optimizer recursion
 against the splitting flows, the dissipation identity against finite
-differences of H, and the special-case reductions of the contact fields
-against their classical counterparts.  Families return plain results; the
+differences of H, the special-case reductions of the contact fields
+against their classical counterparts, and (``nag``) the factorized
+Nesterov stepper: its S against the closed-form momentum product, its
+trivial k = 1 stage, and its X drift from the classical stepper, which is
+reported, not gated.  Families return plain results; the
 CLI formats them, the test suite asserts on them, and both share these
 implementations so there is exactly one definition of "correct" per
 property.

@@ -24,14 +24,11 @@ import os
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from .checks import CHECK_FAMILIES, run_checks
 from .harness import (
     ConfigError,
     InitSpec,
     RateUndefinedError,
-    derive_seed,
     estimate_rate,
     export_band_csv,
     export_svg,
@@ -130,12 +127,7 @@ def cmd_run(args) -> int:
         momentum_schedule=args.schedule,
         clock=args.clock,
     )
-    init = parse_init_flag(args.init)
-    if init.random:
-        rng = np.random.default_rng(derive_seed(seed, "init", 0))
-        x0 = init.materialize(obj.dim, rng)
-    else:
-        x0 = init.materialize(obj.dim)
+    x0 = parse_init_flag(args.init).start(obj.dim, seed)
     rec = run(obj, cfg, x0, args.iters, trial_seed=seed)
     if args.out:
         export_trace_csv([rec], args.out)
@@ -287,26 +279,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="trace CSV path")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("search", help="tune and measure from a JSON config")
+    # the flags of the tune-then-measure pipeline that search and bench share
+    pipeline = _Parser(add_help=False)
+    pipeline.add_argument("--seed", type=int, default=None, help="master seed (overrides a config's)")
+    pipeline.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
+    pipeline.add_argument("--out", default=None, help="band CSV path")
+    pipeline.add_argument("--traces", default=None, help="per-run trace CSV path")
+    pipeline.add_argument("--svg", default=None, help="figure path")
+    pipeline.add_argument("--title", default=None)
+
+    p = sub.add_parser("search", parents=[pipeline], help="tune and measure from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override master seed")
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
-    p.add_argument("--out", default=None, help="band CSV path")
-    p.add_argument("--traces", default=None, help="per-run trace CSV path")
-    p.add_argument("--svg", default=None, help="figure path")
-    p.add_argument("--title", default=None)
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("bench", help="tune and measure a named preset")
+    p = sub.add_parser("bench", parents=[pipeline], help="tune and measure a named preset")
     p.add_argument("--preset", required=True, choices=PRESET_NAMES)
     p.add_argument("--scale", choices=SCALES, default="desk")
-    p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument("--init", default=None, help="override the preset start point")
-    p.add_argument("--out", default=None, help="band CSV path")
-    p.add_argument("--traces", default=None, help="per-run trace CSV path")
-    p.add_argument("--svg", default=None, help="figure path")
-    p.add_argument("--title", default=None)
     p.add_argument(
         "--dump-config",
         action="store_true",

@@ -18,7 +18,8 @@ reference integrator over that same field used as the accuracy oracle
 everywhere else, and the two numerical self-checks the rest of the package
 leans on: the dissipation-identity residual and conformal-factor extraction
 (is a given discrete map a contact transformation, and by what scaling
-factor?).
+factor?).  The one divergence rule, :func:`within_limit`, sits beside its
+constant.
 
 A discrete map is a plain function of a :class:`ContactState`.  A map with
 an exact Jacobian keeps it in a sibling function of the state, as
@@ -30,12 +31,15 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .objectives import Objective, check_gradient
+
 __all__ = [
     "ContactState",
     "ContactHamiltonian",
     "Partials",
     "Trajectory",
     "DIVERGENCE_LIMIT",
+    "within_limit",
     "eta",
     "map_F",
     "map_F_jacobian",
@@ -46,9 +50,13 @@ __all__ = [
     "check_hamiltonian_gradients",
 ]
 
-# the one divergence rule: a recorded value v has blown up when
-# `not abs(v) <= DIVERGENCE_LIMIT`, which is also true for NaN and +-inf
 DIVERGENCE_LIMIT = 1e300
+
+
+def within_limit(values) -> np.ndarray:
+    """The one divergence rule, elementwise: whether |v| <= DIVERGENCE_LIMIT.
+    NaN and +-inf are not within it; a value that is not has blown up."""
+    return np.abs(values) <= DIVERGENCE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -93,10 +101,6 @@ class ContactState:
     def from_coords(z: np.ndarray, t: float) -> "ContactState":
         n = (len(z) - 1) // 2
         return ContactState(X=z[:n], P=z[n : 2 * n], S=float(z[2 * n]), t=t)
-
-    def is_finite(self) -> bool:
-        """Whether every coordinate passes the DIVERGENCE_LIMIT rule."""
-        return bool(np.all(np.abs(self.coords()) <= DIVERGENCE_LIMIT))
 
 
 class Partials(NamedTuple):
@@ -248,8 +252,9 @@ def reference_integrate(
     """Classical RK4 on the contact field of the named ``form`` ('std1' or
     'std2'); the accuracy oracle.
 
-    Returns n+1 rows (including s0) unless the solution blows up, in which
-    case the trajectory is truncated at the last finite row and flagged.
+    Returns n+1 rows (including s0) unless a row leaves the divergence
+    limit (:func:`within_limit`), in which case the trajectory is truncated
+    before that row and flagged.
     The stages call the same field function as :func:`contact_field` on the
     flat (X, P, S) vector, and each accepted step is written into the
     trajectory's next row.
@@ -271,7 +276,7 @@ def reference_integrate(
             k4 = f(H, z + dt * k3, t + dt)
             z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = t + dt
-            if not np.all(np.abs(z) <= DIVERGENCE_LIMIT):
+            if not within_limit(z).all():
                 return Trajectory(ts[:i], zs[:i], diverged=True)
             ts[i], zs[i] = t, z
     return Trajectory(ts, zs)
@@ -349,25 +354,18 @@ def conformal_factor(
 def check_hamiltonian_gradients(
     H: ContactHamiltonian, state: ContactState, h: float = 1e-6
 ) -> float:
-    """Worst relative error of the partials of one call at ``state`` vs
-    central differences of the values at the shifted points, with
-    denominator max(1, |analytic|)."""
-    x, p, s, t = state.X, state.P, state.S, state.t
-    worst = 0.0
+    """Worst relative error of the partials of one call at ``state``, as
+    :func:`~contactopt.objectives.check_gradient` audits an objective: H's
+    value over the flat point (X, P, S, t), with the partials as its
+    gradient."""
+    n = state.dim
 
-    def rel(fd: float, an: float) -> float:
-        return abs(fd - an) / max(1.0, abs(an))
+    def at(w: np.ndarray) -> Partials:
+        return H(w[:n], w[n : 2 * n], float(w[2 * n]), float(w[2 * n + 1]))
 
-    _, gx, gp, hs, ht = H(x, p, s, t)
-    for i in range(len(x)):
-        e = np.zeros_like(x)
-        e[i] = h
-        fd = (H(x + e, p, s, t).value - H(x - e, p, s, t).value) / (2 * h)
-        worst = max(worst, rel(fd, gx[i]))
-        fd = (H(x, p + e, s, t).value - H(x, p - e, s, t).value) / (2 * h)
-        worst = max(worst, rel(fd, gp[i]))
-    fd = (H(x, p, s + h, t).value - H(x, p, s - h, t).value) / (2 * h)
-    worst = max(worst, rel(fd, float(hs)))
-    fd = (H(x, p, s, t + h).value - H(x, p, s, t - h).value) / (2 * h)
-    worst = max(worst, rel(fd, float(ht)))
-    return worst
+    def partials(w: np.ndarray) -> np.ndarray:
+        q = at(w)
+        return np.concatenate([q.grad_X, q.grad_P, [q.dS, q.dt]])
+
+    flat = Objective("H", 2 * n + 2, eval=lambda w: at(w).value, grad=partials)
+    return check_gradient(flat, np.append(state.coords(), state.t), h)

@@ -178,6 +178,14 @@ class InitSpec:
             raise ValueError("box init needs a generator")
         return rng.uniform(self.lo, self.hi, size=dim)
 
+    def start(self, dim: int, seed: int) -> np.ndarray:
+        """The start of the run seeded with ``seed``: a box draws from the
+        generator seeded with derive_seed(seed, "init", 0); the other kinds
+        ignore the seed."""
+        if not self.random:
+            return self.materialize(dim)
+        return self.materialize(dim, np.random.default_rng(derive_seed(seed, "init", 0)))
+
 
 _PARAM_NAMES = ("tau", "epsilon", "mu", "delta")
 
@@ -439,7 +447,7 @@ def _monte_carlo_problem(spec: ExperimentSpec) -> MonteCarloProblem:
     """A quadratic is redrawn per run from derive_seed(run seed,
     "objective", 0); only its eigenvalues and rotated start are kept."""
     seeds = _mc_seeds(spec)
-    x0s = [_mc_start(spec, rseed) for rseed in seeds]
+    x0s = [spec.init.start(spec.objective.dim, rseed) for rseed in seeds]
     if not spec.objective.randomized:
         return seeds, spec.objective.build(), np.array(x0s)
     lams, starts = [], []
@@ -519,13 +527,6 @@ def _winner_runs(spec: ExperimentSpec, best: RunRecord) -> Tuple[QuantileBand, L
     seeds = _mc_seeds(spec)
     gaps = np.repeat(np.array(best.trace)[:, None], len(seeds), axis=1)
     return _band(best.kind, gaps), [replace(best, trial_seed=s) for s in seeds]
-
-
-def _mc_start(spec: ExperimentSpec, rseed: int) -> np.ndarray:
-    if spec.init.random:
-        rng = np.random.default_rng(derive_seed(rseed, "init", 0))
-        return spec.init.materialize(spec.objective.dim, rng)
-    return spec.init.materialize(spec.objective.dim)
 
 
 @dataclass(frozen=True)

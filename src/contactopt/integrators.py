@@ -36,7 +36,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .contact import ContactHamiltonian, ContactState, Partials, Trajectory
+from .contact import ContactHamiltonian, ContactState, Partials, Trajectory, within_limit
 from .objectives import Objective
 
 __all__ = [
@@ -246,7 +246,8 @@ def integrate_split(
     plan: str = "strang",
 ) -> Trajectory:
     """Advance n composed steps, truncating with a divergence flag (never an
-    exception) when a component stops being finite."""
+    exception) when a coordinate leaves the divergence limit (see
+    contact.within_limit)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     ts = np.empty(n + 1)
@@ -256,7 +257,8 @@ def integrate_split(
     with np.errstate(all="ignore"):
         for i in range(1, n + 1):
             s = compose_step(s, tau, obj, params, plan)
-            if not s.is_finite():
+            z = s.coords()
+            if not within_limit(z).all():
                 return Trajectory(ts[:i], zs[:i], diverged=True)
-            ts[i], zs[i] = s.t, s.coords()
+            ts[i], zs[i] = s.t, z
     return Trajectory(ts, zs)

@@ -30,7 +30,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .contact import DIVERGENCE_LIMIT, ContactState
+from .contact import ContactState, within_limit
 from .objectives import Objective
 
 __all__ = [
@@ -392,7 +392,7 @@ def run_batch(
 
     The gap is f(X) minus the objective's known minimum value when one is
     declared, else raw f.  The start gap is always recorded.  A run whose
-    gap leaves DIVERGENCE_LIMIT in magnitude (NaN and +-inf included) is
+    gap is not within the divergence limit (contact.within_limit) is
     flagged diverged and dropped from the stack, together with its row of
     an objective that has per-row parameters (``obj.rows``); its record
     keeps only the gaps before that step.  S is skipped: it never
@@ -434,8 +434,8 @@ def run_batch(
         for k in range(iters):
             X, V, _ = update(X, V, None, k, obj, p)
             g = gap(X)
-            if not np.abs(g).max() <= DIVERGENCE_LIMIT:  # a NaN max fails too
-                keep = np.abs(g) <= DIVERGENCE_LIMIT
+            keep = within_limit(g)
+            if not keep.all():
                 dead = live[~keep]
                 stop[dead] = k + 1
                 diverged[dead] = True

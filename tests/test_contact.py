@@ -20,6 +20,7 @@ from contactopt.contact import (
     map_F,
     map_F_jacobian,
     reference_integrate,
+    within_limit,
 )
 from contactopt.integrators import (
     ContactParams,
@@ -46,6 +47,15 @@ def random_states(seed, n, dim):
         )
 
 
+class TestDivergenceRule:
+    def test_within_limit_boundary(self):
+        # the limit itself is within; the next double above it, +-inf and NaN are not
+        values = [0.0, 2.0, -1e300, 1e300, np.nextafter(1e300, np.inf), np.inf, -np.inf, np.nan]
+        assert DIVERGENCE_LIMIT == 1e300
+        assert within_limit(np.array(values)).tolist() == [True] * 4 + [False] * 4
+        assert within_limit(1e300) and not within_limit(math.nan)
+
+
 class TestContactState:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -67,10 +77,6 @@ class TestContactState:
         np.testing.assert_array_equal(back.X, s.X)
         np.testing.assert_array_equal(back.P, s.P)
         assert back.S == s.S and back.t == s.t
-
-    def test_is_finite(self):
-        assert state_of([1.0], [2.0]).is_finite()
-        assert not state_of([np.inf], [2.0]).is_finite()
 
     def test_tangent_length_checked_by_forms(self):
         s = state_of([1.0, 2.0], [0.0, 0.0])
@@ -239,6 +245,18 @@ class TestContactFields:
         ham = contact_hamiltonian(obj, ContactParams(*damping, m=1.2, c=c))
         for s in random_states(9, 10, 3):
             assert check_hamiltonian_gradients(ham, s) < 1e-5
+
+    @pytest.mark.parametrize("part", ["grad_X", "grad_P", "dS", "dt"])
+    def test_audit_catches_an_off_partial(self, part):
+        obj = make_random_quadratic(11, 3, 0.1, 2.0)
+        ham = contact_hamiltonian(obj, ContactParams(*nag_like_damping(0.3), m=1.2, c=0.8))
+
+        def off(x, p, s, t):
+            q = ham(x, p, s, t)
+            return q._replace(**{part: getattr(q, part) + 1e-3})
+
+        for s in random_states(9, 10, 3):
+            assert check_hamiltonian_gradients(off, s) > 1e-5
 
 
 class TestTrajectory:

@@ -81,6 +81,14 @@ class TestInitSpec:
         x = spec.materialize(100, np.random.default_rng(0))
         assert np.all(x >= -2.0) and np.all(x <= 3.0)
 
+    def test_start_of_a_seeded_run(self):
+        box = InitSpec(kind="box", lo=-2.0, hi=3.0)
+        rng = np.random.default_rng(derive_seed(7, "init", 0))
+        np.testing.assert_array_equal(box.start(4, 7), box.materialize(4, rng))
+        assert not np.array_equal(box.start(4, 7), box.start(4, 8))
+        pattern = InitSpec(kind="pattern", values=(-1.2, 1.0))
+        np.testing.assert_array_equal(pattern.start(3, 7), pattern.materialize(3))
+
     def test_box_needs_generator(self):
         with pytest.raises(ValueError, match="generator"):
             InitSpec(kind="box", lo=0.0, hi=1.0).materialize(2)

@@ -526,6 +526,16 @@ class TestRunBatch:
         assert not batch[1].diverged and len(batch[1].trace) == 11
         assert batch[1] == run(obj, cfgs[1], x0s[1], 10)
 
+    def test_divergence_boundary(self):
+        # the gap is X's one coordinate, which gd keeps under a zero gradient
+        values = [1e300, -1e300, np.nextafter(1e300, np.inf), np.inf, -np.inf, np.nan]
+        obj = Objective(name="coordinate", dim=1, eval=lambda x: x[..., 0], grad=np.zeros_like)
+        cfgs = [OptimizerConfig(kind="gd", tau=0.1)] * len(values)
+        batch = run_batch(obj, cfgs, np.array(values)[:, None], iters=3)
+        assert batch.diverged.tolist() == [False, False, True, True, True, True]
+        assert batch.stop.tolist() == [4, 4, 1, 1, 1, 1]
+        assert batch[0].trace == (1e300,) * 4 and batch[1].trace == (-1e300,) * 4
+
     def test_final_gaps_match_records(self):
         batch, _ = batch_vs_single(quartic(4), ("gd", "constant", "iteration"), seed=8)
         assert batch.diverged.any() and not batch.diverged.all()
