@@ -14,7 +14,7 @@ care.
 import argparse
 import sys
 
-from contactopt.checks import fit_order, order_errors
+from contactopt.checks import ORDER_TAUS, fit_order, order_errors
 from contactopt.integrators import PLAN_NAMES, PLANS
 
 
@@ -22,7 +22,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--plans", default=",".join(PLAN_NAMES),
                     help="comma list of composition plans")
-    ap.add_argument("--taus", default="0.1,0.05,0.025,0.0125")
+    ap.add_argument("--taus", default=",".join(map(str, ORDER_TAUS)))
     ap.add_argument("--horizon", type=float, default=1.0)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)

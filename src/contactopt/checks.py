@@ -82,6 +82,7 @@ __all__ = [
     "TOL_NAG_ODE",
     "ORDER2_SLACK",
     "ORDER4_SLACK",
+    "ORDER_TAUS",
 ]
 
 TOL_CONFORMAL = 1e-8       # pullback residual for every discrete map
@@ -93,7 +94,7 @@ TOL_SPECIALIZATION = 1e-8  # pointwise field reductions
 TOL_NAG_ODE = 1e-6         # x'' + (3/t) x' + grad f along a trajectory
 ORDER2_SLACK = 0.1         # observed order windows
 ORDER4_SLACK = 0.2
-_ORDER_TAUS = (0.1, 0.05, 0.025, 0.0125)  # step sizes of the order sweep
+ORDER_TAUS = (0.1, 0.05, 0.025, 0.0125)  # step sizes of the order sweep
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,7 @@ def check_conformal(seed: int = 0) -> List[CheckResult]:
 
 def order_errors(
     plan_names: Sequence[str],
-    taus: Sequence[float] = _ORDER_TAUS,
+    taus: Sequence[float] = ORDER_TAUS,
     horizon: float = 1.0,
     seed: int = 0,
 ) -> Dict[str, List[float]]:
@@ -265,7 +266,7 @@ def check_orders(seed: int = 0) -> List[CheckResult]:
     results = []
     for plan_name, slack in slacks.items():
         target = float(PLANS[plan_name][0])
-        p = fit_order(_ORDER_TAUS, errors[plan_name])
+        p = fit_order(ORDER_TAUS, errors[plan_name])
         results.append(
             CheckResult(
                 family="orders",

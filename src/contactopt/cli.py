@@ -40,7 +40,7 @@ from .harness import (
 )
 from .integrators import PLAN_NAMES
 from .objectives import OBJECTIVE_NAMES, get_objective
-from .optimizers import OPTIMIZER_KINDS, OptimizerConfig, run
+from .optimizers import CLOCKS, MOMENTUM_SCHEDULES, OPTIMIZER_KINDS, TUNABLES, OptimizerConfig, run
 from .presets import PRESET_NAMES, SCALES, experiment_preset
 
 EXIT_OK = 0
@@ -120,12 +120,9 @@ def cmd_run(args) -> int:
     obj = get_objective(args.objective, dim=args.dim, seed=seed)
     cfg = OptimizerConfig(
         kind=args.optimizer,
-        tau=args.tau,
-        epsilon=args.epsilon,
-        mu=args.mu,
-        delta=args.delta,
         momentum_schedule=args.schedule,
         clock=args.clock,
+        **{name: getattr(args, name) for name in TUNABLES},
     )
     x0 = parse_init_flag(args.init).start(obj.dim, seed)
     rec = run(obj, cfg, x0, args.iters, trial_seed=seed)
@@ -268,12 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--seed", type=int, default=None, help="objective/init seed")
     p.add_argument("--optimizer", required=True, choices=OPTIMIZER_KINDS)
-    p.add_argument("--tau", type=float, default=0.1)
-    p.add_argument("--epsilon", type=float, default=1e-2)
-    p.add_argument("--mu", type=float, default=0.9)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--schedule", choices=("constant", "nesterov_k"), default="constant")
-    p.add_argument("--clock", choices=("iteration", "physical"), default="iteration")
+    for name in TUNABLES:
+        p.add_argument(f"--{name}", type=float, default=getattr(OptimizerConfig, name))
+    p.add_argument(
+        "--schedule", choices=MOMENTUM_SCHEDULES, default=OptimizerConfig.momentum_schedule
+    )
+    p.add_argument("--clock", choices=CLOCKS, default=OptimizerConfig.clock)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--init", default="const:1")
     p.add_argument("--out", default=None, help="trace CSV path")

@@ -15,11 +15,12 @@ partials as one :class:`Partials`.  It generates a flow that dissipates H at
 rate dH/dt = -(dH/dS) H + dH/dt|_explicit.  This module provides its vector
 field in either convention (:func:`contact_field`), a hand-rolled RK4
 reference integrator over that same field used as the accuracy oracle
-everywhere else, and the two numerical self-checks the rest of the package
-leans on: the dissipation-identity residual and conformal-factor extraction
-(is a given discrete map a contact transformation, and by what scaling
-factor?).  The one divergence rule, :func:`within_limit`, sits beside its
-constant.
+everywhere else, :meth:`Trajectory.of`, the one loop that records a run for
+that oracle and for the splitting integrator, and the two numerical
+self-checks the rest of the package leans on: the dissipation-identity
+residual and conformal-factor extraction (is a given discrete map a contact
+transformation, and by what scaling factor?).  The one divergence rule,
+:func:`within_limit`, sits beside its constant.
 
 A discrete map is a plain function of a :class:`ContactState`.  A map with
 an exact Jacobian keeps it in a sibling function of the state, as
@@ -27,7 +28,7 @@ an exact Jacobian keeps it in a sibling function of the state, as
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -208,7 +209,7 @@ class Trajectory:
     """A sampled run of a flow: clock readings t, an (N,) array, and the
     (X, P, S) rows z, an (N, 2n+1) array, both read-only, plus a flag set
     when the run stopped at its last finite row.  ``X``, ``P`` and ``S``
-    are read-only column views of z."""
+    are read-only column views of z.  :meth:`of` records one by stepping."""
 
     t: np.ndarray
     z: np.ndarray
@@ -241,6 +242,25 @@ class Trajectory:
     def S(self) -> np.ndarray:
         return self.z[:, -1]
 
+    @classmethod
+    def of(cls, advance: Callable, z: np.ndarray, t: float, n: int) -> "Trajectory":
+        """The run of n steps ``z, t = advance(z, t)`` from the flat row z at
+        clock t: n+1 rows, the start included, unless a row leaves the
+        divergence limit (:func:`within_limit`), in which case the run is
+        truncated before that row and flagged."""
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        ts = np.empty(n + 1)
+        zs = np.empty((n + 1, len(z)))
+        ts[0], zs[0] = t, z
+        with np.errstate(all="ignore"):
+            for i in range(1, n + 1):
+                z, t = advance(z, t)
+                if not within_limit(z).all():
+                    return cls(ts[:i], zs[:i], diverged=True)
+                ts[i], zs[i] = t, z
+        return cls(ts, zs)
+
 
 def reference_integrate(
     H: ContactHamiltonian,
@@ -250,36 +270,22 @@ def reference_integrate(
     n: int,
 ) -> Trajectory:
     """Classical RK4 on the contact field of the named ``form`` ('std1' or
-    'std2'); the accuracy oracle.
-
-    Returns n+1 rows (including s0) unless a row leaves the divergence
-    limit (:func:`within_limit`), in which case the trajectory is truncated
-    before that row and flagged.
-    The stages call the same field function as :func:`contact_field` on the
-    flat (X, P, S) vector, and each accepted step is written into the
-    trajectory's next row.
+    'std2'); the accuracy oracle.  n steps from s0, recorded and truncated
+    by :meth:`Trajectory.of`.  The stages call the same field function as
+    :func:`contact_field` on the flat (X, P, S) vector.
     """
     f = _field(form)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    ts = np.empty(n + 1)
-    zs = np.empty((n + 1, 2 * s0.dim + 1))
-    z, t = s0.coords(), s0.t
-    ts[0], zs[0] = t, z
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(1, n + 1):
-            k1 = f(H, z, t)
-            k2 = f(H, z + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = f(H, z + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = f(H, z + dt * k3, t + dt)
-            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t = t + dt
-            if not within_limit(z).all():
-                return Trajectory(ts[:i], zs[:i], diverged=True)
-            ts[i], zs[i] = t, z
-    return Trajectory(ts, zs)
+
+    def rk4(z: np.ndarray, t: float) -> Tuple[np.ndarray, float]:
+        k1 = f(H, z, t)
+        k2 = f(H, z + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = f(H, z + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = f(H, z + dt * k3, t + dt)
+        return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t + dt
+
+    return Trajectory.of(rk4, s0.coords(), s0.t, n)
 
 
 def dissipation_residual(H: ContactHamiltonian, traj: Trajectory) -> float:

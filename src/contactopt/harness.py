@@ -53,7 +53,7 @@ from .objectives import (
 )
 from .optimizers import (
     KIND_PARAMS,
-    OPTIMIZER_KINDS,
+    TUNABLES,
     OptimizerConfig,
     RunRecord,
     run,  # noqa: F401  (unused here; kept importable as harness.run)
@@ -168,7 +168,7 @@ class InitSpec:
         if self.kind == "fixed":
             if len(self.values) != dim:
                 raise ValueError(
-                    f"fixed init has {len(self.values)} values but dim is {dim}"
+                    f"fixed init length {len(self.values)} does not match dim {dim}"
                 )
             return np.array(self.values)
         if self.kind == "pattern":
@@ -187,9 +187,6 @@ class InitSpec:
         return self.materialize(dim, np.random.default_rng(derive_seed(seed, "init", 0)))
 
 
-_PARAM_NAMES = ("tau", "epsilon", "mu", "delta")
-
-
 @dataclass(frozen=True)
 class SearchRanges:
     """Closed sampling intervals per tunable, plus optional law overrides.
@@ -206,7 +203,7 @@ class SearchRanges:
     sampling: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in _PARAM_NAMES:
+        for name in TUNABLES:
             iv = getattr(self, name)
             if iv is None:
                 continue
@@ -225,7 +222,7 @@ class SearchRanges:
                 raise ValueError(f"{name} interval [{lo}, {hi}] must be non-negative")
             object.__setattr__(self, name, (lo, hi))
         for name, law in self.sampling.items():
-            if name not in _PARAM_NAMES:
+            if name not in TUNABLES:
                 raise ValueError(f"sampling law for unknown parameter {name!r}")
             if law not in ("uniform", "log_uniform"):
                 raise ValueError(
@@ -267,14 +264,11 @@ class SearchRanges:
 class OptimizerEntry:
     kind: str
     ranges: SearchRanges
-    momentum_schedule: str = "constant"
-    clock: str = "iteration"
+    momentum_schedule: str = OptimizerConfig.momentum_schedule
+    clock: str = OptimizerConfig.clock
 
     def __post_init__(self):
-        if self.kind not in OPTIMIZER_KINDS:
-            raise ValueError(
-                f"unknown optimizer kind {self.kind!r}; valid: {', '.join(OPTIMIZER_KINDS)}"
-            )
+        self.make_config({})  # the kind, schedule and clock checks are OptimizerConfig's
         for name in KIND_PARAMS[self.kind]:
             if getattr(self.ranges, name) is None:
                 raise ValueError(
@@ -344,10 +338,8 @@ class ExperimentSpec:
         ):
             if v < 1:
                 raise ValueError(f"{label} must be >= 1, got {v}")
-        if self.init.kind == "fixed" and len(self.init.values) != self.objective.dim:
-            raise ValueError(
-                f"fixed init length {len(self.init.values)} does not match dim {self.objective.dim}"
-            )
+        if not self.init.random:
+            self.init.materialize(self.objective.dim)  # a fixed start's length must match
 
 
 # ---------------------------------------------------------------------------
@@ -907,8 +899,8 @@ _INIT_KEYS = {"kind": _str, "pattern": _numbers, "lo": _number, "hi": _number}
 _ENTRY_FIELDS = {"kind": _str}
 _ENTRY_KEYS = {
     **_ENTRY_FIELDS,
-    "ranges": _object(dict.fromkeys(_PARAM_NAMES, _interval)),
-    "sampling": _object(dict.fromkeys(_PARAM_NAMES, _str)),
+    "ranges": _object(dict.fromkeys(TUNABLES, _interval)),
+    "sampling": _object(dict.fromkeys(TUNABLES, _str)),
 }
 
 
@@ -974,7 +966,7 @@ def spec_to_doc(spec: ExperimentSpec) -> dict:
     doc["optimizers"] = []
     for e in spec.optimizers:
         entry = {key: getattr(e, key) for key in _ENTRY_FIELDS}
-        ranges = {p: getattr(e.ranges, p) for p in _PARAM_NAMES}
+        ranges = {p: getattr(e.ranges, p) for p in TUNABLES}
         entry["ranges"] = {p: list(iv) for p, iv in ranges.items() if iv is not None}
         if e.ranges.sampling:
             entry["sampling"] = dict(e.ranges.sampling)

@@ -21,7 +21,9 @@ transformation, a plain function of the state that
 `contact.conformal_factor` can certify numerically; phi1, whose Jacobian is
 diagonal, also comes with :func:`phi1_jacobian`.  A composition plan is a
 name in :data:`PLANS`, which holds each plan's design order and stage
-weights; :func:`compose_step` and :func:`integrate_split` take the name.
+weights; :func:`compose_step` and :func:`integrate_split` take the name,
+and :func:`integrate_split` records its steps through
+``contact.Trajectory.of``.
 
 :func:`strang_step` accepts an optional ``clock_dtau`` that decouples the
 clock advance from the flow stepsize.  The optimizer family runs on an
@@ -36,7 +38,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .contact import ContactHamiltonian, ContactState, Partials, Trajectory, within_limit
+from .contact import ContactHamiltonian, ContactState, Partials, Trajectory
 from .objectives import Objective
 
 __all__ = [
@@ -245,20 +247,13 @@ def integrate_split(
     params: ContactParams,
     plan: str = "strang",
 ) -> Trajectory:
-    """Advance n composed steps, truncating with a divergence flag (never an
-    exception) when a coordinate leaves the divergence limit (see
-    contact.within_limit)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    ts = np.empty(n + 1)
-    zs = np.empty((n + 1, 2 * state0.dim + 1))
-    s = state0
-    ts[0], zs[0] = s.t, s.coords()
-    with np.errstate(all="ignore"):
-        for i in range(1, n + 1):
-            s = compose_step(s, tau, obj, params, plan)
-            z = s.coords()
-            if not within_limit(z).all():
-                return Trajectory(ts[:i], zs[:i], diverged=True)
-            ts[i], zs[i] = s.t, z
-    return Trajectory(ts, zs)
+    """Advance n composed steps from state0, recorded and truncated with a
+    divergence flag (never an exception) by contact.Trajectory.of."""
+    state = state0
+
+    def advance(z: np.ndarray, t: float) -> Tuple[np.ndarray, float]:
+        nonlocal state  # the current state; z and t are its coords and clock
+        state = compose_step(state, tau, obj, params, plan)
+        return state.coords(), state.t
+
+    return Trajectory.of(advance, state0.coords(), state0.t, n)

@@ -82,8 +82,7 @@ def _value(v):
 def _gauss_and_lam(seed: int, dim: int, eigen_lo: float, eigen_hi: float):
     """The seeded standard-Gaussian matrix, then the eigenvalues
     lam_i ~ U(eigen_lo, eigen_hi), from one generator."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    check_objective("quadratic", dim)
     if not (0.0 < eigen_lo <= eigen_hi):
         raise ValueError(
             f"need 0 < eigen_lo <= eigen_hi, got [{eigen_lo}, {eigen_hi}]"
@@ -200,8 +199,7 @@ def diagonal_quadratic(lam) -> Objective:
 
 def quartic(dim: int) -> Objective:
     """f(x) = sum_i i * x_i^4 (1-based i), convex with a very flat bowl at 0."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    check_objective("quartic", dim)
     weights = np.arange(1, dim + 1, dtype=float)
 
     def f(x: np.ndarray):
@@ -259,8 +257,7 @@ def camelback() -> Objective:
 
 def rosenbrock(dim: int) -> Objective:
     """Chained Rosenbrock, f(x) = sum_{i<n} 100 (x_{i+1} - x_i^2)^2 + (1 - x_i)^2."""
-    if dim < 2:
-        raise ValueError(f"rosenbrock needs dim >= 2, got {dim}")
+    check_objective("rosenbrock", dim)
 
     def f(x: np.ndarray):
         x = np.asarray(x, dtype=float)
@@ -331,7 +328,8 @@ def get_objective(
 
 def check_objective(name: str, dim: int) -> None:
     """Reject an unknown objective name, or a dimension the named objective
-    cannot take, before anything is built."""
+    cannot take, before anything is built: the one dimension rule, which
+    the constructors call as well."""
     if name not in OBJECTIVE_NAMES:
         raise ValueError(f"unknown objective {name!r}; valid: {', '.join(OBJECTIVE_NAMES)}")
     if dim < 1:

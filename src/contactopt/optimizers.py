@@ -36,6 +36,9 @@ from .objectives import Objective
 __all__ = [
     "OPTIMIZER_KINDS",
     "KIND_PARAMS",
+    "TUNABLES",
+    "MOMENTUM_SCHEDULES",
+    "CLOCKS",
     "OptimizerConfig",
     "OptState",
     "RunRecord",
@@ -58,6 +61,11 @@ KIND_PARAMS = {
     "crgd": ("epsilon", "mu", "delta"),
 }
 OPTIMIZER_KINDS = tuple(KIND_PARAMS)
+# every tunable, in OptimizerConfig's field order
+TUNABLES = ("tau", "epsilon", "mu", "delta")
+# the values of the two modes; the first of each is the default
+MOMENTUM_SCHEDULES = ("constant", "nesterov_k")
+CLOCKS = ("iteration", "physical")
 
 
 @dataclass(frozen=True)
@@ -76,8 +84,8 @@ class OptimizerConfig:
     epsilon: float = 1e-2
     mu: float = 0.9
     delta: float = 1.0
-    momentum_schedule: str = "constant"
-    clock: str = "iteration"
+    momentum_schedule: str = MOMENTUM_SCHEDULES[0]
+    clock: str = CLOCKS[0]
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
@@ -92,14 +100,10 @@ class OptimizerConfig:
             raise ValueError(f"mu must lie in (0, 1], got {self.mu}")
         if not (0.0 <= self.delta < math.inf):
             raise ValueError(f"delta must be non-negative and finite, got {self.delta}")
-        if self.momentum_schedule not in ("constant", "nesterov_k"):
-            raise ValueError(
-                f"momentum_schedule must be 'constant' or 'nesterov_k', got {self.momentum_schedule!r}"
-            )
-        if self.clock not in ("iteration", "physical"):
-            raise ValueError(
-                f"clock must be 'iteration' or 'physical', got {self.clock!r}"
-            )
+        for name, values in (("momentum_schedule", MOMENTUM_SCHEDULES), ("clock", CLOCKS)):
+            value = getattr(self, name)
+            if value not in values:
+                raise ValueError(f"{name} must be {' or '.join(map(repr, values))}, got {value!r}")
 
     def params_dict(self) -> Dict[str, float]:
         """The tunables this kind actually reads, for reporting."""
@@ -307,9 +311,6 @@ def nag_contact_jacobian(state: ContactState, k: int) -> np.ndarray:
     return j
 
 
-_TUNABLES = ("tau", "epsilon", "mu", "delta")
-
-
 @dataclass(frozen=True)
 class _Columns:
     """The tunables of T configs of one kind as (T, 1) columns, read by the
@@ -334,14 +335,14 @@ class _Columns:
                 )
         cols = {
             name: np.array([[getattr(c, name)] for c in cfgs], dtype=float)
-            for name in _TUNABLES
+            for name in TUNABLES
         }
         return cls(**cols, momentum_schedule=first.momentum_schedule, clock=first.clock)
 
     def rows(self, keep: np.ndarray) -> "_Columns":
         return replace(
             self,
-            **{name: getattr(self, name)[keep] for name in _TUNABLES},
+            **{name: getattr(self, name)[keep] for name in TUNABLES},
         )
 
 

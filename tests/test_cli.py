@@ -148,6 +148,14 @@ class TestRunCommand:
         assert rc == 1
         assert "dim" in capsys.readouterr().err
 
+    def test_init_length_mismatch_has_the_spec_wording(self, capsys):
+        rc = main([
+            "run", "--objective", "quartic", "--dim", "3",
+            "--optimizer", "gd", "--init", "vec:1,2",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: fixed init length 2 does not match dim 3\n"
+
 
 class TestSearchCommand:
     def test_pipeline_outputs(self, tmp_path, capsys):

@@ -295,6 +295,19 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="shape"):
             Trajectory(t, z)
 
+    def test_of_records_every_step(self):
+        traj = Trajectory.of(lambda z, t: (2.0 * z, t + 0.5), np.ones(3), 1.0, 3)
+        assert not traj.diverged
+        np.testing.assert_array_equal(traj.t, [1.0, 1.5, 2.0, 2.5])
+        np.testing.assert_array_equal(traj.z, [[1.0] * 3, [2.0] * 3, [4.0] * 3, [8.0] * 3])
+
+    def test_of_truncates_before_a_row_past_the_limit(self):
+        # the second step overflows to inf; the run keeps the rows before it
+        traj = Trajectory.of(lambda z, t: (1e200 * z, t + 1.0), np.ones(3), 0.0, 5)
+        assert traj.diverged
+        np.testing.assert_array_equal(traj.t, [0.0, 1.0])
+        np.testing.assert_array_equal(traj.S, [1.0, 1e200])
+
 
 class TestReferenceIntegrate:
     def test_free_particle_exact(self):

@@ -36,7 +36,7 @@ from contactopt.harness import (
     spec_to_doc,
 )
 from contactopt.objectives import OBJECTIVE_NAMES
-from contactopt.optimizers import KIND_PARAMS, OPTIMIZER_KINDS, RunRecord, run
+from contactopt.optimizers import KIND_PARAMS, OPTIMIZER_KINDS, TUNABLES, RunRecord, run
 from contactopt.presets import PRESET_NAMES, SCALES, experiment_preset
 
 
@@ -175,6 +175,13 @@ class TestEntryAndSpecs:
         with pytest.raises(ValueError, match="search range"):
             OptimizerEntry(kind="rgd", ranges=SearchRanges(
                 epsilon=(0.1, 1.0), mu=(0.5, 0.9)))
+
+    @pytest.mark.parametrize("field, value", [("clock", "wall"), ("momentum_schedule", "heavy")])
+    def test_entry_rejects_an_unknown_mode(self, field, value):
+        # at construction, not when the search builds its first config
+        ranges = SearchRanges(epsilon=(1e-3, 1e-2), mu=(0.5, 0.9), delta=(0.0, 1.0))
+        with pytest.raises(ValueError, match=rf"^{field} must be .*, got '{value}'$"):
+            OptimizerEntry(kind="crgd", ranges=ranges, **{field: value})
 
     def test_make_config_carries_modes(self):
         entry = OptimizerEntry(
@@ -395,7 +402,7 @@ class TestRandomSearch:
 
 
 class TestRunBench:
-    def test_parallel_equals_serial(self):
+    def test_two_runs_of_one_spec_agree(self):
         spec = tiny_spec(
             objective=ObjectiveSpec(name="quadratic", dim=3),
             init=InitSpec(kind="box", lo=-1.0, hi=1.0),
@@ -408,7 +415,7 @@ class TestRunBench:
             mc_runs=3,
             iters=12,
         )
-        # the harness is serial now; two runs of one spec must agree exactly
+        # two runs of one spec must agree exactly
         first = run_bench(spec)
         second = run_bench(spec)
         assert len(first) == len(second) == 2
@@ -731,7 +738,7 @@ def experiment_docs(draw):
         init = {"kind": init_kind, "pattern": draw(st.lists(_finite, min_size=size, max_size=size))}
     optimizers = []
     for kind in draw(st.lists(st.sampled_from(OPTIMIZER_KINDS), min_size=1, max_size=5)):
-        names = set(KIND_PARAMS[kind]) | draw(st.sets(st.sampled_from(harness._PARAM_NAMES)))
+        names = set(KIND_PARAMS[kind]) | draw(st.sets(st.sampled_from(TUNABLES)))
         ranges = {p: draw(_IN_DOMAIN[p]) for p in names}
         entry = {"kind": kind, "ranges": ranges}
         laws = {p: "log_uniform" if lo > 0 and draw(st.booleans()) else "uniform"
