@@ -156,16 +156,16 @@ def check_conformal(seed: int = 0) -> List[CheckResult]:
     factor_dev = dict.fromkeys(pinned, 0.0)
     # (name, map, its exact Jacobian or None, form, source form)
     candidates = [
-        ("phi1", lambda s: flow_phi1(s, dtau, params),
-         lambda s: phi1_jacobian(s, dtau, params), "std1", None),
-        ("phi2", lambda s: flow_phi2(s, dtau, obj), None, "std1", None),
-        ("phi3", lambda s: flow_phi3(s, dtau, params), None, "std1", None),
-        ("time_shift", lambda s: time_shift(s, dtau),
-         lambda s: np.eye(2 * s.dim + 1), "std1", None),
-        ("strang", lambda s: strang_step(s, dtau, obj, params), None, "std1", None),
-        ("jump4", lambda s: compose_step(s, dtau, obj, params, "jump4"), None, "std1", None),
-        ("nag_contact(k=7)", lambda s: nag_contact_map(s, 7),
-         lambda s: nag_contact_jacobian(s, 7), "std2", None),
+        ("phi1", lambda z, t: flow_phi1(z, t, dtau, params),
+         lambda z, t: phi1_jacobian(z, t, dtau, params), "std1", None),
+        ("phi2", lambda z, t: flow_phi2(z, t, dtau, obj), None, "std1", None),
+        ("phi3", lambda z, t: flow_phi3(z, t, dtau, params), None, "std1", None),
+        ("time_shift", lambda z, t: time_shift(z, t, dtau),
+         lambda z, t: np.eye(len(z)), "std1", None),
+        ("strang", lambda z, t: strang_step(z, t, dtau, obj, params), None, "std1", None),
+        ("jump4", lambda z, t: compose_step(z, t, dtau, obj, params, "jump4"), None, "std1", None),
+        ("nag_contact(k=7)", lambda z, t: nag_contact_map(z, t, 7),
+         lambda z, t: nag_contact_jacobian(z, t, 7), "std2", None),
         ("map_F", map_F, map_F_jacobian, "std2", "std1"),
     ]
     results = []
@@ -186,8 +186,8 @@ def check_conformal(seed: int = 0) -> List[CheckResult]:
     s = _random_state(rng, dim)
     for k in range(2, 51):
         lam, _ = conformal_factor(
-            lambda st: nag_contact_map(st, k), "std2", s,
-            jacobian=lambda st: nag_contact_jacobian(st, k),
+            lambda z, t: nag_contact_map(z, t, k), "std2", s,
+            jacobian=lambda z, t: nag_contact_jacobian(z, t, k),
         )
         worst = max(worst, abs(lam - (k - 1.0) / (k + 2.0)))
     results.append(
@@ -307,17 +307,12 @@ def check_equivalence(seed: int = 0) -> List[CheckResult]:
                 cfg = OptimizerConfig(kind=kind, epsilon=eps, mu=mu, delta=delta)
                 s1 = step(OptState(X=x, V=v, S=s_val, k=k), obj, cfg)
                 params = ContactParams(*damping(gamma), m=1.0, c=2.0 / (math.sqrt(delta) * tau))
-                c1 = strang_step(
-                    ContactState(X=x, P=2.0 * v / tau, S=s_val, t=float(k)),
-                    tau,
-                    obj,
-                    params,
-                    clock_dtau=1.0,
-                )
+                z = np.concatenate([x, 2.0 * v / tau, [s_val]])
+                c1, _ = strang_step(z, float(k), tau, obj, params, clock_dtau=1.0)
                 dev = max(
-                    float(np.max(np.abs(s1.X - c1.X))),
-                    float(np.max(np.abs(s1.V - tau * c1.P / 2.0))),
-                    abs(s1.S - c1.S),
+                    float(np.max(np.abs(s1.X - c1[:dim]))),
+                    float(np.max(np.abs(s1.V - tau * c1[dim:-1] / 2.0))),
+                    abs(s1.S - float(c1[-1])),
                 )
                 worst[kind] = max(worst[kind], dev)
     results = [
@@ -403,7 +398,7 @@ def _field_residual(rng, dim, form, ham, residual) -> float:
     worst = 0.0
     for _ in range(20):
         st = _random_state(rng, dim)
-        v = contact_field(ham, form, st)
+        v = contact_field(ham, form, st.coords(), st.t)
         for r in residual(st, v[:dim], v[dim : 2 * dim]):
             worst = max(worst, float(np.max(np.abs(r))))
     return worst

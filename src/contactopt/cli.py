@@ -60,8 +60,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_floats(text: str, flag: str) -> List[float]:
-    try:
-        return [float(v) for v in text.split(",") if v != ""]
+    try:  # an empty text is no numbers; an empty field is not a number
+        return [float(v) for v in text.split(",")] if text else []
     except ValueError:
         raise ValueError(f"{flag}: expected comma-separated numbers, got {text!r}")
 

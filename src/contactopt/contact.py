@@ -6,9 +6,11 @@ contact form are supported, chosen by name:
 * ``std1``: eta = dS - <P, dX>
 * ``std2``: eta = dS - (1/2)<P, dX> + (1/2)<X, dP>
 
-A tangent vector is a flat (dX, dP, dS) row of length 2n+1, like a state's
-:meth:`ContactState.coords`; the clock direction is not part of the contact
-geometry.  :func:`eta` evaluates a named form on one.
+A point is a flat (X, P, S) row z of length 2n+1, like a state's
+:meth:`ContactState.coords`, with its clock t beside it; a tangent vector
+is a flat (dX, dP, dS) row of the same length, and the clock direction is
+not part of the contact geometry.  :func:`eta` evaluates a named form at a
+row on a tangent.
 
 A contact Hamiltonian is one function H(X, P, S, t) returning its value and
 partials as one :class:`Partials`.  It generates a flow that dissipates H at
@@ -22,9 +24,12 @@ residual and conformal-factor extraction (is a given discrete map a contact
 transformation, and by what scaling factor?).  The one divergence rule,
 :func:`within_limit`, sits beside its constant.
 
-A discrete map is a plain function of a :class:`ContactState`.  A map with
-an exact Jacobian keeps it in a sibling function of the state, as
-:func:`map_F` and :func:`map_F_jacobian` do.
+A discrete map is a function of the row and the clock that returns the
+next pair, ``(z, t) -> (z, t)``: the signature :meth:`Trajectory.of` steps.
+It returns a new row and never writes into the one it is given.  A map
+with an exact Jacobian keeps it in a sibling function of the same (z, t),
+as :func:`map_F` and :func:`map_F_jacobian` do.  :class:`ContactState` is
+the single state that a run or a certificate starts from.
 """
 
 from dataclasses import dataclass
@@ -65,8 +70,8 @@ class ContactState:
     """A point (X, P, S) of contact phase space together with a clock t.
 
     X and P are vectors of equal length n, S is the action-like scalar
-    coordinate.  t is carried along for time-dependent Hamiltonians; flows
-    that do not read the clock simply ignore it.
+    coordinate.  A run or a certificate starts from one; the maps it runs
+    take its flat row :meth:`coords` and its clock t.
     """
 
     X: np.ndarray
@@ -98,11 +103,6 @@ class ContactState:
         """Flatten (X, P, S) into one vector of length 2n+1 (t excluded)."""
         return np.concatenate([self.X, self.P, [self.S]])
 
-    @staticmethod
-    def from_coords(z: np.ndarray, t: float) -> "ContactState":
-        n = (len(z) - 1) // 2
-        return ContactState(X=z[:n], P=z[n : 2 * n], S=float(z[2 * n]), t=t)
-
 
 class Partials(NamedTuple):
     """H and its partials at one point (X, P, S, t); the gradients are vectors."""
@@ -116,6 +116,9 @@ class Partials(NamedTuple):
 
 # H(X, P, S, t) -> Partials, audited by :func:`check_hamiltonian_gradients`
 ContactHamiltonian = Callable[[np.ndarray, np.ndarray, float, float], Partials]
+# a map's next row and clock, and a map (z, t) -> (z, t) of the flat row
+Step = Tuple[np.ndarray, float]
+RowMap = Callable[[np.ndarray, float], Step]
 
 
 def _field(form: str) -> Callable[..., np.ndarray]:
@@ -125,53 +128,52 @@ def _field(form: str) -> Callable[..., np.ndarray]:
     return _FIELDS[form]
 
 
-def _form_coeffs(form: str, state: ContactState) -> np.ndarray:
-    """Covector components of the named form at a state, in (X, P, S) order."""
+def _form_coeffs(form: str, z: np.ndarray) -> np.ndarray:
+    """Covector components of the named form at the flat row z, in (X, P, S)
+    order."""
     _field(form)  # rejects an unknown name
-    n = state.dim
-    w = np.zeros(2 * n + 1)
+    n = len(z) // 2
+    w = np.zeros(len(z))
     if form == "std1":
-        w[:n] = -state.P
+        w[:n] = -z[n:-1]
     else:
-        w[:n] = -0.5 * state.P
-        w[n : 2 * n] = 0.5 * state.X
-    w[2 * n] = 1.0
+        w[:n] = -0.5 * z[n:-1]
+        w[n:-1] = 0.5 * z[:n]
+    w[-1] = 1.0
     return w
 
 
-def eta(form: str, state: ContactState, v: np.ndarray) -> float:
-    """Evaluate the named form at a state on a flat tangent v = (dX, dP, dS)."""
+def eta(form: str, z: np.ndarray, v: np.ndarray) -> float:
+    """Evaluate the named form at the flat row z on a flat tangent
+    v = (dX, dP, dS)."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (2 * state.dim + 1,):
-        raise ValueError(f"need a tangent of length {2 * state.dim + 1}, got shape {v.shape}")
-    return float(_form_coeffs(form, state) @ v)
+    if v.shape != np.shape(z):
+        raise ValueError(f"need a tangent of length {len(z)}, got shape {v.shape}")
+    return float(_form_coeffs(form, z) @ v)
 
 
-def map_F(state: ContactState) -> ContactState:
+def map_F(z: np.ndarray, t: float) -> Step:
     """Coordinate change taking the std1 convention into std2.
 
     (X, P, S) -> (X + P, (P - X)/2, S - <X, P>/2), clock unchanged.  Pulling
     the std2 form back through this map returns the std1 form on the nose
     (conformal factor 1).
     """
-    return ContactState(
-        X=state.X + state.P,
-        P=0.5 * (state.P - state.X),
-        S=state.S - 0.5 * float(state.X @ state.P),
-        t=state.t,
-    )
+    n = len(z) // 2
+    x, p = z[:n], z[n:-1]
+    return np.concatenate([x + p, 0.5 * (p - x), [z[-1] - 0.5 * float(x @ p)]]), t
 
 
-def map_F_jacobian(state: ContactState) -> np.ndarray:
-    n = state.dim
+def map_F_jacobian(z: np.ndarray, t: float) -> np.ndarray:
+    n = len(z) // 2
     j = np.zeros((2 * n + 1, 2 * n + 1))
     eye = np.eye(n)
     j[:n, :n] = eye
     j[:n, n : 2 * n] = eye
     j[n : 2 * n, :n] = -0.5 * eye
     j[n : 2 * n, n : 2 * n] = 0.5 * eye
-    j[2 * n, :n] = -0.5 * state.P
-    j[2 * n, n : 2 * n] = -0.5 * state.X
+    j[2 * n, :n] = -0.5 * z[n:-1]
+    j[2 * n, n : 2 * n] = -0.5 * z[:n]
     j[2 * n, 2 * n] = 1.0
     return j
 
@@ -197,11 +199,11 @@ def _field_std2(H: ContactHamiltonian, z: np.ndarray, t: float) -> np.ndarray:
 _FIELDS = {"std1": _field_std1, "std2": _field_std2}
 
 
-def contact_field(H: ContactHamiltonian, form: str, state: ContactState) -> np.ndarray:
-    """Vector field of H in the named convention, as the flat (dX, dP, dS)
-    row.  The clock always runs at rate 1 and is handled by the
-    integrator, not the tangent."""
-    return _field(form)(H, state.coords(), state.t)
+def contact_field(H: ContactHamiltonian, form: str, z: np.ndarray, t: float) -> np.ndarray:
+    """Vector field of H in the named convention at the flat row z and
+    clock t, as the flat (dX, dP, dS) row.  The clock always runs at rate 1
+    and is handled by the integrator, not the tangent."""
+    return _field(form)(H, z, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +245,7 @@ class Trajectory:
         return self.z[:, -1]
 
     @classmethod
-    def of(cls, advance: Callable, z: np.ndarray, t: float, n: int) -> "Trajectory":
+    def of(cls, advance: RowMap, z: np.ndarray, t: float, n: int) -> "Trajectory":
         """The run of n steps ``z, t = advance(z, t)`` from the flat row z at
         clock t: n+1 rows, the start included, unless a row leaves the
         divergence limit (:func:`within_limit`), in which case the run is
@@ -278,7 +280,7 @@ def reference_integrate(
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
 
-    def rk4(z: np.ndarray, t: float) -> Tuple[np.ndarray, float]:
+    def rk4(z: np.ndarray, t: float) -> Step:
         k1 = f(H, z, t)
         k2 = f(H, z + 0.5 * dt * k1, t + 0.5 * dt)
         k3 = f(H, z + 0.5 * dt * k2, t + 0.5 * dt)
@@ -307,36 +309,33 @@ def dissipation_residual(H: ContactHamiltonian, traj: Trajectory) -> float:
     return float(np.fmax.reduce(residual, initial=0.0))  # fmax skips a NaN
 
 
-def _fd_jacobian(func: Callable[[ContactState], ContactState], state: ContactState) -> np.ndarray:
-    z = state.coords()
-    m = len(z)
-    j = np.empty((m, m))
-    for col in range(m):
-        h = 1e-6 * max(1.0, abs(z[col]))
-        zp = z.copy()
-        zm = z.copy()
-        zp[col] += h
-        zm[col] -= h
-        fp = func(ContactState.from_coords(zp, state.t)).coords()
-        fm = func(ContactState.from_coords(zm, state.t)).coords()
-        j[:, col] = (fp - fm) / (2.0 * h)
-    return j
+def _fd_jacobian(func: RowMap, z: np.ndarray, t: float) -> np.ndarray:
+    """Central differences of func's row at (z, t), column j from the two
+    copies of z shifted by +-h_j; the copies are read-only."""
+    h = 1e-6 * np.maximum(1.0, np.abs(z))
+    shifted = np.concatenate([z + np.diag(h), z - np.diag(h)])
+    shifted.setflags(write=False)
+    f = np.array([func(row, t)[0] for row in shifted])
+    # C order: the layout picks the BLAS kernel of the pullback j.T @ eta,
+    # and with it the rounding of every differenced certificate
+    return np.ascontiguousarray((f[: len(z)] - f[len(z) :]).T) / (2.0 * h)
 
 
 def conformal_factor(
-    func: Callable[[ContactState], ContactState],
+    func: RowMap,
     form: str,
     state: ContactState,
     source_form: Optional[str] = None,
-    jacobian: Optional[Callable[[ContactState], np.ndarray]] = None,
+    jacobian: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
 ) -> tuple:
     """Extract the scalar by which a map rescales a contact form.
 
-    Pulls the named form back through the Jacobian of the state map ``func``
-    (``jacobian(state)``, the map's exact (2n+1) x (2n+1) Jacobian in
-    (X, P, S), when given, else central differences with step
-    1e-6 * max(1, |coord|)) and fits pullback = lambda * eta in least squares
-    over all 2n+1 covector components.  Returns (lambda, max absolute
+    Pulls the named form back through the Jacobian of the row map ``func``
+    at the state's row and clock (``jacobian(z, t)``, the map's exact
+    (2n+1) x (2n+1) Jacobian in (X, P, S), when given, else central
+    differences with step 1e-6 * max(1, |coord|)) and fits pullback =
+    lambda * eta in least squares over all 2n+1 covector components.
+    Every row the map is given is read-only.  Returns (lambda, max absolute
     residual).  ``source_form`` lets the comparison form at the source
     differ from the pulled-back one, which is how a change of convention
     such as :func:`map_F` is certified; it defaults to ``form``.
@@ -344,10 +343,12 @@ def conformal_factor(
     A fitted |lambda| below 1e-10 means the map crushes the contact structure
     and is reported as an error rather than a value.
     """
-    mapped = func(state)
-    j = jacobian(state) if jacobian is not None else _fd_jacobian(func, state)
+    z, t = state.coords(), state.t
+    z.setflags(write=False)
+    mapped, _ = func(z, t)
+    j = jacobian(z, t) if jacobian is not None else _fd_jacobian(func, z, t)
     eta_target = _form_coeffs(form, mapped)
-    eta_src = _form_coeffs(source_form if source_form is not None else form, state)
+    eta_src = _form_coeffs(source_form if source_form is not None else form, z)
     pullback = j.T @ eta_target
     lam = float(pullback @ eta_src) / float(eta_src @ eta_src)
     if abs(lam) < 1e-10:

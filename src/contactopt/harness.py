@@ -293,7 +293,7 @@ class ObjectiveSpec:
     eigen_hi: float = 1.0
 
     def __post_init__(self):
-        check_objective(self.name, self.dim)
+        check_objective(self.name, self.dim, self.seed)
 
     @property
     def randomized(self) -> bool:

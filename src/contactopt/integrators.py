@@ -17,13 +17,15 @@ A time-shift operator advances the clock between flows.  The palindromic
 arrangement shift/phi1/phi3/phi2/phi3/phi1/shift is a second-order contact
 integrator; symmetric compositions of it (triple jump, Suzuki five-stage)
 raise the order by two per level.  Every flow and step here is a contact
-transformation, a plain function of the state that
-`contact.conformal_factor` can certify numerically; phi1, whose Jacobian is
-diagonal, also comes with :func:`phi1_jacobian`.  A composition plan is a
-name in :data:`PLANS`, which holds each plan's design order and stage
-weights; :func:`compose_step` and :func:`integrate_split` take the name,
-and :func:`integrate_split` records its steps through
-``contact.Trajectory.of``.
+transformation written as a map of the flat (X, P, S) row z and the clock
+t, ``(z, t, ...) -> (z, t)``, that returns a new row and never writes into
+the one it is given; `contact.conformal_factor` certifies it numerically,
+and phi1, whose Jacobian is diagonal, also comes with
+:func:`phi1_jacobian` of the same (z, t).  A composition plan is a name in
+:data:`PLANS`, which holds each plan's design order and stage weights;
+:func:`compose_step` and :func:`integrate_split` take the name, and
+:func:`integrate_split` hands :func:`compose_step` to
+``contact.Trajectory.of`` as the step it records from a start state.
 
 :func:`strang_step` accepts an optional ``clock_dtau`` that decouples the
 clock advance from the flow stepsize.  The optimizer family runs on an
@@ -32,13 +34,14 @@ is how the mu^(1 + 1/(k+1/2)) dissipation factors of the discrete
 algorithms arise.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .contact import ContactHamiltonian, ContactState, Partials, Trajectory
+from .contact import ContactHamiltonian, ContactState, Partials, Step, Trajectory
 from .objectives import Objective
 
 __all__ = [
@@ -121,62 +124,61 @@ def contact_hamiltonian(obj: Objective, params: ContactParams) -> ContactHamilto
     return H
 
 
-def flow_phi1(state: ContactState, dtau: float, params: ContactParams) -> ContactState:
+def flow_phi1(z: np.ndarray, t: float, dtau: float, params: ContactParams) -> Step:
     """Exact flow of the dissipative piece h(t)*S for a span dtau.
 
     P and S contract by exp(-h(t) * dtau); the clock is frozen, so h is
-    evaluated at the state's own t.
+    evaluated at the row's own t.
     """
-    a = math.exp(-params.h(state.t) * dtau)
-    return ContactState(X=state.X, P=a * state.P, S=a * state.S, t=state.t)
+    n = len(z) // 2
+    a = math.exp(-params.h(t) * dtau)
+    return np.concatenate([z[:n], a * z[n:]]), t
 
 
-def phi1_jacobian(state: ContactState, dtau: float, params: ContactParams) -> np.ndarray:
+def phi1_jacobian(z: np.ndarray, t: float, dtau: float, params: ContactParams) -> np.ndarray:
     """Exact Jacobian of :func:`flow_phi1` in (X, P, S): diag(1, a, a)."""
-    n = state.dim
-    d = np.ones(2 * n + 1)
-    d[n:] = math.exp(-params.h(state.t) * dtau)
+    d = np.ones(len(z))
+    d[len(z) // 2 :] = math.exp(-params.h(t) * dtau)
     return np.diag(d)
 
 
-def flow_phi2(state: ContactState, dtau: float, obj: Objective) -> ContactState:
+def flow_phi2(z: np.ndarray, t: float, dtau: float, obj: Objective) -> Step:
     """Exact flow of the potential piece f(X): P -= grad f * dtau, S -= f * dtau."""
-    return ContactState(
-        X=state.X,
-        P=state.P - obj.grad(state.X) * dtau,
-        S=state.S - obj.eval(state.X) * dtau,
-        t=state.t,
-    )
+    n = len(z) // 2
+    x = z[:n]
+    return np.concatenate([x, z[n:-1] - obj.grad(x) * dtau, [z[-1] - obj.eval(x) * dtau]]), t
 
 
-def flow_phi3(state: ContactState, dtau: float, params: ContactParams) -> ContactState:
+def flow_phi3(z: np.ndarray, t: float, dtau: float, params: ContactParams) -> Step:
     """Exact flow of the kinetic piece K(P): a drift of X.
 
     Relativistic: X moves at most c*|dtau| regardless of P; S decreases by
     the rest-energy rate m^2 c^3 / sqrt(|P|^2 + (mc)^2).  Newtonian:
     X += P*dtau/m and S += |P|^2*dtau/2m.
     """
-    m, c, p = params.m, params.c, state.P
+    n = len(z) // 2
+    m, c, p = params.m, params.c, z[n:-1]
     if c is None:
         dx, ds = p * dtau / m, float(p @ p) * dtau / (2.0 * m)
     else:
         r = math.sqrt(float(p @ p) + (m * c) ** 2)
         dx, ds = c * p * dtau / r, -(m * m * c**3 * dtau / r)
-    return ContactState(X=state.X + dx, P=p, S=state.S + ds, t=state.t)
+    return np.concatenate([z[:n] + dx, p, [z[-1] + ds]]), t
 
 
-def time_shift(state: ContactState, dtau: float) -> ContactState:
-    """Advance the clock only; X, P, S are untouched (bit-identical)."""
-    return ContactState(X=state.X, P=state.P, S=state.S, t=state.t + dtau)
+def time_shift(z: np.ndarray, t: float, dtau: float) -> Step:
+    """Advance the clock only; the row is returned as it is."""
+    return z, t + dtau
 
 
 def strang_step(
-    state: ContactState,
+    z: np.ndarray,
+    t: float,
     tau: float,
     obj: Objective,
     params: ContactParams,
     clock_dtau: Optional[float] = None,
-) -> ContactState:
+) -> Step:
     """One palindromic second-order step of span tau.
 
     Order: shift, phi1, phi3, phi2, phi3, phi1, shift, with half-spans on the
@@ -187,13 +189,13 @@ def strang_step(
     symmetric compositions rely on.
     """
     dclock = tau if clock_dtau is None else clock_dtau
-    s = time_shift(state, 0.5 * dclock)
-    s = flow_phi1(s, 0.5 * tau, params)
-    s = flow_phi3(s, 0.5 * tau, params)
-    s = flow_phi2(s, tau, obj)
-    s = flow_phi3(s, 0.5 * tau, params)
-    s = flow_phi1(s, 0.5 * tau, params)
-    return time_shift(s, 0.5 * dclock)
+    z, t = time_shift(z, t, 0.5 * dclock)
+    z, t = flow_phi1(z, t, 0.5 * tau, params)
+    z, t = flow_phi3(z, t, 0.5 * tau, params)
+    z, t = flow_phi2(z, t, tau, obj)
+    z, t = flow_phi3(z, t, 0.5 * tau, params)
+    z, t = flow_phi1(z, t, 0.5 * tau, params)
+    return time_shift(z, t, 0.5 * dclock)
 
 
 def triple_jump_coefficients(n: int) -> Tuple[float, float]:
@@ -225,18 +227,19 @@ PLAN_NAMES = tuple(PLANS)
 
 
 def compose_step(
-    state: ContactState,
+    z: np.ndarray,
+    t: float,
     tau: float,
     obj: Objective,
     params: ContactParams,
     plan: str,
-) -> ContactState:
+) -> Step:
     """Run the named plan's Strang stages with spans w_j * tau."""
     if plan not in PLANS:
         raise ValueError(f"unknown plan {plan!r}; valid names: {', '.join(PLAN_NAMES)}")
     for w in PLANS[plan][1]:
-        state = strang_step(state, w * tau, obj, params)
-    return state
+        z, t = strang_step(z, t, w * tau, obj, params)
+    return z, t
 
 
 def integrate_split(
@@ -249,11 +252,5 @@ def integrate_split(
 ) -> Trajectory:
     """Advance n composed steps from state0, recorded and truncated with a
     divergence flag (never an exception) by contact.Trajectory.of."""
-    state = state0
-
-    def advance(z: np.ndarray, t: float) -> Tuple[np.ndarray, float]:
-        nonlocal state  # the current state; z and t are its coords and clock
-        state = compose_step(state, tau, obj, params, plan)
-        return state.coords(), state.t
-
-    return Trajectory.of(advance, state0.coords(), state0.t, n)
+    step = functools.partial(compose_step, tau=tau, obj=obj, params=params, plan=plan)
+    return Trajectory.of(step, state0.coords(), state0.t, n)

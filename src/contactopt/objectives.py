@@ -82,7 +82,7 @@ def _value(v):
 def _gauss_and_lam(seed: int, dim: int, eigen_lo: float, eigen_hi: float):
     """The seeded standard-Gaussian matrix, then the eigenvalues
     lam_i ~ U(eigen_lo, eigen_hi), from one generator."""
-    check_objective("quadratic", dim)
+    check_objective("quadratic", dim, seed)
     if not (0.0 < eigen_lo <= eigen_hi):
         raise ValueError(
             f"need 0 < eigen_lo <= eigen_hi, got [{eigen_lo}, {eigen_hi}]"
@@ -326,10 +326,12 @@ def get_objective(
     return rosenbrock(dim)
 
 
-def check_objective(name: str, dim: int) -> None:
-    """Reject an unknown objective name, or a dimension the named objective
-    cannot take, before anything is built: the one dimension rule, which
-    the constructors call as well."""
+def check_objective(name: str, dim: int, seed: int = 0) -> None:
+    """Reject an unknown objective name, a dimension the named objective
+    cannot take, or a negative seed (numpy's generators refuse one) before
+    anything is built: the one rule, which the constructors call as well."""
+    if seed < 0:
+        raise ValueError(f"objective seed must be >= 0, got {seed}")
     if name not in OBJECTIVE_NAMES:
         raise ValueError(f"unknown objective {name!r}; valid: {', '.join(OBJECTIVE_NAMES)}")
     if dim < 1:

@@ -30,7 +30,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .contact import ContactState, within_limit
+from .contact import Step, within_limit
 from .objectives import Objective
 
 __all__ = [
@@ -286,22 +286,23 @@ def nag_decomposed_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> Op
     return OptState(X=x1 - cfg.tau * obj.grad(x1), V=p1, S=s1, k=k_new)
 
 
-def nag_contact_map(state: ContactState, k: int) -> ContactState:
+def nag_contact_map(z: np.ndarray, t: float, k: int) -> Step:
     """The momentum half of the Nesterov factorization at iteration k >= 1,
-    as a map of contact states.
+    as a map of the flat (X, P, S) row.
 
-    (X, P, S) -> (P, P + c (P - X), c S) with c = (k-1)/(k+2); the map
-    rescales the std2 contact form by exactly c.  Its exact (linear)
-    Jacobian is :func:`nag_contact_jacobian`.
+    (X, P, S) -> (P, P + c (P - X), c S) with c = (k-1)/(k+2), clock
+    unchanged; the map rescales the std2 contact form by exactly c.  Its
+    exact (linear) Jacobian is :func:`nag_contact_jacobian`.
     """
-    x, p, s = _momentum(state.X, state.P, state.S, _nesterov_coefficient(k))
-    return ContactState(X=x, P=p, S=s, t=state.t)
+    n = len(z) // 2
+    x, p, s = _momentum(z[:n], z[n:-1], z[-1], _nesterov_coefficient(k))
+    return np.concatenate([x, p, [s]]), t
 
 
-def nag_contact_jacobian(state: ContactState, k: int) -> np.ndarray:
+def nag_contact_jacobian(z: np.ndarray, t: float, k: int) -> np.ndarray:
     """Jacobian of :func:`nag_contact_map` in (X, P, S)."""
     c = _nesterov_coefficient(k)
-    n = state.dim
+    n = len(z) // 2
     j = np.zeros((2 * n + 1, 2 * n + 1))
     eye = np.eye(n)
     j[:n, n : 2 * n] = eye

@@ -55,6 +55,33 @@ def test_jump6_fits_order_six():
     taus = (0.2, 0.1, 0.05)
     errors = order_errors(["jump6"], taus)
     assert abs(fit_order(taus, errors["jump6"]) - 6.0) <= 0.2
+    # no check family runs jump6, so its endpoint errors are pinned bit for bit
+    assert [float.hex(e) for e in errors["jump6"]] == [
+        "0x1.b0d3592080000p-18", "0x1.b7ee602000000p-24", "0x1.b99ff80000000p-30"
+    ]
+
+
+def test_every_conformal_candidate_runs_on_read_only_rows(monkeypatch):
+    # conformal_factor hands each map, and each exact Jacobian, read-only
+    # rows only, so a candidate that wrote into its row would raise there
+    calls, writable = [], []
+    real = checks.conformal_factor
+
+    def spy(func, form, state, source_form=None, jacobian=None):
+        def watched(row_map):
+            def call(z, t):
+                writable.append(z.flags.writeable)
+                return row_map(z, t)
+            return call
+
+        calls.append(form)
+        return real(watched(func), form, state, source_form=source_form,
+                    jacobian=jacobian and watched(jacobian))
+
+    monkeypatch.setattr(checks, "conformal_factor", spy)
+    assert all(r.passed for r in checks.check_conformal(0))
+    assert len(calls) == 8 * 20 + 49  # eight candidates at 20 states, nag_contact at k = 2..50
+    assert writable and not any(writable)
 
 
 class _Stop(Exception):

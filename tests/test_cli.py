@@ -60,6 +60,9 @@ class TestInitFlag:
             parse_init_flag("vec:")
         with pytest.raises(ValueError, match="comma-separated"):
             parse_init_flag("vec:a,b")
+        for text in ("vec:1,,2", ",1,2", "alt:1,"):
+            with pytest.raises(ValueError, match="^--init: expected comma-separated numbers"):
+                parse_init_flag(text)
 
 
 class TestRunCommand:
@@ -140,6 +143,21 @@ class TestRunCommand:
             err = capsys.readouterr().err
             assert err.startswith(prefix) and "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("init, fields", [("vec:1,,2,3", "1,,2,3"), (",1,2,3", ",1,2,3")])
+    def test_empty_init_field_is_usage_error(self, capsys, init, fields):
+        rc = main(["run", "--objective", "quartic", "--dim", "3", "--optimizer", "gd",
+                   "--iters", "2", "--init", init])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: --init: expected comma-separated numbers, got {fields!r}\n"
+        )
+
+    def test_negative_objective_seed_is_usage_error(self, capsys):
+        rc = main(["run", "--objective", "quadratic", "--seed", "-3", "--optimizer", "gd",
+                   "--iters", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: objective seed must be >= 0, got -3\n"
+
     def test_init_length_mismatch(self, capsys):
         rc = main([
             "run", "--objective", "quartic", "--dim", "2",
@@ -205,6 +223,13 @@ class TestSearchCommand:
         rc = main(["search", "--config", cfg])
         assert rc == 1
         assert "$.bogus" in capsys.readouterr().err
+
+    def test_negative_objective_seed_reports_path(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, objective={"name": "quadratic", "dim": 3, "seed": -1})
+        assert main(["search", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "config error at $.objective: objective seed must be >= 0, got -1\n"
+        )
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

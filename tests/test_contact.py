@@ -36,6 +36,10 @@ def state_of(x, p, s=0.0, t=1.0):
                         P=np.atleast_1d(np.asarray(p, float)), S=s, t=t)
 
 
+def row_of(x, p, s=0.0):
+    return state_of(x, p, s).coords()
+
+
 def random_states(seed, n, dim):
     rng = np.random.default_rng(seed)
     for _ in range(n):
@@ -73,24 +77,24 @@ class TestContactState:
         s = state_of([1.0, 2.0], [3.0, 4.0], s=5.0, t=0.7)
         z = s.coords()
         np.testing.assert_array_equal(z, [1.0, 2.0, 3.0, 4.0, 5.0])
-        back = ContactState.from_coords(z, 0.7)
+        back = ContactState(X=z[:2], P=z[2:4], S=z[4], t=0.7)
         np.testing.assert_array_equal(back.X, s.X)
         np.testing.assert_array_equal(back.P, s.P)
         assert back.S == s.S and back.t == s.t
 
     def test_tangent_length_checked_by_forms(self):
-        s = state_of([1.0, 2.0], [0.0, 0.0])
+        z = row_of([1.0, 2.0], [0.0, 0.0])
         for form in ("std1", "std2"):
             with pytest.raises(ValueError, match=r"need a tangent of length 5, got shape \(7,\)"):
-                eta(form, s, np.ones(7))
+                eta(form, z, np.ones(7))
 
 
 class TestContactForms:
     def test_unknown_form_rejected_everywhere(self):
         s = state_of([1.0], [0.0])
         calls = (
-            lambda: eta("std3", s, np.ones(3)),
-            lambda: contact_field(quadratic_hamiltonian(), "std3", s),
+            lambda: eta("std3", s.coords(), np.ones(3)),
+            lambda: contact_field(quadratic_hamiltonian(), "std3", s.coords(), s.t),
             lambda: reference_integrate(quadratic_hamiltonian(), "std3", s, 0.1, 10),
             lambda: conformal_factor(map_F, "std3", s),
         )
@@ -99,47 +103,47 @@ class TestContactForms:
                 call()
 
     def test_std1_reduces_to_ds_at_zero_momentum(self):
-        s = state_of([3.0, -1.0], [0.0, 0.0])
-        assert eta("std1", s, [7.0, 2.0, 1.0, 1.0, 1.0]) == 1.0
+        z = row_of([3.0, -1.0], [0.0, 0.0])
+        assert eta("std1", z, [7.0, 2.0, 1.0, 1.0, 1.0]) == 1.0
 
     def test_std1_momentum_pairing(self):
-        s = state_of([0.0], [2.0])
-        assert eta("std1", s, [3.0, 0.0, 0.0]) == -6.0
+        z = row_of([0.0], [2.0])
+        assert eta("std1", z, [3.0, 0.0, 0.0]) == -6.0
 
     def test_std2_at_origin(self):
-        s = state_of([0.0], [0.0])
-        assert eta("std2", s, [4.0, 5.0, 2.5]) == 2.5
+        z = row_of([0.0], [0.0])
+        assert eta("std2", z, [4.0, 5.0, 2.5]) == 2.5
 
     def test_std2_antisymmetric_cancellation(self):
-        s = state_of([1.0], [1.0])
-        assert eta("std2", s, [1.0, 1.0, 0.0]) == 0.0
+        z = row_of([1.0], [1.0])
+        assert eta("std2", z, [1.0, 1.0, 0.0]) == 0.0
 
     @given(st.floats(-10, 10), st.floats(-10, 10))
     @settings(max_examples=30, deadline=None)
     def test_linearity_in_tangent(self, a, b):
         rng = np.random.default_rng(3)
-        s = next(iter(random_states(8, 1, 3)))
+        z = next(iter(random_states(8, 1, 3))).coords()
         v, w = rng.standard_normal(7), rng.standard_normal(7)
         for form in ("std1", "std2"):
-            lhs = eta(form, s, a * v + b * w)
-            rhs = a * eta(form, s, v) + b * eta(form, s, w)
+            lhs = eta(form, z, a * v + b * w)
+            rhs = a * eta(form, z, v) + b * eta(form, z, w)
             assert lhs == pytest.approx(rhs, abs=1e-9 * (1 + abs(rhs)))
 
 
 class TestMapF:
     def test_origin_fixed_point(self):
-        out = map_F(state_of([0.0], [0.0]))
-        assert out.X[0] == 0.0 and out.P[0] == 0.0 and out.S == 0.0
+        out, _ = map_F(row_of([0.0], [0.0]), 1.0)
+        assert out[0] == 0.0 and out[1] == 0.0 and out[2] == 0.0
 
     def test_hand_value(self):
-        out = map_F(state_of([1.0], [1.0]))
-        assert out.X[0] == 2.0
-        assert out.P[0] == 0.0
-        assert out.S == -0.5
+        out, _ = map_F(row_of([1.0], [1.0]), 1.0)
+        assert out[0] == 2.0
+        assert out[1] == 0.0
+        assert out[2] == -0.5
 
     def test_time_passes_through(self):
-        out = map_F(state_of([1.0], [1.0], t=4.5))
-        assert out.t == 4.5
+        _, t = map_F(row_of([1.0], [1.0]), 4.5)
+        assert t == 4.5
 
     def test_pullback_identity_pointwise(self):
         # the std2 form after the map, applied to the pushed tangent, equals
@@ -147,9 +151,9 @@ class TestMapF:
         rng = np.random.default_rng(12)
         for s in random_states(12, 50, 3):
             v = np.concatenate([rng.standard_normal(6), rng.standard_normal(1)])
-            j = map_F_jacobian(s)
-            w = j @ v
-            assert eta("std2", map_F(s), w) == pytest.approx(eta("std1", s, v), abs=1e-12)
+            z = s.coords()
+            w = map_F_jacobian(z, s.t) @ v
+            assert eta("std2", map_F(z, s.t)[0], w) == pytest.approx(eta("std1", z, v), abs=1e-12)
 
     def test_conformal_factor_is_one(self):
         for s in random_states(21, 50, 4):
@@ -184,7 +188,7 @@ def anchored_hamiltonian(x_star, p_star) -> ContactHamiltonian:
 
 def field_parts(ham, form, s):
     # the (dX, dP, dS) parts of the flat field row
-    v = contact_field(ham, form, s)
+    v = contact_field(ham, form, s.coords(), s.t)
     assert v.shape == (2 * s.dim + 1,)
     return v[: s.dim], v[s.dim : 2 * s.dim], v[-1]
 
@@ -355,7 +359,7 @@ class TestReferenceIntegrate:
             ham = anchored_hamiltonian(np.array([0.3, -1.1, 0.4]), np.array([0.8, 0.2, -0.5]))
 
         def f(z, t):
-            return contact_field(ham, coords, ContactState.from_coords(z, t))
+            return contact_field(ham, coords, z, t)
 
         s0 = next(iter(random_states(40, 1, 3)))
         dt = 0.01
@@ -408,7 +412,7 @@ class TestOneEvaluationPerPoint:
         traj = reference_integrate(ham, form, state_of([1.0, -0.5], [0.3, 0.2], t=0.0), 0.01, n)
         assert len(points) == 4 * n  # one call per RK4 stage
         points.clear()
-        contact_field(ham, form, state_of([1.0], [0.3]))
+        contact_field(ham, form, row_of([1.0], [0.3]), 1.0)
         assert len(points) == 1
         points.clear()
         dissipation_residual(ham, traj)
@@ -443,12 +447,23 @@ class TestDissipation:
 class TestConformalFactor:
     def test_identity_map(self):
         for s in random_states(30, 5, 3):
-            lam, res = conformal_factor(lambda st: st, "std1", s)
+            lam, res = conformal_factor(lambda z, t: (z, t), "std1", s)
             assert lam == pytest.approx(1.0, abs=1e-10)
             assert res < 1e-9
 
     def test_degenerate_map_reported(self):
-        target = state_of([0.0, 0.0], [0.0, 0.0])
+        target = row_of([0.0, 0.0], [0.0, 0.0])
         s = next(iter(random_states(31, 1, 2)))
         with pytest.raises(ValueError, match="degenerate"):
-            conformal_factor(lambda st: target, "std1", s)
+            conformal_factor(lambda z, t: (target, t), "std1", s)
+
+    def test_a_map_that_writes_into_its_row_is_refused(self):
+        # every row a map is given, the start and each shifted copy, is read-only
+        def scaling_in_place(z, t):
+            z *= 2.0
+            return z, t
+
+        s = next(iter(random_states(32, 1, 2)))
+        for jacobian in (None, lambda z, t: 2.0 * np.eye(len(z))):
+            with pytest.raises(ValueError, match="read-only"):
+                conformal_factor(scaling_in_place, "std1", s, jacobian=jacobian)

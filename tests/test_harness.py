@@ -831,6 +831,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"^at \$\.objective: dim must be >= 1, got {dim}$"):
             parse_experiment(doc)
 
+    def test_negative_objective_seed_is_a_config_error(self):
+        doc = base_doc()
+        doc["objective"] = {"name": "quadratic", "dim": 3, "seed": -1}
+        with pytest.raises(ConfigError, match=r"^at \$\.objective: objective seed must be >= 0, got -1$"):
+            parse_experiment(doc)
+
     def test_non_finite_init_is_a_config_error(self):
         for text in ('{"kind": "box", "lo": -Infinity, "hi": 1.0}',
                      '{"kind": "box", "lo": -1e308, "hi": 1e308}',

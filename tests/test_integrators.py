@@ -31,6 +31,16 @@ def state_of(x, p, s=0.0, t=1.0):
                         P=np.atleast_1d(np.asarray(p, float)), S=s, t=t)
 
 
+def row_of(x, p, s=0.0):
+    return state_of(x, p, s).coords()
+
+
+def parts(z):
+    # the X and P views and the S entry of a flat row
+    n = len(z) // 2
+    return z[:n], z[n:-1], z[-1]
+
+
 def zero_objective(dim):
     return Objective(
         name="zero",
@@ -76,18 +86,19 @@ class TestContactParams:
 
 class TestStageFlows:
     def test_phi1_identity_without_dissipation(self):
-        s = state_of([1.0, 2.0], [0.5, -0.5], s=3.0)
-        out = flow_phi1(s, 0.7, contact_params(damping=nag_like_damping))
-        np.testing.assert_array_equal(out.P, s.P)
-        assert out.S == s.S
+        z = row_of([1.0, 2.0], [0.5, -0.5], s=3.0)
+        out, _ = flow_phi1(z, 1.0, 0.7, contact_params(damping=nag_like_damping))
+        np.testing.assert_array_equal(parts(out)[1], parts(z)[1])
+        assert out[-1] == z[-1]
 
     def test_phi1_hand_value(self):
-        s = state_of([1.0], [1.0], s=2.0)
-        out = flow_phi1(s, 0.5, contact_params(0.2))
-        assert out.P[0] == pytest.approx(math.exp(-0.1), abs=1e-16)
-        assert out.S == pytest.approx(2.0 * math.exp(-0.1), abs=1e-15)
-        np.testing.assert_array_equal(out.X, s.X)
-        assert out.t == s.t
+        z = row_of([1.0], [1.0], s=2.0)
+        out, t = flow_phi1(z, 1.0, 0.5, contact_params(0.2))
+        x, p, s = parts(out)
+        assert p[0] == pytest.approx(math.exp(-0.1), abs=1e-16)
+        assert s == pytest.approx(2.0 * math.exp(-0.1), abs=1e-15)
+        np.testing.assert_array_equal(x, parts(z)[0])
+        assert t == 1.0
 
     def test_phi1_conformal_factor_pinned(self):
         params = contact_params(0.3, nag_like_damping)
@@ -96,8 +107,8 @@ class TestStageFlows:
             s = ContactState(X=rng.standard_normal(3), P=rng.standard_normal(3),
                              S=float(rng.standard_normal()), t=float(rng.uniform(0.5, 2)))
             lam, res = conformal_factor(
-                lambda st: flow_phi1(st, 0.07, params), "std1", s,
-                jacobian=lambda st: phi1_jacobian(st, 0.07, params),
+                lambda z, t: flow_phi1(z, t, 0.07, params), "std1", s,
+                jacobian=lambda z, t: phi1_jacobian(z, t, 0.07, params),
             )
             assert lam == pytest.approx(math.exp(-params.h(s.t) * 0.07), abs=1e-12)
             assert res < 1e-12
@@ -105,40 +116,40 @@ class TestStageFlows:
     def test_phi2_fixed_point_at_flat_zero(self):
         # stationary point with zero value: the kick does nothing
         obj = zero_objective(2)
-        s = state_of([0.3, -0.4], [1.0, 1.0], s=0.8)
-        out = flow_phi2(s, 0.5, obj)
-        np.testing.assert_array_equal(out.P, s.P)
-        assert out.S == s.S
+        z = row_of([0.3, -0.4], [1.0, 1.0], s=0.8)
+        out, _ = flow_phi2(z, 1.0, 0.5, obj)
+        np.testing.assert_array_equal(parts(out)[1], parts(z)[1])
+        assert out[-1] == z[-1]
 
     def test_phi2_hand_value(self):
-        s = state_of([1.0], [0.0], s=1.0)
-        out = flow_phi2(s, 0.1, quartic(1))
-        assert out.P[0] == pytest.approx(-0.4, abs=1e-16)
-        assert out.S == pytest.approx(0.9, abs=1e-16)
+        out, _ = flow_phi2(row_of([1.0], [0.0], s=1.0), 1.0, 0.1, quartic(1))
+        _, p, s = parts(out)
+        assert p[0] == pytest.approx(-0.4, abs=1e-16)
+        assert s == pytest.approx(0.9, abs=1e-16)
 
     def test_phi3_rest_state(self):
-        s = state_of([2.0], [0.0], s=1.0)
-        out = flow_phi3(s, 0.3, contact_params())
-        assert out.X[0] == 2.0
-        assert out.S == pytest.approx(0.7, abs=1e-15)
+        out, _ = flow_phi3(row_of([2.0], [0.0], s=1.0), 1.0, 0.3, contact_params())
+        assert out[0] == 2.0
+        assert out[-1] == pytest.approx(0.7, abs=1e-15)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
            st.floats(0.01, 2.0), st.floats(0.1, 5.0))
     @settings(max_examples=60, deadline=None)
     def test_phi3_speed_limit(self, p, dtau, c):
         params = contact_params(c=c)
-        s = state_of(np.zeros(len(p)), np.array(p))
-        out = flow_phi3(s, dtau, params)
-        assert np.linalg.norm(out.X - s.X) <= c * dtau * (1 + 1e-12)
+        z = row_of(np.zeros(len(p)), np.array(p))
+        out, _ = flow_phi3(z, 1.0, dtau, params)
+        assert np.linalg.norm(parts(out)[0] - parts(z)[0]) <= c * dtau * (1 + 1e-12)
 
     def test_newtonian_phi3_hand_value(self):
         # X += P dtau/m, S += |P|^2 dtau/2m; P and the clock stay put
-        s = state_of([1.0, -2.0], [0.5, 1.5], s=0.3, t=2.0)
-        out = flow_phi3(s, 0.4, contact_params(m=2.0, c=None))
-        np.testing.assert_allclose(out.X, [1.1, -1.7], atol=1e-15)
-        np.testing.assert_array_equal(out.P, s.P)
-        assert out.S == pytest.approx(0.3 + 2.5 * 0.4 / 4.0, abs=1e-15)
-        assert out.t == s.t
+        z = row_of([1.0, -2.0], [0.5, 1.5], s=0.3)
+        out, t = flow_phi3(z, 2.0, 0.4, contact_params(m=2.0, c=None))
+        x, p, s = parts(out)
+        np.testing.assert_allclose(x, [1.1, -1.7], atol=1e-15)
+        np.testing.assert_array_equal(p, parts(z)[1])
+        assert s == pytest.approx(0.3 + 2.5 * 0.4 / 4.0, abs=1e-15)
+        assert t == 2.0
 
     def test_newtonian_phi3_is_exactly_contact(self):
         # the drift leaves the std1 form unchanged: factor 1, by pullback
@@ -148,19 +159,20 @@ class TestStageFlows:
         for _ in range(20):
             s = ContactState(X=rng.standard_normal(3), P=rng.standard_normal(3),
                              S=float(rng.standard_normal()), t=1.0)
-            lam, res = conformal_factor(lambda st: flow_phi3(st, 0.07, newtonian), "std1", s)
+            lam, res = conformal_factor(
+                lambda z, t: flow_phi3(z, t, 0.07, newtonian), "std1", s
+            )
             assert res < 1e-8
             assert lam == pytest.approx(1.0, abs=1e-8)
 
     def test_time_shift_additivity_and_purity(self):
-        s = state_of([1.0, -1.0], [0.5, 0.5], s=2.0, t=1.0)
-        once = time_shift(s, 0.5)
-        twice = time_shift(time_shift(s, 0.25), 0.25)
-        assert once.t == twice.t == 1.5
-        np.testing.assert_array_equal(once.X, s.X)
-        np.testing.assert_array_equal(once.P, s.P)
-        assert once.S == s.S
-        assert time_shift(s, 0.0).t == s.t
+        z = row_of([1.0, -1.0], [0.5, 0.5], s=2.0)
+        once, t_once = time_shift(z, 1.0, 0.5)
+        twice, t_twice = time_shift(*time_shift(z, 1.0, 0.25), 0.25)
+        assert t_once == t_twice == 1.5
+        np.testing.assert_array_equal(once, z)
+        np.testing.assert_array_equal(twice, z)
+        assert time_shift(z, 1.0, 0.0)[1] == 1.0
 
 
 class TestStrangStep:
@@ -168,32 +180,31 @@ class TestStrangStep:
         # gamma=0 and f=0: only the kinetic drift moves anything
         params = contact_params(m=1.0, c=2.0)
         obj = zero_objective(2)
-        s = state_of([0.0, 0.0], [3.0, 4.0])
+        z = row_of([0.0, 0.0], [3.0, 4.0])
         tau = 0.4
-        out = strang_step(s, tau, obj, params)
+        out, t = strang_step(z, 1.0, tau, obj, params)
         r = math.sqrt(25.0 + 4.0)
-        np.testing.assert_allclose(out.X, s.X + 2.0 * s.P * tau / r, atol=1e-14)
-        np.testing.assert_array_equal(out.P, s.P)
-        assert out.t == pytest.approx(s.t + tau, abs=1e-15)
+        x0, p0, _ = parts(z)
+        np.testing.assert_allclose(parts(out)[0], x0 + 2.0 * p0 * tau / r, atol=1e-14)
+        np.testing.assert_array_equal(parts(out)[1], p0)
+        assert t == pytest.approx(1.0 + tau, abs=1e-15)
 
     def test_time_symmetry_without_dissipation(self):
         params = contact_params(damping=nag_like_damping)
         obj = make_random_quadratic(3, 3, 0.2, 1.5)
-        s0 = ContactState(X=np.array([1.0, -0.5, 0.2]), P=np.array([0.3, 0.1, -0.2]),
-                          S=0.4, t=1.0)
+        z0 = np.array([1.0, -0.5, 0.2, 0.3, 0.1, -0.2, 0.4])
         tau = 0.2
-        back = strang_step(strang_step(s0, tau, obj, params), -tau, obj, params)
-        np.testing.assert_allclose(back.X, s0.X, atol=1e-10)
-        np.testing.assert_allclose(back.P, s0.P, atol=1e-10)
-        assert back.S == pytest.approx(s0.S, abs=1e-10)
-        assert back.t == pytest.approx(s0.t, abs=1e-12)
+        back, t = strang_step(*strang_step(z0, 1.0, tau, obj, params), -tau, obj, params)
+        np.testing.assert_allclose(parts(back)[0], parts(z0)[0], atol=1e-10)
+        np.testing.assert_allclose(parts(back)[1], parts(z0)[1], atol=1e-10)
+        assert back[-1] == pytest.approx(z0[-1], abs=1e-10)
+        assert t == pytest.approx(1.0, abs=1e-12)
 
     def test_iteration_clock_decouples_span_from_time(self):
         params = contact_params(0.1, nag_like_damping)
         obj = quartic(2)
-        s0 = state_of([1.0, 1.0], [0.0, 0.0], t=0.0)
-        out = strang_step(s0, 0.05, obj, params, clock_dtau=1.0)
-        assert out.t == pytest.approx(1.0, abs=1e-15)
+        _, t = strang_step(row_of([1.0, 1.0], [0.0, 0.0]), 0.0, 0.05, obj, params, clock_dtau=1.0)
+        assert t == pytest.approx(1.0, abs=1e-15)
 
     def test_no_secular_energy_drift_when_conservative(self):
         # over 10^4 conservative steps the energy error stays bounded and
@@ -262,32 +273,31 @@ class TestSplitFlowPlan:
         obj = quartic(1)
         s = state_of([1.0], [0.0])
         with pytest.raises(ValueError, match=f"^{message}$"):
-            compose_step(s, 0.1, obj, contact_params(), "rk4")
+            compose_step(s.coords(), s.t, 0.1, obj, contact_params(), "rk4")
         with pytest.raises(ValueError, match=f"^{message}$"):
             integrate_split(s, 0.1, 5, obj, contact_params(), "rk4")
 
     def test_single_stage_equals_strang(self):
         obj = make_random_quadratic(4, 2, 0.2, 1.5)
         params = contact_params(0.2)
-        s = state_of([1.0, 0.5], [0.2, -0.1], s=0.3, t=2.0)
-        a = compose_step(s, 0.3, obj, params, "strang")
-        b = strang_step(s, 0.3, obj, params)
-        np.testing.assert_array_equal(a.X, b.X)
-        np.testing.assert_array_equal(a.P, b.P)
-        assert a.S == b.S and a.t == b.t
+        z = row_of([1.0, 0.5], [0.2, -0.1], s=0.3)
+        a, a_t = compose_step(z, 2.0, 0.3, obj, params, "strang")
+        b, b_t = strang_step(z, 2.0, 0.3, obj, params)
+        np.testing.assert_array_equal(a, b)
+        assert a_t == b_t
 
     def test_jump4_is_three_strang_stages(self):
         z0, z1 = triple_jump_coefficients(1)
         obj = make_random_quadratic(4, 2, 0.2, 1.5)
         params = contact_params(0.2)
-        s = state_of([1.0, 0.5], [0.2, -0.1], s=0.3, t=2.0)
+        z = row_of([1.0, 0.5], [0.2, -0.1], s=0.3)
         tau = 0.3
-        a = compose_step(s, tau, obj, params, "jump4")
-        b = s
+        a, a_t = compose_step(z, 2.0, tau, obj, params, "jump4")
+        b, b_t = z, 2.0
         for w in (z1, z0, z1):
-            b = strang_step(b, w * tau, obj, params)
-        np.testing.assert_allclose(a.coords(), b.coords(), atol=1e-15)
-        assert a.t == pytest.approx(b.t, abs=1e-15)
+            b, b_t = strang_step(b, b_t, w * tau, obj, params)
+        np.testing.assert_allclose(a, b, atol=1e-15)
+        assert a_t == pytest.approx(b_t, abs=1e-15)
 
 
 class TestIntegrateSplit:
@@ -320,12 +330,13 @@ class TestIntegrateSplit:
         params = contact_params(0.1)
         s = state_of([x0, x0], [0.0, 0.0], t=1.0)
         traj = integrate_split(s, tau, n, obj, params, "jump4")
+        z, t = s.coords(), s.t
         with np.errstate(all="ignore"):
             for row, row_t in zip(traj.z, traj.t):
-                np.testing.assert_array_equal(row, s.coords())
-                assert row_t == s.t
-                s = compose_step(s, tau, obj, params, "jump4")
-        assert traj.diverged == (len(traj) < n + 1) == (not within_limit(s.coords()).all())
+                np.testing.assert_array_equal(row, z)
+                assert row_t == t
+                z, t = compose_step(z, t, tau, obj, params, "jump4")
+        assert traj.diverged == (len(traj) < n + 1) == (not within_limit(z).all())
 
     def test_rejects_nonpositive_count(self):
         obj = quartic(1)

@@ -230,18 +230,26 @@ class TestNesterovFactorization:
 
 class TestNesterovContactMap:
     def test_rejects_k_below_one(self):
-        state = ContactState(X=np.zeros(2), P=np.ones(2), S=0.4, t=1.0)
+        z = np.array([0.0, 0.0, 1.0, 1.0, 0.4])
         with pytest.raises(ValueError):
-            nag_contact_map(state, 0)
+            nag_contact_map(z, 1.0, 0)
         with pytest.raises(ValueError):
-            nag_contact_jacobian(state, 0)
+            nag_contact_jacobian(z, 1.0, 0)
+
+    def test_hand_value_on_the_row(self):
+        # (X, P, S) -> (P, P + c (P - X), c S) with c = 2/5 at k = 3, clock unchanged
+        z = np.array([0.7, -0.2, 0.1, 0.5, 0.4])
+        out, t = nag_contact_map(z, 1.5, 3)
+        np.testing.assert_allclose(out, [0.1, 0.5, -0.14, 0.78, 0.16], atol=1e-15)
+        assert t == 1.5
+        np.testing.assert_array_equal(z, [0.7, -0.2, 0.1, 0.5, 0.4])
 
     def test_k3_factor_is_two_fifths(self):
         state = ContactState(X=np.array([0.7, -0.2]), P=np.array([0.1, 0.5]),
                              S=0.4, t=1.0)
         lam, res = conformal_factor(
-            lambda st: nag_contact_map(st, 3), "std2", state,
-            jacobian=lambda st: nag_contact_jacobian(st, 3),
+            lambda z, t: nag_contact_map(z, t, 3), "std2", state,
+            jacobian=lambda z, t: nag_contact_jacobian(z, t, 3),
         )
         assert lam == pytest.approx(0.4, abs=1e-12)
         assert res < 1e-10
@@ -252,8 +260,8 @@ class TestNesterovContactMap:
             state = ContactState(X=rng.standard_normal(3), P=rng.standard_normal(3),
                                  S=float(rng.standard_normal()), t=1.0)
             lam, res = conformal_factor(
-                lambda st: nag_contact_map(st, k), "std2", state,
-                jacobian=lambda st: nag_contact_jacobian(st, k),
+                lambda z, t: nag_contact_map(z, t, k), "std2", state,
+                jacobian=lambda z, t: nag_contact_jacobian(z, t, k),
             )
             assert lam == pytest.approx((k - 1.0) / (k + 2.0), abs=1e-12)
             assert res < 1e-10
