@@ -229,7 +229,7 @@ def cmd_rates(args) -> int:
 
 
 def cmd_check(args) -> int:
-    only = args.only.split(",") if args.only else None
+    only = args.only.split(",") if args.only is not None else None
     results = run_checks(only=only, seed=_master_seed(args.seed))
     for r in results:
         print(r.line())

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .objectives import Objective, check_gradient
+from .objectives import Objective, check_gradient, largest
 
 __all__ = [
     "ContactState",
@@ -295,8 +295,11 @@ def dissipation_residual(H: ContactHamiltonian, traj: Trajectory) -> float:
 
     The left side is a centered finite difference of H, evaluated once per
     row of the trajectory (assumed uniformly spaced); the residual at each
-    interior row is normalized by max(1, |H|).  A NaN residual is skipped.
+    interior row is normalized by max(1, |H|); a NaN one gives NaN, and a
+    run flagged ``diverged``, which did not finish, gives inf.
     """
+    if traj.diverged:
+        return np.inf
     if len(traj) < 3:
         raise ValueError("trajectory too short for a centered difference")
     parts = [H(*row) for row in zip(traj.X, traj.P, traj.S, traj.t)]
@@ -306,7 +309,7 @@ def dissipation_residual(H: ContactHamiltonian, traj: Trajectory) -> float:
     lhs = (h[2:] - h[:-2]) / (2.0 * (traj.t[1] - traj.t[0]))
     rhs = -rate * h[1:-1] + explicit
     residual = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(h[1:-1]))
-    return float(np.fmax.reduce(residual, initial=0.0))  # fmax skips a NaN
+    return largest(residual)
 
 
 def _fd_jacobian(func: RowMap, z: np.ndarray, t: float) -> np.ndarray:
@@ -340,8 +343,9 @@ def conformal_factor(
     differ from the pulled-back one, which is how a change of convention
     such as :func:`map_F` is certified; it defaults to ``form``.
 
-    A fitted |lambda| below 1e-10 means the map crushes the contact structure
-    and is reported as an error rather than a value.
+    A fitted |lambda| below 1e-10, or a NaN one, means the map crushes the
+    contact structure (or computed nothing): its residual is inf, so the
+    certificate fails like any other.  A NaN residual stays NaN.
     """
     z, t = state.coords(), state.t
     z.setflags(write=False)
@@ -351,11 +355,9 @@ def conformal_factor(
     eta_src = _form_coeffs(source_form if source_form is not None else form, z)
     pullback = j.T @ eta_target
     lam = float(pullback @ eta_src) / float(eta_src @ eta_src)
-    if abs(lam) < 1e-10:
-        name = getattr(func, "__name__", "map")
-        raise ValueError(f"map {name!r} is degenerate: conformal factor ~ 0")
-    residual = float(np.max(np.abs(pullback - lam * eta_src)))
-    return lam, residual
+    if not abs(lam) >= 1e-10:  # also NaN
+        return lam, np.inf
+    return lam, largest(np.abs(pullback - lam * eta_src))
 
 
 def check_hamiltonian_gradients(

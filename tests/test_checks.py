@@ -1,13 +1,16 @@
 import contextlib
+import math
+import warnings
 
 import numpy as np
 import pytest
 
 import contactopt.checks as checks
-from contactopt.checks import fit_order, order_errors
-from contactopt.contact import ContactState, reference_integrate
+from contactopt.checks import ORDER_TAUS, fit_order, order_errors
+from contactopt.contact import ContactState, Trajectory, reference_integrate
 from contactopt.integrators import ContactParams, contact_hamiltonian, nag_like_damping
 from contactopt.objectives import make_random_quadratic
+from contactopt.optimizers import OptState
 
 
 def test_order_check_integrates_one_reference_per_sweep(order_check):
@@ -215,3 +218,80 @@ def test_step_calling_checks_are_pinned_bit_for_bit(seed):
                 _STEP_CHECK_VALUES[seed] + _CONTACT_CHECK_VALUES[seed]
                 + _CONFORMAL_CHECK_VALUES[seed])]
     assert got == want
+
+
+# A certificate that computed NaN, crushed the form, or measured a run that
+# did not finish fails its check instead of passing on what is left.
+
+
+def _failed(results):
+    return {r.name: r.value for r in results if not r.passed}
+
+
+def _cut_oracle(H, form, s0, dt, n):
+    """The RK4 oracle stopped after 50 of its n steps and flagged diverged,
+    as a run that blew up is recorded: a finite prefix that finished nothing."""
+    traj = reference_integrate(H, form, s0, dt, 50)
+    return Trajectory(traj.t, traj.z, diverged=True)
+
+
+@pytest.mark.parametrize("row", [np.zeros_like, lambda z: np.full_like(z, np.nan)],
+                         ids=["crushing", "nan"])
+def test_a_broken_candidate_fails_conformal_by_name(monkeypatch, row):
+    monkeypatch.setattr(checks, "flow_phi3", lambda z, t, dtau, params: (row(z), t + dtau))
+    assert _failed(checks.check_conformal(0)) == {"phi3 residual": math.inf}
+
+
+def test_a_nan_optimizer_step_fails_equivalence(monkeypatch):
+    def nan_step(state, obj, cfg):
+        nan = np.full_like(state.X, np.nan)
+        return OptState(X=nan, V=nan, S=math.nan, k=state.k + 1)
+
+    monkeypatch.setattr(checks, "step", nan_step)
+    failed = _failed(checks.check_equivalence(0))
+    for name in ("crgd_step vs strang_step", "rgd_step vs strang_step (constant h)"):
+        assert math.isnan(failed[name])
+
+
+def test_a_nan_contact_field_fails_specialization(monkeypatch):
+    monkeypatch.setattr(checks, "contact_field", lambda H, form, z, t: np.full(len(z), np.nan))
+    failed = _failed(checks.check_specialization(0))
+    assert sorted(failed) == [
+        "H0 + <X*,P> - <P*,X> + 2S -> anchored descent equations",
+        "H0 + cS -> conformally damped equations",
+        "S-independent H -> Hamilton equations",
+    ]
+    assert all(math.isnan(v) for v in failed.values())
+
+
+def test_an_unfinished_oracle_run_fails_dissipation_and_the_ode_check(monkeypatch):
+    monkeypatch.setattr(checks, "reference_integrate", _cut_oracle)
+    assert _failed(checks.check_dissipation(0)) == {
+        "relativistic H residual": math.inf,
+        "conservative H residual": math.inf,
+        "H = cS exponential decay": math.inf,
+    }
+    assert _failed(checks.check_specialization(0)) == {
+        "accelerated-gradient ODE residual": math.inf
+    }
+
+
+@pytest.mark.parametrize("unfinished", ["reference", "split run"])
+def test_an_unfinished_order_sweep_fails_orders(monkeypatch, unfinished):
+    if unfinished == "reference":
+        monkeypatch.setattr(checks, "reference_integrate", _cut_oracle)
+    else:
+        monkeypatch.setattr(
+            checks, "integrate_split",
+            lambda s0, tau, n, obj, params, plan: Trajectory([s0.t], [s0.coords()], diverged=True),
+        )
+    assert order_errors(["strang"]) == {"strang": [math.inf] * len(ORDER_TAUS)}
+    failed = _failed(checks.check_orders(0))
+    assert len(failed) == 3 and all(math.isnan(v) for v in failed.values())
+
+
+@pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+def test_fit_order_needs_positive_finite_errors(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(fit_order(ORDER_TAUS, [1e-3, 2.5e-4, bad, 1.6e-5]))

@@ -3,10 +3,12 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from contactopt.checks import CheckResult
 from contactopt.cli import main, parse_init_flag
+from contactopt.contact import Trajectory
 from contactopt.harness import (
     InitSpec,
     export_trace_csv,
@@ -350,6 +352,26 @@ class TestCheckCommand:
         rc = main(["check", "--only", "nag,nag"])
         assert rc == 1
         assert "named twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("only", ["", "conformal,"])
+    def test_empty_family_name_is_usage_error(self, only, capsys):
+        assert main(["check", "--only", only]) == 1
+        assert "unknown check family ''" in capsys.readouterr().err
+
+    def test_crushing_candidate_fails_with_exit_3(self, monkeypatch, capsys):
+        monkeypatch.setattr("contactopt.checks.flow_phi3",
+                            lambda z, t, dtau, params: (np.zeros_like(z), t))
+        assert main(["check", "--only", "conformal"]) == 3
+        assert "[FAIL] conformal: phi3 residual = inf" in capsys.readouterr().out
+
+    def test_diverged_order_sweep_fails_with_exit_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "contactopt.checks.integrate_split",
+            lambda s0, tau, n, obj, params, plan: Trajectory([s0.t], [s0.coords()], diverged=True),
+        )
+        assert main(["check", "--only", "orders"]) == 3
+        captured = capsys.readouterr()
+        assert "0/3 checks passed" in captured.out and captured.err == ""
 
     def test_failed_check_has_own_exit_code(self, monkeypatch, capsys):
         failing = CheckResult(family="orders", name="planted", passed=False,

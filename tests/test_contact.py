@@ -443,6 +443,13 @@ class TestDissipation:
         with pytest.raises(ValueError):
             dissipation_residual(ham, traj)
 
+    def test_unfinished_run_gives_inf(self):
+        # a diverged run's finite prefix certifies nothing, however short
+        ham = quadratic_hamiltonian()
+        for n in (1, 20):
+            traj = reference_integrate(ham, "std1", state_of([1.0], [0.0], t=0.0), 0.1, n)
+            assert dissipation_residual(ham, Trajectory(traj.t, traj.z, diverged=True)) == math.inf
+
 
 class TestConformalFactor:
     def test_identity_map(self):
@@ -452,10 +459,14 @@ class TestConformalFactor:
             assert res < 1e-9
 
     def test_degenerate_map_reported(self):
+        # a map that crushes the form, or computes NaN, fails its
+        # certificate with an infinite residual
         target = row_of([0.0, 0.0], [0.0, 0.0])
         s = next(iter(random_states(31, 1, 2)))
-        with pytest.raises(ValueError, match="degenerate"):
-            conformal_factor(lambda z, t: (target, t), "std1", s)
+        lam, res = conformal_factor(lambda z, t: (target, t), "std1", s)
+        assert lam == 0.0 and res == math.inf
+        lam, res = conformal_factor(lambda z, t: (np.full_like(z, np.nan), t), "std1", s)
+        assert math.isnan(lam) and res == math.inf
 
     def test_a_map_that_writes_into_its_row_is_refused(self):
         # every row a map is given, the start and each shifted copy, is read-only
