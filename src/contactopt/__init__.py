@@ -59,7 +59,6 @@ from .objectives import (
 )
 from .optimizers import (
     OptimizerConfig,
-    OptState,
     RunRecord,
     run,
     run_batch,
@@ -110,7 +109,6 @@ __all__ = [
     "quartic",
     "rosenbrock",
     "OptimizerConfig",
-    "OptState",
     "RunRecord",
     "run",
     "run_batch",

@@ -66,9 +66,6 @@ class Objective:
     known_min_value: Optional[float] = None
     rows: Optional[Callable[[np.ndarray], "Objective"]] = None
 
-    def __call__(self, x: np.ndarray) -> float:
-        return self.eval(x)
-
 
 # X -> X @ Q for a (n,) start or a (T, n) stack; see draw_quadratic
 Rotation = Callable[[np.ndarray], np.ndarray]

@@ -18,9 +18,10 @@ advance it by composing the exact stage flows in the m=1 gauge (tau =
 sqrt(2*epsilon)).  With delta = 0 the kinetic rate keeps only the
 velocity-dependent part, since the rest-energy constant diverges in that
 limit.  S never feeds back into X or V.  step() applies the update its
-config's kind selects to one OptState; run_batch() iterates it over a
-stack of T runs of one kind without S and records only the objective
-gaps, one (iters + 1, T) matrix; run() is its T=1 case.
+config's kind selects as a contact map (z, k) -> (z, k + 1) of the flat
+(X, V, S) row, so Trajectory.of records a run with S; run_batch() iterates
+it over a stack of T runs of one kind without S and records only the
+objective gaps, one (iters + 1, T) matrix; run() is its T=1 case.
 """
 
 import math
@@ -40,10 +41,8 @@ __all__ = [
     "MOMENTUM_SCHEDULES",
     "CLOCKS",
     "OptimizerConfig",
-    "OptState",
     "RunRecord",
     "BatchRecords",
-    "init_state",
     "step",
     "nag_decomposed_step",
     "nag_contact_map",
@@ -111,26 +110,6 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
-class OptState:
-    """Optimizer state: iterate X, velocity V, contact trace S, counter k.
-
-    For nag, V holds the look-ahead point.  Steps never write into the
-    arrays they are given, so a new state shares them instead of copying.
-    """
-
-    X: np.ndarray
-    V: np.ndarray
-    S: float
-    k: int
-
-    def __post_init__(self):
-        if np.shape(self.X) != np.shape(self.V):
-            raise ValueError("X and V must have the same length")
-        if self.k < 0:
-            raise ValueError(f"iteration counter must be non-negative, got {self.k}")
-
-
-@dataclass(frozen=True)
 class RunRecord:
     """Trace of one optimization run: per-iteration objective gaps.
 
@@ -153,13 +132,6 @@ class RunRecord:
     def final_gap(self) -> float:
         """Last recorded gap; +inf for diverged runs."""
         return math.inf if self.diverged else self.trace[-1]
-
-
-def init_state(X0: np.ndarray, kind: str) -> OptState:
-    """Start state: V = 0 and S = 0 always, except nag's look-ahead slot
-    starts at X0 itself."""
-    x0 = np.array(X0, dtype=float)
-    return OptState(X=x0, V=_start_velocity(x0, kind), S=0.0, k=0)
 
 
 def _start_velocity(X0: np.ndarray, kind: str) -> np.ndarray:
@@ -197,8 +169,8 @@ def _nag_coefficient(k_new: int, p):
 
 def _momentum(x, p, s, c):
     """(X, P, S) -> (P, P + c (P - X), c S): the momentum half of the
-    Nesterov factorization."""
-    return p, p + c * (p - x), c * s
+    Nesterov factorization, as a new flat row."""
+    return np.concatenate([p, p + c * (p - x), c * s])
 
 
 def _nag(X, V, S, k, obj, p):
@@ -265,14 +237,27 @@ def _crgd(X, V, S, k, obj, p):
 _UPDATES = {"gd": _gd, "cm": _cm, "nag": _nag, "rgd": _rgd, "crgd": _crgd}
 
 
-def step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
-    """One step of the update cfg.kind selects, S included."""
-    x, v, S = _UPDATES[cfg.kind](s.X, s.V, np.array([s.S]), s.k, obj, cfg)
-    return OptState(X=x, V=v, S=S.item(), k=s.k + 1)
+def _split(z: np.ndarray, k: int):
+    """The X, V and S parts of the flat row z, as views, at iteration k >= 0."""
+    if len(z) % 2 == 0:
+        raise ValueError(f"need a flat (X, V, S) row of odd length 2n+1, got length {len(z)}")
+    if k < 0:
+        raise ValueError(f"iteration counter must be non-negative, got {k}")
+    n = len(z) // 2
+    return z[:n], z[n:-1], z[-1:]
 
 
-def nag_decomposed_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> OptState:
-    """Nesterov by its contact-geometric factorization.
+def step(z: np.ndarray, k: int, obj: Objective, cfg: OptimizerConfig) -> Step:
+    """One step of the update cfg.kind selects, S included: the map
+    (z, k) -> (z, k + 1) of the flat (X, V, S) row at iteration k, to a new
+    row.  For nag, V holds the look-ahead point."""
+    x, v, s = _UPDATES[cfg.kind](*_split(z, k), k, obj, cfg)
+    return np.concatenate([x, v, s]), k + 1
+
+
+def nag_decomposed_step(z: np.ndarray, k: int, obj: Objective, cfg: OptimizerConfig) -> Step:
+    """Nesterov by its contact-geometric factorization, as a map of the
+    flat (X, V, S) row like :func:`step`.
 
     First the momentum map (X, V, S) -> (V, V + c (V - X), c S), which is a
     contact transformation of the std2 form with factor c, then a plain
@@ -281,9 +266,10 @@ def nag_decomposed_step(s: OptState, obj: Objective, cfg: OptimizerConfig) -> Op
     asserted) by the `check` report because the two orderings disagree in
     the momentum slot at finite k.
     """
-    k_new = s.k + 1
-    x1, p1, s1 = _momentum(s.X, s.V, s.S, _nag_coefficient(k_new, cfg))
-    return OptState(X=x1 - cfg.tau * obj.grad(x1), V=p1, S=s1, k=k_new)
+    z = _momentum(*_split(z, k), _nag_coefficient(k + 1, cfg))
+    x = z[: len(z) // 2]
+    x -= cfg.tau * obj.grad(x)
+    return z, k + 1
 
 
 def nag_contact_map(z: np.ndarray, t: float, k: int) -> Step:
@@ -294,9 +280,7 @@ def nag_contact_map(z: np.ndarray, t: float, k: int) -> Step:
     unchanged; the map rescales the std2 contact form by exactly c.  Its
     exact (linear) Jacobian is :func:`nag_contact_jacobian`.
     """
-    n = len(z) // 2
-    x, p, s = _momentum(z[:n], z[n:-1], z[-1], _nesterov_coefficient(k))
-    return np.concatenate([x, p, [s]]), t
+    return _momentum(*_split(z, k), _nesterov_coefficient(k)), t
 
 
 def nag_contact_jacobian(z: np.ndarray, t: float, k: int) -> np.ndarray:

@@ -10,7 +10,6 @@ from contactopt.checks import ORDER_TAUS, fit_order, order_errors
 from contactopt.contact import ContactState, Trajectory, reference_integrate
 from contactopt.integrators import ContactParams, contact_hamiltonian, nag_like_damping
 from contactopt.objectives import make_random_quadratic
-from contactopt.optimizers import OptState
 
 
 def test_order_check_integrates_one_reference_per_sweep(order_check):
@@ -243,11 +242,7 @@ def test_a_broken_candidate_fails_conformal_by_name(monkeypatch, row):
 
 
 def test_a_nan_optimizer_step_fails_equivalence(monkeypatch):
-    def nan_step(state, obj, cfg):
-        nan = np.full_like(state.X, np.nan)
-        return OptState(X=nan, V=nan, S=math.nan, k=state.k + 1)
-
-    monkeypatch.setattr(checks, "step", nan_step)
+    monkeypatch.setattr(checks, "step", lambda z, k, obj, cfg: (np.full_like(z, np.nan), k + 1))
     failed = _failed(checks.check_equivalence(0))
     for name in ("crgd_step vs strang_step", "rgd_step vs strang_step (constant h)"):
         assert math.isnan(failed[name])

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,16 @@ class TestCheckCommand:
                             lambda z, t, dtau, params: (np.zeros_like(z), t))
         assert main(["check", "--only", "conformal"]) == 3
         assert "[FAIL] conformal: phi3 residual = inf" in capsys.readouterr().out
+
+    def test_overflowing_candidate_fails_with_exit_3_where_warnings_are_errors(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setattr("contactopt.checks.flow_phi3",
+                            lambda z, t, dtau, params: (z * 1e308, t + dtau))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--only", "conformal"]) == 3
+        assert "[FAIL] conformal: phi3 residual = nan" in capsys.readouterr().out
 
     def test_diverged_order_sweep_fails_with_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(

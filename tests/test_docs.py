@@ -11,4 +11,4 @@ def test_library_example_runs(capsys):
     section = README.read_text().split("## Library example", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md, Library example", "exec"), {})
-    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert len(capsys.readouterr().out.splitlines()) == 5

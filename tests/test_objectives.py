@@ -20,11 +20,11 @@ from contactopt.objectives import (
 class TestQuartic:
     def test_value_at_ones_is_weight_sum(self):
         obj = quartic(50)
-        assert obj(np.ones(50)) == pytest.approx(1275.0, abs=1e-12)
+        assert obj.eval(np.ones(50)) == pytest.approx(1275.0, abs=1e-12)
 
     def test_origin_is_minimum(self):
         obj = quartic(50)
-        assert obj(np.zeros(50)) == 0.0
+        assert obj.eval(np.zeros(50)) == 0.0
         assert obj.known_min_value == 0.0
 
     def test_gradient_components(self):
@@ -38,19 +38,19 @@ class TestQuartic:
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6))
     def test_nonnegative_everywhere(self, xs):
         obj = quartic(len(xs))
-        assert obj(np.array(xs)) >= 0.0
+        assert obj.eval(np.array(xs)) >= 0.0
 
 
 class TestCamelback:
     def test_global_minimum(self):
         obj = camelback()
-        assert obj(np.zeros(2)) == 0.0
+        assert obj.eval(np.zeros(2)) == 0.0
         np.testing.assert_array_equal(obj.grad(np.zeros(2)), np.zeros(2))
 
     def test_local_minimum_value(self):
         # hand evaluation at the left local minimizer
         obj = camelback()
-        v = obj(np.array([-1.75, 0.87]))
+        v = obj.eval(np.array([-1.75, 0.87]))
         assert v == pytest.approx(0.29869850260416673, abs=1e-12)
         assert abs(v - 0.3) < 0.01
 
@@ -61,12 +61,12 @@ class TestCamelback:
 class TestRosenbrock:
     def test_minimum_at_ones(self):
         obj = rosenbrock(100)
-        assert obj(np.ones(100)) == 0.0
+        assert obj.eval(np.ones(100)) == 0.0
 
     def test_hand_value_dim2(self):
         # 100 (1 - 1.44)^2 + (1 + 1.2)^2
         obj = rosenbrock(2)
-        assert obj(np.array([-1.2, 1.0])) == pytest.approx(24.2, abs=1e-12)
+        assert obj.eval(np.array([-1.2, 1.0])) == pytest.approx(24.2, abs=1e-12)
 
     def test_rejects_dim_below_two(self):
         with pytest.raises(ValueError):
@@ -87,7 +87,7 @@ class TestRandomQuadratic:
 
     def test_zero_at_origin(self):
         obj = make_random_quadratic(9, 12, 0.5, 2.0)
-        assert obj(np.zeros(12)) == 0.0
+        assert obj.eval(np.zeros(12)) == 0.0
 
     def test_gradient_matches_differences(self):
         obj = make_random_quadratic(7, 3, 1e-3, 1.0)
@@ -113,7 +113,7 @@ class TestRandomQuadratic:
     def test_values_nonnegative(self, seed):
         obj = make_random_quadratic(seed, 5, 0.2, 1.5)
         x = np.random.default_rng(seed).standard_normal(5)
-        assert obj(x) >= 0.0
+        assert obj.eval(x) >= 0.0
 
 
 class TestEigenbasisQuadratic:

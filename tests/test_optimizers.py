@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactopt.contact import ContactState, conformal_factor
+from contactopt.contact import ContactState, Trajectory, conformal_factor
 from contactopt.objectives import (
     Objective,
     camelback,
@@ -19,11 +20,9 @@ from contactopt.objectives import (
 from contactopt.optimizers import (
     OPTIMIZER_KINDS,
     OptimizerConfig,
-    OptState,
     RunRecord,
     _Columns,
     _UPDATES,
-    init_state,
     nag_contact_jacobian,
     nag_contact_map,
     nag_decomposed_step,
@@ -81,48 +80,45 @@ class TestOptimizerConfig:
                 "epsilon", "mu", "delta"}
 
 
-class TestStateHandling:
-    def test_init_state_velocities(self):
-        x0 = np.array([1.0, -2.0])
-        for kind in OPTIMIZER_KINDS:
-            s = init_state(x0, kind)
-            assert s.S == 0.0 and s.k == 0
-            np.testing.assert_array_equal(s.X, x0)
-            if kind == "nag":
-                np.testing.assert_array_equal(s.V, x0)
-            else:
-                np.testing.assert_array_equal(s.V, np.zeros(2))
+class TestRowSignature:
+    def test_steps_reject_an_even_row_and_a_negative_counter(self):
+        obj = halfsq()
+        for stepper, kinds in ((step, OPTIMIZER_KINDS), (nag_decomposed_step, ("nag",))):
+            for kind in kinds:
+                cfg = OptimizerConfig(kind=kind)
+                with pytest.raises(ValueError, match="odd length"):
+                    stepper(np.zeros(2), 0, obj, cfg)
+                with pytest.raises(ValueError, match="non-negative"):
+                    stepper(np.zeros(3), -1, obj, cfg)
 
-    def test_optstate_validation(self):
-        with pytest.raises(ValueError, match="same length"):
-            OptState(X=np.zeros(2), V=np.zeros(3), S=0.0, k=0)
-        with pytest.raises(ValueError, match="non-negative"):
-            OptState(X=np.zeros(1), V=np.zeros(1), S=0.0, k=-1)
-
-    def test_init_state_copies_start_vector(self):
-        for kind in OPTIMIZER_KINDS:
-            x0 = np.array([1.0, -2.0])
-            s = init_state(x0, kind)
-            x0[:] = 5.0
-            np.testing.assert_array_equal(s.X, [1.0, -2.0])
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    def test_steps_read_a_read_only_row_and_return_a_new_one(self, kind):
+        obj = quartic(2)
+        cfg = OptimizerConfig(kind=kind, tau=0.1, epsilon=0.01)
+        z = np.array([1.0, -0.5, 0.3, 0.2, 0.7])
+        z.setflags(write=False)
+        for stepper in (step, nag_decomposed_step):
+            out, k = stepper(z, 2, obj, cfg)
+            assert k == 3 and out.flags.writeable and not np.shares_memory(out, z)
+            assert out.shape == z.shape and not np.array_equal(out, z)
+            np.testing.assert_array_equal(z, [1.0, -0.5, 0.3, 0.2, 0.7])
 
 
 class TestGradientDescent:
     def test_geometric_decay_on_quadratic(self):
         obj = halfsq()
         cfg = OptimizerConfig(kind="gd", tau=0.1)
-        s = init_state(np.array([1.0]), "gd")
-        for k in range(1, 6):
-            s = step(s, obj, cfg)
-            assert s.X[0] == pytest.approx(0.9 ** k, abs=1e-15)
-            assert s.k == k
+        z, k = np.array([1.0, 0.0, 0.0]), 0
+        for j in range(1, 6):
+            z, k = step(z, k, obj, cfg)
+            assert z[0] == pytest.approx(0.9 ** j, abs=1e-15)
+            assert k == j
 
     def test_fixed_at_stationary_point(self):
         obj = halfsq()
         cfg = OptimizerConfig(kind="gd", tau=0.3)
-        s = init_state(np.array([0.0]), "gd")
-        out = step(s, obj, cfg)
-        assert out.X[0] == 0.0 and out.S == 0.0
+        out, _ = step(np.zeros(3), 0, obj, cfg)
+        assert out[0] == 0.0 and out[-1] == 0.0
 
 
 class TestHeavyBall:
@@ -132,54 +128,52 @@ class TestHeavyBall:
         # first step identically, so compare one step at mu -> 0 exactly
         cfg_cm = OptimizerConfig(kind="cm", tau=0.2, mu=1e-300)
         cfg_gd = OptimizerConfig(kind="gd", tau=0.2)
-        s0 = init_state(np.array([1.0, -0.5, 2.0]), "cm")
-        a = step(s0, obj, cfg_cm)
-        b = step(init_state(s0.X, "gd"), obj, cfg_gd)
-        np.testing.assert_array_equal(a.X, b.X)
+        z0 = np.array([1.0, -0.5, 2.0, 0.0, 0.0, 0.0, 0.0])
+        a, _ = step(z0, 0, obj, cfg_cm)
+        b, _ = step(z0, 0, obj, cfg_gd)
+        np.testing.assert_array_equal(a[:3], b[:3])
 
     def test_hand_iterates(self):
         obj = halfsq()
         cfg = OptimizerConfig(kind="cm", tau=0.1, mu=0.5)
-        s = init_state(np.array([1.0]), "cm")
-        s = step(s, obj, cfg)
-        assert s.X[0] == pytest.approx(0.9, abs=1e-15)
-        assert s.V[0] == pytest.approx(-0.1, abs=1e-15)
-        s = step(s, obj, cfg)
+        z, k = step(np.array([1.0, 0.0, 0.0]), 0, obj, cfg)
+        assert z[0] == pytest.approx(0.9, abs=1e-15)
+        assert z[1] == pytest.approx(-0.1, abs=1e-15)
+        z, k = step(z, k, obj, cfg)
         # V2 = 0.5*(-0.1) - 0.1*0.9 = -0.14; X2 = 0.9 - 0.14
-        assert s.X[0] == pytest.approx(0.76, abs=1e-15)
-        assert s.V[0] == pytest.approx(-0.14, abs=1e-15)
+        assert z[0] == pytest.approx(0.76, abs=1e-15)
+        assert z[1] == pytest.approx(-0.14, abs=1e-15)
 
     def test_rest_state_is_fixed(self):
         obj = halfsq()
         cfg = OptimizerConfig(kind="cm", tau=0.1, mu=0.9)
-        s = init_state(np.array([0.0]), "cm")
-        out = step(s, obj, cfg)
-        assert out.X[0] == 0.0 and out.V[0] == 0.0
+        out, _ = step(np.zeros(3), 0, obj, cfg)
+        assert out[0] == 0.0 and out[1] == 0.0
 
 
 class TestNesterov:
     def test_flat_objective_is_fixed(self):
         obj = zero_objective(2)
         cfg = OptimizerConfig(kind="nag", tau=0.1, mu=0.7)
-        s = init_state(np.array([1.0, 2.0]), "nag")
+        z, k = np.array([1.0, 2.0, 1.0, 2.0, 0.0]), 0
         for _ in range(3):
-            s = step(s, obj, cfg)
-        np.testing.assert_array_equal(s.X, [1.0, 2.0])
-        np.testing.assert_array_equal(s.V, [1.0, 2.0])
+            z, k = step(z, k, obj, cfg)
+        np.testing.assert_array_equal(z[:2], [1.0, 2.0])
+        np.testing.assert_array_equal(z[2:4], [1.0, 2.0])
 
     def test_hand_iterate_constant_momentum(self):
         obj = halfsq()
         cfg = OptimizerConfig(kind="nag", tau=0.1, mu=0.5)
-        s = step(init_state(np.array([1.0]), "nag"), obj, cfg)
-        assert s.X[0] == pytest.approx(0.9, abs=1e-15)
-        assert s.V[0] == pytest.approx(0.85, abs=1e-15)
+        z, _ = step(np.array([1.0, 1.0, 0.0]), 0, obj, cfg)
+        assert z[0] == pytest.approx(0.9, abs=1e-15)
+        assert z[1] == pytest.approx(0.85, abs=1e-15)
 
     def test_nesterov_schedule_first_step_has_no_momentum(self):
         obj = halfsq()
         cfg = OptimizerConfig(kind="nag", tau=0.1, momentum_schedule="nesterov_k")
-        s = step(init_state(np.array([1.0]), "nag"), obj, cfg)
+        z, _ = step(np.array([1.0, 1.0, 0.0]), 0, obj, cfg)
         # c = (1-1)/(1+2) = 0 so the look-ahead equals the iterate
-        assert s.V[0] == s.X[0] == pytest.approx(0.9, abs=1e-15)
+        assert z[1] == z[0] == pytest.approx(0.9, abs=1e-15)
 
 
 class TestNesterovFactorization:
@@ -187,23 +181,21 @@ class TestNesterovFactorization:
         obj = make_random_quadratic(3, 4, 0.2, 1.0)
         cfg = OptimizerConfig(kind="nag", tau=0.15, mu=0.8)
         rng = np.random.default_rng(0)
-        s0 = OptState(X=rng.standard_normal(4), V=rng.standard_normal(4),
-                      S=0.3, k=6)
-        a = step(s0, obj, cfg)
-        b = nag_decomposed_step(s0, obj, cfg)
-        # same input state: X+ = V - tau grad f(V) either way, bitwise
-        np.testing.assert_array_equal(a.X, b.X)
+        z0 = np.concatenate([rng.standard_normal(4), rng.standard_normal(4), [0.3]])
+        a, _ = step(z0, 6, obj, cfg)
+        b, _ = nag_decomposed_step(z0, 6, obj, cfg)
+        # same input row: X+ = V - tau grad f(V) either way, bitwise
+        np.testing.assert_array_equal(a[:4], b[:4])
 
     def test_iterated_sequences_drift_apart(self):
         obj = make_random_quadratic(3, 4, 0.2, 1.0)
         cfg = OptimizerConfig(kind="nag", tau=0.15, mu=0.8)
-        x0 = np.ones(4)
-        a = b = init_state(x0, "nag")
+        a = b = np.concatenate([np.ones(4), np.ones(4), [0.0]])
         gaps = []
-        for _ in range(12):
-            a = step(a, obj, cfg)
-            b = nag_decomposed_step(b, obj, cfg)
-            gaps.append(float(np.linalg.norm(a.X - b.X)))
+        for k in range(12):
+            a, _ = step(a, k, obj, cfg)
+            b, _ = nag_decomposed_step(b, k, obj, cfg)
+            gaps.append(float(np.linalg.norm(a[:4] - b[:4])))
         assert gaps[0] == 0.0
         assert gaps[-1] > 10.0 * max(gaps[1], 1e-12)
         assert gaps[-1] > 1e-3
@@ -211,21 +203,21 @@ class TestNesterovFactorization:
     def test_contact_stage_rescales_s_by_momentum_product(self):
         obj = zero_objective(1)
         cfg = OptimizerConfig(kind="nag", tau=0.1, momentum_schedule="nesterov_k")
-        s = OptState(X=np.array([0.4]), V=np.array([0.4]), S=1.7, k=4)
+        z, k = np.array([0.4, 0.4, 1.7]), 4
         for _ in range(6):
-            s = nag_decomposed_step(s, obj, cfg)
+            z, k = nag_decomposed_step(z, k, obj, cfg)
         expect = 1.7
         for j in range(5, 11):
             expect *= (j - 1.0) / (j + 2.0)
-        assert s.S == pytest.approx(expect, rel=1e-15)
+        assert z[-1] == pytest.approx(expect, rel=1e-15)
 
     def test_first_step_kills_s(self):
         obj = zero_objective(1)
         cfg = OptimizerConfig(kind="nag", tau=0.1, momentum_schedule="nesterov_k")
-        s = OptState(X=np.array([1.0]), V=np.array([1.0]), S=0.9, k=0)
-        out = nag_decomposed_step(s, obj, cfg)
-        assert out.S == 0.0
-        assert out.V[0] == s.V[0]
+        z = np.array([1.0, 1.0, 0.9])
+        out, _ = nag_decomposed_step(z, 0, obj, cfg)
+        assert out[-1] == 0.0
+        assert out[1] == z[1]
 
 
 class TestNesterovContactMap:
@@ -271,77 +263,72 @@ class TestRelativisticSteps:
     def test_rgd_hand_values(self):
         obj = halfsq()
         cfg = OptimizerConfig(kind="rgd", epsilon=0.1, mu=0.81, delta=1.0)
-        s = step(init_state(np.array([1.0]), "rgd"), obj, cfg)
+        z, _ = step(np.array([1.0, 0.0, 0.0]), 0, obj, cfg)
         # sqrt(mu) = 0.9; V0 = 0 so the first half drift is a no-op, the kick
         # gives v_mid = -0.1, and the second drift normalizes by sqrt(1.01)
-        assert s.X[0] == pytest.approx(1.0 - 0.1 / math.sqrt(1.01), abs=1e-15)
-        assert s.V[0] == pytest.approx(-0.09, abs=1e-15)
-        assert s.S < 0.0
+        assert z[0] == pytest.approx(1.0 - 0.1 / math.sqrt(1.01), abs=1e-15)
+        assert z[1] == pytest.approx(-0.09, abs=1e-15)
+        assert z[2] < 0.0
 
     def test_delta_zero_is_continuous_limit(self):
         obj = make_random_quadratic(7, 3, 0.3, 1.2)
-        x0 = np.array([1.0, -0.4, 0.8])
+        z0 = np.array([1.0, -0.4, 0.8, 0.0, 0.0, 0.0, 0.0])
         outs = {}
         for delta in (0.0, 1e-12):
             cfg = OptimizerConfig(kind="rgd", epsilon=0.05, mu=0.9, delta=delta)
-            s = init_state(x0, "rgd")
+            z, k = z0, 0
             for _ in range(3):
-                s = step(s, obj, cfg)
-            outs[delta] = s
-        np.testing.assert_allclose(outs[0.0].X, outs[1e-12].X, atol=1e-9)
-        np.testing.assert_allclose(outs[0.0].V, outs[1e-12].V, atol=1e-9)
+                z, k = step(z, k, obj, cfg)
+            outs[delta] = z
+        np.testing.assert_allclose(outs[0.0][:3], outs[1e-12][:3], atol=1e-9)
+        np.testing.assert_allclose(outs[0.0][3:6], outs[1e-12][3:6], atol=1e-9)
 
     def test_delta_zero_hand_step(self):
         obj = halfsq()
         cfg = OptimizerConfig(kind="rgd", epsilon=0.1, mu=1.0, delta=0.0)
-        s0 = OptState(X=np.array([1.0]), V=np.array([0.5]), S=0.0, k=0)
-        s = step(s0, obj, cfg)
+        z, _ = step(np.array([1.0, 0.5, 0.0]), 0, obj, cfg)
         # mu = 1, delta = 0: x_mid = 1.5, v_mid = 0.5 - 0.15 = 0.35
-        assert s.X[0] == pytest.approx(1.85, abs=1e-15)
-        assert s.V[0] == pytest.approx(0.35, abs=1e-15)
+        assert z[0] == pytest.approx(1.85, abs=1e-15)
+        assert z[1] == pytest.approx(0.35, abs=1e-15)
 
     def test_crgd_equals_rgd_at_mu_one(self):
         obj = quartic(2)
         cfg = OptimizerConfig(kind="crgd", epsilon=0.02, mu=1.0, delta=2.0)
-        a = init_state(np.array([2.0, 2.0]), "crgd")
-        b = init_state(np.array([2.0, 2.0]), "rgd")
         rgd = dataclasses.replace(cfg, kind="rgd")
-        for _ in range(5):
-            a = step(a, obj, cfg)
-            b = step(b, obj, rgd)
-        np.testing.assert_array_equal(a.X, b.X)
-        np.testing.assert_array_equal(a.V, b.V)
-        assert a.S == b.S
+        a = b = np.array([2.0, 2.0, 0.0, 0.0, 0.0])
+        for k in range(5):
+            a, _ = step(a, k, obj, cfg)
+            b, _ = step(b, k, obj, rgd)
+        np.testing.assert_array_equal(a, b)
 
     def test_crgd_relaxes_to_rgd_at_large_k(self):
         obj = quartic(2)
         cfg = OptimizerConfig(kind="crgd", epsilon=0.02, mu=0.9, delta=2.0)
-        s0 = OptState(X=np.array([1.0, 1.0]), V=np.array([0.2, -0.1]), S=0.0,
-                      k=10 ** 6)
-        a = step(s0, obj, cfg)
-        b = step(s0, obj, dataclasses.replace(cfg, kind="rgd"))
+        z0 = np.array([1.0, 1.0, 0.2, -0.1, 0.0])
+        a, _ = step(z0, 10 ** 6, obj, cfg)
+        b, _ = step(z0, 10 ** 6, obj, dataclasses.replace(cfg, kind="rgd"))
         # dissipation factors differ by O(1/k): mu^(1 + 1/k) vs mu
-        assert np.max(np.abs(a.X - b.X)) < 1e-7
-        assert np.max(np.abs(a.V - b.V)) < 1e-7
-        assert not np.array_equal(a.V, b.V)
+        assert np.max(np.abs(a[:2] - b[:2])) < 1e-7
+        assert np.max(np.abs(a[2:4] - b[2:4])) < 1e-7
+        assert not np.array_equal(a[2:4], b[2:4])
 
     def test_crgd_dissipation_starts_heavier(self):
         # at k = 0 the factor is mu^3, so the first step damps V harder
         obj = zero_objective(1)
         cfg = OptimizerConfig(kind="crgd", epsilon=0.02, mu=0.9, delta=0.0)
-        s0 = OptState(X=np.array([0.0]), V=np.array([1.0]), S=0.0, k=0)
-        a = step(s0, obj, cfg)
-        b = step(s0, obj, dataclasses.replace(cfg, kind="rgd"))
-        assert a.V[0] == pytest.approx(0.9 ** 3, abs=1e-14)
-        assert b.V[0] == pytest.approx(0.9, abs=1e-14)
+        z0 = np.array([0.0, 1.0, 0.0])
+        a, _ = step(z0, 0, obj, cfg)
+        b, _ = step(z0, 0, obj, dataclasses.replace(cfg, kind="rgd"))
+        assert a[1] == pytest.approx(0.9 ** 3, abs=1e-14)
+        assert b[1] == pytest.approx(0.9, abs=1e-14)
 
     def test_physical_clock_changes_schedule(self):
         obj = quartic(1)
         base = dict(kind="crgd", epsilon=0.02, mu=0.9, delta=1.0)
-        s0 = OptState(X=np.array([1.0]), V=np.array([0.3]), S=0.0, k=2)
-        a = step(s0, obj, OptimizerConfig(**base))
-        b = step(s0, obj, OptimizerConfig(**base, clock="physical"))
-        assert a.V[0] != b.V[0]
+        z0 = np.array([1.0, 0.3, 0.0])
+        a, _ = step(z0, 2, obj, OptimizerConfig(**base))
+        b, _ = step(z0, 2, obj, OptimizerConfig(**base, clock="physical"))
+        assert a[1] != b[1]
 
     @pytest.mark.parametrize("kind, clock", [("rgd", "iteration"), ("crgd", "iteration"),
                                              ("crgd", "physical")])
@@ -354,14 +341,14 @@ class TestRelativisticSteps:
         rng = np.random.default_rng(11)
         X, V = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
         S = rng.standard_normal((3, 1))
-        singles = [OptState(X=x, V=v, S=float(s[0]), k=2) for x, v, s in zip(X, V, S)]
+        singles = [np.concatenate([x, v, s]) for x, v, s in zip(X, V, S)]
         p = _Columns.of(cfgs)
         for k in range(2, 6):
             X, V, S = _UPDATES[kind](X, V, S, k, obj, p)
-            singles = [step(s, obj, cfg) for s, cfg in zip(singles, cfgs)]
-            for i, s in enumerate(singles):
+            singles = [step(z, k, obj, cfg)[0] for z, cfg in zip(singles, cfgs)]
+            for i, z in enumerate(singles):
                 assert (X[i].tobytes(), V[i].tobytes(), S[i, 0]) == (
-                    s.X.tobytes(), s.V.tobytes(), s.S)
+                    z[:4].tobytes(), z[4:8].tobytes(), z[-1])
         assert np.all(np.isfinite(S)) and len(set(S[:, 0])) == 3
 
     @given(st.integers(0, 2 ** 31), st.floats(0.1, 10.0))
@@ -371,11 +358,10 @@ class TestRelativisticSteps:
         rng = np.random.default_rng(seed)
         obj = quartic(3)
         cfg = OptimizerConfig(kind="rgd", epsilon=0.5, mu=0.95, delta=delta)
-        s0 = OptState(X=rng.uniform(-5, 5, 3), V=rng.uniform(-50, 50, 3),
-                      S=0.0, k=0)
-        s1 = step(s0, obj, cfg)
+        z0 = np.concatenate([rng.uniform(-5, 5, 3), rng.uniform(-50, 50, 3), [0.0]])
+        z1, _ = step(z0, 0, obj, cfg)
         bound = 2.0 / math.sqrt(delta)
-        assert np.linalg.norm(s1.X - s0.X) <= bound * (1 + 1e-12)
+        assert np.linalg.norm(z1[:3] - z0[:3]) <= bound * (1 + 1e-12)
 
 
 class TestRun:
@@ -550,17 +536,17 @@ class TestRunBatch:
         assert batch.final_gaps.tolist() == [r.final_gap for r in batch]
 
     def test_matches_stepping_by_hand(self):
+        # a run starts from the row (x0, x0 for nag else 0, 0) at k = 0
         obj = rosenbrock(4)
         x0 = np.array([-1.2, 1.0, -1.2, 1.0])
         for kind in OPTIMIZER_KINDS:
             cfg = OptimizerConfig(kind=kind, tau=1e-3, epsilon=1e-3, mu=0.9)
-            s = init_state(x0, kind)
-            gaps = [obj.eval(s.X)]
-            for _ in range(25):
-                s = step(s, obj, cfg)
-                gaps.append(obj.eval(s.X))
-            assert run(obj, cfg, x0, 25).trace == tuple(gaps)
-            assert (s.S == 0.0) == (kind in ("gd", "cm", "nag"))
+            z0 = np.concatenate([x0, x0 if kind == "nag" else np.zeros(4), [0.0]])
+            traj = Trajectory.of(functools.partial(step, obj=obj, cfg=cfg), z0, 0, 25)
+            assert traj.t.tolist() == list(range(26))
+            assert run(obj, cfg, x0, 25).trace == tuple(obj.eval(x) for x in traj.X)
+            assert np.isfinite(traj.S).all()
+            assert (traj.S[-1] == 0.0) == (kind in ("gd", "cm", "nag"))
 
     def test_rejects_mixed_batches(self):
         obj = quartic(2)
