@@ -23,6 +23,7 @@ from contactopt.optimizers import (
     RunRecord,
     _Columns,
     _UPDATES,
+    _start_velocity,
     nag_contact_jacobian,
     nag_contact_map,
     nag_decomposed_step,
@@ -78,6 +79,18 @@ class TestOptimizerConfig:
         for kind in ("rgd", "crgd"):
             assert set(OptimizerConfig(kind=kind).params_dict()) == {
                 "epsilon", "mu", "delta"}
+
+
+class TestStateHandling:
+    def test_init_state_velocities(self):
+        x0 = np.array([1.0, -2.0])
+        for kind in OPTIMIZER_KINDS:
+            V = _start_velocity(x0, kind)
+            assert not np.shares_memory(V, x0)
+            if kind == "nag":
+                np.testing.assert_array_equal(V, x0)
+            else:
+                np.testing.assert_array_equal(V, np.zeros(2))
 
 
 class TestRowSignature:
