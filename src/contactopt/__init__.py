@@ -11,7 +11,6 @@ harness.
 
 from .contact import (
     ContactHamiltonian,
-    ContactState,
     Partials,
     Trajectory,
     conformal_factor,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContactHamiltonian",
-    "ContactState",
     "Partials",
     "Trajectory",
     "conformal_factor",

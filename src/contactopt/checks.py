@@ -31,7 +31,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .contact import (
-    ContactState,
     Partials,
     conformal_factor,
     contact_field,
@@ -115,13 +114,9 @@ class CheckResult:
         return f"[{mark}] {self.family}: {self.name} = {self.value:.3e}{extra}"
 
 
-def _random_state(rng: np.random.Generator, dim: int) -> ContactState:
-    return ContactState(
-        X=rng.standard_normal(dim),
-        P=rng.standard_normal(dim),
-        S=float(rng.standard_normal()),
-        t=float(rng.uniform(0.5, 3.0)),
-    )
+def _random_state(rng: np.random.Generator, dim: int) -> Tuple[np.ndarray, float]:
+    """A random (X, P, S) row and clock, drawn in that order."""
+    return rng.standard_normal(2 * dim + 1), float(rng.uniform(0.5, 3.0))
 
 
 def _draws(seed: int, family: str) -> Tuple[np.random.Generator, int]:
@@ -156,7 +151,7 @@ def check_conformal(seed: int = 0) -> List[CheckResult]:
     dtau = 0.07
     # factors pinned in closed form, read from the residual loop's fits;
     # map_F turns the std2 form into the std1 form on the nose
-    pinned = {"phi1": lambda s: math.exp(-params.h(s.t) * dtau), "map_F": lambda s: 1.0}
+    pinned = {"phi1": lambda t: math.exp(-params.h(t) * dtau), "map_F": lambda t: 1.0}
     factor_dev = {}
     # (name, map, its exact Jacobian or None, form, source form)
     candidates = [
@@ -175,21 +170,22 @@ def check_conformal(seed: int = 0) -> List[CheckResult]:
     results = []
     for name, func, jac, form, src in candidates:
         states = [_random_state(rng, dim) for _ in range(20)]
-        fits = [conformal_factor(func, form, s, source_form=src, jacobian=jac) for s in states]
+        fits = [conformal_factor(func, form, z, t, source_form=src, jacobian=jac)
+                for z, t in states]
         residual = largest([res for _, res in fits])
         results.append(_bounded("conformal", f"{name} residual", residual, TOL_CONFORMAL))
         if name in pinned:
-            devs = [abs(lam - pinned[name](s)) for (lam, _), s in zip(fits, states)]
+            devs = [abs(lam - pinned[name](t)) for (lam, _), (_, t) in zip(fits, states)]
             factor_dev[name] = largest(devs)
     results.append(
         _bounded("conformal", "phi1 factor = exp(-h dtau)", factor_dev["phi1"], TOL_LAMBDA)
     )
     # pinned factor: Nesterov momentum map over k = 2..50
-    s = _random_state(rng, dim)
+    z0, t0 = _random_state(rng, dim)
     devs = []
     for k in range(2, 51):
         lam, _ = conformal_factor(
-            lambda z, t: nag_contact_map(z, t, k), "std2", s,
+            lambda z, t: nag_contact_map(z, t, k), "std2", z0, t0,
             jacobian=lambda z, t: nag_contact_jacobian(z, t, k),
         )
         devs.append(abs(lam - (k - 1.0) / (k + 2.0)))
@@ -228,9 +224,7 @@ def order_errors(
     obj = make_random_quadratic(obj_seed, 4, 0.2, 1.5)
     params = ContactParams(*nag_like_damping(0.1), m=1.0, c=1.0)
     ham = contact_hamiltonian(obj, params)
-    s0 = ContactState(
-        X=rng.standard_normal(4), P=rng.standard_normal(4), S=0.3, t=1.0
-    )
+    z0 = np.append(rng.standard_normal(8), 0.3)  # (X, P, S) at t = 1
     dt = max(taus) / 100.0
     sweep = []  # (tau, its step count, the reference step it ends on)
     for tau in taus:
@@ -241,11 +235,11 @@ def order_errors(
                 f"tau={tau:g} ends at t0 + {n * tau:g}, between the reference steps of dt={dt:g}"
             )
         sweep.append((tau, n, k))
-    ref = reference_integrate(ham, "std1", s0, dt, max(k for _, _, k in sweep))
+    ref = reference_integrate(ham, "std1", z0, 1.0, dt, max(k for _, _, k in sweep))
     errors: Dict[str, List[float]] = {name: [] for name in plan_names}
     for tau, n, k in sweep:
         for name in errors:
-            approx = integrate_split(s0, tau, n, obj, params, name)
+            approx = integrate_split(z0, 1.0, tau, n, obj, params, name)
             done = not (ref.diverged or approx.diverged)
             errors[name].append(largest(np.abs(approx.z[-1] - ref.z[k])) if done else math.inf)
     return errors
@@ -347,13 +341,13 @@ def check_dissipation(seed: int = 0) -> List[CheckResult]:
     """dH/dt = -(dH/dS) H + dH/dt|_explicit along RK4 trajectories."""
     rng, obj_seed = _draws(seed, "dissipation")
     obj = make_random_quadratic(obj_seed, 4, 0.2, 1.5)
-    x0 = rng.standard_normal(4)
-    p0 = rng.standard_normal(4)
+    xp = rng.standard_normal(8)  # the (X, P) of every start below
     hams = [contact_hamiltonian(obj, ContactParams(*damping, m=1.0, c=1.0))
             for damping in (nag_like_damping(0.1), constant_damping(0.0))]
-    s0 = ContactState(X=x0, P=p0, S=0.5, t=1.0)
+    z0 = np.append(xp, 0.5)
     res_full, res_cons = (
-        dissipation_residual(ham, reference_integrate(ham, "std1", s0, 1e-3, 1000)) for ham in hams
+        dissipation_residual(ham, reference_integrate(ham, "std1", z0, 1.0, 1e-3, 1000))
+        for ham in hams
     )
 
     # pure decay: H = c S has the closed form H(t) = H(0) exp(-c t)
@@ -362,9 +356,7 @@ def check_dissipation(seed: int = 0) -> List[CheckResult]:
     def ham_decay(x, p, s, t) -> Partials:
         return Partials(c_decay * s, np.zeros_like(x), np.zeros_like(p), c_decay, 0.0)
 
-    traj_decay = reference_integrate(
-        ham_decay, "std1", ContactState(X=x0, P=p0, S=1.3, t=0.0), 1e-3, 2000
-    )
+    traj_decay = reference_integrate(ham_decay, "std1", np.append(xp, 1.3), 0.0, 1e-3, 2000)
     worst_decay = math.inf  # unless the run finished
     if not traj_decay.diverged:
         h = ham_decay(traj_decay.X, traj_decay.P, traj_decay.S, traj_decay.t).value
@@ -390,14 +382,14 @@ def check_dissipation(seed: int = 0) -> List[CheckResult]:
 
 
 def _field_residual(rng, dim, form, ham, residual) -> float:
-    """Worst entry of residual(state, dX, dP) over 20 random states, with
-    dX and dP read from the named form's field of ham; residual returns
-    their deviations from the classical equations."""
+    """Worst entry of residual(X, P, dX, dP) over 20 random rows, with dX
+    and dP read from the named form's field of ham; residual returns their
+    deviations from the classical equations."""
     devs = []
     for _ in range(20):
-        st = _random_state(rng, dim)
-        v = contact_field(ham, form, st.coords(), st.t)
-        devs.extend(np.abs(r) for r in residual(st, v[:dim], v[dim : 2 * dim]))
+        z, t = _random_state(rng, dim)
+        v = contact_field(ham, form, z, t)
+        devs.extend(np.abs(r) for r in residual(z[:dim], z[dim:-1], v[:dim], v[dim:-1]))
     return largest(devs)
 
 
@@ -413,14 +405,14 @@ def check_specialization(seed: int = 0) -> List[CheckResult]:
     worst_a = _field_residual(
         rng, dim, "std1",
         contact_hamiltonian(obj, ContactParams(*constant_damping(0.0), c=None)),
-        lambda st, dx, dp: (dx - st.P, dp + obj.grad(st.X)),
+        lambda x, p, dx, dp: (dx - p, dp + obj.grad(x)),
     )
     # (b) H0 + cS: linear friction -cP on the momentum equation
     c_lin = 0.8
     worst_b = _field_residual(
         rng, dim, "std1",
         contact_hamiltonian(obj, ContactParams(*constant_damping(c_lin), c=None)),
-        lambda st, dx, dp: (dx - st.P, dp + obj.grad(st.X) + c_lin * st.P),
+        lambda x, p, dx, dp: (dx - p, dp + obj.grad(x) + c_lin * p),
     )
     # (c) H0 + <X*, P> - <P*, X> + 2S in the symmetric convention:
     # relaxation toward the anchors (X*, P*)
@@ -433,7 +425,7 @@ def check_specialization(seed: int = 0) -> List[CheckResult]:
 
     worst_c = _field_residual(
         rng, dim, "std2", ham_hd,
-        lambda st, dx, dp: (dx - (st.P + x_star - st.X), dp - (-obj.grad(st.X) + p_star - st.P)),
+        lambda x, p, dx, dp: (dx - (p + x_star - x), dp - (-obj.grad(x) + p_star - p)),
     )
 
     # (d) H = |P|^2/2 + f + (3/t) S: the accelerated-gradient limit ODE
@@ -445,8 +437,8 @@ def check_specialization(seed: int = 0) -> List[CheckResult]:
     ham_nag = contact_hamiltonian(
         obj, ContactParams(lambda t: 3.0 / t, lambda t: -3.0 / (t * t), c=None)
     )
-    s0 = ContactState(X=rng.standard_normal(dim), P=np.zeros(dim), S=0.0, t=1.0)
-    traj = reference_integrate(ham_nag, "std1", s0, dt, 1000)
+    z0 = np.concatenate([rng.standard_normal(dim), np.zeros(dim + 1)])  # P = 0, S = 0
+    traj = reference_integrate(ham_nag, "std1", z0, 1.0, dt, 1000)
     worst_d = math.inf  # unless the run finished
     if not traj.diverged:
         P = traj.P

@@ -1,4 +1,4 @@
-"""Contact phase space on R^(2n+1): states, 1-forms, Hamiltonian fields.
+"""Contact phase space on R^(2n+1): rows, 1-forms, Hamiltonian fields.
 
 Coordinates are (X, P, S) plus a clock t.  Two coordinate conventions for the
 contact form are supported, chosen by name:
@@ -6,10 +6,9 @@ contact form are supported, chosen by name:
 * ``std1``: eta = dS - <P, dX>
 * ``std2``: eta = dS - (1/2)<P, dX> + (1/2)<X, dP>
 
-A point is a flat (X, P, S) row z of length 2n+1, like a state's
-:meth:`ContactState.coords`, with its clock t beside it; a tangent vector
-is a flat (dX, dP, dS) row of the same length, and the clock direction is
-not part of the contact geometry.  :func:`eta` evaluates a named form at a
+A point is a flat (X, P, S) row z of length 2n+1 with its clock t beside
+it; a tangent vector is a flat (dX, dP, dS) row of the same length, and
+the clock direction is not part of the contact geometry.  :func:`eta` evaluates a named form at a
 row on a tangent.
 
 A contact Hamiltonian is one function H(X, P, S, t) returning its value and
@@ -28,10 +27,12 @@ A discrete map is a function of the row and the clock that returns the
 next pair, ``(z, t) -> (z, t)``: the signature :meth:`Trajectory.of` steps.
 It returns a new row and never writes into the one it is given.  A map
 with an exact Jacobian keeps it in a sibling function of the same (z, t),
-as :func:`map_F` and :func:`map_F_jacobian` do.  :class:`ContactState` is
-the single state that a run or a certificate starts from.
+as :func:`map_F` and :func:`map_F_jacobian` do.  A run or a certificate
+starts from a row and a clock too, and checks the row once, there, with
+:func:`check_row`.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -40,12 +41,12 @@ import numpy as np
 from .objectives import Objective, check_gradient, largest
 
 __all__ = [
-    "ContactState",
     "ContactHamiltonian",
     "Partials",
     "Trajectory",
     "DIVERGENCE_LIMIT",
     "within_limit",
+    "check_row",
     "eta",
     "map_F",
     "map_F_jacobian",
@@ -65,43 +66,13 @@ def within_limit(values) -> np.ndarray:
     return np.abs(values) <= DIVERGENCE_LIMIT
 
 
-@dataclass(frozen=True)
-class ContactState:
-    """A point (X, P, S) of contact phase space together with a clock t.
-
-    X and P are vectors of equal length n, S is the action-like scalar
-    coordinate.  A run or a certificate starts from one; the maps it runs
-    take its flat row :meth:`coords` and its clock t.
-    """
-
-    X: np.ndarray
-    P: np.ndarray
-    S: float
-    t: float = 0.0
-
-    def __post_init__(self):
-        x = np.array(self.X, dtype=float, copy=True)
-        p = np.array(self.P, dtype=float, copy=True)
-        if x.ndim != 1 or p.ndim != 1:
-            raise ValueError("X and P must be one-dimensional vectors")
-        if x.shape != p.shape:
-            raise ValueError(
-                f"X and P must have the same length, got {x.shape[0]} and {p.shape[0]}"
-            )
-        x.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "X", x)
-        object.__setattr__(self, "P", p)
-        object.__setattr__(self, "S", float(self.S))
-        object.__setattr__(self, "t", float(self.t))
-
-    @property
-    def dim(self) -> int:
-        return self.X.shape[0]
-
-    def coords(self) -> np.ndarray:
-        """Flatten (X, P, S) into one vector of length 2n+1 (t excluded)."""
-        return np.concatenate([self.X, self.P, [self.S]])
+def check_row(z) -> np.ndarray:
+    """z as a float array, once it is a flat (X, P, S) row: one-dimensional
+    and of odd length 2n+1.  Not a copy when z already is one."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1 or len(z) % 2 == 0:
+        raise ValueError(f"need a flat row of odd length 2n+1, got shape {z.shape}")
+    return z
 
 
 class Partials(NamedTuple):
@@ -267,18 +238,20 @@ class Trajectory:
 def reference_integrate(
     H: ContactHamiltonian,
     form: str,
-    s0: ContactState,
+    z: np.ndarray,
+    t: float,
     dt: float,
     n: int,
 ) -> Trajectory:
     """Classical RK4 on the contact field of the named ``form`` ('std1' or
-    'std2'); the accuracy oracle.  n steps from s0, recorded and truncated
-    by :meth:`Trajectory.of`.  The stages call the same field function as
+    'std2'); the accuracy oracle.  n steps of a positive, finite dt from
+    the flat row z at clock t, recorded and truncated by
+    :meth:`Trajectory.of`.  The stages call the same field function as
     :func:`contact_field` on the flat (X, P, S) vector.
     """
     f = _field(form)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:  # also NaN
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
     def rk4(z: np.ndarray, t: float) -> Step:
         k1 = f(H, z, t)
@@ -287,7 +260,7 @@ def reference_integrate(
         k4 = f(H, z + dt * k3, t + dt)
         return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t + dt
 
-    return Trajectory.of(rk4, s0.coords(), s0.t, n)
+    return Trajectory.of(rk4, check_row(z), t, n)
 
 
 def dissipation_residual(H: ContactHamiltonian, traj: Trajectory) -> float:
@@ -327,18 +300,20 @@ def _fd_jacobian(func: RowMap, z: np.ndarray, t: float) -> np.ndarray:
 def conformal_factor(
     func: RowMap,
     form: str,
-    state: ContactState,
+    z: np.ndarray,
+    t: float,
     source_form: Optional[str] = None,
     jacobian: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
 ) -> tuple:
     """Extract the scalar by which a map rescales a contact form.
 
     Pulls the named form back through the Jacobian of the row map ``func``
-    at the state's row and clock (``jacobian(z, t)``, the map's exact
+    at the flat row z and clock t (``jacobian(z, t)``, the map's exact
     (2n+1) x (2n+1) Jacobian in (X, P, S), when given, else central
     differences with step 1e-6 * max(1, |coord|)) and fits pullback =
     lambda * eta in least squares over all 2n+1 covector components.
-    Every row the map is given is read-only.  Returns (lambda, max absolute
+    Every row the map is given is a read-only copy, so the caller's z is
+    never written into, nor frozen.  Returns (lambda, max absolute
     residual).  ``source_form`` lets the comparison form at the source
     differ from the pulled-back one, which is how a change of convention
     such as :func:`map_F` is certified; it defaults to ``form``.
@@ -347,7 +322,7 @@ def conformal_factor(
     contact structure (or computed nothing): its residual is inf, so the
     certificate fails like any other.  A NaN residual stays NaN.
     """
-    z, t = state.coords(), state.t
+    z = check_row(np.array(z, dtype=float))
     z.setflags(write=False)
     mapped, _ = func(z, t)
     j = jacobian(z, t) if jacobian is not None else _fd_jacobian(func, z, t)
@@ -361,13 +336,14 @@ def conformal_factor(
 
 
 def check_hamiltonian_gradients(
-    H: ContactHamiltonian, state: ContactState, h: float = 1e-6
+    H: ContactHamiltonian, z: np.ndarray, t: float, h: float = 1e-6
 ) -> float:
-    """Worst relative error of the partials of one call at ``state``, as
-    :func:`~contactopt.objectives.check_gradient` audits an objective: H's
-    value over the flat point (X, P, S, t), with the partials as its
-    gradient."""
-    n = state.dim
+    """Worst relative error of the partials of one call at the flat row z
+    and clock t, as :func:`~contactopt.objectives.check_gradient` audits an
+    objective: H's value over the flat point (X, P, S, t), with the
+    partials as its gradient."""
+    z = check_row(z)
+    n = len(z) // 2
 
     def at(w: np.ndarray) -> Partials:
         return H(w[:n], w[n : 2 * n], float(w[2 * n]), float(w[2 * n + 1]))
@@ -377,4 +353,4 @@ def check_hamiltonian_gradients(
         return np.concatenate([q.grad_X, q.grad_P, [q.dS, q.dt]])
 
     flat = Objective("H", 2 * n + 2, eval=lambda w: at(w).value, grad=partials)
-    return check_gradient(flat, np.append(state.coords(), state.t), h)
+    return check_gradient(flat, np.append(z, t), h)

@@ -25,7 +25,8 @@ and phi1, whose Jacobian is diagonal, also comes with
 :data:`PLANS`, which holds each plan's design order and stage weights;
 :func:`compose_step` and :func:`integrate_split` take the name, and
 :func:`integrate_split` hands :func:`compose_step` to
-``contact.Trajectory.of`` as the step it records from a start state.
+``contact.Trajectory.of`` as the step it records from a start row and
+clock.
 
 :func:`strang_step` accepts an optional ``clock_dtau`` that decouples the
 clock advance from the flow stepsize.  The optimizer family runs on an
@@ -41,7 +42,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .contact import ContactHamiltonian, ContactState, Partials, Step, Trajectory
+from .contact import ContactHamiltonian, Partials, Step, Trajectory, check_row
 from .objectives import Objective
 
 __all__ = [
@@ -243,14 +244,19 @@ def compose_step(
 
 
 def integrate_split(
-    state0: ContactState,
+    z: np.ndarray,
+    t: float,
     tau: float,
     n: int,
     obj: Objective,
     params: ContactParams,
     plan: str = "strang",
 ) -> Trajectory:
-    """Advance n composed steps from state0, recorded and truncated with a
-    divergence flag (never an exception) by contact.Trajectory.of."""
+    """Advance n composed steps of a finite tau from the flat row z at
+    clock t, recorded and truncated with a divergence flag (never an
+    exception) by contact.Trajectory.of.  A negative tau runs the inverse
+    steps."""
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     step = functools.partial(compose_step, tau=tau, obj=obj, params=params, plan=plan)
-    return Trajectory.of(step, state0.coords(), state0.t, n)
+    return Trajectory.of(step, check_row(z), t, n)

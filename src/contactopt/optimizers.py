@@ -31,7 +31,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .contact import Step, within_limit
+from .contact import Step, check_row, within_limit
 from .objectives import Objective
 
 __all__ = [
@@ -239,8 +239,7 @@ _UPDATES = {"gd": _gd, "cm": _cm, "nag": _nag, "rgd": _rgd, "crgd": _crgd}
 
 def _split(z: np.ndarray, k: int):
     """The X, V and S parts of the flat row z, as views, at iteration k >= 0."""
-    if len(z) % 2 == 0:
-        raise ValueError(f"need a flat (X, V, S) row of odd length 2n+1, got length {len(z)}")
+    z = check_row(z)
     if k < 0:
         raise ValueError(f"iteration counter must be non-negative, got {k}")
     n = len(z) // 2

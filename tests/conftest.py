@@ -75,7 +75,7 @@ def order_check():
     real = checks.reference_integrate
 
     def counting(*args, **kwargs):
-        calls.append(args[3])
+        calls.append(args[4])
         return real(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:

@@ -7,7 +7,7 @@ import pytest
 
 import contactopt.checks as checks
 from contactopt.checks import ORDER_TAUS, fit_order, order_errors
-from contactopt.contact import ContactState, Trajectory, reference_integrate
+from contactopt.contact import Trajectory, reference_integrate
 from contactopt.integrators import ContactParams, contact_hamiltonian, nag_like_damping
 from contactopt.objectives import make_random_quadratic
 
@@ -27,10 +27,10 @@ def test_order_reference_error_is_far_below_the_plan_errors():
     obj = make_random_quadratic(obj_seed, 4, 0.2, 1.5)
     params = ContactParams(*nag_like_damping(0.1), m=1.0, c=1.0)
     ham = contact_hamiltonian(obj, params)
-    s0 = ContactState(X=rng.standard_normal(4), P=rng.standard_normal(4), S=0.3, t=1.0)
+    z0 = np.append(rng.standard_normal(8), 0.3)  # (X, P, S) at t = 1, as order_errors draws it
     dt = 1e-3
-    coarse = reference_integrate(ham, "std1", s0, dt, 1000).z[-1]
-    fine = reference_integrate(ham, "std1", s0, dt / 2.0, 2000).z[-1]
+    coarse = reference_integrate(ham, "std1", z0, 1.0, dt, 1000).z[-1]
+    fine = reference_integrate(ham, "std1", z0, 1.0, dt / 2.0, 2000).z[-1]
     errors = order_errors(["strang", "jump4", "suzuki4"])
     smallest = min(min(errs) for errs in errors.values())
     assert float(np.max(np.abs(coarse - fine))) < 1e-2 * smallest
@@ -69,7 +69,7 @@ def test_every_conformal_candidate_runs_on_read_only_rows(monkeypatch):
     calls, writable = [], []
     real = checks.conformal_factor
 
-    def spy(func, form, state, source_form=None, jacobian=None):
+    def spy(func, form, z, t, source_form=None, jacobian=None):
         def watched(row_map):
             def call(z, t):
                 writable.append(z.flags.writeable)
@@ -77,7 +77,7 @@ def test_every_conformal_candidate_runs_on_read_only_rows(monkeypatch):
             return call
 
         calls.append(form)
-        return real(watched(func), form, state, source_form=source_form,
+        return real(watched(func), form, z, t, source_form=source_form,
                     jacobian=jacobian and watched(jacobian))
 
     monkeypatch.setattr(checks, "conformal_factor", spy)
@@ -227,10 +227,10 @@ def _failed(results):
     return {r.name: r.value for r in results if not r.passed}
 
 
-def _cut_oracle(H, form, s0, dt, n):
+def _cut_oracle(H, form, z, t, dt, n):
     """The RK4 oracle stopped after 50 of its n steps and flagged diverged,
     as a run that blew up is recorded: a finite prefix that finished nothing."""
-    traj = reference_integrate(H, form, s0, dt, 50)
+    traj = reference_integrate(H, form, z, t, dt, 50)
     return Trajectory(traj.t, traj.z, diverged=True)
 
 
@@ -278,7 +278,7 @@ def test_an_unfinished_order_sweep_fails_orders(monkeypatch, unfinished):
     else:
         monkeypatch.setattr(
             checks, "integrate_split",
-            lambda s0, tau, n, obj, params, plan: Trajectory([s0.t], [s0.coords()], diverged=True),
+            lambda z, t, tau, n, obj, params, plan: Trajectory([t], [z], diverged=True),
         )
     assert order_errors(["strang"]) == {"strang": [math.inf] * len(ORDER_TAUS)}
     failed = _failed(checks.check_orders(0))

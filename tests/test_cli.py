@@ -378,7 +378,7 @@ class TestCheckCommand:
     def test_diverged_order_sweep_fails_with_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(
             "contactopt.checks.integrate_split",
-            lambda s0, tau, n, obj, params, plan: Trajectory([s0.t], [s0.coords()], diverged=True),
+            lambda z, t, tau, n, obj, params, plan: Trajectory([t], [z], diverged=True),
         )
         assert main(["check", "--only", "orders"]) == 3
         captured = capsys.readouterr()

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from contactopt.contact import (
     DIVERGENCE_LIMIT,
     ContactHamiltonian,
-    ContactState,
     Partials,
     Trajectory,
     check_hamiltonian_gradients,
+    check_row,
     conformal_factor,
     contact_field,
     dissipation_residual,
@@ -26,29 +26,34 @@ from contactopt.integrators import (
     ContactParams,
     constant_damping,
     contact_hamiltonian,
+    integrate_split,
     nag_like_damping,
 )
 from contactopt.objectives import make_random_quadratic
+from contactopt.optimizers import OptimizerConfig, step
 
 
 def state_of(x, p, s=0.0, t=1.0):
-    return ContactState(X=np.atleast_1d(np.asarray(x, float)),
-                        P=np.atleast_1d(np.asarray(p, float)), S=s, t=t)
+    # a start: the flat (X, P, S) row and the clock
+    x, p = np.atleast_1d(np.asarray(x, float)), np.atleast_1d(np.asarray(p, float))
+    return np.concatenate([x, p, [s]]), t
 
 
 def row_of(x, p, s=0.0):
-    return state_of(x, p, s).coords()
+    return state_of(x, p, s)[0]
+
+
+def parts(z):
+    # the X and P views and the S entry of a flat row
+    n = len(z) // 2
+    return z[:n], z[n:-1], z[-1]
 
 
 def random_states(seed, n, dim):
+    # n random starts (z, t), the row drawn in (X, P, S) order
     rng = np.random.default_rng(seed)
     for _ in range(n):
-        yield ContactState(
-            X=rng.standard_normal(dim),
-            P=rng.standard_normal(dim),
-            S=float(rng.standard_normal()),
-            t=float(rng.uniform(0.5, 3.0)),
-        )
+        yield rng.standard_normal(2 * dim + 1), float(rng.uniform(0.5, 3.0))
 
 
 class TestDivergenceRule:
@@ -60,47 +65,61 @@ class TestDivergenceRule:
         assert within_limit(1e300) and not within_limit(math.nan)
 
 
-class TestContactState:
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ContactState(X=np.ones(3), P=np.ones(2), S=0.0, t=0.0)
+ROW_MESSAGE = r"need a flat row of odd length 2n\+1, got shape "
+_OBJ = make_random_quadratic(11, 2, 0.1, 2.0)
+_PARAMS = ContactParams(*constant_damping(0.3))
+_HAM = contact_hamiltonian(_OBJ, _PARAMS)
+# every function a run or a certificate starts from, on a start (z, t)
+START_TAKERS = {
+    "reference_integrate": lambda z, t: reference_integrate(_HAM, "std1", z, t, 0.1, 3),
+    "integrate_split": lambda z, t: integrate_split(z, t, 0.1, 3, _OBJ, _PARAMS),
+    "conformal_factor": lambda z, t: conformal_factor(map_F, "std2", z, t, source_form="std1"),
+    "check_hamiltonian_gradients": lambda z, t: check_hamiltonian_gradients(_HAM, z, t),
+}
 
-    def test_arrays_are_frozen_copies(self):
-        x = np.ones(2)
-        s = ContactState(X=x, P=np.zeros(2), S=0.0, t=0.0)
-        x[0] = 99.0
-        assert s.X[0] == 1.0
-        with pytest.raises(ValueError):
-            s.X[0] = 5.0
 
-    def test_coords_roundtrip(self):
-        s = state_of([1.0, 2.0], [3.0, 4.0], s=5.0, t=0.7)
-        z = s.coords()
-        np.testing.assert_array_equal(z, [1.0, 2.0, 3.0, 4.0, 5.0])
-        back = ContactState(X=z[:2], P=z[2:4], S=z[4], t=0.7)
-        np.testing.assert_array_equal(back.X, s.X)
-        np.testing.assert_array_equal(back.P, s.P)
-        assert back.S == s.S and back.t == s.t
+class TestStartRow:
+    def test_check_row_returns_a_float_row_without_copying_one(self):
+        z = np.ones(5)
+        assert check_row(z) is z
+        np.testing.assert_array_equal(check_row([1, 2, 3]), [1.0, 2.0, 3.0])
+        assert check_row([1, 2, 3]).dtype == float
+
+    @pytest.mark.parametrize("name", START_TAKERS)
+    def test_the_start_is_checked_and_left_as_it_was(self, name):
+        call = START_TAKERS[name]
+        z = np.array([1.0, -0.5, 0.3, 0.2, 0.7])
+        call(z, 1.0)
+        np.testing.assert_array_equal(z, [1.0, -0.5, 0.3, 0.2, 0.7])
+        assert z.flags.writeable
+        with pytest.raises(ValueError, match=ROW_MESSAGE + r"\(4,\)$"):
+            call(np.ones(4), 1.0)
+        with pytest.raises(ValueError, match=ROW_MESSAGE + r"\(1, 5\)$"):
+            call(np.ones((1, 5)), 1.0)
+
+    def test_a_step_rejects_an_even_row_with_the_same_message(self):
+        with pytest.raises(ValueError, match=ROW_MESSAGE + r"\(4,\)$"):
+            step(np.ones(4), 0, _OBJ, OptimizerConfig(kind="rgd"))
+
+
+class TestContactForms:
+    def test_unknown_form_rejected_everywhere(self):
+        z, t = state_of([1.0], [0.0])
+        calls = (
+            lambda: eta("std3", z, np.ones(3)),
+            lambda: contact_field(quadratic_hamiltonian(), "std3", z, t),
+            lambda: reference_integrate(quadratic_hamiltonian(), "std3", z, t, 0.1, 10),
+            lambda: conformal_factor(map_F, "std3", z, t),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="unknown contact form 'std3'; expected 'std1' or 'std2'"):
+                call()
 
     def test_tangent_length_checked_by_forms(self):
         z = row_of([1.0, 2.0], [0.0, 0.0])
         for form in ("std1", "std2"):
             with pytest.raises(ValueError, match=r"need a tangent of length 5, got shape \(7,\)"):
                 eta(form, z, np.ones(7))
-
-
-class TestContactForms:
-    def test_unknown_form_rejected_everywhere(self):
-        s = state_of([1.0], [0.0])
-        calls = (
-            lambda: eta("std3", s.coords(), np.ones(3)),
-            lambda: contact_field(quadratic_hamiltonian(), "std3", s.coords(), s.t),
-            lambda: reference_integrate(quadratic_hamiltonian(), "std3", s, 0.1, 10),
-            lambda: conformal_factor(map_F, "std3", s),
-        )
-        for call in calls:
-            with pytest.raises(ValueError, match="unknown contact form 'std3'; expected 'std1' or 'std2'"):
-                call()
 
     def test_std1_reduces_to_ds_at_zero_momentum(self):
         z = row_of([3.0, -1.0], [0.0, 0.0])
@@ -122,7 +141,7 @@ class TestContactForms:
     @settings(max_examples=30, deadline=None)
     def test_linearity_in_tangent(self, a, b):
         rng = np.random.default_rng(3)
-        z = next(iter(random_states(8, 1, 3))).coords()
+        z, _ = next(random_states(8, 1, 3))
         v, w = rng.standard_normal(7), rng.standard_normal(7)
         for form in ("std1", "std2"):
             lhs = eta(form, z, a * v + b * w)
@@ -149,16 +168,15 @@ class TestMapF:
         # the std2 form after the map, applied to the pushed tangent, equals
         # the std1 form before the map
         rng = np.random.default_rng(12)
-        for s in random_states(12, 50, 3):
+        for z, t in random_states(12, 50, 3):
             v = np.concatenate([rng.standard_normal(6), rng.standard_normal(1)])
-            z = s.coords()
-            w = map_F_jacobian(z, s.t) @ v
-            assert eta("std2", map_F(z, s.t)[0], w) == pytest.approx(eta("std1", z, v), abs=1e-12)
+            w = map_F_jacobian(z, t) @ v
+            assert eta("std2", map_F(z, t)[0], w) == pytest.approx(eta("std1", z, v), abs=1e-12)
 
     def test_conformal_factor_is_one(self):
-        for s in random_states(21, 50, 4):
+        for z, t in random_states(21, 50, 4):
             lam, res = conformal_factor(
-                map_F, "std2", s, source_form="std1", jacobian=map_F_jacobian
+                map_F, "std2", z, t, source_form="std1", jacobian=map_F_jacobian
             )
             assert lam == pytest.approx(1.0, abs=1e-12)
             assert res < 1e-10
@@ -166,8 +184,8 @@ class TestMapF:
     def test_conformal_factor_without_declared_jacobian(self):
         # differenced Jacobian is coarser but must stay inside the blanket
         # certification tolerance
-        for s in random_states(22, 20, 4):
-            lam, res = conformal_factor(map_F, "std2", s, source_form="std1")
+        for z, t in random_states(22, 20, 4):
+            lam, res = conformal_factor(map_F, "std2", z, t, source_form="std1")
             assert lam == pytest.approx(1.0, abs=1e-8)
             assert res < 1e-8
 
@@ -186,23 +204,22 @@ def anchored_hamiltonian(x_star, p_star) -> ContactHamiltonian:
     return H
 
 
-def field_parts(ham, form, s):
+def field_parts(ham, form, z, t):
     # the (dX, dP, dS) parts of the flat field row
-    v = contact_field(ham, form, s.coords(), s.t)
-    assert v.shape == (2 * s.dim + 1,)
-    return v[: s.dim], v[s.dim : 2 * s.dim], v[-1]
+    v = contact_field(ham, form, z, t)
+    assert v.shape == z.shape
+    return parts(v)
 
 
 class TestContactFields:
     def test_std1_s_independent_gives_hamilton_equations(self):
         ham = quadratic_hamiltonian()
-        for s in random_states(4, 10, 3):
-            dx, dp, ds = field_parts(ham, "std1", s)
-            np.testing.assert_allclose(dx, s.P, atol=1e-14)
-            np.testing.assert_allclose(dp, -s.X, atol=1e-14)
-            assert ds == pytest.approx(
-                float(s.P @ s.P) - ham(s.X, s.P, s.S, s.t).value, abs=1e-12
-            )
+        for z, t in random_states(4, 10, 3):
+            dx, dp, ds = field_parts(ham, "std1", z, t)
+            x, p, s = parts(z)
+            np.testing.assert_allclose(dx, p, atol=1e-14)
+            np.testing.assert_allclose(dp, -x, atol=1e-14)
+            assert ds == pytest.approx(float(p @ p) - ham(x, p, s, t).value, abs=1e-12)
 
     def test_std1_linear_s_term_damps_momentum(self):
         c = 0.7
@@ -210,18 +227,20 @@ class TestContactFields:
         def ham(x, p, s, t):
             return Partials(0.5 * float(p @ p + x @ x) + c * s, x, p, c, 0.0)
 
-        for s in random_states(5, 10, 2):
-            _, dp, _ = field_parts(ham, "std1", s)
-            np.testing.assert_allclose(dp, -s.X - c * s.P, atol=1e-14)
+        for z, t in random_states(5, 10, 2):
+            _, dp, _ = field_parts(ham, "std1", z, t)
+            x, p, _ = parts(z)
+            np.testing.assert_allclose(dp, -x - c * p, atol=1e-14)
 
     def test_std2_quadratic_field_matrix(self):
         # H = (|P|^2 + |X|^2) / 2 under the symmetric form:
         # dX = P - 0, dP = -X - 0, dS = (<X, X> + <P, P>)/2 - H = H - H... 0
         ham = quadratic_hamiltonian()
-        for s in random_states(6, 10, 2):
-            dx, dp, ds = field_parts(ham, "std2", s)
-            np.testing.assert_allclose(dx, s.P, atol=1e-14)
-            np.testing.assert_allclose(dp, -s.X, atol=1e-14)
+        for z, t in random_states(6, 10, 2):
+            dx, dp, ds = field_parts(ham, "std2", z, t)
+            x, p, _ = parts(z)
+            np.testing.assert_allclose(dx, p, atol=1e-14)
+            np.testing.assert_allclose(dp, -x, atol=1e-14)
             assert ds == pytest.approx(0.0, abs=1e-12)
 
     def test_std2_anchored_linear_terms(self):
@@ -230,10 +249,11 @@ class TestContactFields:
         x_star = np.array([0.3, -1.1])
         p_star = np.array([0.8, 0.2])
         ham = anchored_hamiltonian(x_star, p_star)
-        for s in random_states(7, 10, 2):
-            dx, dp, _ = field_parts(ham, "std2", s)
-            np.testing.assert_allclose(dx, s.P + x_star - s.X, atol=1e-12)
-            np.testing.assert_allclose(dp, -s.X + p_star - s.P, atol=1e-12)
+        for z, t in random_states(7, 10, 2):
+            dx, dp, _ = field_parts(ham, "std2", z, t)
+            x, p, _ = parts(z)
+            np.testing.assert_allclose(dx, p + x_star - x, atol=1e-12)
+            np.testing.assert_allclose(dp, -x + p_star - p, atol=1e-12)
 
     @pytest.mark.parametrize("damping", [
         pytest.param(constant_damping(0.3), id="constant"),
@@ -247,8 +267,8 @@ class TestContactFields:
     def test_declared_gradients_match_value(self, c, damping):
         obj = make_random_quadratic(11, 3, 0.1, 2.0)
         ham = contact_hamiltonian(obj, ContactParams(*damping, m=1.2, c=c))
-        for s in random_states(9, 10, 3):
-            assert check_hamiltonian_gradients(ham, s) < 1e-5
+        for z, t in random_states(9, 10, 3):
+            assert check_hamiltonian_gradients(ham, z, t) < 1e-5
 
     @pytest.mark.parametrize("part", ["grad_X", "grad_P", "dS", "dt"])
     def test_audit_catches_an_off_partial(self, part):
@@ -259,8 +279,8 @@ class TestContactFields:
             q = ham(x, p, s, t)
             return q._replace(**{part: getattr(q, part) + 1e-3})
 
-        for s in random_states(9, 10, 3):
-            assert check_hamiltonian_gradients(off, s) > 1e-5
+        for z, t in random_states(9, 10, 3):
+            assert check_hamiltonian_gradients(off, z, t) > 1e-5
 
 
 class TestTrajectory:
@@ -284,7 +304,7 @@ class TestTrajectory:
                 arr[0] = 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             traj.z = z
-        out = reference_integrate(quadratic_hamiltonian(), "std1", state_of([1.0], [0.3]), 0.1, 5)
+        out = reference_integrate(quadratic_hamiltonian(), "std1", *state_of([1.0], [0.3]), 0.1, 5)
         for arr in (out.t, out.z):
             with pytest.raises(ValueError, match="read-only"):
                 arr[-1] = 1.0
@@ -318,28 +338,28 @@ class TestReferenceIntegrate:
         def ham(x, p, s, t):
             return Partials(0.5 * float(p @ p), np.zeros_like(x), p, 0.0, 0.0)
 
-        s0 = state_of([0.0, 1.0], [0.5, -0.25], t=0.0)
-        traj = reference_integrate(ham, "std1", s0, 1e-3, 1000)
+        z0, t0 = state_of([0.0, 1.0], [0.5, -0.25], t=0.0)
+        traj = reference_integrate(ham, "std1", z0, t0, 1e-3, 1000)
         assert not traj.diverged
-        np.testing.assert_allclose(traj.X[-1], s0.X + s0.P * 1.0, atol=1e-10)
-        np.testing.assert_allclose(traj.P[-1], s0.P, atol=1e-12)
+        x0, p0, _ = parts(z0)
+        np.testing.assert_allclose(traj.X[-1], x0 + p0 * 1.0, atol=1e-10)
+        np.testing.assert_allclose(traj.P[-1], p0, atol=1e-12)
 
     def test_harmonic_energy_drift(self):
         ham = quadratic_hamiltonian()
-        s0 = state_of([1.0], [0.0], t=0.0)
         n = int(round(10 * 2 * math.pi / 1e-2))
-        traj = reference_integrate(ham, "std1", s0, 1e-2, n)
+        traj = reference_integrate(ham, "std1", *state_of([1.0], [0.0], t=0.0), 1e-2, n)
         h = [ham(*row).value for row in zip(traj.X, traj.P, traj.S, traj.t)]
         assert max(abs(v - h[0]) for v in h) < 1e-8
 
     def test_self_convergence_fourth_order(self):
         obj = make_random_quadratic(2, 2, 0.2, 1.5)
         ham = contact_hamiltonian(obj, ContactParams(*constant_damping(0.1)))
-        s0 = ContactState(X=np.array([1.0, -0.5]), P=np.array([0.2, 0.1]), S=0.0, t=0.0)
-        ref = reference_integrate(ham, "std1", s0, 1e-3, 2000).z[-1]
+        z0 = np.array([1.0, -0.5, 0.2, 0.1, 0.0])
+        ref = reference_integrate(ham, "std1", z0, 0.0, 1e-3, 2000).z[-1]
         errs = []
         for dt in (0.1, 0.05, 0.025):
-            end = reference_integrate(ham, "std1", s0, dt, int(round(2.0 / dt))).z[-1]
+            end = reference_integrate(ham, "std1", z0, 0.0, dt, int(round(2.0 / dt))).z[-1]
             errs.append(float(np.max(np.abs(end - ref))))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for o in orders:
@@ -361,11 +381,10 @@ class TestReferenceIntegrate:
         def f(z, t):
             return contact_field(ham, coords, z, t)
 
-        s0 = next(iter(random_states(40, 1, 3)))
+        z, t = next(random_states(40, 1, 3))
         dt = 0.01
-        traj = reference_integrate(ham, coords, s0, dt, 50)
+        traj = reference_integrate(ham, coords, z, t, dt, 50)
         assert len(traj) == 51 and not traj.diverged
-        z, t = s0.coords(), s0.t
         for row, row_t in zip(traj.z[1:], traj.t[1:]):
             k1 = f(z, t)
             k2 = f(z + 0.5 * dt * k1, t + 0.5 * dt)
@@ -381,21 +400,25 @@ class TestReferenceIntegrate:
         def ham(x, p, s, t):
             return Partials(0.0, -(x**3), p**3, 0.0, 0.0)
 
-        s0 = state_of([5.0], [5.0], t=0.0)
-        traj = reference_integrate(ham, "std1", s0, 0.5, 50)
+        traj = reference_integrate(ham, "std1", *state_of([5.0], [5.0], t=0.0), 0.5, 50)
         assert traj.diverged
         assert len(traj) < 51
         assert np.all(np.abs(traj.z) <= DIVERGENCE_LIMIT)
 
     def test_argument_validation(self):
         ham = quadratic_hamiltonian()
-        s0 = state_of([1.0], [0.0])
+        z0, t0 = state_of([1.0], [0.0])
         with pytest.raises(ValueError):
-            reference_integrate(ham, "std3", s0, 0.1, 10)
+            reference_integrate(ham, "std3", z0, t0, 0.1, 10)
         with pytest.raises(ValueError):
-            reference_integrate(ham, "std1", s0, -0.1, 10)
+            reference_integrate(ham, "std1", z0, t0, -0.1, 10)
         with pytest.raises(ValueError):
-            reference_integrate(ham, "std1", s0, 0.1, 0)
+            reference_integrate(ham, "std1", z0, t0, 0.1, 0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_non_finite_step_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            reference_integrate(quadratic_hamiltonian(), "std1", *state_of([1.0], [0.0]), dt, 10)
 
 
 class TestOneEvaluationPerPoint:
@@ -409,7 +432,7 @@ class TestOneEvaluationPerPoint:
             return quadratic(*point)
 
         n = 7
-        traj = reference_integrate(ham, form, state_of([1.0, -0.5], [0.3, 0.2], t=0.0), 0.01, n)
+        traj = reference_integrate(ham, form, *state_of([1.0, -0.5], [0.3, 0.2], t=0.0), 0.01, n)
         assert len(points) == 4 * n  # one call per RK4 stage
         points.clear()
         contact_field(ham, form, row_of([1.0], [0.3]), 1.0)
@@ -422,7 +445,7 @@ class TestOneEvaluationPerPoint:
 class TestDissipation:
     def test_conserved_when_s_and_t_independent(self):
         ham = quadratic_hamiltonian()
-        traj = reference_integrate(ham, "std1", state_of([1.0], [0.3], t=0.0), 1e-3, 500)
+        traj = reference_integrate(ham, "std1", *state_of([1.0], [0.3], t=0.0), 1e-3, 500)
         assert dissipation_residual(ham, traj) < 1e-6
 
     def test_pure_s_hamiltonian_decays_exponentially(self):
@@ -431,15 +454,14 @@ class TestDissipation:
         def ham(x, p, s, t):
             return Partials(c * s, np.zeros_like(x), np.zeros_like(p), c, 0.0)
 
-        s0 = state_of([0.0], [0.0], s=2.0, t=0.0)
-        traj = reference_integrate(ham, "std1", s0, 1e-3, 1000)
+        traj = reference_integrate(ham, "std1", *state_of([0.0], [0.0], s=2.0, t=0.0), 1e-3, 1000)
         h = ham(traj.X, traj.P, traj.S, traj.t).value
         expected = h[0] * np.exp(-c * np.arange(len(traj)) * 1e-3)
         np.testing.assert_allclose(h, expected, rtol=1e-6)
 
     def test_short_trajectory_rejected(self):
         ham = quadratic_hamiltonian()
-        traj = reference_integrate(ham, "std1", state_of([1.0], [0.0], t=0.0), 0.1, 1)
+        traj = reference_integrate(ham, "std1", *state_of([1.0], [0.0], t=0.0), 0.1, 1)
         with pytest.raises(ValueError):
             dissipation_residual(ham, traj)
 
@@ -447,14 +469,14 @@ class TestDissipation:
         # a diverged run's finite prefix certifies nothing, however short
         ham = quadratic_hamiltonian()
         for n in (1, 20):
-            traj = reference_integrate(ham, "std1", state_of([1.0], [0.0], t=0.0), 0.1, n)
+            traj = reference_integrate(ham, "std1", *state_of([1.0], [0.0], t=0.0), 0.1, n)
             assert dissipation_residual(ham, Trajectory(traj.t, traj.z, diverged=True)) == math.inf
 
 
 class TestConformalFactor:
     def test_identity_map(self):
-        for s in random_states(30, 5, 3):
-            lam, res = conformal_factor(lambda z, t: (z, t), "std1", s)
+        for z0, t0 in random_states(30, 5, 3):
+            lam, res = conformal_factor(lambda z, t: (z, t), "std1", z0, t0)
             assert lam == pytest.approx(1.0, abs=1e-10)
             assert res < 1e-9
 
@@ -462,10 +484,10 @@ class TestConformalFactor:
         # a map that crushes the form, or computes NaN, fails its
         # certificate with an infinite residual
         target = row_of([0.0, 0.0], [0.0, 0.0])
-        s = next(iter(random_states(31, 1, 2)))
-        lam, res = conformal_factor(lambda z, t: (target, t), "std1", s)
+        z0, t0 = next(random_states(31, 1, 2))
+        lam, res = conformal_factor(lambda z, t: (target, t), "std1", z0, t0)
         assert lam == 0.0 and res == math.inf
-        lam, res = conformal_factor(lambda z, t: (np.full_like(z, np.nan), t), "std1", s)
+        lam, res = conformal_factor(lambda z, t: (np.full_like(z, np.nan), t), "std1", z0, t0)
         assert math.isnan(lam) and res == math.inf
 
     def test_a_map_that_writes_into_its_row_is_refused(self):
@@ -474,7 +496,7 @@ class TestConformalFactor:
             z *= 2.0
             return z, t
 
-        s = next(iter(random_states(32, 1, 2)))
+        z0, t0 = next(random_states(32, 1, 2))
         for jacobian in (None, lambda z, t: 2.0 * np.eye(len(z))):
             with pytest.raises(ValueError, match="read-only"):
-                conformal_factor(scaling_in_place, "std1", s, jacobian=jacobian)
+                conformal_factor(scaling_in_place, "std1", z0, t0, jacobian=jacobian)

@@ -1,10 +1,24 @@
-"""The README's code runs as written, so API drift fails here rather than
-leaving the docs wrong."""
+"""The README's code runs as written, and the names it quotes exist, so API
+drift fails here rather than leaving the docs wrong."""
 
+import builtins
+import importlib
 import pathlib
+import pkgutil
 import re
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+import contactopt
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+MODULES = [contactopt] + [
+    importlib.import_module(f"contactopt.{m.name}")
+    for m in pkgutil.iter_modules(contactopt.__path__)
+]
+# where the project sets or reads an environment variable by name
+ENV_CODE = [
+    *(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "conftest.py"
+]
 
 
 def test_library_example_runs(capsys):
@@ -12,3 +26,41 @@ def test_library_example_runs(capsys):
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md, Library example", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 5
+
+
+def unresolved_names(text):
+    """The capitalized names that lead a backticked span of text, outside
+    fenced blocks, and resolve nowhere: not as an attribute of a contactopt
+    module (``Trajectory.of`` by its ``Trajectory``), not as a builtin, and,
+    for an upper-case name, not as an environment variable the code sets or
+    reads.  Single capitals are the coordinates X, P, S and H, not names."""
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    env_code = None
+    missing = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        lead = re.match(r"[A-Z][A-Za-z0-9_]+", span)
+        if lead is None:
+            continue
+        name = lead.group(0)
+        if hasattr(builtins, name) or any(hasattr(m, name) for m in MODULES):
+            continue
+        if name.isupper():
+            if env_code is None:
+                env_code = "".join(p.read_text() for p in ENV_CODE)
+            if f'"{name}"' in env_code:
+                continue
+        if name not in missing:
+            missing.append(name)
+    return missing
+
+
+def test_every_capitalized_name_in_the_readme_resolves():
+    assert unresolved_names(README.read_text()) == []
+
+
+def test_a_name_the_code_lost_is_caught():
+    text = (
+        "`Trajectory.of` from a `ContactState`, `ValueError`, `X`/`P`/`S`, "
+        "`CONTACT_OPT_SEED`, `NO_SUCH_VARIABLE=1`\n```python\nGone()\n```"
+    )
+    assert unresolved_names(text) == ["ContactState", "NO_SUCH_VARIABLE"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactopt.contact import DIVERGENCE_LIMIT, ContactState, conformal_factor, within_limit
+from contactopt.contact import DIVERGENCE_LIMIT, conformal_factor, within_limit
 from contactopt.integrators import (
     PLAN_NAMES,
     PLANS,
@@ -27,12 +27,13 @@ from contactopt.objectives import Objective, make_random_quadratic, quartic
 
 
 def state_of(x, p, s=0.0, t=1.0):
-    return ContactState(X=np.atleast_1d(np.asarray(x, float)),
-                        P=np.atleast_1d(np.asarray(p, float)), S=s, t=t)
+    # a start: the flat (X, P, S) row and the clock
+    x, p = np.atleast_1d(np.asarray(x, float)), np.atleast_1d(np.asarray(p, float))
+    return np.concatenate([x, p, [s]]), t
 
 
 def row_of(x, p, s=0.0):
-    return state_of(x, p, s).coords()
+    return state_of(x, p, s)[0]
 
 
 def parts(z):
@@ -104,13 +105,12 @@ class TestStageFlows:
         params = contact_params(0.3, nag_like_damping)
         rng = np.random.default_rng(2)
         for _ in range(10):
-            s = ContactState(X=rng.standard_normal(3), P=rng.standard_normal(3),
-                             S=float(rng.standard_normal()), t=float(rng.uniform(0.5, 2)))
+            z0, t0 = rng.standard_normal(7), float(rng.uniform(0.5, 2))
             lam, res = conformal_factor(
-                lambda z, t: flow_phi1(z, t, 0.07, params), "std1", s,
+                lambda z, t: flow_phi1(z, t, 0.07, params), "std1", z0, t0,
                 jacobian=lambda z, t: phi1_jacobian(z, t, 0.07, params),
             )
-            assert lam == pytest.approx(math.exp(-params.h(s.t) * 0.07), abs=1e-12)
+            assert lam == pytest.approx(math.exp(-params.h(t0) * 0.07), abs=1e-12)
             assert res < 1e-12
 
     def test_phi2_fixed_point_at_flat_zero(self):
@@ -157,10 +157,8 @@ class TestStageFlows:
         newtonian = contact_params(m=1.7, c=None)
         rng = np.random.default_rng(5)
         for _ in range(20):
-            s = ContactState(X=rng.standard_normal(3), P=rng.standard_normal(3),
-                             S=float(rng.standard_normal()), t=1.0)
             lam, res = conformal_factor(
-                lambda z, t: flow_phi3(z, t, 0.07, newtonian), "std1", s
+                lambda z, t: flow_phi3(z, t, 0.07, newtonian), "std1", rng.standard_normal(7), 1.0
             )
             assert res < 1e-8
             assert lam == pytest.approx(1.0, abs=1e-8)
@@ -212,10 +210,10 @@ class TestStrangStep:
         obj = make_random_quadratic(6, 2, 0.2, 1.0)
         params = contact_params()
         ham = contact_hamiltonian(obj, params)
-        s0 = ContactState(X=np.array([1.0, -0.7]), P=np.array([0.4, 0.2]), S=0.0, t=0.0)
+        z0 = np.array([1.0, -0.7, 0.4, 0.2, 0.0])
         devs = {}
         for tau in (0.1, 0.05):
-            traj = integrate_split(s0, tau, 10_000, obj, params)
+            traj = integrate_split(z0, 0.0, tau, 10_000, obj, params)
             assert not traj.diverged
             h = np.array([ham(*row).value for row in zip(traj.X, traj.P, traj.S, traj.t)])
             dev = np.abs(h - h[0])
@@ -271,11 +269,11 @@ class TestSplitFlowPlan:
     def test_unknown_name(self):
         message = "unknown plan 'rk4'; valid names: strang, jump4, suzuki4, jump6"
         obj = quartic(1)
-        s = state_of([1.0], [0.0])
+        z, t = state_of([1.0], [0.0])
         with pytest.raises(ValueError, match=f"^{message}$"):
-            compose_step(s.coords(), s.t, 0.1, obj, contact_params(), "rk4")
+            compose_step(z, t, 0.1, obj, contact_params(), "rk4")
         with pytest.raises(ValueError, match=f"^{message}$"):
-            integrate_split(s, 0.1, 5, obj, contact_params(), "rk4")
+            integrate_split(z, t, 0.1, 5, obj, contact_params(), "rk4")
 
     def test_single_stage_equals_strang(self):
         obj = make_random_quadratic(4, 2, 0.2, 1.5)
@@ -304,8 +302,7 @@ class TestIntegrateSplit:
     def test_trajectory_length(self):
         obj = quartic(2)
         params = contact_params(0.1)
-        s0 = state_of([1.0, 1.0], [0.0, 0.0], t=0.0)
-        traj = integrate_split(s0, 0.05, 20, obj, params)
+        traj = integrate_split(*state_of([1.0, 1.0], [0.0, 0.0], t=0.0), 0.05, 20, obj, params)
         assert len(traj) == 21
         assert not traj.diverged
 
@@ -314,8 +311,7 @@ class TestIntegrateSplit:
         # quartic pushes it past the magnitude cap after a handful of steps
         obj = quartic(2)
         params = contact_params()
-        s0 = state_of([1e76, 1e76], [0.0, 0.0], t=1.0)
-        traj = integrate_split(s0, 1e-5, 40, obj, params)
+        traj = integrate_split(*state_of([1e76, 1e76], [0.0, 0.0], t=1.0), 1e-5, 40, obj, params)
         assert traj.diverged
         assert 2 <= len(traj) < 41
         assert np.all(np.abs(traj.z) <= DIVERGENCE_LIMIT)
@@ -328,9 +324,8 @@ class TestIntegrateSplit:
         # that is not
         obj = quartic(2)
         params = contact_params(0.1)
-        s = state_of([x0, x0], [0.0, 0.0], t=1.0)
-        traj = integrate_split(s, tau, n, obj, params, "jump4")
-        z, t = s.coords(), s.t
+        z, t = state_of([x0, x0], [0.0, 0.0], t=1.0)
+        traj = integrate_split(z, t, tau, n, obj, params, "jump4")
         with np.errstate(all="ignore"):
             for row, row_t in zip(traj.z, traj.t):
                 np.testing.assert_array_equal(row, z)
@@ -341,4 +336,9 @@ class TestIntegrateSplit:
     def test_rejects_nonpositive_count(self):
         obj = quartic(1)
         with pytest.raises(ValueError):
-            integrate_split(state_of([1.0], [0.0]), 0.1, 0, obj, contact_params())
+            integrate_split(*state_of([1.0], [0.0]), 0.1, 0, obj, contact_params())
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_span(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            integrate_split(*state_of([1.0], [0.0]), tau, 5, quartic(1), contact_params())

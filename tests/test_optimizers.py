@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactopt.contact import ContactState, Trajectory, conformal_factor
+from contactopt.contact import Trajectory, conformal_factor
 from contactopt.objectives import (
     Objective,
     camelback,
@@ -250,10 +250,9 @@ class TestNesterovContactMap:
         np.testing.assert_array_equal(z, [0.7, -0.2, 0.1, 0.5, 0.4])
 
     def test_k3_factor_is_two_fifths(self):
-        state = ContactState(X=np.array([0.7, -0.2]), P=np.array([0.1, 0.5]),
-                             S=0.4, t=1.0)
+        z0 = np.array([0.7, -0.2, 0.1, 0.5, 0.4])
         lam, res = conformal_factor(
-            lambda z, t: nag_contact_map(z, t, 3), "std2", state,
+            lambda z, t: nag_contact_map(z, t, 3), "std2", z0, 1.0,
             jacobian=lambda z, t: nag_contact_jacobian(z, t, 3),
         )
         assert lam == pytest.approx(0.4, abs=1e-12)
@@ -262,10 +261,8 @@ class TestNesterovContactMap:
     def test_factor_tracks_iteration_index(self):
         rng = np.random.default_rng(12)
         for k in range(2, 51, 7):
-            state = ContactState(X=rng.standard_normal(3), P=rng.standard_normal(3),
-                                 S=float(rng.standard_normal()), t=1.0)
             lam, res = conformal_factor(
-                lambda z, t: nag_contact_map(z, t, k), "std2", state,
+                lambda z, t: nag_contact_map(z, t, k), "std2", rng.standard_normal(7), 1.0,
                 jacobian=lambda z, t: nag_contact_jacobian(z, t, k),
             )
             assert lam == pytest.approx((k - 1.0) / (k + 2.0), abs=1e-12)
