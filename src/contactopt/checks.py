@@ -1,17 +1,17 @@
 """Geometric self-verification.
 
 Each family below certifies one mathematical property of the build against
-an independent route: conformal factors through numerical pullback,
-convergence orders against the RK4 oracle, the discrete optimizer recursion
-against the splitting flows, the dissipation identity against finite
-differences of H, the special-case reductions of the contact fields
-against their classical counterparts, and (``nag``) the factorized
-Nesterov stepper: its S against the closed-form momentum product, its
-trivial k = 1 stage, and its X drift from the classical stepper, which is
-reported, not gated.  Families return plain results; the
-CLI formats them, the test suite asserts on them, and both share these
-implementations so there is exactly one definition of "correct" per
-property.
+an independent route: conformal factors through the pullback by each map's
+complex-step Jacobian, exact to rounding, convergence orders against the
+RK4 oracle, the discrete optimizer recursion against the splitting flows,
+the dissipation identity against finite differences of H, the special-case
+reductions of the contact fields against their classical counterparts, and
+(``nag``) the factorized Nesterov stepper: its S against the closed-form
+momentum product, its trivial k = 1 stage, and its X drift from the
+classical stepper, which is reported, not gated.  Families return plain
+results; the CLI formats them, the test suite asserts on them, and both
+share these implementations so there is exactly one definition of
+"correct" per property.
 
 Every family takes the master seed and draws from one scheme: its
 generator is seeded with derive_seed(seed, "check:<family>", 0) and its
@@ -20,8 +20,9 @@ families, and no two master seeds, share a draw.
 
 Every family reduces its evaluations with one NaN-propagating maximum,
 :func:`~contactopt.objectives.largest`; a map that crushes the contact
-form, or a run that did not finish, reads as inf.  So such a certificate
-fails its result, and run_checks raises only for a bad family name.
+form or cannot carry a complex row, or a run that did not finish, reads
+as inf.  So such a certificate fails its result, and run_checks raises
+only for a bad family name.
 """
 
 import math
@@ -36,7 +37,6 @@ from .contact import (
     contact_field,
     dissipation_residual,
     map_F,
-    map_F_jacobian,
     reference_integrate,
 )
 from .integrators import (
@@ -50,7 +50,6 @@ from .integrators import (
     flow_phi3,
     integrate_split,
     nag_like_damping,
-    phi1_jacobian,
     strang_step,
     time_shift,
 )
@@ -58,7 +57,6 @@ from .harness import derive_seed
 from .objectives import largest, make_random_quadratic
 from .optimizers import (
     OptimizerConfig,
-    nag_contact_jacobian,
     nag_contact_map,
     nag_decomposed_step,
     step,
@@ -88,7 +86,7 @@ __all__ = [
     "ORDER_TAUS",
 ]
 
-TOL_CONFORMAL = 1e-8       # pullback residual for every discrete map
+TOL_CONFORMAL = 1e-12      # pullback residual for every discrete map
 TOL_LAMBDA = 1e-12         # pinned conformal factors (phi1, Nesterov momentum map)
 TOL_EQUIVALENCE = 1e-12    # optimizer recursion vs splitting flows
 TOL_DISSIPATION = 1e-4     # dH/dt identity along an RK4 trajectory
@@ -141,8 +139,10 @@ def _bounded(family: str, name: str, value: float, tol: float) -> CheckResult:
 def check_conformal(seed: int = 0) -> List[CheckResult]:
     """Every discrete map must rescale the contact form by a scalar.
 
-    20 seeded states per map; phi1's factor must equal exp(-h(t) dtau) and
-    the Nesterov momentum map's factor (k-1)/(k+2), both to 1e-12.
+    20 seeded states per map, each map differentiated by complex step
+    through its own code; phi1's factor must equal exp(-h(t) dtau), the
+    Nesterov momentum map's factor (k-1)/(k+2) and map_F's factor 1, each
+    to 1e-12.
     """
     rng, obj_seed = _draws(seed, "conformal")
     dim = 3
@@ -153,25 +153,21 @@ def check_conformal(seed: int = 0) -> List[CheckResult]:
     # map_F turns the std2 form into the std1 form on the nose
     pinned = {"phi1": lambda t: math.exp(-params.h(t) * dtau), "map_F": lambda t: 1.0}
     factor_dev = {}
-    # (name, map, its exact Jacobian or None, form, source form)
+    # (name, map, form, source form)
     candidates = [
-        ("phi1", lambda z, t: flow_phi1(z, t, dtau, params),
-         lambda z, t: phi1_jacobian(z, t, dtau, params), "std1", None),
-        ("phi2", lambda z, t: flow_phi2(z, t, dtau, obj), None, "std1", None),
-        ("phi3", lambda z, t: flow_phi3(z, t, dtau, params), None, "std1", None),
-        ("time_shift", lambda z, t: time_shift(z, t, dtau),
-         lambda z, t: np.eye(len(z)), "std1", None),
-        ("strang", lambda z, t: strang_step(z, t, dtau, obj, params), None, "std1", None),
-        ("jump4", lambda z, t: compose_step(z, t, dtau, obj, params, "jump4"), None, "std1", None),
-        ("nag_contact(k=7)", lambda z, t: nag_contact_map(z, t, 7),
-         lambda z, t: nag_contact_jacobian(z, t, 7), "std2", None),
-        ("map_F", map_F, map_F_jacobian, "std2", "std1"),
+        ("phi1", lambda z, t: flow_phi1(z, t, dtau, params), "std1", None),
+        ("phi2", lambda z, t: flow_phi2(z, t, dtau, obj), "std1", None),
+        ("phi3", lambda z, t: flow_phi3(z, t, dtau, params), "std1", None),
+        ("time_shift", lambda z, t: time_shift(z, t, dtau), "std1", None),
+        ("strang", lambda z, t: strang_step(z, t, dtau, obj, params), "std1", None),
+        ("jump4", lambda z, t: compose_step(z, t, dtau, obj, params, "jump4"), "std1", None),
+        ("nag_contact(k=7)", lambda z, t: nag_contact_map(z, t, 7), "std2", None),
+        ("map_F", map_F, "std2", "std1"),
     ]
     results = []
-    for name, func, jac, form, src in candidates:
+    for name, func, form, src in candidates:
         states = [_random_state(rng, dim) for _ in range(20)]
-        fits = [conformal_factor(func, form, z, t, source_form=src, jacobian=jac)
-                for z, t in states]
+        fits = [conformal_factor(func, form, z, t, source_form=src) for z, t in states]
         residual = largest([res for _, res in fits])
         results.append(_bounded("conformal", f"{name} residual", residual, TOL_CONFORMAL))
         if name in pinned:
@@ -184,10 +180,7 @@ def check_conformal(seed: int = 0) -> List[CheckResult]:
     z0, t0 = _random_state(rng, dim)
     devs = []
     for k in range(2, 51):
-        lam, _ = conformal_factor(
-            lambda z, t: nag_contact_map(z, t, k), "std2", z0, t0,
-            jacobian=lambda z, t: nag_contact_jacobian(z, t, k),
-        )
+        lam, _ = conformal_factor(lambda z, t: nag_contact_map(z, t, k), "std2", z0, t0)
         devs.append(abs(lam - (k - 1.0) / (k + 2.0)))
     name = "nag_contact factor = (k-1)/(k+2), k=2..50"
     results.append(_bounded("conformal", name, largest(devs), TOL_LAMBDA))

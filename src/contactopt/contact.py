@@ -25,20 +25,22 @@ transformation, and by what scaling factor?).  The one divergence rule,
 
 A discrete map is a function of the row and the clock that returns the
 next pair, ``(z, t) -> (z, t)``: the signature :meth:`Trajectory.of` steps.
-It returns a new row and never writes into the one it is given.  A map
-with an exact Jacobian keeps it in a sibling function of the same (z, t),
-as :func:`map_F` and :func:`map_F_jacobian` do.  A run or a certificate
-starts from a row and a clock too, and checks the row once, there, with
-:func:`check_row`.
+It returns a new row and never writes into the one it is given.  Its
+Jacobian has one route, the complex step through the map's own code
+(:func:`conformal_factor`), so a map must carry a complex row through
+its arithmetic; a map that cannot fails its certificate.  A run or a
+certificate starts from a row and a clock too, and checks the row once,
+there, with :func:`check_row`.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .objectives import Objective, check_gradient, largest
+from .objectives import Objective, as_array, check_gradient, largest
 
 __all__ = [
     "ContactHamiltonian",
@@ -49,7 +51,6 @@ __all__ = [
     "check_row",
     "eta",
     "map_F",
-    "map_F_jacobian",
     "contact_field",
     "reference_integrate",
     "dissipation_residual",
@@ -67,9 +68,10 @@ def within_limit(values) -> np.ndarray:
 
 
 def check_row(z) -> np.ndarray:
-    """z as a float array, once it is a flat (X, P, S) row: one-dimensional
-    and of odd length 2n+1.  Not a copy when z already is one."""
-    z = np.asarray(z, dtype=float)
+    """z as a float array, or a complex one (a complex-step row), once it
+    is a flat (X, P, S) row: one-dimensional and of odd length 2n+1.  Not
+    a copy when z already is one."""
+    z = as_array(z)
     if z.ndim != 1 or len(z) % 2 == 0:
         raise ValueError(f"need a flat row of odd length 2n+1, got shape {z.shape}")
     return z
@@ -132,21 +134,7 @@ def map_F(z: np.ndarray, t: float) -> Step:
     """
     n = len(z) // 2
     x, p = z[:n], z[n:-1]
-    return np.concatenate([x + p, 0.5 * (p - x), [z[-1] - 0.5 * float(x @ p)]]), t
-
-
-def map_F_jacobian(z: np.ndarray, t: float) -> np.ndarray:
-    n = len(z) // 2
-    j = np.zeros((2 * n + 1, 2 * n + 1))
-    eye = np.eye(n)
-    j[:n, :n] = eye
-    j[:n, n : 2 * n] = eye
-    j[n : 2 * n, :n] = -0.5 * eye
-    j[n : 2 * n, n : 2 * n] = 0.5 * eye
-    j[2 * n, :n] = -0.5 * z[n:-1]
-    j[2 * n, n : 2 * n] = -0.5 * z[:n]
-    j[2 * n, 2 * n] = 1.0
-    return j
+    return np.concatenate([x + p, 0.5 * (p - x), [z[-1] - 0.5 * (x @ p)]]), t
 
 
 def _field_std1(H: ContactHamiltonian, z: np.ndarray, t: float) -> np.ndarray:
@@ -220,15 +208,16 @@ class Trajectory:
         """The run of n steps ``z, t = advance(z, t)`` from the flat row z at
         clock t: n+1 rows, the start included, unless a row leaves the
         divergence limit (:func:`within_limit`), in which case the run is
-        truncated before that row and flagged."""
+        truncated before that row and flagged.  A start row outside the
+        limit gives a run of no rows, flagged."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         ts = np.empty(n + 1)
         zs = np.empty((n + 1, len(z)))
-        ts[0], zs[0] = t, z
         with np.errstate(all="ignore"):
-            for i in range(1, n + 1):
-                z, t = advance(z, t)
+            for i in range(n + 1):
+                if i:
+                    z, t = advance(z, t)
                 if not within_limit(z).all():
                     return cls(ts[:i], zs[:i], diverged=True)
                 ts[i], zs[i] = t, z
@@ -285,16 +274,18 @@ def dissipation_residual(H: ContactHamiltonian, traj: Trajectory) -> float:
     return largest(residual)
 
 
-def _fd_jacobian(func: RowMap, z: np.ndarray, t: float) -> np.ndarray:
-    """Central differences of func's row at (z, t), column j from the two
-    copies of z shifted by +-h_j; the copies are read-only."""
-    h = 1e-6 * np.maximum(1.0, np.abs(z))
-    shifted = np.concatenate([z + np.diag(h), z - np.diag(h)])
+def _jacobian(func: RowMap, z: np.ndarray, t: float) -> np.ndarray:
+    """The Jacobian of func's row at the real row z and clock t by complex
+    step (Squire and Trapp, 1998): column j is Im func(z + i h e_j, t)/h
+    with h = 1e-30, exact to rounding for a map whose code carries the
+    imaginary part, since nothing is subtracted.  The rows are read-only."""
+    h = 1e-30
+    shifted = z + 1j * h * np.eye(len(z))
     shifted.setflags(write=False)
     f = np.array([func(row, t)[0] for row in shifted])
     # C order: the layout picks the BLAS kernel of the pullback j.T @ eta,
-    # and with it the rounding of every differenced certificate
-    return np.ascontiguousarray((f[: len(z)] - f[len(z) :]).T) / (2.0 * h)
+    # and with it the rounding of every certificate
+    return np.ascontiguousarray(f.imag.T) / h
 
 
 def conformal_factor(
@@ -303,29 +294,36 @@ def conformal_factor(
     z: np.ndarray,
     t: float,
     source_form: Optional[str] = None,
-    jacobian: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
 ) -> tuple:
     """Extract the scalar by which a map rescales a contact form.
 
     Pulls the named form back through the Jacobian of the row map ``func``
-    at the flat row z and clock t (``jacobian(z, t)``, the map's exact
-    (2n+1) x (2n+1) Jacobian in (X, P, S), when given, else central
-    differences with step 1e-6 * max(1, |coord|)) and fits pullback =
-    lambda * eta in least squares over all 2n+1 covector components.
-    Every row the map is given is a read-only copy, so the caller's z is
-    never written into, nor frozen.  Returns (lambda, max absolute
-    residual).  ``source_form`` lets the comparison form at the source
-    differ from the pulled-back one, which is how a change of convention
-    such as :func:`map_F` is certified; it defaults to ``form``.
+    at the flat row z and clock t, differentiated by complex step through
+    func's own code (2n+1 calls on complex rows, exact to rounding), and
+    fits pullback = lambda * eta in least squares over all 2n+1 covector
+    components.  Every row the map is given is a read-only copy, so the
+    caller's z is never written into, nor frozen.  Returns (lambda, max
+    absolute residual).  ``source_form`` lets the comparison form at the
+    source differ from the pulled-back one, which is how a change of
+    convention such as :func:`map_F` is certified; it defaults to ``form``.
 
     A fitted |lambda| below 1e-10, or a NaN one, means the map crushes the
     contact structure (or computed nothing): its residual is inf, so the
-    certificate fails like any other.  A NaN residual stays NaN.
+    certificate fails like any other.  So does a map whose code drops the
+    imaginary part (its Jacobian reads 0), and one that cannot take a
+    complex row: it casts it to float (``ComplexWarning``, whatever the
+    warning filters) or raises ``TypeError``, and gets lambda NaN with
+    residual inf.  A NaN residual stays NaN.
     """
     z = check_row(np.array(z, dtype=float))
     z.setflags(write=False)
     mapped, _ = func(z, t)
-    j = jacobian(z, t) if jacobian is not None else _fd_jacobian(func, z, t)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            j = _jacobian(func, z, t)
+    except (np.exceptions.ComplexWarning, TypeError):
+        return math.nan, math.inf
     eta_target = _form_coeffs(form, mapped)
     eta_src = _form_coeffs(source_form if source_form is not None else form, z)
     pullback = j.T @ eta_target

@@ -19,9 +19,10 @@ integrator; symmetric compositions of it (triple jump, Suzuki five-stage)
 raise the order by two per level.  Every flow and step here is a contact
 transformation written as a map of the flat (X, P, S) row z and the clock
 t, ``(z, t, ...) -> (z, t)``, that returns a new row and never writes into
-the one it is given; `contact.conformal_factor` certifies it numerically,
-and phi1, whose Jacobian is diagonal, also comes with
-:func:`phi1_jacobian` of the same (z, t).  A composition plan is a name in
+the one it is given; `contact.conformal_factor` certifies it through its
+complex-step Jacobian, so every flow carries a complex row through its own
+arithmetic (``p @ p`` and ``np.sqrt``, never ``float`` or ``math.sqrt``
+of the row).  A composition plan is a name in
 :data:`PLANS`, which holds each plan's design order and stage weights;
 :func:`compose_step` and :func:`integrate_split` take the name, and
 :func:`integrate_split` hands :func:`compose_step` to
@@ -51,7 +52,6 @@ __all__ = [
     "nag_like_damping",
     "contact_hamiltonian",
     "flow_phi1",
-    "phi1_jacobian",
     "flow_phi2",
     "flow_phi3",
     "time_shift",
@@ -136,13 +136,6 @@ def flow_phi1(z: np.ndarray, t: float, dtau: float, params: ContactParams) -> St
     return np.concatenate([z[:n], a * z[n:]]), t
 
 
-def phi1_jacobian(z: np.ndarray, t: float, dtau: float, params: ContactParams) -> np.ndarray:
-    """Exact Jacobian of :func:`flow_phi1` in (X, P, S): diag(1, a, a)."""
-    d = np.ones(len(z))
-    d[len(z) // 2 :] = math.exp(-params.h(t) * dtau)
-    return np.diag(d)
-
-
 def flow_phi2(z: np.ndarray, t: float, dtau: float, obj: Objective) -> Step:
     """Exact flow of the potential piece f(X): P -= grad f * dtau, S -= f * dtau."""
     n = len(z) // 2
@@ -160,9 +153,9 @@ def flow_phi3(z: np.ndarray, t: float, dtau: float, params: ContactParams) -> St
     n = len(z) // 2
     m, c, p = params.m, params.c, z[n:-1]
     if c is None:
-        dx, ds = p * dtau / m, float(p @ p) * dtau / (2.0 * m)
+        dx, ds = p * dtau / m, (p @ p) * dtau / (2.0 * m)
     else:
-        r = math.sqrt(float(p @ p) + (m * c) ** 2)
+        r = np.sqrt(p @ p + (m * c) ** 2)
         dx, ds = c * p * dtau / r, -(m * m * c**3 * dtau / r)
     return np.concatenate([z[:n] + dx, p, [z[-1] + ds]]), t
 

@@ -13,7 +13,9 @@ assembled quadratic), so a row of a stack is evaluated exactly like that
 row alone for every objective but the assembled quadratic, whose matrix
 product may differ in the last bits.  Integer powers are written as
 products: numpy's vectorized ``power`` rounds differently on different
-CPUs, a product does not.
+CPUs, a product does not.  A complex point or stack stays complex
+(:func:`as_array`), so a map built on an objective can be differentiated
+by complex step; a float one takes the float path bit for bit.
 
 The random quadratic comes in two forms, both from one seeded Gaussian
 matrix and its LAPACK QR.  :func:`make_random_quadratic` forms the
@@ -41,6 +43,7 @@ __all__ = [
     "rosenbrock",
     "check_gradient",
     "largest",
+    "as_array",
     "get_objective",
     "check_objective",
     "OBJECTIVE_NAMES",
@@ -71,9 +74,23 @@ class Objective:
 Rotation = Callable[[np.ndarray], np.ndarray]
 
 
+_FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
+
+
+def as_array(x) -> np.ndarray:
+    """x as an array of float, or x itself when it already is an array of
+    float or of complex: a complex row, as a complex-step Jacobian feeds
+    a map, carries its imaginary part through every kernel that reads it."""
+    x = np.asarray(x)
+    return x if x.dtype is _FLOAT or x.dtype is _COMPLEX else np.asarray(x, dtype=float)
+
+
 def _value(v):
-    """A float for one point, the array of row values for a stack."""
-    return float(v) if v.ndim == 0 else v
+    """A float for one point (a complex for a complex point), the array of
+    row values for a stack."""
+    if v.ndim:
+        return v
+    return v.item() if isinstance(v, complex) else float(v)
 
 
 def _gauss_and_lam(seed: int, dim: int, eigen_lo: float, eigen_hi: float):
@@ -148,11 +165,11 @@ def make_random_quadratic(
 
     # A is symmetric, so X @ A is the gradient of every row of X at once
     def f(x: np.ndarray):
-        x = np.asarray(x, dtype=float)
+        x = as_array(x)
         return _value(0.5 * (x * (x @ a)).sum(axis=-1))
 
     def g(x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ a
+        return as_array(x) @ a
 
     return Objective(
         name="quadratic",
@@ -176,11 +193,11 @@ def diagonal_quadratic(lam) -> Objective:
     dim = lam.shape[-1]
 
     def f(x: np.ndarray):
-        x = np.asarray(x, dtype=float)
+        x = as_array(x)
         return _value(0.5 * (x * (lam * x)).sum(axis=-1))
 
     def g(x: np.ndarray) -> np.ndarray:
-        return lam * np.asarray(x, dtype=float)
+        return lam * as_array(x)
 
     return Objective(
         name="quadratic",
@@ -198,12 +215,12 @@ def quartic(dim: int) -> Objective:
     weights = np.arange(1, dim + 1, dtype=float)
 
     def f(x: np.ndarray):
-        x = np.asarray(x, dtype=float)
+        x = as_array(x)
         x2 = x * x
         return _value((weights * (x2 * x2)).sum(axis=-1))
 
     def g(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = as_array(x)
         return 4.0 * weights * (x * x * x)
 
     return Objective(
@@ -224,14 +241,14 @@ def camelback() -> Objective:
     """
 
     def f(x: np.ndarray):
-        x = np.asarray(x, dtype=float)
+        x = as_array(x)
         x1, x2 = x[..., 0], x[..., 1]
         s1 = x1 * x1
         q1 = s1 * s1
         return _value(2.0 * s1 - 1.05 * q1 + q1 * s1 / 6.0 + x1 * x2 + x2 * x2)
 
     def g(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = as_array(x)
         x1, x2 = x[..., 0], x[..., 1]
         s1 = x1 * x1
         out = np.empty_like(x)
@@ -253,14 +270,14 @@ def rosenbrock(dim: int) -> Objective:
     check_objective("rosenbrock", dim)
 
     def f(x: np.ndarray):
-        x = np.asarray(x, dtype=float)
+        x = as_array(x)
         head, tail = x[..., :-1], x[..., 1:]
         return _value(
             (100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2).sum(axis=-1)
         )
 
     def g(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = as_array(x)
         head = x[..., :-1]
         out = np.zeros_like(x)
         diff = x[..., 1:] - head**2

@@ -22,6 +22,10 @@ config's kind selects as a contact map (z, k) -> (z, k + 1) of the flat
 (X, V, S) row, so Trajectory.of records a run with S; run_batch() iterates
 it over a stack of T runs of one kind without S and records only the
 objective gaps, one (iters + 1, T) matrix; run() is its T=1 case.
+nag_contact_map, the momentum half of the Nesterov factorization, is a
+map of the (X, P, S) row too, and `contact.conformal_factor` certifies it
+through its complex-step Jacobian, on the map's own code: none is
+written by hand.
 """
 
 import math
@@ -46,7 +50,6 @@ __all__ = [
     "step",
     "nag_decomposed_step",
     "nag_contact_map",
-    "nag_contact_jacobian",
     "run",
     "run_batch",
 ]
@@ -276,23 +279,10 @@ def nag_contact_map(z: np.ndarray, t: float, k: int) -> Step:
     as a map of the flat (X, P, S) row.
 
     (X, P, S) -> (P, P + c (P - X), c S) with c = (k-1)/(k+2), clock
-    unchanged; the map rescales the std2 contact form by exactly c.  Its
-    exact (linear) Jacobian is :func:`nag_contact_jacobian`.
+    unchanged; the map rescales the std2 contact form by exactly c, which
+    `contact.conformal_factor` reads off its complex-step Jacobian.
     """
     return _momentum(*_split(z, k), _nesterov_coefficient(k)), t
-
-
-def nag_contact_jacobian(z: np.ndarray, t: float, k: int) -> np.ndarray:
-    """Jacobian of :func:`nag_contact_map` in (X, P, S)."""
-    c = _nesterov_coefficient(k)
-    n = len(z) // 2
-    j = np.zeros((2 * n + 1, 2 * n + 1))
-    eye = np.eye(n)
-    j[:n, n : 2 * n] = eye
-    j[n : 2 * n, :n] = -c * eye
-    j[n : 2 * n, n : 2 * n] = (1.0 + c) * eye
-    j[2 * n, 2 * n] = c
-    return j
 
 
 @dataclass(frozen=True)

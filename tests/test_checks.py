@@ -64,26 +64,25 @@ def test_jump6_fits_order_six():
 
 
 def test_every_conformal_candidate_runs_on_read_only_rows(monkeypatch):
-    # conformal_factor hands each map, and each exact Jacobian, read-only
-    # rows only, so a candidate that wrote into its row would raise there
-    calls, writable = [], []
+    # conformal_factor hands each map read-only rows only, the real start
+    # and then one complex-step row per coordinate, so a candidate that
+    # wrote into its row would raise there
+    calls, rows = [], []
     real = checks.conformal_factor
 
-    def spy(func, form, z, t, source_form=None, jacobian=None):
-        def watched(row_map):
-            def call(z, t):
-                writable.append(z.flags.writeable)
-                return row_map(z, t)
-            return call
+    def spy(func, form, z, t, source_form=None):
+        def watched(z, t):
+            rows.append((z.flags.writeable, z.dtype))
+            return func(z, t)
 
         calls.append(form)
-        return real(watched(func), form, z, t, source_form=source_form,
-                    jacobian=jacobian and watched(jacobian))
+        return real(watched, form, z, t, source_form=source_form)
 
     monkeypatch.setattr(checks, "conformal_factor", spy)
     assert all(r.passed for r in checks.check_conformal(0))
     assert len(calls) == 8 * 20 + 49  # eight candidates at 20 states, nag_contact at k = 2..50
-    assert writable and not any(writable)
+    # every call maps the dim-3 start once, then its 7 complex-step rows
+    assert rows == len(calls) * ([(False, np.dtype(float))] + [(False, np.dtype(complex))] * 7)
 
 
 class _Stop(Exception):
@@ -174,7 +173,7 @@ _CONTACT_CHECK_VALUES = {
 }
 
 _CONFORMAL_CHECKS = tuple(
-    (f"{name} residual", "tol 1e-08")
+    (f"{name} residual", "tol 1e-12")
     for name in ("phi1", "phi2", "phi3", "time_shift", "strang", "jump4",
                  "nag_contact(k=7)", "map_F")
 ) + (
@@ -183,26 +182,26 @@ _CONFORMAL_CHECKS = tuple(
     ("map_F factor = 1", "tol 1e-12"),
 )
 _CONFORMAL_CHECK_VALUES = {
-    0: ("0x1.0000000000000p-51", "0x1.2206200000000p-33", "0x1.ed16f44000000p-34", "0x0.0p+0",
-        "0x1.8667a10000000p-32", "0x1.5a8f70e800000p-31", "0x1.0000000000000p-52",
-        "0x1.0000000000000p-51", "0x1.8000000000000p-52", "0x1.0000000000000p-52",
+    0: ("0x1.0000000000000p-51", "0x1.0000000000000p-53", "0x1.8000000000000p-56", "0x0.0p+0",
+        "0x1.0000000000000p-51", "0x1.0000000000000p-51", "0x1.0000000000000p-52",
+        "0x1.0000000000000p-52", "0x1.8000000000000p-52", "0x1.0000000000000p-52",
         "0x1.0000000000000p-52"),
-    1: ("0x1.0000000000000p-52", "0x1.62bd800000000p-34", "0x1.71baf62800000p-33", "0x0.0p+0",
-        "0x1.07cbd80000000p-32", "0x1.4fdf440000000p-31", "0x1.0000000000000p-52",
+    1: ("0x1.0000000000000p-52", "0x1.0000000000000p-52", "0x1.2000000000000p-56", "0x0.0p+0",
+        "0x1.0000000000000p-51", "0x1.0000000000000p-51", "0x1.0000000000000p-52",
         "0x1.0000000000000p-52", "0x1.0000000000000p-52", "0x1.0000000000000p-53",
         "0x1.0000000000000p-52"),
-    7: ("0x1.0000000000000p-51", "0x1.2bcf500000000p-33", "0x1.e4a57b7000000p-34", "0x0.0p+0",
-        "0x1.067cc12000000p-32", "0x1.3c6129e000000p-32", "0x1.0000000000000p-52",
+    7: ("0x1.0000000000000p-51", "0x1.0000000000000p-53", "0x1.8000000000000p-56", "0x0.0p+0",
+        "0x1.0000000000000p-52", "0x1.0000000000000p-51", "0x1.0000000000000p-52",
         "0x1.0000000000000p-52", "0x1.0000000000000p-52", "0x1.0000000000000p-52",
-        "0x1.0000000000000p-53"),
-    42: ("0x1.0000000000000p-51", "0x1.278c000000000p-33", "0x1.daa4168000000p-33", "0x0.0p+0",
-         "0x1.2b5a6ac800000p-32", "0x1.6f3b50a000000p-31", "0x1.0000000000000p-52",
+        "0x1.0000000000000p-52"),
+    42: ("0x1.0000000000000p-51", "0x1.0000000000000p-53", "0x1.0000000000000p-56", "0x0.0p+0",
+         "0x1.0000000000000p-51", "0x1.0000000000000p-51", "0x1.0000000000000p-52",
          "0x1.0000000000000p-52", "0x1.0000000000000p-52", "0x1.0000000000000p-52",
          "0x1.0000000000000p-52"),
-    4242: ("0x1.0000000000000p-51", "0x1.7831000000000p-34", "0x1.e078cbc000000p-33", "0x0.0p+0",
-           "0x1.a9a932e800000p-31", "0x1.57f1dde000000p-31", "0x1.2000000000000p-52",
+    4242: ("0x1.0000000000000p-51", "0x1.0000000000000p-53", "0x1.4000000000000p-56", "0x0.0p+0",
+           "0x1.0000000000000p-51", "0x1.0000000000000p-50", "0x1.2000000000000p-52",
            "0x1.0000000000000p-52", "0x1.0000000000000p-52", "0x1.0000000000000p-52",
-           "0x1.0000000000000p-52"),
+           "0x1.0000000000000p-53"),
 }
 
 
@@ -239,6 +238,47 @@ def _cut_oracle(H, form, z, t, dt, n):
 def test_a_broken_candidate_fails_conformal_by_name(monkeypatch, row):
     monkeypatch.setattr(checks, "flow_phi3", lambda z, t, dtau, params: (row(z), t + dtau))
     assert _failed(checks.check_conformal(0)) == {"phi3 residual": math.inf}
+
+
+def test_a_candidate_that_cannot_carry_a_complex_row_fails_conformal(monkeypatch):
+    # phi3 behind a float cast (ComplexWarning) or behind abs, which drops
+    # the imaginary part silently: the same map on a real row, no certificate
+    real = checks.flow_phi3
+    casts = (lambda z: np.asarray(z, dtype=float), lambda z: np.copysign(np.abs(z), z.real))
+    for narrowed in casts:
+        monkeypatch.setattr(checks, "flow_phi3",
+                            lambda z, t, dtau, params: real(narrowed(z), t, dtau, params))
+        for filters in ("default", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(filters)
+                assert _failed(checks.check_conformal(0)) == {"phi3 residual": math.inf}
+
+
+def _map_F_off_by_a_quarter(z, t):
+    # S - <X, P>/4 in place of S - <X, P>/2
+    n = len(z) // 2
+    x, p = z[:n], z[n:-1]
+    return np.concatenate([x + p, 0.5 * (p - x), [z[-1] - 0.25 * (x @ p)]]), t
+
+
+def _nag_contact_map_doubling_s(z, t, k):
+    # (X, P, S) -> (P, P + c (P - X), 2 c S)
+    n = len(z) // 2
+    c = (k - 1.0) / (k + 2.0)
+    x, p = z[:n], z[n:-1]
+    return np.concatenate([p, p + c * (p - x), 2.0 * c * z[-1:]]), t
+
+
+@pytest.mark.parametrize("name, broken, results", [
+    ("map_F", _map_F_off_by_a_quarter, {"map_F residual", "map_F factor = 1"}),
+    ("nag_contact_map", _nag_contact_map_doubling_s,
+     {"nag_contact(k=7) residual", "nag_contact factor = (k-1)/(k+2), k=2..50"}),
+])
+def test_a_map_with_a_wrong_s_term_fails_both_its_results(monkeypatch, name, broken, results):
+    # the certificate differentiates the map's own code, so a wrong S term
+    # cannot hide behind a Jacobian written for the right one
+    monkeypatch.setattr(checks, name, broken)
+    assert set(_failed(checks.check_conformal(0))) == results
 
 
 def test_a_nan_optimizer_step_fails_equivalence(monkeypatch):

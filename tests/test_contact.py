@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from contactopt.contact import (
     dissipation_residual,
     eta,
     map_F,
-    map_F_jacobian,
     reference_integrate,
     within_limit,
 )
@@ -84,6 +84,22 @@ class TestStartRow:
         assert check_row(z) is z
         np.testing.assert_array_equal(check_row([1, 2, 3]), [1.0, 2.0, 3.0])
         assert check_row([1, 2, 3]).dtype == float
+
+    def test_check_row_keeps_a_complex_row(self):
+        # the complex-step Jacobian feeds maps complex rows
+        z = np.ones(5) + 1e-30j
+        assert check_row(z) is z
+        with pytest.raises(ValueError, match=ROW_MESSAGE + r"\(4,\)$"):
+            check_row(np.ones(4, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["reference_integrate", "integrate_split"])
+    def test_a_start_past_the_limit_is_a_run_of_no_rows(self, name, bad):
+        # flagged diverged, not raised, and nothing is stepped from it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = START_TAKERS[name](np.array([1.0, bad, 0.3, 0.2, 0.7]), 1.0)
+        assert traj.diverged and len(traj) == 0 and traj.z.shape == (0, 5)
 
     @pytest.mark.parametrize("name", START_TAKERS)
     def test_the_start_is_checked_and_left_as_it_was(self, name):
@@ -165,29 +181,19 @@ class TestMapF:
         assert t == 4.5
 
     def test_pullback_identity_pointwise(self):
-        # the std2 form after the map, applied to the pushed tangent, equals
-        # the std1 form before the map
+        # the std2 form after the map, applied to the tangent the map's own
+        # code pushes forward (by complex step), equals the std1 form before
         rng = np.random.default_rng(12)
         for z, t in random_states(12, 50, 3):
             v = np.concatenate([rng.standard_normal(6), rng.standard_normal(1)])
-            w = map_F_jacobian(z, t) @ v
+            w = map_F(z + 1e-30j * v, t)[0].imag / 1e-30
             assert eta("std2", map_F(z, t)[0], w) == pytest.approx(eta("std1", z, v), abs=1e-12)
 
     def test_conformal_factor_is_one(self):
         for z, t in random_states(21, 50, 4):
-            lam, res = conformal_factor(
-                map_F, "std2", z, t, source_form="std1", jacobian=map_F_jacobian
-            )
-            assert lam == pytest.approx(1.0, abs=1e-12)
-            assert res < 1e-10
-
-    def test_conformal_factor_without_declared_jacobian(self):
-        # differenced Jacobian is coarser but must stay inside the blanket
-        # certification tolerance
-        for z, t in random_states(22, 20, 4):
             lam, res = conformal_factor(map_F, "std2", z, t, source_form="std1")
-            assert lam == pytest.approx(1.0, abs=1e-8)
-            assert res < 1e-8
+            assert lam == pytest.approx(1.0, abs=1e-12)
+            assert res < 1e-12
 
 
 def quadratic_hamiltonian() -> ContactHamiltonian:
@@ -332,6 +338,18 @@ class TestTrajectory:
         np.testing.assert_array_equal(traj.t, [0.0, 1.0])
         np.testing.assert_array_equal(traj.S, [1.0, 1e200])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_of_a_start_past_the_limit_is_a_run_of_no_rows(self, bad):
+        steps = []
+
+        def advance(z, t):
+            steps.append(t)
+            return z.copy(), t + 1.0
+
+        traj = Trajectory.of(advance, np.array([bad, 0.0, 0.0]), 0.0, 3)
+        assert traj.diverged and len(traj) == 0 and steps == []
+        assert traj.z.shape == (0, 3) and traj.S.shape == (0,)
+
 
 class TestReferenceIntegrate:
     def test_free_particle_exact(self):
@@ -475,10 +493,10 @@ class TestDissipation:
 
 class TestConformalFactor:
     def test_identity_map(self):
+        # the complex step reads the identity's Jacobian exactly
         for z0, t0 in random_states(30, 5, 3):
             lam, res = conformal_factor(lambda z, t: (z, t), "std1", z0, t0)
-            assert lam == pytest.approx(1.0, abs=1e-10)
-            assert res < 1e-9
+            assert lam == 1.0 and res == 0.0
 
     def test_degenerate_map_reported(self):
         # a map that crushes the form, or computes NaN, fails its
@@ -497,6 +515,23 @@ class TestConformalFactor:
             return z, t
 
         z0, t0 = next(random_states(32, 1, 2))
-        for jacobian in (None, lambda z, t: 2.0 * np.eye(len(z))):
-            with pytest.raises(ValueError, match="read-only"):
-                conformal_factor(scaling_in_place, "std1", z0, t0, jacobian=jacobian)
+        with pytest.raises(ValueError, match="read-only"):
+            conformal_factor(scaling_in_place, "std1", z0, t0)
+
+    @pytest.mark.parametrize("filters", ["default", "error"])
+    @pytest.mark.parametrize("name", ["casts to float", "takes abs", "calls math"])
+    def test_a_map_that_cannot_carry_a_complex_row_fails(self, name, filters):
+        # each is the identity on a real row, but drops or refuses the
+        # imaginary part of a complex one: a cast (ComplexWarning), abs
+        # (silently; its Jacobian reads 0) or a math function (TypeError)
+        maps = {
+            "casts to float": lambda z, t: (np.asarray(z, dtype=float).copy(), t),
+            "takes abs": lambda z, t: (np.copysign(np.abs(z), z.real), t),
+            "calls math": lambda z, t: (z * math.sqrt(1.0 + 0.0 * z[0].item()), t),
+        }
+        z0, t0 = next(random_states(34, 1, 2))
+        np.testing.assert_array_equal(maps[name](z0, t0)[0], z0)
+        with warnings.catch_warnings():
+            warnings.simplefilter(filters)
+            lam, res = conformal_factor(maps[name], "std1", z0, t0)
+        assert res == math.inf and (lam == 0.0 if name == "takes abs" else math.isnan(lam))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactopt.checks import TOL_CONFORMAL, TOL_LAMBDA
 from contactopt.contact import DIVERGENCE_LIMIT, conformal_factor, within_limit
 from contactopt.integrators import (
     PLAN_NAMES,
@@ -18,12 +19,11 @@ from contactopt.integrators import (
     flow_phi3,
     integrate_split,
     nag_like_damping,
-    phi1_jacobian,
     strang_step,
     time_shift,
     triple_jump_coefficients,
 )
-from contactopt.objectives import Objective, make_random_quadratic, quartic
+from contactopt.objectives import Objective, make_random_quadratic, quartic, rosenbrock
 
 
 def state_of(x, p, s=0.0, t=1.0):
@@ -107,8 +107,7 @@ class TestStageFlows:
         for _ in range(10):
             z0, t0 = rng.standard_normal(7), float(rng.uniform(0.5, 2))
             lam, res = conformal_factor(
-                lambda z, t: flow_phi1(z, t, 0.07, params), "std1", z0, t0,
-                jacobian=lambda z, t: phi1_jacobian(z, t, 0.07, params),
+                lambda z, t: flow_phi1(z, t, 0.07, params), "std1", z0, t0
             )
             assert lam == pytest.approx(math.exp(-params.h(t0) * 0.07), abs=1e-12)
             assert res < 1e-12
@@ -153,15 +152,15 @@ class TestStageFlows:
 
     def test_newtonian_phi3_is_exactly_contact(self):
         # the drift leaves the std1 form unchanged: factor 1, by pullback
-        # through a finite-difference Jacobian
+        # through its complex-step Jacobian
         newtonian = contact_params(m=1.7, c=None)
         rng = np.random.default_rng(5)
         for _ in range(20):
             lam, res = conformal_factor(
                 lambda z, t: flow_phi3(z, t, 0.07, newtonian), "std1", rng.standard_normal(7), 1.0
             )
-            assert res < 1e-8
-            assert lam == pytest.approx(1.0, abs=1e-8)
+            assert res < 1e-12
+            assert lam == pytest.approx(1.0, abs=1e-12)
 
     def test_time_shift_additivity_and_purity(self):
         z = row_of([1.0, -1.0], [0.5, 0.5], s=2.0)
@@ -342,3 +341,24 @@ class TestIntegrateSplit:
     def test_rejects_a_non_finite_span(self, tau):
         with pytest.raises(ValueError, match="tau must be finite"):
             integrate_split(*state_of([1.0], [0.0]), tau, 5, quartic(1), contact_params())
+
+
+class TestConformalAtPresetScale:
+    # the desk quartic and rosenbrock presets' dimensions and starts, at
+    # rest with S = 0 and t = 1, under the relativistic nag-like Hamiltonian
+    PARAMS = contact_params(0.1, nag_like_damping, m=1.0, c=1.0)
+
+    @pytest.mark.parametrize("obj, x0", [
+        (quartic(50), 2.0 * np.ones(50)),
+        (rosenbrock(100), np.tile([-1.2, 1.0], 50)),
+    ], ids=["quartic50", "rosenbrock100"])
+    @pytest.mark.parametrize("plan", ["strang", "jump4"])
+    def test_composed_steps_are_conformal(self, obj, x0, plan):
+        z0 = np.concatenate([x0, np.zeros(len(x0) + 1)])
+        lam, res = conformal_factor(
+            lambda z, t: compose_step(z, t, 0.05, obj, self.PARAMS, plan), "std1", z0, 1.0
+        )
+        assert res < TOL_CONFORMAL
+        if plan == "strang":
+            # both phi1 factors see the clock at the step's midpoint
+            assert abs(lam - math.exp(-self.PARAMS.h(1.025) * 0.05)) < TOL_LAMBDA
