@@ -27,13 +27,13 @@ from typing import List, Optional
 from .checks import CHECK_FAMILIES, run_checks
 from .harness import (
     ConfigError,
-    InitSpec,
     RateUndefinedError,
     estimate_rate,
     export_band_csv,
     export_svg,
     export_trace_csv,
     parse_experiment,
+    parse_init_flag,
     read_trace_csv,
     run_bench,
     spec_to_doc,
@@ -57,41 +57,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _parse_floats(text: str, flag: str) -> List[float]:
-    try:  # an empty text is no numbers; an empty field is not a number
-        return [float(v) for v in text.split(",")] if text else []
-    except ValueError:
-        raise ValueError(f"{flag}: expected comma-separated numbers, got {text!r}")
-
-
-def parse_init_flag(text: str) -> InitSpec:
-    """Initialization syntax: const:v | vec:a,b,... | alt:a,b | box:lo,hi,
-    or a bare comma list treated as a full start vector."""
-    head, sep, rest = text.partition(":")
-    if not sep:
-        return InitSpec(kind="fixed", values=tuple(_parse_floats(text, "--init")))
-    vals = _parse_floats(rest, "--init")
-    if head == "const":
-        if len(vals) != 1:
-            raise ValueError("--init const: takes exactly one value")
-        return InitSpec(kind="pattern", values=(vals[0],))
-    if head == "vec":
-        if not vals:
-            raise ValueError("--init vec: needs at least one value")
-        return InitSpec(kind="fixed", values=tuple(vals))
-    if head == "alt":
-        if not vals:
-            raise ValueError("--init alt: needs at least one value")
-        return InitSpec(kind="pattern", values=tuple(vals))
-    if head == "box":
-        if len(vals) != 2:
-            raise ValueError("--init box: takes exactly lo,hi")
-        return InitSpec(kind="box", lo=vals[0], hi=vals[1])
-    raise ValueError(
-        f"--init: unknown form {head!r}; use const:, vec:, alt:, box: or a bare comma list"
-    )
 
 
 def _master_seed(explicit: Optional[int], default: int = 0) -> int:
@@ -272,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--clock", choices=CLOCKS, default=OptimizerConfig.clock)
     p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--init", default="const:1")
+    p.add_argument("--init", default="pattern:1", help="fixed:a,... | pattern:a,... | box:lo,hi")
     p.add_argument("--out", default=None, help="trace CSV path")
     p.set_defaults(func=cmd_run)
 

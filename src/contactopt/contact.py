@@ -206,10 +206,10 @@ class Trajectory:
     @classmethod
     def of(cls, advance: RowMap, z: np.ndarray, t: float, n: int) -> "Trajectory":
         """The run of n steps ``z, t = advance(z, t)`` from the flat row z at
-        clock t: n+1 rows, the start included, unless a row leaves the
-        divergence limit (:func:`within_limit`), in which case the run is
-        truncated before that row and flagged.  A start row outside the
-        limit gives a run of no rows, flagged."""
+        clock t: n+1 rows, the start included, unless a row or its clock
+        leaves the divergence limit (:func:`within_limit`), in which case
+        the run is truncated before that row and flagged.  A start row or
+        clock outside the limit gives a run of no rows, flagged."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         ts = np.empty(n + 1)
@@ -218,7 +218,7 @@ class Trajectory:
             for i in range(n + 1):
                 if i:
                     z, t = advance(z, t)
-                if not within_limit(z).all():
+                if not (within_limit(z).all() and within_limit(t)):
                     return cls(ts[:i], zs[:i], diverged=True)
                 ts[i], zs[i] = t, z
         return cls(ts, zs)

@@ -82,6 +82,7 @@ __all__ = [
     "read_band_csv",
     "export_svg",
     "parse_experiment",
+    "parse_init_flag",
     "spec_to_doc",
     "RunRecord",
 ]
@@ -293,7 +294,9 @@ class ObjectiveSpec:
     eigen_hi: float = 1.0
 
     def __post_init__(self):
-        check_objective(self.name, self.dim, self.seed)
+        check_objective(self.name, self.dim, self.seed, self.eigen_lo, self.eigen_hi)
+        if not self.randomized and _fields_doc(self, ("eigen_lo", "eigen_hi")):
+            raise ValueError(f"eigen_lo and eigen_hi are the quadratic's, not {self.name}'s")
 
     @property
     def randomized(self) -> bool:
@@ -894,9 +897,13 @@ def _object(readers: Dict[str, Callable], required=()) -> Callable:
     return read
 
 
-_OBJECTIVE_KEYS = {"name": _str, "dim": _int, "seed": _int}
+_OBJECTIVE_KEYS = {
+    "name": _str, "dim": _int, "seed": _int, "eigen_lo": _number, "eigen_hi": _number
+}
 _INIT_KEYS = {"kind": _str, "pattern": _numbers, "lo": _number, "hi": _number}
-_ENTRY_FIELDS = {"kind": _str}
+_ENTRY_FIELDS = {"kind": _str, "momentum_schedule": _str, "clock": _str}
+# the keys spec_to_doc writes only where they are not their field's default
+_WHEN_SET = ("eigen_lo", "eigen_hi", "momentum_schedule", "clock")
 _ENTRY_KEYS = {
     **_ENTRY_FIELDS,
     "ranges": _object(dict.fromkeys(TUNABLES, _interval)),
@@ -916,6 +923,23 @@ def _init(doc, path: str) -> InitSpec:
     _keys(doc, path, takes, takes, f"not allowed for {kind} init")
     fields = {key: _INIT_KEYS[key](v, f"{path}.{key}") for key, v in doc.items()}
     return _build(path, InitSpec, values=fields.pop("pattern", ()), **fields)
+
+
+def parse_init_flag(text: str) -> InitSpec:
+    """The start ``kind:a,b,...`` of the --init flag, read with a config's
+    init kinds and keys: the numbers are the pattern of a fixed or pattern
+    start, or a box's lo and hi."""
+    kind, _, text = text.partition(":")
+    keys = _init_keys(kind)
+    try:  # an empty text is no numbers; an empty field is not a number
+        numbers = [float(v) for v in text.split(",")] if text else []
+    except ValueError:
+        raise ValueError(f"--init: expected comma-separated numbers, got {text!r}") from None
+    if keys == ("pattern",):
+        return InitSpec(kind, values=numbers)
+    if len(numbers) != len(keys):
+        raise ValueError(f"--init {kind}: takes exactly {','.join(keys)}")
+    return InitSpec(kind, **dict(zip(keys, numbers)))
 
 
 def _entry(doc, path: str) -> OptimizerEntry:
@@ -956,16 +980,25 @@ def parse_experiment(doc) -> ExperimentSpec:
     return _build("$", ExperimentSpec, **_read_experiment(doc, "$"))
 
 
+def _fields_doc(obj, keys) -> dict:
+    """obj's value of each key, except a _WHEN_SET key left at its class default."""
+    return {
+        key: getattr(obj, key)
+        for key in keys
+        if key not in _WHEN_SET or getattr(obj, key) != getattr(type(obj), key)
+    }
+
+
 def spec_to_doc(spec: ExperimentSpec) -> dict:
     """Inverse of parse_experiment, for dumping presets as editable JSON."""
     doc = {key: getattr(spec, key) for key in _EXPERIMENT_KEYS}
-    doc["objective"] = {key: getattr(spec.objective, key) for key in _OBJECTIVE_KEYS}
+    doc["objective"] = _fields_doc(spec.objective, _OBJECTIVE_KEYS)
     init = spec.init
     as_json = {"kind": init.kind, "pattern": list(init.values), "lo": init.lo, "hi": init.hi}
     doc["init"] = {key: as_json[key] for key in ("kind", *_INIT_KIND_KEYS[init.kind])}
     doc["optimizers"] = []
     for e in spec.optimizers:
-        entry = {key: getattr(e, key) for key in _ENTRY_FIELDS}
+        entry = _fields_doc(e, _ENTRY_FIELDS)
         ranges = {p: getattr(e.ranges, p) for p in TUNABLES}
         entry["ranges"] = {p: list(iv) for p, iv in ranges.items() if iv is not None}
         if e.ranges.sampling:

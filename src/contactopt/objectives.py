@@ -96,11 +96,7 @@ def _value(v):
 def _gauss_and_lam(seed: int, dim: int, eigen_lo: float, eigen_hi: float):
     """The seeded standard-Gaussian matrix, then the eigenvalues
     lam_i ~ U(eigen_lo, eigen_hi), from one generator."""
-    check_objective("quadratic", dim, seed)
-    if not (0.0 < eigen_lo <= eigen_hi):
-        raise ValueError(
-            f"need 0 < eigen_lo <= eigen_hi, got [{eigen_lo}, {eigen_hi}]"
-        )
+    check_objective("quadratic", dim, seed, eigen_lo, eigen_hi)
     rng = np.random.default_rng(seed)
     gauss = rng.standard_normal((dim, dim))
     return gauss, rng.uniform(eigen_lo, eigen_hi, size=dim)
@@ -336,9 +332,12 @@ def get_objective(
     return rosenbrock(dim)
 
 
-def check_objective(name: str, dim: int, seed: int = 0) -> None:
+def check_objective(
+    name: str, dim: int, seed: int = 0, eigen_lo: float = 1e-3, eigen_hi: float = 1.0
+) -> None:
     """Reject an unknown objective name, a dimension the named objective
-    cannot take, or a negative seed (numpy's generators refuse one) before
+    cannot take, a negative seed (numpy's generators refuse one) or, for
+    the quadratic, an eigenvalue range outside 0 < lo <= hi < inf before
     anything is built: the one rule, which the constructors call as well."""
     if seed < 0:
         raise ValueError(f"objective seed must be >= 0, got {seed}")
@@ -350,3 +349,5 @@ def check_objective(name: str, dim: int, seed: int = 0) -> None:
         raise ValueError("camelback is two-dimensional; set dim = 2")
     if name == "rosenbrock" and dim < 2:
         raise ValueError(f"rosenbrock needs dim >= 2, got {dim}")
+    if name == "quadratic" and not 0.0 < eigen_lo <= eigen_hi < np.inf:  # also NaN
+        raise ValueError(f"need 0 < eigen_lo <= eigen_hi < inf, got [{eigen_lo}, {eigen_hi}]")

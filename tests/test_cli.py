@@ -8,17 +8,18 @@ import numpy as np
 import pytest
 
 from contactopt.checks import CheckResult
-from contactopt.cli import main, parse_init_flag
+from contactopt.cli import main
 from contactopt.contact import Trajectory
 from contactopt.harness import (
     InitSpec,
     export_trace_csv,
     parse_experiment,
+    parse_init_flag,
     read_band_csv,
     read_trace_csv,
 )
 from contactopt.optimizers import RunRecord
-from contactopt.presets import experiment_preset
+from contactopt.presets import PRESET_NAMES, SCALES, experiment_preset
 
 
 @pytest.fixture(autouse=True)
@@ -44,26 +45,28 @@ def tiny_config(tmp_path, **over):
 
 class TestInitFlag:
     def test_forms(self):
-        assert parse_init_flag("const:2") == InitSpec(kind="pattern", values=(2.0,))
-        assert parse_init_flag("vec:1,2") == InitSpec(kind="fixed", values=(1.0, 2.0))
-        assert parse_init_flag("alt:-1.2,1") == InitSpec(
+        assert parse_init_flag("pattern:2") == InitSpec(kind="pattern", values=(2.0,))
+        assert parse_init_flag("fixed:1,2") == InitSpec(kind="fixed", values=(1.0, 2.0))
+        assert parse_init_flag("pattern:-1.2,1") == InitSpec(
             kind="pattern", values=(-1.2, 1.0))
         assert parse_init_flag("box:-1,1") == InitSpec(kind="box", lo=-1.0, hi=1.0)
-        assert parse_init_flag("1.5,-2.5") == InitSpec(
-            kind="fixed", values=(1.5, -2.5))
 
     def test_rejects_malformed(self):
-        with pytest.raises(ValueError, match="unknown form"):
-            parse_init_flag("gauss:0,1")
-        with pytest.raises(ValueError, match="exactly one"):
-            parse_init_flag("const:1,2")
-        with pytest.raises(ValueError, match="lo,hi"):
+        # a kind outside the config's three is InitSpec's own error, so are
+        # a missing value and a value that is not finite
+        kinds = r"^init kind must be 'fixed', 'pattern' or 'box', got "
+        for text in ("gauss:0,1", "constant:2", "vector:1,2", "1,2", ""):
+            with pytest.raises(ValueError, match=kinds):
+                parse_init_flag(text)
+        with pytest.raises(ValueError, match=r"^--init box: takes exactly lo,hi$"):
             parse_init_flag("box:1")
-        with pytest.raises(ValueError, match="at least one"):
-            parse_init_flag("vec:")
+        with pytest.raises(ValueError, match=r"^init kind 'fixed' needs at least one value$"):
+            parse_init_flag("fixed:")
+        with pytest.raises(ValueError, match=r"^init values must be finite"):
+            parse_init_flag("pattern:nan")
         with pytest.raises(ValueError, match="comma-separated"):
-            parse_init_flag("vec:a,b")
-        for text in ("vec:1,,2", ",1,2", "alt:1,"):
+            parse_init_flag("fixed:a,b")
+        for text in ("fixed:1,,2", "pattern:,1,2", "pattern:1,"):
             with pytest.raises(ValueError, match="^--init: expected comma-separated numbers"):
                 parse_init_flag(text)
 
@@ -74,7 +77,7 @@ class TestRunCommand:
         rc = main([
             "run", "--objective", "quartic", "--dim", "3",
             "--optimizer", "crgd", "--epsilon", "0.005", "--mu", "0.9",
-            "--iters", "500", "--init", "const:2", "--out", out,
+            "--iters", "500", "--init", "pattern:2", "--out", out,
         ])
         assert rc == 0
         assert "final gap" in capsys.readouterr().out
@@ -117,7 +120,7 @@ class TestRunCommand:
         rc = main([
             "run", "--objective", "quartic", "--dim", "2",
             "--optimizer", "gd", "--tau", "1.0", "--iters", "50",
-            "--init", "const:2",
+            "--init", "pattern:2",
         ])
         assert rc == 2
         assert "diverged" in capsys.readouterr().err
@@ -134,7 +137,7 @@ class TestRunCommand:
         cfg.write_text(Path(tiny_config(tmp_path)).read_text().replace("-1.0", "-Infinity"))
         for argv, prefix in (
             (["run", "--objective", "quartic", "--dim", "3", "--optimizer", "gd",
-              "--init", "const:nan"], "error: "),
+              "--init", "pattern:nan"], "error: "),
             *((["run", "--objective", "quartic", "--dim", "3", "--iters", "5",
                 "--optimizer", *tunable], "error: ")
               for tunable in (("rgd", "--delta", "nan"), ("cm", "--tau", "inf"),
@@ -146,7 +149,8 @@ class TestRunCommand:
             err = capsys.readouterr().err
             assert err.startswith(prefix) and "finite" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("init, fields", [("vec:1,,2,3", "1,,2,3"), (",1,2,3", ",1,2,3")])
+    @pytest.mark.parametrize("init, fields",
+                             [("fixed:1,,2,3", "1,,2,3"), ("pattern:,1,2,3", ",1,2,3")])
     def test_empty_init_field_is_usage_error(self, capsys, init, fields):
         rc = main(["run", "--objective", "quartic", "--dim", "3", "--optimizer", "gd",
                    "--iters", "2", "--init", init])
@@ -164,7 +168,7 @@ class TestRunCommand:
     def test_init_length_mismatch(self, capsys):
         rc = main([
             "run", "--objective", "quartic", "--dim", "2",
-            "--optimizer", "gd", "--init", "vec:1,2,3",
+            "--optimizer", "gd", "--init", "fixed:1,2,3",
         ])
         assert rc == 1
         assert "dim" in capsys.readouterr().err
@@ -172,7 +176,7 @@ class TestRunCommand:
     def test_init_length_mismatch_has_the_spec_wording(self, capsys):
         rc = main([
             "run", "--objective", "quartic", "--dim", "3",
-            "--optimizer", "gd", "--init", "vec:1,2",
+            "--optimizer", "gd", "--init", "fixed:1,2",
         ])
         assert rc == 1
         assert capsys.readouterr().err == "error: fixed init length 2 does not match dim 3\n"
@@ -261,17 +265,18 @@ class TestSearchCommand:
 
 
 class TestBenchCommand:
-    def test_dump_config_roundtrips(self, capsys):
-        rc = main(["bench", "--preset", "camelback", "--seed", "5",
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_dump_config_roundtrips(self, capsys, preset, scale):
+        rc = main(["bench", "--preset", preset, "--scale", scale, "--seed", "5",
                    "--dump-config"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        assert parse_experiment(doc) == experiment_preset(
-            "camelback", scale="desk", master_seed=5)
+        assert parse_experiment(doc) == experiment_preset(preset, scale=scale, master_seed=5)
 
     def test_dump_config_respects_init_override(self, capsys):
         rc = main(["bench", "--preset", "quartic", "--dump-config",
-                   "--init", "alt:3"])
+                   "--init", "pattern:3"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["init"] == {"kind": "pattern", "pattern": [3.0]}

@@ -101,6 +101,14 @@ class TestStartRow:
             traj = START_TAKERS[name](np.array([1.0, bad, 0.3, 0.2, 0.7]), 1.0)
         assert traj.diverged and len(traj) == 0 and traj.z.shape == (0, 5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["reference_integrate", "integrate_split"])
+    def test_a_start_clock_past_the_limit_is_a_run_of_no_rows(self, name, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = START_TAKERS[name](np.array([1.0, -0.5, 0.3, 0.2, 0.7]), bad)
+        assert traj.diverged and len(traj) == 0 and traj.t.shape == (0,)
+
     @pytest.mark.parametrize("name", START_TAKERS)
     def test_the_start_is_checked_and_left_as_it_was(self, name):
         call = START_TAKERS[name]
@@ -349,6 +357,16 @@ class TestTrajectory:
         traj = Trajectory.of(advance, np.array([bad, 0.0, 0.0]), 0.0, 3)
         assert traj.diverged and len(traj) == 0 and steps == []
         assert traj.z.shape == (0, 3) and traj.S.shape == (0,)
+        # the clock is held to the same limit as the row beside it
+        traj = Trajectory.of(advance, np.zeros(3), bad, 3)
+        assert traj.diverged and len(traj) == 0 and steps == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2e300])
+    def test_of_truncates_before_a_clock_past_the_limit(self, bad):
+        traj = Trajectory.of(lambda z, t: (z.copy(), t + bad), np.ones(3), 0.0, 3)
+        assert traj.diverged
+        np.testing.assert_array_equal(traj.t, [0.0])
+        np.testing.assert_array_equal(traj.z, [[1.0] * 3])
 
 
 class TestReferenceIntegrate:

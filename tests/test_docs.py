@@ -3,11 +3,15 @@ drift fails here rather than leaving the docs wrong."""
 
 import builtins
 import importlib
+import itertools
 import pathlib
 import pkgutil
 import re
+import shlex
 
 import contactopt
+from contactopt import harness
+from contactopt.cli import build_parser
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -64,3 +68,35 @@ def test_a_name_the_code_lost_is_caught():
         "`CONTACT_OPT_SEED`, `NO_SUCH_VARIABLE=1`\n```python\nGone()\n```"
     )
     assert unresolved_names(text) == ["ContactState", "NO_SUCH_VARIABLE"]
+
+
+def readme_section(title):
+    return README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_every_cli_command_in_the_readme_parses():
+    """Each ``contactopt`` command of the CLI block, its continuation lines
+    joined and a shell redirect cut off, parses with the real parser, and
+    its start reads through the --init reader."""
+    block = re.search(r"```sh\n(.*?)```", readme_section("CLI"), re.S).group(1)
+    for line in filter(str.strip, block.replace("\\\n", " ").splitlines()):
+        argv = shlex.split(line)
+        assert argv[0] == "contactopt", line
+        argv = list(itertools.takewhile(lambda tok: tok not in (">", "|"), argv[1:]))
+        args = build_parser().parse_args(argv)
+        if getattr(args, "init", None) is not None:
+            harness.parse_init_flag(args.init)
+
+
+def test_every_start_form_in_the_readme_reads():
+    """The --init table has one row per config init kind, and each form,
+    its placeholders filled with increasing numbers, reads as that kind."""
+    table = readme_section("CLI").split("### Start-point syntax", 1)[1]
+    forms = re.findall(r"^\| `([a-z]+:[^`]*)`", table, re.M)
+    kinds = []
+    for form in forms:
+        kind, _, names = form.partition(":")
+        numbers = ",".join(str(i + 1) for i in range(len(names.split(","))))
+        assert harness.parse_init_flag(f"{kind}:{numbers}").kind == kind, form
+        kinds.append(kind)
+    assert sorted(kinds) == sorted(harness._INIT_KIND_KEYS)

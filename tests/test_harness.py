@@ -36,7 +36,15 @@ from contactopt.harness import (
     spec_to_doc,
 )
 from contactopt.objectives import OBJECTIVE_NAMES
-from contactopt.optimizers import KIND_PARAMS, OPTIMIZER_KINDS, TUNABLES, RunRecord, run
+from contactopt.optimizers import (
+    CLOCKS,
+    KIND_PARAMS,
+    MOMENTUM_SCHEDULES,
+    OPTIMIZER_KINDS,
+    TUNABLES,
+    RunRecord,
+    run,
+)
 from contactopt.presets import PRESET_NAMES, SCALES, experiment_preset
 
 
@@ -729,6 +737,10 @@ def experiment_docs(draw):
     name = draw(st.sampled_from(OBJECTIVE_NAMES))
     dim = 2 if name == "camelback" else draw(st.integers(2 if name == "rosenbrock" else 1, 8))
     objective = {"name": name, "dim": dim}
+    if name == "quadratic":  # lo <= 1 <= hi, so either may be left to its default
+        for key, bounds in (("eigen_lo", (1e-6, 1.0)), ("eigen_hi", (1.0, 1e6))):
+            if draw(st.booleans()):
+                objective[key] = draw(st.floats(*bounds))
     init_kind = draw(st.sampled_from(["fixed", "pattern", "box"]))
     if init_kind == "box":
         lo = draw(_finite)
@@ -741,6 +753,9 @@ def experiment_docs(draw):
         names = set(KIND_PARAMS[kind]) | draw(st.sets(st.sampled_from(TUNABLES)))
         ranges = {p: draw(_IN_DOMAIN[p]) for p in names}
         entry = {"kind": kind, "ranges": ranges}
+        for key, values in (("momentum_schedule", MOMENTUM_SCHEDULES), ("clock", CLOCKS)):
+            if draw(st.booleans()):
+                entry[key] = draw(st.sampled_from(values))
         laws = {p: "log_uniform" if lo > 0 and draw(st.booleans()) else "uniform"
                 for p, (lo, _) in ranges.items() if draw(st.booleans())}
         if laws or draw(st.booleans()):
@@ -835,6 +850,45 @@ class TestConfigParsing:
         doc = base_doc()
         doc["objective"] = {"name": "quadratic", "dim": 3, "seed": -1}
         with pytest.raises(ConfigError, match=r"^at \$\.objective: objective seed must be >= 0, got -1$"):
+            parse_experiment(doc)
+
+    def test_schedule_and_clock_survive_a_dump(self):
+        spec = experiment_preset("quartic")
+        entries = tuple(
+            dataclasses.replace(e, momentum_schedule="nesterov_k") if e.kind == "nag"
+            else dataclasses.replace(e, clock="physical") if e.kind == "crgd" else e
+            for e in spec.optimizers
+        )
+        spec = dataclasses.replace(spec, optimizers=entries)
+        doc = spec_to_doc(spec)
+        assert [set(e) - {"kind", "ranges", "sampling"} for e in doc["optimizers"]] == [
+            set(), {"momentum_schedule"}, set(), {"clock"}]
+        assert parse_experiment(doc) == spec
+
+    def test_eigen_range_survives_a_dump_and_defaults_are_not_written(self):
+        doc = base_doc()
+        doc["objective"] = {"name": "quadratic", "dim": 3, "seed": 1, "eigen_lo": 0.5}
+        spec = parse_experiment(doc)
+        assert (spec.objective.eigen_lo, spec.objective.eigen_hi) == (0.5, 1.0)
+        assert spec_to_doc(spec)["objective"] == doc["objective"]
+        assert parse_experiment(spec_to_doc(spec)) == spec
+        assert spec_to_doc(parse_experiment(base_doc()))["objective"] == {
+            "name": "quartic", "dim": 3, "seed": 1}
+
+    @pytest.mark.parametrize("objective, why", [
+        ({"name": "quartic", "dim": 2, "eigen_hi": 2.0},
+         r"eigen_lo and eigen_hi are the quadratic's, not quartic's"),
+        ({"name": "quadratic", "dim": 2, "eigen_lo": 2.0},
+         r"need 0 < eigen_lo <= eigen_hi < inf, got \[2.0, 1.0\]"),
+        ({"name": "quadratic", "dim": 2, "eigen_lo": 0},
+         r"need 0 < eigen_lo <= eigen_hi < inf, got \[0, 1.0\]"),
+        ({"name": "quadratic", "dim": 2, "eigen_hi": math.inf},
+         r"need 0 < eigen_lo <= eigen_hi < inf, got \[0.001, inf\]"),
+    ], ids=["not-quadratic", "inverted", "zero", "infinite"])
+    def test_eigen_range_is_checked_at_the_objective(self, objective, why):
+        doc = base_doc()
+        doc["objective"] = objective
+        with pytest.raises(ConfigError, match=r"^at \$\.objective: " + why + "$"):
             parse_experiment(doc)
 
     def test_non_finite_init_is_a_config_error(self):
