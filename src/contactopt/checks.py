@@ -6,9 +6,9 @@ complex-step Jacobian, exact to rounding, convergence orders against the
 RK4 oracle, the discrete optimizer recursion against the splitting flows,
 the dissipation identity against finite differences of H, the special-case
 reductions of the contact fields against their classical counterparts, and
-(``nag``) the factorized Nesterov stepper: its S against the closed-form
-momentum product, its trivial k = 1 stage, and its X drift from the
-classical stepper, which is reported, not gated.  Families return plain
+(``nag``) Nesterov's step: its S against the closed-form momentum product,
+its trivial k = 1 stage, and its complex-step Jacobian against the closed
+form of the symplectic defect, every result asserted.  Families return plain
 results; the CLI formats them, the test suite asserts on them, and both
 share these implementations so there is exactly one definition of
 "correct" per property.
@@ -21,8 +21,8 @@ families, and no two master seeds, share a draw.
 Every family reduces its evaluations with one NaN-propagating maximum,
 :func:`~contactopt.objectives.largest`; a map that crushes the contact
 form or cannot carry a complex row, or a run that did not finish, reads
-as inf.  So such a certificate fails its result, and run_checks raises
-only for a bad family name.
+as inf (``nag``'s Jacobian as NaN).  So such a certificate fails its
+result, and run_checks raises only for a bad family name.
 """
 
 import math
@@ -33,6 +33,7 @@ import numpy as np
 
 from .contact import (
     Partials,
+    _jacobian,
     conformal_factor,
     contact_field,
     dissipation_residual,
@@ -55,12 +56,7 @@ from .integrators import (
 )
 from .harness import derive_seed
 from .objectives import largest, make_random_quadratic
-from .optimizers import (
-    OptimizerConfig,
-    nag_contact_map,
-    nag_decomposed_step,
-    step,
-)
+from .optimizers import OptimizerConfig, nag_contact_map, step
 
 __all__ = [
     "CheckResult",
@@ -452,17 +448,23 @@ def check_specialization(seed: int = 0) -> List[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# Family: Nesterov factorization report
+# Family: Nesterov's step
 # ---------------------------------------------------------------------------
 
 
 def check_nag(seed: int = 0) -> List[CheckResult]:
-    """Cross-checks of the two Nesterov implementations.
+    """NAG's step, ``step`` of kind nag, against three closed forms.
 
-    The S sequence of the factorized stepper must follow the closed-form
-    product of momentum coefficients (asserted); the X sequences of the
-    classical and factorized steppers are compared and reported only, since
-    the two orderings provably differ in the momentum slot at finite k.
+    Its S must follow the product of its momentum coefficients, and at
+    k = 1, where the coefficient is 0, its new look-ahead must equal its
+    new iterate.  Its Jacobian J in (X, V), read by complex step through
+    step's own code on the family's random quadratic f = x'Ax/2, must
+    satisfy J' Omega J = [[0, cB], [-cB, 0]] with B = I - tau A and
+    Omega = [[0, I], [-I, 0]], at k = 5 under both momentum schedules,
+    to 1e-12.  NAG thus rescales the symplectic form by c only to first
+    order in tau, and its step is not a contact map; its momentum map is
+    one, with factor c (``nag_contact_map``, certified by the conformal
+    family).
     """
     rng, obj_seed = _draws(seed, "nag")
     dim = 4
@@ -474,16 +476,16 @@ def check_nag(seed: int = 0) -> List[CheckResult]:
     z = np.concatenate([rng.standard_normal(dim), rng.standard_normal(dim), [s0_val]])
     expected = s0_val
     for j in range(k + 1, k + steps + 1):
-        z, k = nag_decomposed_step(z, k, obj, cfg)
+        z, k = step(z, k, obj, cfg)
         expected *= (j - 1.0) / (j + 2.0)
     dev_s = abs(float(z[-1]) - expected)
     results = [_bounded("nag", "factorized S = S0 * prod (k-1)/(k+2)", dev_s, 1e-12)]
 
-    # first step has zero momentum coefficient: the contact stage must set
-    # the new momentum equal to the new point
+    # the first step has zero momentum coefficient: the new look-ahead is
+    # the new iterate
     z = np.concatenate([rng.standard_normal(dim), rng.standard_normal(dim), [1.0]])
-    nxt, _ = nag_decomposed_step(z, 0, obj, cfg)
-    dev_first = largest(np.abs(nxt[dim:-1] - z[dim:-1]))
+    nxt, _ = step(z, 0, obj, cfg)
+    dev_first = largest(np.abs(nxt[dim:-1] - nxt[:dim]))
     results.append(
         CheckResult(
             family="nag",
@@ -493,25 +495,18 @@ def check_nag(seed: int = 0) -> List[CheckResult]:
         )
     )
 
-    # report-only: iterate both forms side by side
-    x0 = rng.standard_normal(dim)
-    a = b = np.concatenate([x0, x0, [0.0]])
-    drift = []
-    for k in range(30):
-        a, _ = step(a, k, obj, cfg)
-        b, _ = nag_decomposed_step(b, k, obj, cfg)
-        drift.append(np.abs(a[:dim] - b[:dim]))
-    results.append(
-        CheckResult(
-            family="nag",
-            name="classical vs factorized X sequence (report only)",
-            passed=True,
-            value=largest(drift),
-            detail="informational; the factorization reproduces each step "
-            "from the classical state but is not self-consistent as an "
-            "iteration, so the sequences drift apart",
-        )
-    )
+    # the symplectic defect of the step at k = 5, where c is mu or k/(k+3)
+    z, k, tau, mu = rng.standard_normal(2 * dim + 1), 5, 0.1, 0.9
+    eye, zero = np.eye(dim), np.zeros((dim, dim))
+    omega = np.block([[zero, eye], [-eye, zero]])
+    b = eye - tau * obj.grad(eye)  # I - tau A
+    devs = []
+    for schedule, c in (("constant", mu), ("nesterov_k", k / (k + 3.0))):
+        nag = OptimizerConfig(kind="nag", tau=tau, mu=mu, momentum_schedule=schedule)
+        j = _jacobian(lambda row, i: step(row, i, obj, nag), z, k)[: 2 * dim, : 2 * dim]
+        devs.append(np.abs(j.T @ omega @ j - np.block([[zero, c * b], [-c * b, zero]])))
+    name = "step J'OmegaJ = [[0, cB], [-cB, 0]], B = I - tau A"
+    results.append(_bounded("nag", name, largest(devs), TOL_EQUIVALENCE))
     return results
 
 

@@ -278,11 +278,19 @@ def _jacobian(func: RowMap, z: np.ndarray, t: float) -> np.ndarray:
     """The Jacobian of func's row at the real row z and clock t by complex
     step (Squire and Trapp, 1998): column j is Im func(z + i h e_j, t)/h
     with h = 1e-30, exact to rounding for a map whose code carries the
-    imaginary part, since nothing is subtracted.  The rows are read-only."""
+    imaginary part, since nothing is subtracted.  The rows are read-only.
+    A map that cannot take a complex row, because it casts it to float
+    (``ComplexWarning``, whatever the warning filters) or raises
+    ``TypeError``, gets a Jacobian of NaN."""
     h = 1e-30
     shifted = z + 1j * h * np.eye(len(z))
     shifted.setflags(write=False)
-    f = np.array([func(row, t)[0] for row in shifted])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            f = np.array([func(row, t)[0] for row in shifted])
+    except (np.exceptions.ComplexWarning, TypeError):
+        return np.full((len(z), len(z)), math.nan)
     # C order: the layout picks the BLAS kernel of the pullback j.T @ eta,
     # and with it the rounding of every certificate
     return np.ascontiguousarray(f.imag.T) / h
@@ -318,12 +326,7 @@ def conformal_factor(
     z = check_row(np.array(z, dtype=float))
     z.setflags(write=False)
     mapped, _ = func(z, t)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", np.exceptions.ComplexWarning)
-            j = _jacobian(func, z, t)
-    except (np.exceptions.ComplexWarning, TypeError):
-        return math.nan, math.inf
+    j = _jacobian(func, z, t)
     eta_target = _form_coeffs(form, mapped)
     eta_src = _form_coeffs(source_form if source_form is not None else form, z)
     pullback = j.T @ eta_target

@@ -13,19 +13,23 @@ the two code paths to 1e-12 of each other.
 Each kind's update is written once, as an array function of (X, V, S)
 that takes one point (n,) with float tunables or a stack of T points
 (T, n) with the tunables as (T, 1) columns.  S rides along as a trailing
-column, (1,) or (T, 1): gd, cm and nag carry it unchanged, rgd and crgd
-advance it by composing the exact stage flows in the m=1 gauge (tau =
-sqrt(2*epsilon)).  With delta = 0 the kinetic rate keeps only the
-velocity-dependent part, since the rest-energy constant diverges in that
-limit.  S never feeds back into X or V.  step() applies the update its
-config's kind selects as a contact map (z, k) -> (z, k + 1) of the flat
-(X, V, S) row, so Trajectory.of records a run with S; run_batch() iterates
-it over a stack of T runs of one kind without S and records only the
-objective gaps, one (iters + 1, T) matrix; run() is its T=1 case.
-nag_contact_map, the momentum half of the Nesterov factorization, is a
-map of the (X, P, S) row too, and `contact.conformal_factor` certifies it
+column, (1,) or (T, 1): gd and cm carry it unchanged, nag scales it by
+its momentum coefficient c, and rgd and crgd advance it by composing the
+exact stage flows in the m=1 gauge (tau = sqrt(2*epsilon)).  With
+delta = 0 the kinetic rate keeps only the velocity-dependent part, since
+the rest-energy constant diverges in that limit.  S never feeds back
+into X or V.  step() applies the update its config's kind selects as a
+map (z, k) -> (z, k + 1) of the flat (X, V, S) row, so Trajectory.of
+records a run with S; run_batch() iterates it over a stack of T runs of
+one kind without S and records only the objective gaps, one
+(iters + 1, T) matrix; run() is its T=1 case.
+A nag step is the gradient stage at the look-ahead, x = V - tau grad
+f(V), followed by the momentum map (X, V, S) -> (V, V + c (V - X), c S)
+on (X, x, S).  nag_contact_map is that momentum map as a map of the
+(X, P, S) row, and `contact.conformal_factor` certifies it, factor c,
 through its complex-step Jacobian, on the map's own code: none is
-written by hand.
+written by hand.  The whole nag step is not a contact map; the `nag`
+check family pins how it bends the symplectic form instead.
 """
 
 import math
@@ -48,7 +52,6 @@ __all__ = [
     "RunRecord",
     "BatchRecords",
     "step",
-    "nag_decomposed_step",
     "nag_contact_map",
     "run",
     "run_batch",
@@ -171,15 +174,14 @@ def _nag_coefficient(k_new: int, p):
 
 
 def _momentum(x, p, s, c):
-    """(X, P, S) -> (P, P + c (P - X), c S): the momentum half of the
-    Nesterov factorization, as a new flat row."""
-    return np.concatenate([p, p + c * (p - x), c * s])
+    """(X, P, S) -> (P, P + c (P - X), c S): the momentum map, as its
+    three parts; S None stays None."""
+    return p, p + c * (p - x), None if s is None else c * s
 
 
 def _nag(X, V, S, k, obj, p):
-    c = _nag_coefficient(k + 1, p)
-    x = V - p.tau * obj.grad(V)
-    return x, x + c * (x - X), S
+    """The gradient at the look-ahead, then the momentum map."""
+    return _momentum(X, V - p.tau * obj.grad(V), S, _nag_coefficient(k + 1, p))
 
 
 def _sqnorm(V):
@@ -257,23 +259,6 @@ def step(z: np.ndarray, k: int, obj: Objective, cfg: OptimizerConfig) -> Step:
     return np.concatenate([x, v, s]), k + 1
 
 
-def nag_decomposed_step(z: np.ndarray, k: int, obj: Objective, cfg: OptimizerConfig) -> Step:
-    """Nesterov by its contact-geometric factorization, as a map of the
-    flat (X, V, S) row like :func:`step`.
-
-    First the momentum map (X, V, S) -> (V, V + c (V - X), c S), which is a
-    contact transformation of the std2 form with factor c, then a plain
-    gradient step on the new X.  The X sequence matches a nag step whenever
-    the look-ahead slot is consistent; the full sequences are compared (not
-    asserted) by the `check` report because the two orderings disagree in
-    the momentum slot at finite k.
-    """
-    z = _momentum(*_split(z, k), _nag_coefficient(k + 1, cfg))
-    x = z[: len(z) // 2]
-    x -= cfg.tau * obj.grad(x)
-    return z, k + 1
-
-
 def nag_contact_map(z: np.ndarray, t: float, k: int) -> Step:
     """The momentum half of the Nesterov factorization at iteration k >= 1,
     as a map of the flat (X, P, S) row.
@@ -282,7 +267,7 @@ def nag_contact_map(z: np.ndarray, t: float, k: int) -> Step:
     unchanged; the map rescales the std2 contact form by exactly c, which
     `contact.conformal_factor` reads off its complex-step Jacobian.
     """
-    return _momentum(*_split(z, k), _nesterov_coefficient(k)), t
+    return np.concatenate(_momentum(*_split(z, k), _nesterov_coefficient(k))), t
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import contactopt.checks as checks
+import contactopt.optimizers as optimizers
 from contactopt.checks import ORDER_TAUS, fit_order, order_errors
 from contactopt.contact import Trajectory, reference_integrate
 from contactopt.integrators import ContactParams, contact_hamiltonian, nag_like_damping
@@ -117,29 +118,26 @@ def test_no_two_families_or_seeds_share_an_objective(monkeypatch):
 # field and its RK4 oracle (orders, dissipation, specialization) or the
 # splitting flows and composed steps (conformal) have their results pinned
 # bit for bit, as (name, passed, float.hex(value), detail), at five seeds.
-_REPORT_ONLY = (
-    "informational; the factorization reproduces each step from the classical "
-    "state but is not self-consistent as an iteration, so the sequences drift apart"
-)
+_NAG_DEFECT = "step J'OmegaJ = [[0, cB], [-cB, 0]], B = I - tau A"
 _STEP_CHECKS = (  # name and detail of each result, in report order
     ("crgd_step vs strang_step", "tol 1e-12"),
     ("rgd_step vs strang_step (constant h)", "tol 1e-12"),
     ("rgd == crgd at mu = 1 (bitwise)", ""),
     ("factorized S = S0 * prod (k-1)/(k+2)", "tol 1e-12"),
     ("k=1 momentum stage is trivial (c=0)", ""),
-    ("classical vs factorized X sequence (report only)", _REPORT_ONLY),
+    (_NAG_DEFECT, "tol 1e-12"),
 )
 _STEP_CHECK_VALUES = {
     0: ("0x1.0000000000000p-50", "0x1.0000000000000p-50", "0x0.0p+0", "0x0.0p+0",
-        "0x0.0p+0", "0x1.ce0852ca4ffe0p+8"),
+        "0x0.0p+0", "0x1.527b4c00b94adp-52"),
     1: ("0x1.8000000000000p-49", "0x1.0000000000000p-50", "0x0.0p+0", "0x0.0p+0",
-        "0x0.0p+0", "0x1.aa86074cb27d9p+6"),
+        "0x0.0p+0", "0x1.1ed2c862f5629p-52"),
     7: ("0x1.0000000000000p-50", "0x1.0000000000000p-50", "0x0.0p+0", "0x0.0p+0",
-        "0x0.0p+0", "0x1.f2d6ba509c1e6p+7"),
+        "0x0.0p+0", "0x1.a21bf7ff7e0b9p-53"),
     42: ("0x1.0000000000000p-49", "0x1.0000000000000p-50", "0x0.0p+0", "0x0.0p+0",
-         "0x0.0p+0", "0x1.e9c8db49e58d4p+6"),
+         "0x0.0p+0", "0x1.1e0bbdde6c69bp-52"),
     4242: ("0x1.0000000000000p-50", "0x1.0000000000000p-50", "0x0.0p+0", "0x0.0p+0",
-           "0x0.0p+0", "0x1.9d0951379a714p+7"),
+           "0x0.0p+0", "0x1.224ab700a3e53p-52"),
 }
 
 _CONTACT_CHECKS = (  # orders, dissipation and specialization, in report order
@@ -279,6 +277,43 @@ def test_a_map_with_a_wrong_s_term_fails_both_its_results(monkeypatch, name, bro
     # cannot hide behind a Jacobian written for the right one
     monkeypatch.setattr(checks, name, broken)
     assert set(_failed(checks.check_conformal(0))) == results
+
+
+def _nag_step_with_coefficient_off_by_one_percent(z, k, obj, cfg):
+    # V' = x + 1.01 c (x - X), with S' = c S and the gradient stage kept
+    n = len(z) // 2
+    c = optimizers._nag_coefficient(k + 1, cfg)
+    x = z[n:-1] - cfg.tau * obj.grad(z[n:-1])
+    return np.concatenate([x, x + 1.01 * c * (x - z[:n]), c * z[-1:]]), k + 1
+
+
+def test_a_wrong_nag_coefficient_fails_only_the_symplectic_defect(monkeypatch):
+    # The S product and the k = 1 stage do not read the coefficient of the
+    # momentum slot, so only the closed form of J'OmegaJ catches it (8.6e-3
+    # here).  This certificate does not see the order of the stages: the
+    # momentum map followed by the gradient at the new X, a different
+    # iteration, has the same J'OmegaJ (at most 1.1e-16 over master seeds
+    # 0-63), so the bit-for-bit factorization test in test_optimizers.py
+    # guards the order.
+    monkeypatch.setattr(checks, "step", _nag_step_with_coefficient_off_by_one_percent)
+    failed = _failed(checks.check_nag(0))
+    assert set(failed) == {_NAG_DEFECT}
+    assert 1e-3 < failed[_NAG_DEFECT] < 1e-1
+
+
+@pytest.mark.parametrize("broken", [
+    lambda z, k, obj, cfg: (z * math.nan, k + 1),
+    lambda z, k, obj, cfg: optimizers.step(np.asarray(z, dtype=float), k, obj, cfg),
+], ids=["nan", "float cast"])
+def test_a_nag_step_that_computes_nothing_fails_the_symplectic_defect(monkeypatch, broken):
+    # NaN arithmetic, or a cast that drops the complex rows the Jacobian is
+    # read from, under either warning filter: the closed form reads NaN
+    monkeypatch.setattr(checks, "step", broken)
+    for filters in ("default", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(filters)
+            failed = _failed(checks.check_nag(0))
+        assert math.isnan(failed[_NAG_DEFECT])
 
 
 def test_a_nan_optimizer_step_fails_equivalence(monkeypatch):

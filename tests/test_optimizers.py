@@ -18,6 +18,7 @@ from contactopt.objectives import (
     rosenbrock,
 )
 from contactopt.optimizers import (
+    MOMENTUM_SCHEDULES,
     OPTIMIZER_KINDS,
     OptimizerConfig,
     RunRecord,
@@ -25,7 +26,6 @@ from contactopt.optimizers import (
     _UPDATES,
     _start_velocity,
     nag_contact_map,
-    nag_decomposed_step,
     run,
     run_batch,
     step,
@@ -95,13 +95,12 @@ class TestStateHandling:
 class TestRowSignature:
     def test_steps_reject_an_even_row_and_a_negative_counter(self):
         obj = halfsq()
-        for stepper, kinds in ((step, OPTIMIZER_KINDS), (nag_decomposed_step, ("nag",))):
-            for kind in kinds:
-                cfg = OptimizerConfig(kind=kind)
-                with pytest.raises(ValueError, match="odd length"):
-                    stepper(np.zeros(2), 0, obj, cfg)
-                with pytest.raises(ValueError, match="non-negative"):
-                    stepper(np.zeros(3), -1, obj, cfg)
+        for kind in OPTIMIZER_KINDS:
+            cfg = OptimizerConfig(kind=kind)
+            with pytest.raises(ValueError, match="odd length"):
+                step(np.zeros(2), 0, obj, cfg)
+            with pytest.raises(ValueError, match="non-negative"):
+                step(np.zeros(3), -1, obj, cfg)
 
     @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
     def test_steps_read_a_read_only_row_and_return_a_new_one(self, kind):
@@ -109,11 +108,10 @@ class TestRowSignature:
         cfg = OptimizerConfig(kind=kind, tau=0.1, epsilon=0.01)
         z = np.array([1.0, -0.5, 0.3, 0.2, 0.7])
         z.setflags(write=False)
-        for stepper in (step, nag_decomposed_step):
-            out, k = stepper(z, 2, obj, cfg)
-            assert k == 3 and out.flags.writeable and not np.shares_memory(out, z)
-            assert out.shape == z.shape and not np.array_equal(out, z)
-            np.testing.assert_array_equal(z, [1.0, -0.5, 0.3, 0.2, 0.7])
+        out, k = step(z, 2, obj, cfg)
+        assert k == 3 and out.flags.writeable and not np.shares_memory(out, z)
+        assert out.shape == z.shape and not np.array_equal(out, z)
+        np.testing.assert_array_equal(z, [1.0, -0.5, 0.3, 0.2, 0.7])
 
 
 class TestGradientDescent:
@@ -189,35 +187,30 @@ class TestNesterov:
 
 
 class TestNesterovFactorization:
-    def test_single_step_x_matches_two_sequence_form(self):
+    @pytest.mark.parametrize("schedule", MOMENTUM_SCHEDULES)
+    def test_step_is_the_look_ahead_gradient_then_the_momentum_map(self, schedule):
         obj = make_random_quadratic(3, 4, 0.2, 1.0)
-        cfg = OptimizerConfig(kind="nag", tau=0.15, mu=0.8)
+        cfg = OptimizerConfig(kind="nag", tau=0.1, mu=0.8, momentum_schedule=schedule)
         rng = np.random.default_rng(0)
-        z0 = np.concatenate([rng.standard_normal(4), rng.standard_normal(4), [0.3]])
-        a, _ = step(z0, 6, obj, cfg)
-        b, _ = nag_decomposed_step(z0, 6, obj, cfg)
-        # same input row: X+ = V - tau grad f(V) either way, bitwise
-        np.testing.assert_array_equal(a[:4], b[:4])
-
-    def test_iterated_sequences_drift_apart(self):
-        obj = make_random_quadratic(3, 4, 0.2, 1.0)
-        cfg = OptimizerConfig(kind="nag", tau=0.15, mu=0.8)
-        a = b = np.concatenate([np.ones(4), np.ones(4), [0.0]])
-        gaps = []
-        for k in range(12):
+        a = b = np.concatenate([rng.standard_normal(4), rng.standard_normal(4), [0.3]])
+        for k in range(30):
             a, _ = step(a, k, obj, cfg)
-            b, _ = nag_decomposed_step(b, k, obj, cfg)
-            gaps.append(float(np.linalg.norm(a[:4] - b[:4])))
-        assert gaps[0] == 0.0
-        assert gaps[-1] > 10.0 * max(gaps[1], 1e-12)
-        assert gaps[-1] > 1e-3
+            # the gradient stage at the look-ahead: V <- V - tau grad f(V)
+            b = np.concatenate([b[:4], b[4:8] - cfg.tau * obj.grad(b[4:8]), b[8:]])
+            if schedule == "nesterov_k":
+                b, _ = nag_contact_map(b, 0.0, k + 1)
+            else:  # the same map with c = mu
+                x, v, s = b[:4], b[4:8], b[8:]
+                b = np.concatenate([v, v + cfg.mu * (v - x), cfg.mu * s])
+            # X, V and S, bit for bit
+            np.testing.assert_array_equal(a, b)
 
     def test_contact_stage_rescales_s_by_momentum_product(self):
         obj = zero_objective(1)
         cfg = OptimizerConfig(kind="nag", tau=0.1, momentum_schedule="nesterov_k")
         z, k = np.array([0.4, 0.4, 1.7]), 4
         for _ in range(6):
-            z, k = nag_decomposed_step(z, k, obj, cfg)
+            z, k = step(z, k, obj, cfg)
         expect = 1.7
         for j in range(5, 11):
             expect *= (j - 1.0) / (j + 2.0)
@@ -227,9 +220,9 @@ class TestNesterovFactorization:
         obj = zero_objective(1)
         cfg = OptimizerConfig(kind="nag", tau=0.1, momentum_schedule="nesterov_k")
         z = np.array([1.0, 1.0, 0.9])
-        out, _ = nag_decomposed_step(z, 0, obj, cfg)
+        out, _ = step(z, 0, obj, cfg)
         assert out[-1] == 0.0
-        assert out[1] == z[1]
+        assert out[1] == out[0] == z[1]
 
 
 class TestNesterovContactMap:
