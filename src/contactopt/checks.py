@@ -273,37 +273,39 @@ def check_orders(seed: int = 0) -> List[CheckResult]:
 def check_equivalence(seed: int = 0) -> List[CheckResult]:
     """The (epsilon, mu, delta) recursion must be the Strang step in
     disguise: map V to P = 2V/tau, step, map back, to 1e-12.  Ten
-    parameter draws, ten random states each."""
+    parameter draws, ten random states each, with delta drawn apart from
+    epsilon: in turn exactly 0 (c = inf), tiny, and in the presets' [0, 30].
+    crgd runs on both clocks; the physical one is strang_step's own."""
     rng, obj_seed = _draws(seed, "equivalence")
     devs = {"crgd": [], "rgd": []}  # |optimizer - flow| per step, in (X, V, S)
-    for _ in range(10):
+    for i in range(10):
         dim = int(rng.integers(1, 6))
         obj = make_random_quadratic(int(rng.integers(1_000_000)), dim, 0.1, 2.0)
         eps = float(rng.uniform(0.001, 0.5))
         mu = float(rng.uniform(0.5, 0.999))
+        delta = (0.0, 10.0 ** rng.uniform(-310.0, -8.0), rng.uniform(0.0, 30.0))[i % 3]
         tau = math.sqrt(2.0 * eps)
-        delta = 4.0 / tau**2
+        c = math.inf if delta == 0.0 else 2.0 / (math.sqrt(delta) * tau)
         gamma = -math.log(mu) / tau
+        legs = (("crgd", nag_like_damping, "iteration", 1.0),  # kind, damping, clock
+                ("crgd", nag_like_damping, "physical", tau),  # and its advance per step
+                ("rgd", constant_damping, "iteration", 1.0))
         for _ in range(10):
             k = int(rng.integers(0, 30))
             x, v = rng.standard_normal(dim), rng.standard_normal(dim)
             s_val = float(rng.standard_normal())
             z_opt = np.concatenate([x, v, [s_val]])
             z = np.concatenate([x, 2.0 * v / tau, [s_val]])
-            for kind, damping in (("crgd", nag_like_damping), ("rgd", constant_damping)):
-                cfg = OptimizerConfig(kind=kind, epsilon=eps, mu=mu, delta=delta)
+            for kind, damping, clock, unit in legs:
+                cfg = OptimizerConfig(kind=kind, epsilon=eps, mu=mu, delta=delta, clock=clock)
                 z1, _ = step(z_opt, k, obj, cfg)
-                params = ContactParams(*damping(gamma), m=1.0, c=2.0 / (math.sqrt(delta) * tau))
-                c1, _ = strang_step(z, float(k), tau, obj, params, clock_dtau=1.0)
+                params = ContactParams(*damping(gamma), m=1.0, c=c)
+                c1, _ = strang_step(z, k * unit, tau, obj, params, clock_dtau=unit)
                 flow = np.concatenate([c1[:dim], tau * c1[dim:-1] / 2.0, c1[-1:]])
                 devs[kind].append(np.abs(z1 - flow))
-    worst = {kind: largest(np.concatenate(d)) for kind, d in devs.items()}
-    results = [
-        _bounded("equivalence", "crgd_step vs strang_step", worst["crgd"], TOL_EQUIVALENCE),
-        _bounded(
-            "equivalence", "rgd_step vs strang_step (constant h)", worst["rgd"], TOL_EQUIVALENCE
-        ),
-    ]
+    names = {"crgd": "crgd_step vs strang_step", "rgd": "rgd_step vs strang_step (constant h)"}
+    results = [_bounded("equivalence", names[kind], largest(np.concatenate(d)), TOL_EQUIVALENCE)
+               for kind, d in devs.items()]
     # mu = 1 collapses crgd onto rgd exactly
     obj = make_random_quadratic(obj_seed, 3, 0.1, 2.0)
     cfg1 = OptimizerConfig(kind="rgd", epsilon=0.05, mu=1.0, delta=2.0)
@@ -390,18 +392,15 @@ def check_specialization(seed: int = 0) -> List[CheckResult]:
     dim = 3
     obj = make_random_quadratic(obj_seed, dim, 0.2, 1.5)
 
-    # (a) no S dependence: plain Hamilton equations
-    worst_a = _field_residual(
-        rng, dim, "std1",
-        contact_hamiltonian(obj, ContactParams(*constant_damping(0.0), c=None)),
-        lambda x, p, dx, dp: (dx - p, dp + obj.grad(x)),
-    )
-    # (b) H0 + cS: linear friction -cP on the momentum equation
-    c_lin = 0.8
-    worst_b = _field_residual(
-        rng, dim, "std1",
-        contact_hamiltonian(obj, ContactParams(*constant_damping(c_lin), c=None)),
-        lambda x, p, dx, dp: (dx - p, dp + obj.grad(x) + c_lin * p),
+    # (a) no S dependence (c = 0): plain Hamilton equations; (b) H0 + cS,
+    # c = 0.8: linear friction -cP on the momentum equation
+    worst_a, worst_b = (
+        _field_residual(
+            rng, dim, "std1",
+            contact_hamiltonian(obj, ContactParams(*constant_damping(c_lin), c=math.inf)),
+            lambda x, p, dx, dp, c_lin=c_lin: (dx - p, dp + obj.grad(x) + c_lin * p),
+        )
+        for c_lin in (0.0, 0.8)
     )
     # (c) H0 + <X*, P> - <P*, X> + 2S in the symmetric convention:
     # relaxation toward the anchors (X*, P*)
@@ -424,7 +423,7 @@ def check_specialization(seed: int = 0) -> List[CheckResult]:
     # the tolerance near t = 1, where P''' is large)
     dt = 1e-3
     ham_nag = contact_hamiltonian(
-        obj, ContactParams(lambda t: 3.0 / t, lambda t: -3.0 / (t * t), c=None)
+        obj, ContactParams(lambda t: 3.0 / t, lambda t: -3.0 / (t * t), c=math.inf)
     )
     z0 = np.concatenate([rng.standard_normal(dim), np.zeros(dim + 1)])  # P = 0, S = 0
     traj = reference_integrate(ham_nag, "std1", z0, 1.0, dt, 1000)

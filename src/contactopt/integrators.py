@@ -1,8 +1,9 @@
 """Splitting integrators for the separable contact Hamiltonian.
 
 Every Hamiltonian integrated here has the form K(P) + f(X) + h(t)*S, with
-the kinetic energy K relativistic, c*sqrt(|P|^2 + (mc)^2), or Newtonian,
-|P|^2/2m, and a damping h(t) given with its derivative; :class:`ContactParams`
+K = c*sqrt(|P|^2 + (mc)^2) - mc^2 = |P|^2 / (m (1 + g)), g = sqrt(1 + k|P|^2)
+and k = (1/(mc))^2, one formula for every c in (0, inf] that is Newtonian at
+c = inf, and a damping h(t) given with its derivative; :class:`ContactParams`
 holds K and h, and :func:`contact_hamiltonian` assembles the whole H for the
 RK4 oracle, one function returning its value and partials together.  H
 splits into three pieces whose contact flows are known in closed form:
@@ -10,8 +11,7 @@ splits into three pieces whose contact flows are known in closed form:
 * phi1 (dissipation, h(t)*S): P and S decay by exp(-h(t) * dtau), with the
   clock frozen during the flow;
 * phi2 (potential, f(X)):     gradient kick on P, action drop on S;
-* phi3 (kinetic, K(P)):       drift of X, with speed limit c when K is
-  relativistic.
+* phi3 (kinetic, K(P)):       drift of X at speed |P| / (m g) < c.
 
 A time-shift operator advances the clock between flows.  The palindromic
 arrangement shift/phi1/phi3/phi2/phi3/phi1/shift is a second-order contact
@@ -38,6 +38,7 @@ algorithms arise.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -69,20 +70,28 @@ class ContactParams:
     """The separable Hamiltonian K(P) + f(X) + h(t)*S, less its potential f.
 
     ``h`` is the damping and ``dh`` its derivative, as returned by
-    :func:`constant_damping` or :func:`nag_like_damping`.  K is relativistic,
-    c*sqrt(|P|^2 + (mc)^2); when ``c`` is None it is Newtonian, |P|^2/2m.
+    :func:`constant_damping` or :func:`nag_like_damping`.  K is relativistic
+    less its rest energy, c*sqrt(|P|^2 + (mc)^2) - mc^2; c = math.inf
+    gives the Newtonian |P|^2/2m.
     """
 
     h: Callable[[float], float]
     dh: Callable[[float], float]
     m: float = 1.0
-    c: Optional[float] = 1.0
+    c: float = 1.0
 
     def __post_init__(self):
         if not (self.m > 0):
             raise ValueError(f"mass m must be positive, got {self.m}")
-        if self.c is not None and not (self.c > 0):
-            raise ValueError(f"speed parameter c must be positive, got {self.c}")
+        if not (isinstance(self.c, numbers.Real) and self.c > 0):
+            raise ValueError(f"speed parameter c must be positive or math.inf, got {self.c}")
+
+    @property
+    def k(self) -> float:
+        """(1/(mc))^2, the weight of |P|^2 under K's root: 0 at c = inf, and
+        inf, not an OverflowError, when c is below about 1e-154."""
+        inv = 1.0 / (self.m * self.c)
+        return inv * inv
 
 
 def constant_damping(gamma: float) -> Tuple[Callable, Callable]:
@@ -109,18 +118,15 @@ def nag_like_damping(gamma: float) -> Tuple[Callable, Callable]:
 
 def contact_hamiltonian(obj: Objective, params: ContactParams) -> ContactHamiltonian:
     """K(P) + f(X) + h(t)*S as one function returning its value and partials;
-    |P|^2, the relativistic root and h(t) are computed once per point."""
-    m, c, h, dh = params.m, params.c, params.h, params.dh
+    |P|^2, the root g and h(t) are computed once per point."""
+    m, k, h, dh = params.m, params.k, params.h, params.dh
 
     def H(x, p, s, t) -> Partials:
         pp = float(p @ p)
-        if c is None:
-            kinetic, velocity = 0.5 * pp / m, p / m
-        else:
-            r = math.sqrt(pp + (m * c) ** 2)
-            kinetic, velocity = c * r, c * p / r
+        g = math.sqrt(1.0 + k * pp)
         ht = h(t)
-        return Partials(kinetic + obj.eval(x) + ht * s, obj.grad(x), velocity, ht, dh(t) * s)
+        kinetic = pp / (m * (1.0 + g))
+        return Partials(kinetic + obj.eval(x) + ht * s, obj.grad(x), p / (m * g), ht, dh(t) * s)
 
     return H
 
@@ -146,18 +152,15 @@ def flow_phi2(z: np.ndarray, t: float, dtau: float, obj: Objective) -> Step:
 def flow_phi3(z: np.ndarray, t: float, dtau: float, params: ContactParams) -> Step:
     """Exact flow of the kinetic piece K(P): a drift of X.
 
-    Relativistic: X moves at most c*|dtau| regardless of P; S decreases by
-    the rest-energy rate m^2 c^3 / sqrt(|P|^2 + (mc)^2).  Newtonian:
-    X += P*dtau/m and S += |P|^2*dtau/2m.
+    X += P*dtau/(m g), at most c*|dtau| whatever P, and S grows at the rate
+    P.grad K - K = |P|^2 / (m g (1 + g)); at c = inf, g = 1.
     """
     n = len(z) // 2
-    m, c, p = params.m, params.c, z[n:-1]
-    if c is None:
-        dx, ds = p * dtau / m, (p @ p) * dtau / (2.0 * m)
-    else:
-        r = np.sqrt(p @ p + (m * c) ** 2)
-        dx, ds = c * p * dtau / r, -(m * m * c**3 * dtau / r)
-    return np.concatenate([z[:n] + dx, p, [z[-1] + ds]]), t
+    p = z[n:-1]
+    pp = p @ p
+    g = np.sqrt(1.0 + params.k * pp)
+    mg = params.m * g
+    return np.concatenate([z[:n] + p * dtau / mg, p, [z[-1] + pp * dtau / (mg * (1.0 + g))]]), t
 
 
 def time_shift(z: np.ndarray, t: float, dtau: float) -> Step:

@@ -15,10 +15,10 @@ that takes one point (n,) with float tunables or a stack of T points
 (T, n) with the tunables as (T, 1) columns.  S rides along as a trailing
 column, (1,) or (T, 1): gd and cm carry it unchanged, nag scales it by
 its momentum coefficient c, and rgd and crgd advance it by composing the
-exact stage flows in the m=1 gauge (tau = sqrt(2*epsilon)).  With
-delta = 0 the kinetic rate keeps only the velocity-dependent part, since
-the rest-energy constant diverges in that limit.  S never feeds back
-into X or V.  step() applies the update its config's kind selects as a
+exact stage flows in the m=1 gauge (tau = sqrt(2*epsilon)), whose
+kinetic energy is measured from its rest energy, so one formula serves
+every delta >= 0 and delta = 0 is the Newtonian case.  S never feeds
+back into X or V.  step() applies the update its config's kind selects as a
 map (z, k) -> (z, k + 1) of the flat (X, V, S) row, so Trajectory.of
 records a run with S; run_batch() iterates it over a stack of T runs of
 one kind without S and records only the objective gaps, one
@@ -207,13 +207,10 @@ def _relativistic(X, V, S, obj, p, mu_h):
     v2_mid = _sqnorm(v_mid)
     b = 1.0 / np.sqrt(delta * v2_mid + 1.0)
     if S is not None:
-        # delta -> 0 limit with the constant rest-energy rate dropped
-        with np.errstate(all="ignore"):
-            kin = np.where(
-                delta > 0, (a + b) / (eps * delta), -(mu_h * v2_k + v2_mid) / (2.0 * eps)
-            )
+        # the two half drifts' rate |P|^2 / (g (1 + g)), with 1/g = a and b
+        kin = (mu_h * v2_k * (a * a / (1.0 + a)) + v2_mid * (b * b / (1.0 + b))) / eps
         f_mid = np.expand_dims(obj.eval(x_mid), -1)
-        S = mu_h * S - sq * np.sqrt(2.0 * eps) * (f_mid + kin)
+        S = mu_h * S - sq * np.sqrt(2.0 * eps) * (f_mid - kin)
     return x_mid + v_mid * b, sq * v_mid, S
 
 

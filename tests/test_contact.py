@@ -276,7 +276,7 @@ class TestContactFields:
     ])
     @pytest.mark.parametrize("c", [
         pytest.param(0.8, id="relativistic"),
-        pytest.param(None, id="newtonian"),
+        pytest.param(math.inf, id="newtonian"),
     ])
     def test_declared_gradients_match_value(self, c, damping):
         obj = make_random_quadratic(11, 3, 0.1, 2.0)

@@ -67,7 +67,9 @@ class TestContactParams:
         for damping in (constant_damping, nag_like_damping):
             with pytest.raises(ValueError, match="gamma"):
                 damping(-0.1)
-        assert contact_params(c=None, m=2.0).c is None
+        with pytest.raises(ValueError, match=r"math\.inf"):
+            contact_params(c=None)
+        assert contact_params(c=math.inf, m=2.0).k == 0.0
 
     def test_constant_damping(self):
         h, dh = constant_damping(0.3)
@@ -127,9 +129,24 @@ class TestStageFlows:
         assert s == pytest.approx(0.9, abs=1e-16)
 
     def test_phi3_rest_state(self):
-        out, _ = flow_phi3(row_of([2.0], [0.0], s=1.0), 1.0, 0.3, contact_params())
-        assert out[0] == 2.0
-        assert out[-1] == pytest.approx(0.7, abs=1e-15)
+        # K is measured from the rest energy: at rest nothing drifts, S included
+        z = row_of([2.0], [0.0], s=1.0)
+        out, _ = flow_phi3(z, 1.0, 0.3, contact_params())
+        np.testing.assert_array_equal(out, z)
+
+    @pytest.mark.parametrize("c", [1e103, 1e160, math.inf])
+    def test_phi3_and_h_are_finite_at_every_speed_limit(self, c):
+        # the rest energy mc^2 would overflow here; K without it tends to
+        # the Newtonian |P|^2/2m
+        params = contact_params(0.1, c=c)
+        z = row_of([1.0, -2.0], [0.5, 1.5], s=0.3)
+        out, _ = flow_phi3(z, 1.0, 0.4, params)
+        newtonian, _ = flow_phi3(z, 1.0, 0.4, contact_params(0.1, c=math.inf))
+        np.testing.assert_array_equal(out, newtonian)
+        x, p, s = parts(z)
+        value, *partials = contact_hamiltonian(quartic(2), params)(x, p, s, 1.0)
+        assert value == pytest.approx(1.25 + quartic(2).eval(x) + 0.1 * 0.3, rel=1e-15)
+        assert all(np.isfinite(v).all() for v in partials)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
            st.floats(0.01, 2.0), st.floats(0.1, 5.0))
@@ -140,10 +157,20 @@ class TestStageFlows:
         out, _ = flow_phi3(z, 1.0, dtau, params)
         assert np.linalg.norm(parts(out)[0] - parts(z)[0]) <= c * dtau * (1 + 1e-12)
 
+    def test_phi3_and_h_stand_still_below_a_tiny_speed_limit(self):
+        # k = (1/(mc))^2 overflows to inf at c = 1e-160: X and S stay put
+        params = contact_params(0.1, c=1e-160)
+        z = row_of([1.0, -2.0], [0.5, 1.5], s=0.3)
+        np.testing.assert_array_equal(flow_phi3(z, 1.0, 0.4, params)[0], z)
+        x, p, s = parts(z)
+        value, _, velocity, _, _ = contact_hamiltonian(quartic(2), params)(x, p, s, 1.0)
+        assert value == quartic(2).eval(x) + 0.1 * 0.3
+        np.testing.assert_array_equal(velocity, [0.0, 0.0])
+
     def test_newtonian_phi3_hand_value(self):
         # X += P dtau/m, S += |P|^2 dtau/2m; P and the clock stay put
         z = row_of([1.0, -2.0], [0.5, 1.5], s=0.3)
-        out, t = flow_phi3(z, 2.0, 0.4, contact_params(m=2.0, c=None))
+        out, t = flow_phi3(z, 2.0, 0.4, contact_params(m=2.0, c=math.inf))
         x, p, s = parts(out)
         np.testing.assert_allclose(x, [1.1, -1.7], atol=1e-15)
         np.testing.assert_array_equal(p, parts(z)[1])
@@ -153,7 +180,7 @@ class TestStageFlows:
     def test_newtonian_phi3_is_exactly_contact(self):
         # the drift leaves the std1 form unchanged: factor 1, by pullback
         # through its complex-step Jacobian
-        newtonian = contact_params(m=1.7, c=None)
+        newtonian = contact_params(m=1.7, c=math.inf)
         rng = np.random.default_rng(5)
         for _ in range(20):
             lam, res = conformal_factor(
@@ -306,14 +333,16 @@ class TestIntegrateSplit:
         assert not traj.diverged
 
     def test_divergence_truncates(self):
-        # the S ledger subtracts f*tau each step; starting far out on the
-        # quartic pushes it past the magnitude cap after a handful of steps
-        obj = quartic(2)
+        # the S ledger subtracts f*tau each step; starting far out on
+        # |x|^2/2 pushes it past the magnitude cap after a handful of
+        # steps, while X and P stay far below it
+        obj = make_random_quadratic(3, 2, 1.0, 1.0)
         params = contact_params()
-        traj = integrate_split(*state_of([1e76, 1e76], [0.0, 0.0], t=1.0), 1e-5, 40, obj, params)
+        traj = integrate_split(*state_of([1e151, 1e151], [0.0, 0.0], t=1.0), 1e-3, 40, obj, params)
         assert traj.diverged
         assert 2 <= len(traj) < 41
         assert np.all(np.abs(traj.z) <= DIVERGENCE_LIMIT)
+        assert np.all(np.abs(traj.z[:, :-1]) < 1e160)
 
     @pytest.mark.parametrize("x0, tau, n", [(1.0, 0.05, 20), (1e76, 1e-5, 40)],
                              ids=["finite", "diverged"])

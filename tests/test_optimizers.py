@@ -278,6 +278,10 @@ class TestRelativisticSteps:
             outs[delta] = z
         np.testing.assert_allclose(outs[0.0][:3], outs[1e-12][:3], atol=1e-9)
         np.testing.assert_allclose(outs[0.0][3:6], outs[1e-12][3:6], atol=1e-9)
+        # S too: its kinetic rate is measured from the rest energy, which
+        # would diverge as delta -> 0
+        assert outs[0.0][6] != 0.0
+        assert abs(outs[0.0][6] - outs[1e-12][6]) < 1e-9
 
     def test_delta_zero_hand_step(self):
         obj = halfsq()
@@ -391,16 +395,23 @@ class TestRun:
         assert len(rec.trace) < 51
         assert all(math.isfinite(v) for v in rec.trace)
 
-    def test_overflowing_s_is_not_divergence(self):
-        # delta=1e-310 blows up the S recursion's kinetic rate at once, but S
-        # never feeds back into X or V: the iterates match the delta=0 run
+    def test_subnormal_delta_runs_like_delta_zero(self):
+        # delta=1e-310 is subnormal: the iterates match the delta=0 run, and
+        # run (without S) and a Trajectory of step (with S) both keep all 51
+        # rows, since S, measured without the rest energy, stays finite
         obj = halfsq()
-        tiny = run(obj, OptimizerConfig(kind="rgd", epsilon=0.1, mu=0.9,
-                                        delta=1e-310), [1.0], iters=50)
-        zero = run(obj, OptimizerConfig(kind="rgd", epsilon=0.1, mu=0.9,
-                                        delta=0.0), [1.0], iters=50)
+        cfgs = {delta: OptimizerConfig(kind="rgd", epsilon=0.1, mu=0.9, delta=delta)
+                for delta in (1e-310, 0.0)}
+        tiny, zero = (run(obj, cfg, [1.0], iters=50) for cfg in cfgs.values())
         assert not tiny.diverged
         assert tiny.trace == zero.trace
+        trajs = {delta: Trajectory.of(functools.partial(step, obj=obj, cfg=cfg),
+                                      np.array([1.0, 0.0, 0.0]), 0, 50)
+                 for delta, cfg in cfgs.items()}
+        assert len(tiny.trace) == len(trajs[1e-310]) == 51
+        assert not trajs[1e-310].diverged
+        assert tuple(obj.eval(x) for x in trajs[1e-310].X) == tiny.trace
+        assert abs(trajs[1e-310].S[-1] - trajs[0.0].S[-1]) < 1e-9
 
     def test_rejects_nonpositive_iters(self):
         with pytest.raises(ValueError):

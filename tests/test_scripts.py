@@ -20,7 +20,7 @@ def load_script(name):
 class TestIntegratorOrders:
     def test_strang_smoke(self, capsys):
         # the default plan list: every plan's observed order sits at the
-        # design order printed beside it (jump6 reads 6.008)
+        # design order printed beside it (jump6 reads 6.000)
         script = load_script("integrator_orders")
         assert script.main([]) == 0
         out = capsys.readouterr().out
