@@ -275,9 +275,11 @@ def check_equivalence(seed: int = 0) -> List[CheckResult]:
     disguise: map V to P = 2V/tau, step, map back, to 1e-12.  Ten
     parameter draws, ten random states each, with delta drawn apart from
     epsilon: in turn exactly 0 (c = inf), tiny, and in the presets' [0, 30].
-    crgd runs on both clocks; the physical one is strang_step's own."""
+    The crgd result pools crgd, on the iteration clock, and crgd_t, on the
+    physical clock that is strang_step's own."""
     rng, obj_seed = _draws(seed, "equivalence")
-    devs = {"crgd": [], "rgd": []}  # |optimizer - flow| per step, in (X, V, S)
+    crgd, rgd = "crgd_step vs strang_step", "rgd_step vs strang_step (constant h)"
+    devs = {crgd: [], rgd: []}  # |optimizer - flow| per step, in (X, V, S)
     for i in range(10):
         dim = int(rng.integers(1, 6))
         obj = make_random_quadratic(int(rng.integers(1_000_000)), dim, 0.1, 2.0)
@@ -287,25 +289,24 @@ def check_equivalence(seed: int = 0) -> List[CheckResult]:
         tau = math.sqrt(2.0 * eps)
         c = math.inf if delta == 0.0 else 2.0 / (math.sqrt(delta) * tau)
         gamma = -math.log(mu) / tau
-        legs = (("crgd", nag_like_damping, "iteration", 1.0),  # kind, damping, clock
-                ("crgd", nag_like_damping, "physical", tau),  # and its advance per step
-                ("rgd", constant_damping, "iteration", 1.0))
+        legs = ((crgd, "crgd", nag_like_damping, 1.0),  # result, kind, damping and
+                (crgd, "crgd_t", nag_like_damping, tau),  # the clock's advance per step
+                (rgd, "rgd", constant_damping, 1.0))
         for _ in range(10):
             k = int(rng.integers(0, 30))
             x, v = rng.standard_normal(dim), rng.standard_normal(dim)
             s_val = float(rng.standard_normal())
             z_opt = np.concatenate([x, v, [s_val]])
             z = np.concatenate([x, 2.0 * v / tau, [s_val]])
-            for kind, damping, clock, unit in legs:
-                cfg = OptimizerConfig(kind=kind, epsilon=eps, mu=mu, delta=delta, clock=clock)
+            for result, kind, damping, unit in legs:
+                cfg = OptimizerConfig(kind=kind, epsilon=eps, mu=mu, delta=delta)
                 z1, _ = step(z_opt, k, obj, cfg)
                 params = ContactParams(*damping(gamma), m=1.0, c=c)
                 c1, _ = strang_step(z, k * unit, tau, obj, params, clock_dtau=unit)
                 flow = np.concatenate([c1[:dim], tau * c1[dim:-1] / 2.0, c1[-1:]])
-                devs[kind].append(np.abs(z1 - flow))
-    names = {"crgd": "crgd_step vs strang_step", "rgd": "rgd_step vs strang_step (constant h)"}
-    results = [_bounded("equivalence", names[kind], largest(np.concatenate(d)), TOL_EQUIVALENCE)
-               for kind, d in devs.items()]
+                devs[result].append(np.abs(z1 - flow))
+    results = [_bounded("equivalence", name, largest(np.concatenate(d)), TOL_EQUIVALENCE)
+               for name, d in devs.items()]
     # mu = 1 collapses crgd onto rgd exactly
     obj = make_random_quadratic(obj_seed, 3, 0.1, 2.0)
     cfg1 = OptimizerConfig(kind="rgd", epsilon=0.05, mu=1.0, delta=2.0)
@@ -452,23 +453,23 @@ def check_specialization(seed: int = 0) -> List[CheckResult]:
 
 
 def check_nag(seed: int = 0) -> List[CheckResult]:
-    """NAG's step, ``step`` of kind nag, against three closed forms.
+    """NAG's step, ``step`` of kinds nag and nag_k, against three closed forms.
 
-    Its S must follow the product of its momentum coefficients, and at
-    k = 1, where the coefficient is 0, its new look-ahead must equal its
-    new iterate.  Its Jacobian J in (X, V), read by complex step through
-    step's own code on the family's random quadratic f = x'Ax/2, must
-    satisfy J' Omega J = [[0, cB], [-cB, 0]] with B = I - tau A and
-    Omega = [[0, I], [-I, 0]], at k = 5 under both momentum schedules,
-    to 1e-12.  NAG thus rescales the symplectic form by c only to first
-    order in tau, and its step is not a contact map; its momentum map is
-    one, with factor c (``nag_contact_map``, certified by the conformal
-    family).
+    The S of nag_k must follow the product of its momentum coefficients
+    (k-1)/(k+2), and at k = 1, where the coefficient is 0, its new
+    look-ahead must equal its new iterate.  The Jacobian J in (X, V) of
+    each kind's step, read by complex step through step's own code on the
+    family's random quadratic f = x'Ax/2, must satisfy J' Omega J =
+    [[0, cB], [-cB, 0]] with B = I - tau A and Omega = [[0, I], [-I, 0]],
+    at k = 5, to 1e-12.  NAG thus rescales the symplectic form by c only
+    to first order in tau, and its step is not a contact map; its momentum
+    map is one, with factor c (``nag_contact_map``, certified by the
+    conformal family).
     """
     rng, obj_seed = _draws(seed, "nag")
     dim = 4
     obj = make_random_quadratic(obj_seed, dim, 0.2, 1.5)
-    cfg = OptimizerConfig(kind="nag", tau=0.1, momentum_schedule="nesterov_k")
+    cfg = OptimizerConfig(kind="nag_k", tau=0.1)
 
     # S follows the product of coefficients, starting from a nonzero S at k = 5
     k, s0_val, steps = 5, 1.7, 6
@@ -500,8 +501,8 @@ def check_nag(seed: int = 0) -> List[CheckResult]:
     omega = np.block([[zero, eye], [-eye, zero]])
     b = eye - tau * obj.grad(eye)  # I - tau A
     devs = []
-    for schedule, c in (("constant", mu), ("nesterov_k", k / (k + 3.0))):
-        nag = OptimizerConfig(kind="nag", tau=tau, mu=mu, momentum_schedule=schedule)
+    for kind, c in (("nag", mu), ("nag_k", k / (k + 3.0))):
+        nag = OptimizerConfig(kind=kind, tau=tau, mu=mu)
         j = _jacobian(lambda row, i: step(row, i, obj, nag), z, k)[: 2 * dim, : 2 * dim]
         devs.append(np.abs(j.T @ omega @ j - np.block([[zero, c * b], [-c * b, zero]])))
     name = "step J'OmegaJ = [[0, cB], [-cB, 0]], B = I - tau A"

@@ -7,7 +7,8 @@ Subcommands:
   bench   same pipeline from a named preset at desk or paper scale
   rates   power-law exponent fits over windows of a trace CSV
   check   the geometric self-verification suite
-  list    every name the other subcommands accept
+  list    every name the other subcommands accept, each optimizer kind
+          with the tunables it reads
 
 Exit codes are a stable contract: 0 success, 1 usage or config error or
 a closed stdout, 2 the requested run diverged, 3 a self-check failed.
@@ -40,7 +41,7 @@ from .harness import (
 )
 from .integrators import PLAN_NAMES
 from .objectives import OBJECTIVE_NAMES, get_objective
-from .optimizers import CLOCKS, MOMENTUM_SCHEDULES, OPTIMIZER_KINDS, TUNABLES, OptimizerConfig, run
+from .optimizers import KIND_PARAMS, OPTIMIZER_KINDS, TUNABLES, OptimizerConfig, run
 from .presets import PRESET_NAMES, SCALES, experiment_preset
 
 EXIT_OK = 0
@@ -83,12 +84,7 @@ def _fmt_params(params: dict) -> str:
 def cmd_run(args) -> int:
     seed = _master_seed(args.seed, default=1)
     obj = get_objective(args.objective, dim=args.dim, seed=seed)
-    cfg = OptimizerConfig(
-        kind=args.optimizer,
-        momentum_schedule=args.schedule,
-        clock=args.clock,
-        **{name: getattr(args, name) for name in TUNABLES},
-    )
+    cfg = OptimizerConfig(kind=args.optimizer, **{name: getattr(args, name) for name in TUNABLES})
     x0 = parse_init_flag(args.init).start(obj.dim, seed)
     rec = run(obj, cfg, x0, args.iters, trial_seed=seed)
     if args.out:
@@ -205,7 +201,8 @@ def cmd_check(args) -> int:
 
 def cmd_list(args) -> int:
     print("objectives:        " + ", ".join(OBJECTIVE_NAMES))
-    print("optimizers:        " + ", ".join(OPTIMIZER_KINDS))
+    print("optimizers:        " + ", ".join(
+        f"{kind}({', '.join(params)})" for kind, params in KIND_PARAMS.items()))
     print("integrator plans:  " + ", ".join(PLAN_NAMES))
     print(
         "bench presets:     "
@@ -232,10 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimizer", required=True, choices=OPTIMIZER_KINDS)
     for name in TUNABLES:
         p.add_argument(f"--{name}", type=float, default=getattr(OptimizerConfig, name))
-    p.add_argument(
-        "--schedule", choices=MOMENTUM_SCHEDULES, default=OptimizerConfig.momentum_schedule
-    )
-    p.add_argument("--clock", choices=CLOCKS, default=OptimizerConfig.clock)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--init", default="pattern:1", help="fixed:a,... | pattern:a,... | box:lo,hi")
     p.add_argument("--out", default=None, help="trace CSV path")

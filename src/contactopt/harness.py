@@ -265,11 +265,9 @@ class SearchRanges:
 class OptimizerEntry:
     kind: str
     ranges: SearchRanges
-    momentum_schedule: str = OptimizerConfig.momentum_schedule
-    clock: str = OptimizerConfig.clock
 
     def __post_init__(self):
-        self.make_config({})  # the kind, schedule and clock checks are OptimizerConfig's
+        self.make_config({})  # the kind check is OptimizerConfig's
         for name in KIND_PARAMS[self.kind]:
             if getattr(self.ranges, name) is None:
                 raise ValueError(
@@ -277,12 +275,7 @@ class OptimizerEntry:
                 )
 
     def make_config(self, params: Dict[str, float]) -> OptimizerConfig:
-        return OptimizerConfig(
-            kind=self.kind,
-            momentum_schedule=self.momentum_schedule,
-            clock=self.clock,
-            **params,
-        )
+        return OptimizerConfig(kind=self.kind, **params)
 
 
 @dataclass(frozen=True)
@@ -901,11 +894,10 @@ _OBJECTIVE_KEYS = {
     "name": _str, "dim": _int, "seed": _int, "eigen_lo": _number, "eigen_hi": _number
 }
 _INIT_KEYS = {"kind": _str, "pattern": _numbers, "lo": _number, "hi": _number}
-_ENTRY_FIELDS = {"kind": _str, "momentum_schedule": _str, "clock": _str}
 # the keys spec_to_doc writes only where they are not their field's default
-_WHEN_SET = ("eigen_lo", "eigen_hi", "momentum_schedule", "clock")
+_WHEN_SET = ("eigen_lo", "eigen_hi")
 _ENTRY_KEYS = {
-    **_ENTRY_FIELDS,
+    "kind": _str,
     "ranges": _object(dict.fromkeys(TUNABLES, _interval)),
     "sampling": _object(dict.fromkeys(TUNABLES, _str)),
 }
@@ -998,7 +990,7 @@ def spec_to_doc(spec: ExperimentSpec) -> dict:
     doc["init"] = {key: as_json[key] for key in ("kind", *_INIT_KIND_KEYS[init.kind])}
     doc["optimizers"] = []
     for e in spec.optimizers:
-        entry = _fields_doc(e, _ENTRY_FIELDS)
+        entry = {"kind": e.kind}
         ranges = {p: getattr(e.ranges, p) for p in TUNABLES}
         entry["ranges"] = {p: list(iv) for p, iv in ranges.items() if iv is not None}
         if e.ranges.sampling:

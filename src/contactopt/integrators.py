@@ -116,17 +116,33 @@ def nag_like_damping(gamma: float) -> Tuple[Callable, Callable]:
     return (lambda t: gamma * (1.0 + 1.0 / positive(t))), (lambda t: -gamma / (positive(t) * t))
 
 
+def _scaled(p):
+    """(a, p/a, |p/a|^2) with a = 1, the same bits as p and |p|^2, unless
+    |p|^2 overflows (|p| past about 1.3e154); then a is p's largest |entry|.
+    K's root is g = a sqrt(1/a^2 + k |p/a|^2), and its gradient and S rate,
+    written in g/a, stay finite while c is; at c = inf such a p has an
+    infinite K, and one drift takes the row past the divergence limit."""
+    pp = p @ p
+    if abs(pp) < math.inf:  # a complex pp too
+        return 1.0, p, pp
+    a = np.max(np.abs(p))
+    q = p / a
+    return a, q, q @ q
+
+
 def contact_hamiltonian(obj: Objective, params: ContactParams) -> ContactHamiltonian:
     """K(P) + f(X) + h(t)*S as one function returning its value and partials;
-    |P|^2, the root g and h(t) are computed once per point."""
+    |P|^2, the root g and h(t) are computed once per point, with P scaled
+    as :func:`_scaled` does."""
     m, k, h, dh = params.m, params.k, params.h, params.dh
 
     def H(x, p, s, t) -> Partials:
-        pp = float(p @ p)
-        g = math.sqrt(1.0 + k * pp)
+        a, q, qq = _scaled(p)
+        r, qq = 1.0 / a, float(qq)
+        g = math.sqrt(r * r + k * qq)  # g / a
         ht = h(t)
-        kinetic = pp / (m * (1.0 + g))
-        return Partials(kinetic + obj.eval(x) + ht * s, obj.grad(x), p / (m * g), ht, dh(t) * s)
+        kinetic = a * (qq / (m * (r + g)))
+        return Partials(kinetic + obj.eval(x) + ht * s, obj.grad(x), q / (m * g), ht, dh(t) * s)
 
     return H
 
@@ -153,14 +169,16 @@ def flow_phi3(z: np.ndarray, t: float, dtau: float, params: ContactParams) -> St
     """Exact flow of the kinetic piece K(P): a drift of X.
 
     X += P*dtau/(m g), at most c*|dtau| whatever P, and S grows at the rate
-    P.grad K - K = |P|^2 / (m g (1 + g)); at c = inf, g = 1.
+    P.grad K - K = |P|^2 / (m g (1 + g)); at c = inf, g = 1.  P is scaled
+    as :func:`_scaled` does.
     """
     n = len(z) // 2
     p = z[n:-1]
-    pp = p @ p
-    g = np.sqrt(1.0 + params.k * pp)
+    a, q, qq = _scaled(p)
+    r = 1.0 / a
+    g = np.sqrt(r * r + params.k * qq)  # g / a
     mg = params.m * g
-    return np.concatenate([z[:n] + p * dtau / mg, p, [z[-1] + pp * dtau / (mg * (1.0 + g))]]), t
+    return np.concatenate([z[:n] + q * dtau / mg, p, [z[-1] + qq * dtau / (mg * (r + g))]]), t
 
 
 def time_shift(z: np.ndarray, t: float, dtau: float) -> Step:

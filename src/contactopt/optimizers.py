@@ -1,10 +1,14 @@
 """Discrete optimizers: gradient descent, heavy ball, Nesterov, and the
 relativistic pair RGD/CRGD.
 
-RGD and CRGD are one and the same update written in the tuned parameters
-(epsilon, mu, delta); the only difference is the dissipation factor applied
-per step.  RGD uses the constant mu, CRGD uses mu^(1 + 1/(k + 1/2)) on an
-iteration clock, which starts at mu^3 and relaxes toward mu.  Each step is
+A kind is one damping schedule, so one discretized dissipative system:
+nag's momentum coefficient is the constant mu, nag_k's the classical
+(k-1)/(k+2).  rgd, crgd and crgd_t are one and the same update written in
+the tuned parameters (epsilon, mu, delta); the only difference is the
+dissipation factor applied per step.  rgd uses the constant mu, crgd uses
+mu^(1 + 1/t) at the step's midpoint t = k + 1/2 on the iteration clock,
+which starts at mu^3 and relaxes toward mu, and crgd_t the same factor at
+the physical time t = (k + 1/2) tau, tau = sqrt(2 epsilon).  Each step is
 algebraically identical to one Strang splitting step of the relativistic
 contact Hamiltonian under the substitutions V = tau*P/2m, epsilon =
 tau^2/2m, mu = exp(-gamma*tau), delta = 4/(c*tau)^2; the test suite holds
@@ -13,18 +17,18 @@ the two code paths to 1e-12 of each other.
 Each kind's update is written once, as an array function of (X, V, S)
 that takes one point (n,) with float tunables or a stack of T points
 (T, n) with the tunables as (T, 1) columns.  S rides along as a trailing
-column, (1,) or (T, 1): gd and cm carry it unchanged, nag scales it by
-its momentum coefficient c, and rgd and crgd advance it by composing the
-exact stage flows in the m=1 gauge (tau = sqrt(2*epsilon)), whose
-kinetic energy is measured from its rest energy, so one formula serves
-every delta >= 0 and delta = 0 is the Newtonian case.  S never feeds
+column, (1,) or (T, 1): gd and cm carry it unchanged, nag and nag_k scale
+it by the momentum coefficient c, and the relativistic kinds advance it by
+composing the exact stage flows in the m=1 gauge (tau = sqrt(2*epsilon)),
+whose kinetic energy is measured from its rest energy, so one formula
+serves every delta >= 0 and delta = 0 is the Newtonian case.  S never feeds
 back into X or V.  step() applies the update its config's kind selects as a
 map (z, k) -> (z, k + 1) of the flat (X, V, S) row, so Trajectory.of
 records a run with S; run_batch() iterates it over a stack of T runs of
 one kind without S and records only the objective gaps, one
 (iters + 1, T) matrix; run() is its T=1 case.
-A nag step is the gradient stage at the look-ahead, x = V - tau grad
-f(V), followed by the momentum map (X, V, S) -> (V, V + c (V - X), c S)
+A nag or nag_k step is the gradient stage at the look-ahead, x = V - tau
+grad f(V), followed by the momentum map (X, V, S) -> (V, V + c (V - X), c S)
 on (X, x, S).  nag_contact_map is that momentum map as a map of the
 (X, P, S) row, and `contact.conformal_factor` certifies it, factor c,
 through its complex-step Jacobian, on the map's own code: none is
@@ -34,7 +38,7 @@ check family pins how it bends the symplectic form instead.
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -46,8 +50,6 @@ __all__ = [
     "OPTIMIZER_KINDS",
     "KIND_PARAMS",
     "TUNABLES",
-    "MOMENTUM_SCHEDULES",
-    "CLOCKS",
     "OptimizerConfig",
     "RunRecord",
     "BatchRecords",
@@ -62,26 +64,23 @@ KIND_PARAMS = {
     "gd": ("tau",),
     "cm": ("tau", "mu"),
     "nag": ("tau", "mu"),
+    "nag_k": ("tau",),
     "rgd": ("epsilon", "mu", "delta"),
     "crgd": ("epsilon", "mu", "delta"),
+    "crgd_t": ("epsilon", "mu", "delta"),
 }
 OPTIMIZER_KINDS = tuple(KIND_PARAMS)
 # every tunable, in OptimizerConfig's field order
 TUNABLES = ("tau", "epsilon", "mu", "delta")
-# the values of the two modes; the first of each is the default
-MOMENTUM_SCHEDULES = ("constant", "nesterov_k")
-CLOCKS = ("iteration", "physical")
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Hyperparameters for one optimizer.
 
-    gd/cm/nag read ``tau`` (and cm/nag ``mu``); rgd/crgd read ``epsilon``,
-    ``mu`` and ``delta``.  ``momentum_schedule`` only matters for nag:
-    "constant" uses mu as the momentum coefficient, "nesterov_k" uses the
-    classical (k-1)/(k+2).  ``clock`` selects whether crgd's dissipation
-    exponent counts iterations (default) or physical time k*tau.
+    Each kind reads the tunables KIND_PARAMS names: gd and nag_k read
+    ``tau``, cm and nag ``tau`` and ``mu``, and rgd, crgd and crgd_t
+    ``epsilon``, ``mu`` and ``delta``.
     """
 
     kind: str
@@ -89,8 +88,6 @@ class OptimizerConfig:
     epsilon: float = 1e-2
     mu: float = 0.9
     delta: float = 1.0
-    momentum_schedule: str = MOMENTUM_SCHEDULES[0]
-    clock: str = CLOCKS[0]
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
@@ -105,10 +102,6 @@ class OptimizerConfig:
             raise ValueError(f"mu must lie in (0, 1], got {self.mu}")
         if not (0.0 <= self.delta < math.inf):
             raise ValueError(f"delta must be non-negative and finite, got {self.delta}")
-        for name, values in (("momentum_schedule", MOMENTUM_SCHEDULES), ("clock", CLOCKS)):
-            value = getattr(self, name)
-            if value not in values:
-                raise ValueError(f"{name} must be {' or '.join(map(repr, values))}, got {value!r}")
 
     def params_dict(self) -> Dict[str, float]:
         """The tunables this kind actually reads, for reporting."""
@@ -141,7 +134,9 @@ class RunRecord:
 
 
 def _start_velocity(X0: np.ndarray, kind: str) -> np.ndarray:
-    return X0.copy() if kind == "nag" else np.zeros_like(X0)
+    """The look-ahead point of nag and nag_k starts at x0, every other
+    kind's velocity at zero."""
+    return X0.copy() if kind in ("nag", "nag_k") else np.zeros_like(X0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +164,24 @@ def _nesterov_coefficient(k: int) -> float:
     return (k - 1.0) / (k + 2.0)
 
 
-def _nag_coefficient(k_new: int, p):
-    return _nesterov_coefficient(k_new) if p.momentum_schedule == "nesterov_k" else p.mu
-
-
 def _momentum(x, p, s, c):
     """(X, P, S) -> (P, P + c (P - X), c S): the momentum map, as its
     three parts; S None stays None."""
     return p, p + c * (p - x), None if s is None else c * s
 
 
+def _look_ahead(X, V, S, obj, p, c):
+    """Shared nag/nag_k update: the gradient at the look-ahead, then the
+    momentum map with coefficient c."""
+    return _momentum(X, V - p.tau * obj.grad(V), S, c)
+
+
 def _nag(X, V, S, k, obj, p):
-    """The gradient at the look-ahead, then the momentum map."""
-    return _momentum(X, V - p.tau * obj.grad(V), S, _nag_coefficient(k + 1, p))
+    return _look_ahead(X, V, S, obj, p, p.mu)
+
+
+def _nag_k(X, V, S, k, obj, p):
+    return _look_ahead(X, V, S, obj, p, _nesterov_coefficient(k + 1))
 
 
 def _sqnorm(V):
@@ -219,13 +219,9 @@ def _relativistic(X, V, S, obj, p, mu_h):
 _libm_pow = np.frompyfunc(math.pow, 2, 1)
 
 
-def _crgd_factor(k: int, p):
-    """mu^(1 + 1/t) at the step's midpoint, t = k + 1/2 on the iteration
-    clock or (k + 1/2) tau on the physical clock, tau = sqrt(2 epsilon)."""
-    t_mid = k + 0.5
-    if p.clock == "physical":
-        t_mid = t_mid * np.sqrt(2.0 * p.epsilon)
-    return np.asarray(_libm_pow(p.mu, 1.0 + 1.0 / t_mid), dtype=float)
+def _crgd_factor(mu, t_mid):
+    """mu^(1 + 1/t) at the step's midpoint t."""
+    return np.asarray(_libm_pow(mu, 1.0 + 1.0 / t_mid), dtype=float)
 
 
 def _rgd(X, V, S, k, obj, p):
@@ -233,10 +229,18 @@ def _rgd(X, V, S, k, obj, p):
 
 
 def _crgd(X, V, S, k, obj, p):
-    return _relativistic(X, V, S, obj, p, _crgd_factor(k, p))
+    return _relativistic(X, V, S, obj, p, _crgd_factor(p.mu, k + 0.5))
 
 
-_UPDATES = {"gd": _gd, "cm": _cm, "nag": _nag, "rgd": _rgd, "crgd": _crgd}
+def _crgd_t(X, V, S, k, obj, p):
+    """crgd at the physical time (k + 1/2) tau, tau = sqrt(2 epsilon)."""
+    return _relativistic(X, V, S, obj, p, _crgd_factor(p.mu, (k + 0.5) * np.sqrt(2.0 * p.epsilon)))
+
+
+_UPDATES = {
+    "gd": _gd, "cm": _cm, "nag": _nag, "nag_k": _nag_k,
+    "rgd": _rgd, "crgd": _crgd, "crgd_t": _crgd_t,
+}
 
 
 def _split(z: np.ndarray, k: int):
@@ -251,7 +255,7 @@ def _split(z: np.ndarray, k: int):
 def step(z: np.ndarray, k: int, obj: Objective, cfg: OptimizerConfig) -> Step:
     """One step of the update cfg.kind selects, S included: the map
     (z, k) -> (z, k + 1) of the flat (X, V, S) row at iteration k, to a new
-    row.  For nag, V holds the look-ahead point."""
+    row.  For nag and nag_k, V holds the look-ahead point."""
     x, v, s = _UPDATES[cfg.kind](*_split(z, k), k, obj, cfg)
     return np.concatenate([x, v, s]), k + 1
 
@@ -276,30 +280,15 @@ class _Columns:
     epsilon: np.ndarray
     mu: np.ndarray
     delta: np.ndarray
-    momentum_schedule: str
-    clock: str
 
     @classmethod
     def of(cls, cfgs) -> "_Columns":
-        first = cfgs[0]
-        for c in cfgs:
-            if (c.kind, c.momentum_schedule, c.clock) != (
-                first.kind, first.momentum_schedule, first.clock
-            ):
-                raise ValueError(
-                    "a batch needs one kind, momentum_schedule and clock"
-                )
-        cols = {
-            name: np.array([[getattr(c, name)] for c in cfgs], dtype=float)
-            for name in TUNABLES
-        }
-        return cls(**cols, momentum_schedule=first.momentum_schedule, clock=first.clock)
+        if len({c.kind for c in cfgs}) != 1:
+            raise ValueError("a batch needs one kind")
+        return cls(*(np.array([[getattr(c, name)] for c in cfgs], dtype=float) for name in TUNABLES))
 
     def rows(self, keep: np.ndarray) -> "_Columns":
-        return replace(
-            self,
-            **{name: getattr(self, name)[keep] for name in TUNABLES},
-        )
+        return _Columns(*(getattr(self, name)[keep] for name in TUNABLES))
 
 
 class BatchRecords(Sequence):
@@ -372,6 +361,8 @@ def run_batch(
             f"need one start vector per config: {T} configs, start shape {X.shape}"
         )
     seeds = [0] * T if trial_seeds is None else list(trial_seeds)
+    if len(seeds) != T:
+        raise ValueError(f"need one trial seed per config: {T} configs, {len(seeds)} trial seeds")
     kind = cfgs[0].kind
     update = _UPDATES[kind]
     p = _Columns.of(cfgs)

@@ -282,7 +282,7 @@ def test_a_map_with_a_wrong_s_term_fails_both_its_results(monkeypatch, name, bro
 def _nag_step_with_coefficient_off_by_one_percent(z, k, obj, cfg):
     # V' = x + 1.01 c (x - X), with S' = c S and the gradient stage kept
     n = len(z) // 2
-    c = optimizers._nag_coefficient(k + 1, cfg)
+    c = cfg.mu if cfg.kind == "nag" else optimizers._nesterov_coefficient(k + 1)
     x = z[n:-1] - cfg.tau * obj.grad(z[n:-1])
     return np.concatenate([x, x + 1.01 * c * (x - z[:n]), c * z[-1:]]), k + 1
 

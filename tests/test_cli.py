@@ -18,7 +18,7 @@ from contactopt.harness import (
     read_band_csv,
     read_trace_csv,
 )
-from contactopt.optimizers import RunRecord
+from contactopt.optimizers import KIND_PARAMS, RunRecord
 from contactopt.presets import PRESET_NAMES, SCALES, experiment_preset
 
 
@@ -115,6 +115,13 @@ class TestRunCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "invalid choice" in err and "crgd" in err
+
+    @pytest.mark.parametrize("flag, value", [("--schedule", "nesterov_k"), ("--clock", "physical")])
+    def test_an_old_mode_flag_is_usage_error(self, capsys, flag, value):
+        # the modes are the kinds nag_k and crgd_t
+        rc = main(["run", "--objective", "quartic", "--optimizer", "nag", flag, value])
+        assert rc == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_divergence_exit_code(self, capsys):
         rc = main([
@@ -230,6 +237,26 @@ class TestSearchCommand:
         rc = main(["search", "--config", cfg])
         assert rc == 1
         assert "$.bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("momentum_schedule", "nesterov_k"),
+                                            ("clock", "physical")])
+    def test_an_old_mode_key_reports_path(self, tmp_path, capsys, key, value):
+        entry = {"kind": "nag", "ranges": {"tau": [0.01, 0.3], "mu": [0.5, 0.9]}, key: value}
+        cfg = tiny_config(tmp_path, optimizers=[entry])
+        assert main(["search", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"config error at $.optimizers[0].{key}: unknown key\n"
+
+    def test_every_kind_searches(self, tmp_path, capsys):
+        ranges = {"tau": [0.01, 0.3], "epsilon": [0.001, 0.05], "mu": [0.5, 0.9], "delta": [0.0, 2.0]}
+        entries = [{"kind": kind, "ranges": {p: ranges[p] for p in params}}
+                   for kind, params in KIND_PARAMS.items()]
+        cfg = tiny_config(tmp_path, optimizers=entries, search_trials=3, mc_runs=2, iters=5)
+        assert main(["search", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
+        # each kind reports exactly the tunables it reads, in KIND_PARAMS order
+        lines = capsys.readouterr().out.splitlines()[: len(KIND_PARAMS)]
+        for line, (kind, params) in zip(lines, KIND_PARAMS.items()):
+            reported = line.split(" with ")[1].split("  [")[0].split(", ")
+            assert line.startswith(f"{kind}: ") and [kv.split("=")[0] for kv in reported] == list(params)
 
     def test_negative_objective_seed_reports_path(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, objective={"name": "quadratic", "dim": 3, "seed": -1})
@@ -405,6 +432,14 @@ class TestListCommand:
         out = capsys.readouterr().out
         for token in ("quartic", "crgd", "strang", "camelback", "conformal"):
             assert token in out
+
+    def test_each_kind_is_printed_with_the_tunables_it_reads(self, capsys):
+        assert main(["list"]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("optimizers:"))
+        assert line.split(":", 1)[1].strip() == (
+            "gd(tau), cm(tau, mu), nag(tau, mu), nag_k(tau), rgd(epsilon, mu, delta), "
+            "crgd(epsilon, mu, delta), crgd_t(epsilon, mu, delta)")
 
 
 class _ClosedPipe:

@@ -4,6 +4,7 @@ drift fails here rather than leaving the docs wrong."""
 import builtins
 import importlib
 import itertools
+import json
 import pathlib
 import pkgutil
 import re
@@ -100,3 +101,10 @@ def test_every_start_form_in_the_readme_reads():
         assert harness.parse_init_flag(f"{kind}:{numbers}").kind == kind, form
         kinds.append(kind)
     assert sorted(kinds) == sorted(harness._INIT_KIND_KEYS)
+
+
+def test_the_config_example_parses():
+    """The JSON block of the configs section is a config search reads."""
+    block = re.search(r"```json\n(.*?)```", readme_section("Experiment configs"), re.S).group(1)
+    spec = harness.parse_experiment(json.loads(block))
+    assert [e.kind for e in spec.optimizers] == ["cm", "nag_k", "crgd"]

@@ -37,9 +37,7 @@ from contactopt.harness import (
 )
 from contactopt.objectives import OBJECTIVE_NAMES
 from contactopt.optimizers import (
-    CLOCKS,
     KIND_PARAMS,
-    MOMENTUM_SCHEDULES,
     OPTIMIZER_KINDS,
     TUNABLES,
     RunRecord,
@@ -184,22 +182,16 @@ class TestEntryAndSpecs:
             OptimizerEntry(kind="rgd", ranges=SearchRanges(
                 epsilon=(0.1, 1.0), mu=(0.5, 0.9)))
 
-    @pytest.mark.parametrize("field, value", [("clock", "wall"), ("momentum_schedule", "heavy")])
-    def test_entry_rejects_an_unknown_mode(self, field, value):
+    def test_entry_rejects_an_unknown_kind(self):
         # at construction, not when the search builds its first config
         ranges = SearchRanges(epsilon=(1e-3, 1e-2), mu=(0.5, 0.9), delta=(0.0, 1.0))
-        with pytest.raises(ValueError, match=rf"^{field} must be .*, got '{value}'$"):
-            OptimizerEntry(kind="crgd", ranges=ranges, **{field: value})
+        with pytest.raises(ValueError, match=r"^unknown optimizer kind 'crgd_physical'"):
+            OptimizerEntry(kind="crgd_physical", ranges=ranges)
 
-    def test_make_config_carries_modes(self):
-        entry = OptimizerEntry(
-            kind="nag",
-            ranges=SearchRanges(tau=(0.1, 1.0), mu=(0.5, 0.9)),
-            momentum_schedule="nesterov_k",
-        )
-        cfg = entry.make_config({"tau": 0.2, "mu": 0.7})
-        assert cfg.kind == "nag" and cfg.tau == 0.2 and cfg.mu == 0.7
-        assert cfg.momentum_schedule == "nesterov_k"
+    def test_make_config_carries_the_kind(self):
+        entry = OptimizerEntry(kind="nag_k", ranges=SearchRanges(tau=(0.1, 1.0)))
+        cfg = entry.make_config({"tau": 0.2})
+        assert cfg.kind == "nag_k" and cfg.tau == 0.2
 
     def test_objective_spec_validation(self):
         with pytest.raises(ValueError, match="unknown objective"):
@@ -363,6 +355,14 @@ class TestRandomSearch:
         assert sr.viable
         assert sr.best_params == {"tau": 0.02}
         assert sr.n_trials == 3 and sr.n_diverged == 0
+
+    def test_nag_k_needs_no_mu_range_and_reports_only_tau(self):
+        spec = tiny_spec(
+            optimizers=(OptimizerEntry(kind="nag_k", ranges=SearchRanges(tau=(0.001, 0.05))),),
+            search_trials=8,
+        )
+        sr = random_search(spec, spec.optimizers[0])
+        assert sr.viable and set(sr.best_params) == {"tau"}
 
     def test_deterministic_in_master_seed(self):
         spec = tiny_spec(
@@ -753,9 +753,6 @@ def experiment_docs(draw):
         names = set(KIND_PARAMS[kind]) | draw(st.sets(st.sampled_from(TUNABLES)))
         ranges = {p: draw(_IN_DOMAIN[p]) for p in names}
         entry = {"kind": kind, "ranges": ranges}
-        for key, values in (("momentum_schedule", MOMENTUM_SCHEDULES), ("clock", CLOCKS)):
-            if draw(st.booleans()):
-                entry[key] = draw(st.sampled_from(values))
         laws = {p: "log_uniform" if lo > 0 and draw(st.booleans()) else "uniform"
                 for p, (lo, _) in ranges.items() if draw(st.booleans())}
         if laws or draw(st.booleans()):
@@ -852,17 +849,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"^at \$\.objective: objective seed must be >= 0, got -1$"):
             parse_experiment(doc)
 
-    def test_schedule_and_clock_survive_a_dump(self):
+    def test_schedule_kinds_survive_a_dump(self):
         spec = experiment_preset("quartic")
-        entries = tuple(
-            dataclasses.replace(e, momentum_schedule="nesterov_k") if e.kind == "nag"
-            else dataclasses.replace(e, clock="physical") if e.kind == "crgd" else e
-            for e in spec.optimizers
-        )
+        kinds = {"nag": "nag_k", "crgd": "crgd_t"}
+        entries = tuple(dataclasses.replace(e, kind=kinds.get(e.kind, e.kind))
+                        for e in spec.optimizers)
         spec = dataclasses.replace(spec, optimizers=entries)
         doc = spec_to_doc(spec)
-        assert [set(e) - {"kind", "ranges", "sampling"} for e in doc["optimizers"]] == [
-            set(), {"momentum_schedule"}, set(), {"clock"}]
+        assert [set(e) for e in doc["optimizers"]] == [{"kind", "ranges"}] * 4
+        assert [e["kind"] for e in doc["optimizers"]] == ["cm", "nag_k", "rgd", "crgd_t"]
         assert parse_experiment(doc) == spec
 
     def test_eigen_range_survives_a_dump_and_defaults_are_not_written(self):

@@ -167,6 +167,23 @@ class TestStageFlows:
         assert value == quartic(2).eval(x) + 0.1 * 0.3
         np.testing.assert_array_equal(velocity, [0.0, 0.0])
 
+    def test_phi3_and_h_scale_a_momentum_whose_square_overflows(self):
+        # |P|^2 overflows once |P| passes about 1.3e154: the drift still
+        # moves X by c dtau P/|P|, S grows at the rate mc^2, and H is K + f +
+        # hS with K about c|P|
+        params = contact_params(0.1, c=2.0)
+        z = row_of([0.0, 0.0], [1e224, 1.0], s=0.3)
+        x, p, s = parts(z)
+        with np.errstate(over="ignore"):  # numpy still reports the square's overflow
+            out, _ = flow_phi3(z, 1.0, 0.05, params)
+            value, grad_x, velocity, _, _ = contact_hamiltonian(quartic(2), params)(x, p, s, 1.0)
+        np.testing.assert_allclose(parts(out)[0], 2.0 * 0.05 * p / 1e224, rtol=1e-15)
+        np.testing.assert_array_equal(parts(out)[1], p)
+        assert parts(out)[2] == pytest.approx(0.3 + 4.0 * 0.05, rel=1e-15)
+        assert value == pytest.approx(2e224, rel=1e-15)
+        np.testing.assert_allclose(velocity, [2.0, 2e-224], rtol=1e-15)
+        assert np.isfinite(grad_x).all()
+
     def test_newtonian_phi3_hand_value(self):
         # X += P dtau/m, S += |P|^2 dtau/2m; P and the clock stay put
         z = row_of([1.0, -2.0], [0.5, 1.5], s=0.3)
@@ -343,6 +360,16 @@ class TestIntegrateSplit:
         assert 2 <= len(traj) < 41
         assert np.all(np.abs(traj.z) <= DIVERGENCE_LIMIT)
         assert np.all(np.abs(traj.z[:, :-1]) < 1e160)
+
+    def test_a_momentum_past_1e154_keeps_the_row_finite(self):
+        # on the quartic from X = 1e76 the first kick gives |P| ~ 1e224,
+        # whose square overflows: S stays finite, and the run stops when S
+        # passes the divergence limit, not at a NaN
+        obj, params = quartic(2), contact_params(0.1)
+        traj = integrate_split(*state_of([1e76, 1e76], [0.0, 0.0], t=0.0), 1e-5, 40, obj, params)
+        assert traj.diverged and len(traj) > 2
+        assert np.all(np.abs(traj.z) <= DIVERGENCE_LIMIT)
+        assert np.all(np.abs(traj.X - 1e76) <= 1e-5 * len(traj))
 
     @pytest.mark.parametrize("x0, tau, n", [(1.0, 0.05, 20), (1e76, 1e-5, 40)],
                              ids=["finite", "diverged"])

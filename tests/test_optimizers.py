@@ -18,8 +18,8 @@ from contactopt.objectives import (
     rosenbrock,
 )
 from contactopt.optimizers import (
-    MOMENTUM_SCHEDULES,
     OPTIMIZER_KINDS,
+    TUNABLES,
     OptimizerConfig,
     RunRecord,
     _Columns,
@@ -63,10 +63,14 @@ class TestOptimizerConfig:
             OptimizerConfig(kind="cm", mu=1.2)
         with pytest.raises(ValueError, match="delta"):
             OptimizerConfig(kind="crgd", delta=-0.5)
-        with pytest.raises(ValueError, match="momentum_schedule"):
-            OptimizerConfig(kind="nag", momentum_schedule="cosine")
-        with pytest.raises(ValueError, match="clock"):
-            OptimizerConfig(kind="crgd", clock="wall")
+
+    def test_fields_are_the_kind_and_the_tunables(self):
+        # a schedule is a kind: no mode field rides beside the tunables
+        assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["kind", *TUNABLES]
+        assert [f.name for f in dataclasses.fields(_Columns)] == list(TUNABLES)
+        for old in ({"momentum_schedule": "nesterov_k"}, {"clock": "physical"}):
+            with pytest.raises(TypeError):
+                OptimizerConfig(kind="nag", **old)
 
     def test_mu_one_is_legal(self):
         OptimizerConfig(kind="crgd", mu=1.0)
@@ -75,7 +79,8 @@ class TestOptimizerConfig:
         assert set(OptimizerConfig(kind="gd").params_dict()) == {"tau"}
         assert set(OptimizerConfig(kind="cm").params_dict()) == {"tau", "mu"}
         assert set(OptimizerConfig(kind="nag").params_dict()) == {"tau", "mu"}
-        for kind in ("rgd", "crgd"):
+        assert set(OptimizerConfig(kind="nag_k").params_dict()) == {"tau"}
+        for kind in ("rgd", "crgd", "crgd_t"):
             assert set(OptimizerConfig(kind=kind).params_dict()) == {
                 "epsilon", "mu", "delta"}
 
@@ -86,7 +91,7 @@ class TestStateHandling:
         for kind in OPTIMIZER_KINDS:
             V = _start_velocity(x0, kind)
             assert not np.shares_memory(V, x0)
-            if kind == "nag":
+            if kind in ("nag", "nag_k"):
                 np.testing.assert_array_equal(V, x0)
             else:
                 np.testing.assert_array_equal(V, np.zeros(2))
@@ -180,24 +185,24 @@ class TestNesterov:
 
     def test_nesterov_schedule_first_step_has_no_momentum(self):
         obj = halfsq()
-        cfg = OptimizerConfig(kind="nag", tau=0.1, momentum_schedule="nesterov_k")
+        cfg = OptimizerConfig(kind="nag_k", tau=0.1)
         z, _ = step(np.array([1.0, 1.0, 0.0]), 0, obj, cfg)
         # c = (1-1)/(1+2) = 0 so the look-ahead equals the iterate
         assert z[1] == z[0] == pytest.approx(0.9, abs=1e-15)
 
 
 class TestNesterovFactorization:
-    @pytest.mark.parametrize("schedule", MOMENTUM_SCHEDULES)
-    def test_step_is_the_look_ahead_gradient_then_the_momentum_map(self, schedule):
+    @pytest.mark.parametrize("kind", ["nag", "nag_k"])
+    def test_step_is_the_look_ahead_gradient_then_the_momentum_map(self, kind):
         obj = make_random_quadratic(3, 4, 0.2, 1.0)
-        cfg = OptimizerConfig(kind="nag", tau=0.1, mu=0.8, momentum_schedule=schedule)
+        cfg = OptimizerConfig(kind=kind, tau=0.1, mu=0.8)
         rng = np.random.default_rng(0)
         a = b = np.concatenate([rng.standard_normal(4), rng.standard_normal(4), [0.3]])
         for k in range(30):
             a, _ = step(a, k, obj, cfg)
             # the gradient stage at the look-ahead: V <- V - tau grad f(V)
             b = np.concatenate([b[:4], b[4:8] - cfg.tau * obj.grad(b[4:8]), b[8:]])
-            if schedule == "nesterov_k":
+            if kind == "nag_k":
                 b, _ = nag_contact_map(b, 0.0, k + 1)
             else:  # the same map with c = mu
                 x, v, s = b[:4], b[4:8], b[8:]
@@ -207,7 +212,7 @@ class TestNesterovFactorization:
 
     def test_contact_stage_rescales_s_by_momentum_product(self):
         obj = zero_objective(1)
-        cfg = OptimizerConfig(kind="nag", tau=0.1, momentum_schedule="nesterov_k")
+        cfg = OptimizerConfig(kind="nag_k", tau=0.1)
         z, k = np.array([0.4, 0.4, 1.7]), 4
         for _ in range(6):
             z, k = step(z, k, obj, cfg)
@@ -218,7 +223,7 @@ class TestNesterovFactorization:
 
     def test_first_step_kills_s(self):
         obj = zero_objective(1)
-        cfg = OptimizerConfig(kind="nag", tau=0.1, momentum_schedule="nesterov_k")
+        cfg = OptimizerConfig(kind="nag_k", tau=0.1)
         z = np.array([1.0, 1.0, 0.9])
         out, _ = step(z, 0, obj, cfg)
         assert out[-1] == 0.0
@@ -327,16 +332,15 @@ class TestRelativisticSteps:
         base = dict(kind="crgd", epsilon=0.02, mu=0.9, delta=1.0)
         z0 = np.array([1.0, 0.3, 0.0])
         a, _ = step(z0, 2, obj, OptimizerConfig(**base))
-        b, _ = step(z0, 2, obj, OptimizerConfig(**base, clock="physical"))
+        b, _ = step(z0, 2, obj, OptimizerConfig(**dict(base, kind="crgd_t")))
         assert a[1] != b[1]
 
-    @pytest.mark.parametrize("kind, clock", [("rgd", "iteration"), ("crgd", "iteration"),
-                                             ("crgd", "physical")])
-    def test_stack_rows_equal_single_steps_with_s(self, kind, clock):
+    @pytest.mark.parametrize("kind", ["rgd", "crgd", "crgd_t"])
+    def test_stack_rows_equal_single_steps_with_s(self, kind):
         # S is a trailing column: each row of a stack, delta = 0 included,
         # advances X, V and S exactly as that row stepped alone
         obj = rosenbrock(4)
-        cfgs = [OptimizerConfig(kind=kind, epsilon=eps, mu=mu, delta=delta, clock=clock)
+        cfgs = [OptimizerConfig(kind=kind, epsilon=eps, mu=mu, delta=delta)
                 for eps, mu, delta in ((0.002, 0.6, 0.0), (0.01, 0.9, 0.7), (0.05, 0.99, 5.0))]
         rng = np.random.default_rng(11)
         X, V = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
@@ -436,19 +440,7 @@ class TestRun:
             RunRecord(kind="gd", params={}, trace=(), diverged=False)
 
 
-# (kind, momentum_schedule, clock): every update and every schedule
-BATCH_MODES = (
-    ("gd", "constant", "iteration"),
-    ("cm", "constant", "iteration"),
-    ("nag", "constant", "iteration"),
-    ("nag", "nesterov_k", "iteration"),
-    ("rgd", "constant", "iteration"),
-    ("crgd", "constant", "iteration"),
-    ("crgd", "constant", "physical"),
-)
-
-
-def batch_configs(kind, schedule, clock, rng, T):
+def batch_configs(kind, rng, T):
     """T configs of one kind with steps wide enough that some runs diverge."""
     return [
         OptimizerConfig(
@@ -457,16 +449,14 @@ def batch_configs(kind, schedule, clock, rng, T):
             epsilon=float(10 ** rng.uniform(-3, 0)),
             mu=float(rng.uniform(0.5, 0.99)),
             delta=float(rng.uniform(0.0, 5.0)),
-            momentum_schedule=schedule,
-            clock=clock,
         )
         for _ in range(T)
     ]
 
 
-def batch_vs_single(obj, mode, seed, T=12, iters=40):
+def batch_vs_single(obj, kind, seed, T=12, iters=40):
     rng = np.random.default_rng(seed)
-    cfgs = batch_configs(*mode, rng, T)
+    cfgs = batch_configs(kind, rng, T)
     x0s = rng.uniform(-2.0, 2.0, (T, obj.dim))
     batch = run_batch(obj, cfgs, x0s, iters, trial_seeds=range(T))
     singles = [run(obj, cfg, x0, iters, trial_seed=i)
@@ -475,23 +465,23 @@ def batch_vs_single(obj, mode, seed, T=12, iters=40):
 
 
 class TestRunBatch:
-    @pytest.mark.parametrize("mode", BATCH_MODES, ids="-".join)
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
     @pytest.mark.parametrize("make", [lambda: quartic(5), lambda: rosenbrock(6),
                                       camelback], ids=["quartic", "rosenbrock",
                                                        "camelback"])
-    def test_rows_equal_single_runs_bitwise(self, make, mode):
-        batch, singles = batch_vs_single(make(), mode, seed=3)
+    def test_rows_equal_single_runs_bitwise(self, make, kind):
+        batch, singles = batch_vs_single(make(), kind, seed=3)
         assert len(batch) == len(singles)
         for i, rec in enumerate(singles):
             assert batch[i] == rec
 
-    @pytest.mark.parametrize("mode", BATCH_MODES, ids="-".join)
-    def test_quadratic_rows_equal_single_runs_to_1e_12(self, mode):
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    def test_quadratic_rows_equal_single_runs_to_1e_12(self, kind):
         # X @ A rounds a stack of rows and one row alone differently in
         # the last bits; on this well-conditioned draw the runs stay within
         # about 1e-14 of each other
         obj = make_random_quadratic(4, 8, 0.1, 1.0)
-        batch, singles = batch_vs_single(obj, mode, seed=5)
+        batch, singles = batch_vs_single(obj, kind, seed=5)
         for i, rec in enumerate(singles):
             row = batch[i]
             assert (row.kind, row.params, row.diverged, row.trial_seed) == (
@@ -538,7 +528,7 @@ class TestRunBatch:
         assert batch[0].trace == (1e300,) * 4 and batch[1].trace == (-1e300,) * 4
 
     def test_final_gaps_match_records(self):
-        batch, _ = batch_vs_single(quartic(4), ("gd", "constant", "iteration"), seed=8)
+        batch, _ = batch_vs_single(quartic(4), "gd", seed=8)
         assert batch.diverged.any() and not batch.diverged.all()
         assert batch.final_gaps.tolist() == [r.final_gap for r in batch]
 
@@ -548,12 +538,12 @@ class TestRunBatch:
         x0 = np.array([-1.2, 1.0, -1.2, 1.0])
         for kind in OPTIMIZER_KINDS:
             cfg = OptimizerConfig(kind=kind, tau=1e-3, epsilon=1e-3, mu=0.9)
-            z0 = np.concatenate([x0, x0 if kind == "nag" else np.zeros(4), [0.0]])
+            z0 = np.concatenate([x0, x0 if kind in ("nag", "nag_k") else np.zeros(4), [0.0]])
             traj = Trajectory.of(functools.partial(step, obj=obj, cfg=cfg), z0, 0, 25)
             assert traj.t.tolist() == list(range(26))
             assert run(obj, cfg, x0, 25).trace == tuple(obj.eval(x) for x in traj.X)
             assert np.isfinite(traj.S).all()
-            assert (traj.S[-1] == 0.0) == (kind in ("gd", "cm", "nag"))
+            assert (traj.S[-1] == 0.0) == (kind in ("gd", "cm", "nag", "nag_k"))
 
     def test_rejects_mixed_batches(self):
         obj = quartic(2)
@@ -561,11 +551,16 @@ class TestRunBatch:
             run_batch(obj, [OptimizerConfig(kind="gd"), OptimizerConfig(kind="cm")],
                       np.ones((2, 2)), iters=3)
         with pytest.raises(ValueError, match="one kind"):
-            run_batch(obj, [OptimizerConfig(kind="crgd"),
-                            OptimizerConfig(kind="crgd", clock="physical")],
+            run_batch(obj, [OptimizerConfig(kind="crgd"), OptimizerConfig(kind="crgd_t")],
                       np.ones((2, 2)), iters=3)
         with pytest.raises(ValueError, match="start vector"):
             run_batch(obj, [OptimizerConfig(kind="gd")], np.ones((2, 2)), iters=3)
+
+    @pytest.mark.parametrize("seeds", [[1], [1, 2, 3, 4]])
+    def test_rejects_a_trial_seed_count_other_than_the_config_count(self, seeds):
+        cfgs = [OptimizerConfig(kind="gd")] * 3
+        with pytest.raises(ValueError, match=rf"3 configs, {len(seeds)} trial seeds"):
+            run_batch(quartic(2), cfgs, np.ones((3, 2)), iters=3, trial_seeds=seeds)
 
     def test_rejects_objectives_of_one_point_only(self):
         c = np.array([2.0, -3.0])
@@ -577,13 +572,13 @@ class TestRunBatch:
 
 
 class TestEigenbasis:
-    @pytest.mark.parametrize("mode", BATCH_MODES, ids="-".join)
-    def test_diagonal_batch_matches_assembled_runs(self, mode):
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    def test_diagonal_batch_matches_assembled_runs(self, kind):
         # every update uses only gradients, linear combinations and squared
         # norms, so a run on A = Q diag(lam) Q' from x0 and a run on
         # diag(lam) from x0 @ Q agree up to rounding
         rng = np.random.default_rng(5)
-        cfgs = batch_configs(*mode, rng, 12)
+        cfgs = batch_configs(kind, rng, 12)
         # no speed limit and a huge step: this run diverges
         cfgs.append(dataclasses.replace(cfgs[0], tau=500.0, epsilon=500.0, delta=0.0))
         x0s = rng.uniform(-2.0, 2.0, (len(cfgs), 8))
