@@ -589,12 +589,6 @@ def estimate_rate(trace: Sequence[float], window: Tuple[int, int]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return repr(float(v))
-
-
 TRACE_HEADER = "optimizer,trial,iter,f_gap,diverged"
 BAND_HEADER = "optimizer,iter,median,q025,q975"
 
@@ -641,7 +635,7 @@ def _check_iter(it: str, expected: int, of: str) -> None:
 def export_trace_csv(records: Sequence[RunRecord], path: str) -> None:
     """One row per iteration: optimizer,trial,iter,f_gap,diverged."""
     rows = (
-        f"{rec.kind},{trial},{it},{_fmt(gap)},{'true' if rec.diverged else 'false'}"
+        f"{rec.kind},{trial},{it},{gap!r},{'true' if rec.diverged else 'false'}"
         for trial, rec in enumerate(records)
         for it, gap in enumerate(rec.trace)
     )
@@ -651,7 +645,7 @@ def export_trace_csv(records: Sequence[RunRecord], path: str) -> None:
 def export_band_csv(bands: Sequence[QuantileBand], path: str) -> None:
     """One row per iteration per band: optimizer,iter,median,q025,q975."""
     rows = (
-        f"{band.kind},{it},{_fmt(med)},{_fmt(lo)},{_fmt(hi)}"
+        f"{band.kind},{it},{med!r},{lo!r},{hi!r}"
         for band in bands
         for it, (med, lo, hi) in enumerate(zip(band.median, band.q025, band.q975))
     )
@@ -706,13 +700,7 @@ def read_band_csv(path: str) -> List[QuantileBand]:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def export_svg(
-    bands: Sequence[QuantileBand],
-    path: str,
-    title: str = "",
-    width: int = 880,
-    height: int = 540,
-) -> None:
+def export_svg(bands: Sequence[QuantileBand], path: str, title: str = "") -> None:
     """Self-contained convergence figure: log10 objective gap vs iteration.
 
     Each band draws a median polyline plus a translucent quantile polygon.
@@ -739,6 +727,7 @@ def export_svg(
     n_iter = max(len(b.median) for b in bands) - 1
     n_iter = max(n_iter, 1)
 
+    width, height = 880, 540
     ml, mr, mt, mb = 64.0, 16.0, 34.0, 44.0
     pw, ph = width - ml - mr, height - mt - mb
 

@@ -116,18 +116,22 @@ def nag_like_damping(gamma: float) -> Tuple[Callable, Callable]:
     return (lambda t: gamma * (1.0 + 1.0 / positive(t))), (lambda t: -gamma / (positive(t) * t))
 
 
-def _scaled(p):
-    """(a, p/a, |p/a|^2) with a = 1, the same bits as p and |p|^2, unless
-    |p|^2 overflows (|p| past about 1.3e154); then a is p's largest |entry|.
-    K's root is g = a sqrt(1/a^2 + k |p/a|^2), and its gradient and S rate,
-    written in g/a, stay finite while c is; at c = inf such a p has an
-    infinite K, and one drift takes the row past the divergence limit."""
+def _scaled(p, k):
+    """(a, p/a, |p/a|^2, g/a) for K's root g = sqrt(1 + k |p|^2), computed
+    once: a = 1, with the same bits as p, |p|^2 and g, unless |p|^2
+    overflows (|p| past about 1.3e154).  Then a is p's largest |entry| and
+    g/a = sqrt(r^2 + k |p/a|^2), r = 1/a, is formed without squaring r when
+    r^2 would underflow against the rest, so g/a is r at c = inf; K and the
+    S rate stay finite while c is, and at c = inf one drift of such a p
+    takes the row past the divergence limit."""
     pp = p @ p
     if abs(pp) < math.inf:  # a complex pp too
-        return 1.0, p, pp
+        return 1.0, p, pp, np.sqrt(1.0 + k * pp)
     a = np.max(np.abs(p))
     q = p / a
-    return a, q, q @ q
+    qq = q @ q
+    r, kqq = 1.0 / a, k * qq
+    return a, q, qq, np.sqrt(r * r + kqq) if abs(kqq) >= r else r * np.sqrt(1.0 + kqq / r / r)
 
 
 def contact_hamiltonian(obj: Objective, params: ContactParams) -> ContactHamiltonian:
@@ -137,11 +141,10 @@ def contact_hamiltonian(obj: Objective, params: ContactParams) -> ContactHamilto
     m, k, h, dh = params.m, params.k, params.h, params.dh
 
     def H(x, p, s, t) -> Partials:
-        a, q, qq = _scaled(p)
-        r, qq = 1.0 / a, float(qq)
-        g = math.sqrt(r * r + k * qq)  # g / a
+        a, q, qq, g = _scaled(p, k)  # g / a
+        qq, g = float(qq), float(g)
         ht = h(t)
-        kinetic = a * (qq / (m * (r + g)))
+        kinetic = a * (qq / (m * (1.0 / a + g)))
         return Partials(kinetic + obj.eval(x) + ht * s, obj.grad(x), q / (m * g), ht, dh(t) * s)
 
     return H
@@ -174,11 +177,9 @@ def flow_phi3(z: np.ndarray, t: float, dtau: float, params: ContactParams) -> St
     """
     n = len(z) // 2
     p = z[n:-1]
-    a, q, qq = _scaled(p)
-    r = 1.0 / a
-    g = np.sqrt(r * r + params.k * qq)  # g / a
+    a, q, qq, g = _scaled(p, params.k)  # g / a
     mg = params.m * g
-    return np.concatenate([z[:n] + q * dtau / mg, p, [z[-1] + qq * dtau / (mg * (r + g))]]), t
+    return np.concatenate([z[:n] + q * dtau / mg, p, [z[-1] + qq * dtau / (mg * (1.0 / a + g))]]), t
 
 
 def time_shift(z: np.ndarray, t: float, dtau: float) -> Step:

@@ -8,10 +8,9 @@ which exists to verify them.
 ``eval`` and ``grad`` take one point, a ``(n,)`` vector, or a stack of
 points, a ``(T, n)`` array, and reduce over the last axis: a stack of T
 points gives T values and a ``(T, n)`` gradient.  The batched optimizer
-loop relies on this; the reductions are row sums (and ``X @ A`` for the
-assembled quadratic), so a row of a stack is evaluated exactly like that
-row alone for every objective but the assembled quadratic, whose matrix
-product may differ in the last bits.  Integer powers are written as
+loop relies on this; every reduction is a row sum or, for the assembled
+quadratic, one matrix-vector product per row, so a row of a stack is
+evaluated exactly like that row alone.  Integer powers are written as
 products: numpy's vectorized ``power`` rounds differently on different
 CPUs, a product does not.  A complex point or stack stays complex
 (:func:`as_array`), so a map built on an objective can be differentiated
@@ -147,6 +146,24 @@ def draw_quadratic(
     return lam, rotate
 
 
+def _quadratic(
+    dim: int,
+    apply: Callable[[np.ndarray], np.ndarray],
+    rows: Optional[Callable[[np.ndarray], Objective]] = None,
+) -> Objective:
+    """f(x) = x'Ax/2 for a symmetric A given as its linear map, ``apply(X)``
+    = X A row by row, which is also the gradient."""
+
+    def f(x: np.ndarray):
+        x = as_array(x)
+        return _value(0.5 * (x * apply(x)).sum(axis=-1))
+
+    def g(x: np.ndarray) -> np.ndarray:
+        return apply(as_array(x))
+
+    return Objective(name="quadratic", dim=dim, eval=f, grad=g, known_min_value=0.0, rows=rows)
+
+
 def make_random_quadratic(
     seed: int, dim: int, eigen_lo: float, eigen_hi: float
 ) -> Objective:
@@ -158,22 +175,9 @@ def make_random_quadratic(
     q *= _signs(np.diag(r))
     a = (q * lam) @ q.T
     a = 0.5 * (a + a.T)  # exact symmetry
-
-    # A is symmetric, so X @ A is the gradient of every row of X at once
-    def f(x: np.ndarray):
-        x = as_array(x)
-        return _value(0.5 * (x * (x @ a)).sum(axis=-1))
-
-    def g(x: np.ndarray) -> np.ndarray:
-        return as_array(x) @ a
-
-    return Objective(
-        name="quadratic",
-        dim=dim,
-        eval=f,
-        grad=g,
-        known_min_value=0.0,
-    )
+    # one (1, n) @ A product per row of a stack rounds each row as x @ A
+    # does alone; X @ A would not
+    return _quadratic(dim, lambda x: x @ a if x.ndim == 1 else (x[..., None, :] @ a)[..., 0, :])
 
 
 def diagonal_quadratic(lam) -> Objective:
@@ -186,23 +190,8 @@ def diagonal_quadratic(lam) -> Objective:
     gradients, linear combinations and squared norms.
     """
     lam = np.asarray(lam, dtype=float)
-    dim = lam.shape[-1]
-
-    def f(x: np.ndarray):
-        x = as_array(x)
-        return _value(0.5 * (x * (lam * x)).sum(axis=-1))
-
-    def g(x: np.ndarray) -> np.ndarray:
-        return lam * as_array(x)
-
-    return Objective(
-        name="quadratic",
-        dim=dim,
-        eval=f,
-        grad=g,
-        known_min_value=0.0,
-        rows=(lambda keep: diagonal_quadratic(lam[keep])) if lam.ndim == 2 else None,
-    )
+    rows = (lambda keep: diagonal_quadratic(lam[keep])) if lam.ndim == 2 else None
+    return _quadratic(lam.shape[-1], lambda x: lam * x, rows)
 
 
 def quartic(dim: int) -> Objective:

@@ -184,6 +184,20 @@ class TestStageFlows:
         np.testing.assert_allclose(velocity, [2.0, 2e-224], rtol=1e-15)
         assert np.isfinite(grad_x).all()
 
+    @pytest.mark.parametrize("c, drift", [(math.inf, [1e223, 0.1]), (2.0, [0.2, 2e-225])],
+                             ids=["newtonian", "c2"])
+    def test_phi3_drift_of_a_momentum_whose_square_overflows(self, c, drift):
+        # at c = inf the drift is P dtau/m and grad K is P/m, however large P;
+        # at c = 2 it is c dtau P/|P|
+        params = contact_params(0.1, c=c)
+        z = row_of([0.0, 0.0], [1e224, 1.0], s=0.3)
+        x, p, s = parts(z)
+        with np.errstate(over="ignore", divide="ignore"):  # K and S are infinite at c = inf
+            out, _ = flow_phi3(z, 1.0, 0.1, params)
+            velocity = contact_hamiltonian(quartic(2), params)(x, p, s, 1.0).grad_P
+        np.testing.assert_allclose(parts(out)[0], drift, rtol=1e-15)
+        np.testing.assert_allclose(velocity, p if c == math.inf else 2.0 * p / 1e224, rtol=1e-15)
+
     def test_newtonian_phi3_hand_value(self):
         # X += P dtau/m, S += |P|^2 dtau/2m; P and the clock stay put
         z = row_of([1.0, -2.0], [0.5, 1.5], s=0.3)

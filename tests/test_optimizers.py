@@ -355,6 +355,26 @@ class TestRelativisticSteps:
                     z[:4].tobytes(), z[4:8].tobytes(), z[-1])
         assert np.all(np.isfinite(S)) and len(set(S[:, 0])) == 3
 
+    def test_a_velocity_whose_square_overflows_drifts_at_the_speed_limit(self):
+        # |V|^2 overflows past |V| ~ 1.3e154: each half drift still moves X by
+        # 1/sqrt(delta) along V, and S stays finite
+        cfg = OptimizerConfig(kind="rgd", epsilon=0.01, mu=0.9, delta=1.0)
+        with np.errstate(over="ignore"):  # numpy still reports the square's overflow
+            z, _ = step(np.array([0.0, 0.0, 1e200, 1.0, 0.0]), 0, quartic(2), cfg)
+        np.testing.assert_allclose(z[:2], [2.0, 2e-200], rtol=1e-15)
+        assert z[-1] == pytest.approx(26.7, rel=1e-3)
+
+    def test_a_row_whose_square_overflows_leaves_the_other_rows_bits(self):
+        obj = quartic(2)
+        cfgs = [OptimizerConfig(kind="rgd", epsilon=0.01, mu=0.9, delta=d) for d in (1.0, 0.5)]
+        X, V, S = np.zeros((2, 2)), np.array([[1e200, 1.0], [0.3, -0.7]]), np.zeros((2, 1))
+        with np.errstate(over="ignore"):
+            X, V, S = _UPDATES["rgd"](X, V, S, 0, obj, _Columns.of(cfgs))
+        z, _ = step(np.array([0.0, 0.0, 0.3, -0.7, 0.0]), 0, obj, cfgs[1])
+        assert (X[1].tobytes(), V[1].tobytes(), S[1, 0]) == (
+            z[:2].tobytes(), z[2:4].tobytes(), z[-1])
+        assert np.isfinite(X).all() and np.isfinite(S).all()
+
     @given(st.integers(0, 2 ** 31), st.floats(0.1, 10.0))
     @settings(max_examples=40, deadline=None)
     def test_displacement_bound(self, seed, delta):
@@ -466,28 +486,14 @@ def batch_vs_single(obj, kind, seed, T=12, iters=40):
 
 class TestRunBatch:
     @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
-    @pytest.mark.parametrize("make", [lambda: quartic(5), lambda: rosenbrock(6),
-                                      camelback], ids=["quartic", "rosenbrock",
-                                                       "camelback"])
+    @pytest.mark.parametrize("make", [lambda: quartic(5), lambda: rosenbrock(6), camelback,
+                                      lambda: make_random_quadratic(4, 8, 0.1, 1.0)],
+                             ids=["quartic", "rosenbrock", "camelback", "quadratic"])
     def test_rows_equal_single_runs_bitwise(self, make, kind):
         batch, singles = batch_vs_single(make(), kind, seed=3)
         assert len(batch) == len(singles)
         for i, rec in enumerate(singles):
             assert batch[i] == rec
-
-    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
-    def test_quadratic_rows_equal_single_runs_to_1e_12(self, kind):
-        # X @ A rounds a stack of rows and one row alone differently in
-        # the last bits; on this well-conditioned draw the runs stay within
-        # about 1e-14 of each other
-        obj = make_random_quadratic(4, 8, 0.1, 1.0)
-        batch, singles = batch_vs_single(obj, kind, seed=5)
-        for i, rec in enumerate(singles):
-            row = batch[i]
-            assert (row.kind, row.params, row.diverged, row.trial_seed) == (
-                rec.kind, rec.params, rec.diverged, rec.trial_seed)
-            assert len(row.trace) == len(rec.trace)
-            np.testing.assert_allclose(row.trace, rec.trace, rtol=1e-12, atol=0)
 
     def test_rows_diverge_at_different_iterations(self):
         obj = quartic(3)
