@@ -89,9 +89,41 @@ class ContactParams:
     @property
     def k(self) -> float:
         """(1/(mc))^2, the weight of |P|^2 under K's root: 0 at c = inf, and
-        inf, not an OverflowError, when c is below about 1e-154."""
-        inv = 1.0 / (self.m * self.c)
+        inf, not an error, once mc is below about 1e-154, where m*c = 0 too."""
+        mc = self.m * self.c
+        inv = 1.0 / mc if mc else math.inf
         return inv * inv
+
+
+def _speed_limit(p, pp, k):
+    """(a, p/a, |p/a|^2, g/a) for K's root g = sqrt(1 + k |p|^2), the one
+    speed-limit rule: of a row p with pp = p @ p and a float k (H, phi3), or
+    of a (T, n) stack with its (T, 1) squared norms and k a float or a
+    (T, 1) column (RGD/CRGD).  A row whose 1 + k |p|^2 is finite has a = 1
+    and the bits of p, pp and the root; a row past that is scaled by its
+    largest |entry| a, and g/a = sqrt(r^2 + k |p/a|^2), r = 1/a, is formed
+    without squaring r where r^2 would underflow against the rest, so p/g
+    keeps its limit however large p or k.  k |p|^2 is 0 where either factor
+    is: g = 1 at k = 0 (c = inf), and p = 0 rests at k = inf.  A complex
+    row stays complex throughout, for the complex step."""
+    if isinstance(pp, np.ndarray):  # a stack: one reduction tests every row
+        gg = 1.0 + k * pp
+        finite = gg.max() < math.inf  # false for a NaN too
+    else:  # a row, the flows' hot path: a scalar test, and no 0 * inf warning
+        gg = 1.0 + (k * pp if k and pp else 0.0)
+        finite = abs(gg) < math.inf
+    if finite:
+        return 1.0, p, pp, np.sqrt(gg)
+    with np.errstate(all="ignore"):  # the branch np.where drops may overflow
+        shape = np.shape(pp)
+        gg = np.where((pp == 0) | (k == 0), 1.0, gg)
+        over = ~(abs(gg) < math.inf)
+        a = np.where(over, abs(p).max(axis=-1).reshape(shape), 1.0)
+        q = p / a
+        qq = (q * q).sum(axis=-1).reshape(shape)
+        r, kqq = 1.0 / a, k * qq
+        scaled = np.where(abs(kqq) >= r, np.sqrt(r * r + kqq), r * np.sqrt(1.0 + kqq / r / r))
+        return a, q, qq, np.where(over, scaled, np.sqrt(gg))
 
 
 def constant_damping(gamma: float) -> Tuple[Callable, Callable]:
@@ -116,32 +148,14 @@ def nag_like_damping(gamma: float) -> Tuple[Callable, Callable]:
     return (lambda t: gamma * (1.0 + 1.0 / positive(t))), (lambda t: -gamma / (positive(t) * t))
 
 
-def _scaled(p, k):
-    """(a, p/a, |p/a|^2, g/a) for K's root g = sqrt(1 + k |p|^2), computed
-    once: a = 1, with the same bits as p, |p|^2 and g, unless |p|^2
-    overflows (|p| past about 1.3e154).  Then a is p's largest |entry| and
-    g/a = sqrt(r^2 + k |p/a|^2), r = 1/a, is formed without squaring r when
-    r^2 would underflow against the rest, so g/a is r at c = inf; K and the
-    S rate stay finite while c is, and at c = inf one drift of such a p
-    takes the row past the divergence limit."""
-    pp = p @ p
-    if abs(pp) < math.inf:  # a complex pp too
-        return 1.0, p, pp, np.sqrt(1.0 + k * pp)
-    a = np.max(np.abs(p))
-    q = p / a
-    qq = q @ q
-    r, kqq = 1.0 / a, k * qq
-    return a, q, qq, np.sqrt(r * r + kqq) if abs(kqq) >= r else r * np.sqrt(1.0 + kqq / r / r)
-
-
 def contact_hamiltonian(obj: Objective, params: ContactParams) -> ContactHamiltonian:
     """K(P) + f(X) + h(t)*S as one function returning its value and partials;
-    |P|^2, the root g and h(t) are computed once per point, with P scaled
-    as :func:`_scaled` does."""
+    |P|^2, the root g and h(t) are computed once per point, with P under
+    the speed limit of :func:`_speed_limit`."""
     m, k, h, dh = params.m, params.k, params.h, params.dh
 
     def H(x, p, s, t) -> Partials:
-        a, q, qq, g = _scaled(p, k)  # g / a
+        a, q, qq, g = _speed_limit(p, p @ p, k)  # g / a
         qq, g = float(qq), float(g)
         ht = h(t)
         kinetic = a * (qq / (m * (1.0 / a + g)))
@@ -172,12 +186,12 @@ def flow_phi3(z: np.ndarray, t: float, dtau: float, params: ContactParams) -> St
     """Exact flow of the kinetic piece K(P): a drift of X.
 
     X += P*dtau/(m g), at most c*|dtau| whatever P, and S grows at the rate
-    P.grad K - K = |P|^2 / (m g (1 + g)); at c = inf, g = 1.  P is scaled
-    as :func:`_scaled` does.
+    P.grad K - K = |P|^2 / (m g (1 + g)); at c = inf, g = 1.  The root is
+    :func:`_speed_limit`'s.
     """
     n = len(z) // 2
     p = z[n:-1]
-    a, q, qq, g = _scaled(p, params.k)  # g / a
+    a, q, qq, g = _speed_limit(p, p @ p, params.k)  # g / a
     mg = params.m * g
     return np.concatenate([z[:n] + q * dtau / mg, p, [z[-1] + qq * dtau / (mg * (1.0 / a + g))]]), t
 

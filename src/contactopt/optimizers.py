@@ -44,6 +44,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .contact import Step, check_row, within_limit
+from .integrators import _speed_limit
 from .objectives import Objective
 
 __all__ = [
@@ -190,24 +191,6 @@ def _sqnorm(V):
     return (V * V).sum(axis=-1, keepdims=True)
 
 
-def _speed_limited(V, c):
-    """V and the factor 1/g, g = sqrt(c |V|^2 + 1), of a relativistic drift,
-    as (m, U, |U|^2, A) with V = m U and 1/g = A / m, as trailing columns
-    like _sqnorm's.  In a row whose |V|^2 is finite, m = 1 and U, |U|^2 and
-    A are V, |V|^2 and 1/g bit for bit; a row past that (|V| above about
-    1.3e154) is scaled by its largest |entry| m, and A = 1/hypot(sqrt(c)|U|,
-    1/m) squares neither V nor 1/m."""
-    vv = _sqnorm(V)
-    a = 1.0 / np.sqrt(c * vv + 1.0)
-    if vv.max() < math.inf:
-        return 1.0, V, vv, a
-    over = np.isinf(vv)
-    m = np.where(over, np.max(np.abs(V), axis=-1, keepdims=True), 1.0)
-    U = V / m
-    uu = _sqnorm(U)
-    return m, U, uu, np.where(over, 1.0 / np.hypot(np.sqrt(c * uu), 1.0 / m), a)
-
-
 def _relativistic(X, V, S, obj, p, mu_h):
     """Shared RGD/CRGD update; mu_h is the per-step dissipation factor.
 
@@ -215,15 +198,16 @@ def _relativistic(X, V, S, obj, p, mu_h):
     relativistically (each drift moves X by at most 1/sqrt(delta)) and
     sqrt(mu_h) damping applied around the kick.  S follows the same
     composition of exact stage flows in the m=1 gauge, tau = sqrt(2 eps).
-    A velocity whose squared norm overflows is scaled as _speed_limited
-    does.
+    Each drift's root g is integrators._speed_limit's, on _sqnorm's columns.
     """
     sq = np.sqrt(mu_h)
     eps, delta = p.epsilon, p.delta
-    m_k, u_k, uu_k, a = _speed_limited(V, delta * mu_h)
+    m_k, u_k, uu_k, g_k = _speed_limit(V, _sqnorm(V), delta * mu_h)
+    a = 1.0 / g_k
     x_mid = X + sq * u_k * a
     v_mid = sq * V - eps * obj.grad(x_mid)
-    m_mid, u_mid, uu_mid, b = _speed_limited(v_mid, delta)
+    m_mid, u_mid, uu_mid, g_mid = _speed_limit(v_mid, _sqnorm(v_mid), delta)
+    b = 1.0 / g_mid
     if S is not None:
         # the two half drifts' rate |P|^2 / (g (1 + g)), with 1/g = a/m_k and b/m_mid
         kin = (mu_h * uu_k * (a * a / (1.0 + a / m_k))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactopt.checks import TOL_CONFORMAL, TOL_LAMBDA
@@ -70,6 +70,17 @@ class TestContactParams:
         with pytest.raises(ValueError, match=r"math\.inf"):
             contact_params(c=None)
         assert contact_params(c=math.inf, m=2.0).k == 0.0
+
+    def test_k_is_inf_where_mc_underflows(self):
+        # m c = 1e-400 is 0 in floats: k is inf, not a ZeroDivisionError, and
+        # phi3 stands still as it does at c = 1e-160; k keeps its bits wherever
+        # m c > 0
+        params = contact_params(0.1, m=1e-200, c=1e-200)
+        assert params.k == math.inf
+        z = row_of([1.0, -2.0], [0.5, 1.5], s=0.3)
+        np.testing.assert_array_equal(flow_phi3(z, 1.0, 0.4, params)[0], z)
+        inv = 1.0 / (1.2 * 0.8)
+        assert contact_params(m=1.2, c=0.8).k == inv * inv
 
     def test_constant_damping(self):
         h, dh = constant_damping(0.3)
@@ -148,24 +159,34 @@ class TestStageFlows:
         assert value == pytest.approx(1.25 + quartic(2).eval(x) + 0.1 * 0.3, rel=1e-15)
         assert all(np.isfinite(v).all() for v in partials)
 
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
-           st.floats(0.01, 2.0), st.floats(0.1, 5.0))
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4).filter(any),
+           st.floats(-6.0, 250.0), st.floats(0.01, 2.0), st.floats(-10.0, 10.0))
+    @example([1.0, -0.5], 150.0, 0.1, -10.0)  # |P|^2 finite, k |P|^2 overflows
     @settings(max_examples=60, deadline=None)
-    def test_phi3_speed_limit(self, p, dtau, c):
-        params = contact_params(c=c)
-        z = row_of(np.zeros(len(p)), np.array(p))
-        out, _ = flow_phi3(z, 1.0, dtau, params)
-        assert np.linalg.norm(parts(out)[0] - parts(z)[0]) <= c * dtau * (1 + 1e-12)
+    def test_phi3_speed_limit(self, direction, log_p, dtau, log_c):
+        # the drift is P dtau / (m hypot(1, |P|/(mc))), at most c dtau, for
+        # |P| up to 1e250 and c over [1e-10, 1e10]; Python's math.hypot
+        # squares nothing, so it is the reference past |P|^2's overflow
+        c = 10.0 ** log_c
+        p = 10.0 ** log_p * np.array(direction) / math.hypot(*direction)
+        with np.errstate(over="ignore"):  # numpy reports |P|^2's or k |P|^2's overflow
+            out, _ = flow_phi3(row_of(np.zeros(len(p)), p), 1.0, dtau, contact_params(c=c))
+        drift = parts(out)[0]
+        expected = p * dtau / math.hypot(1.0, math.hypot(*p) / c)
+        assert np.linalg.norm(drift - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.linalg.norm(drift) <= c * dtau * (1 + 1e-12)
 
     def test_phi3_and_h_stand_still_below_a_tiny_speed_limit(self):
-        # k = (1/(mc))^2 overflows to inf at c = 1e-160: X and S stay put
+        # k = (1/(mc))^2 overflows to inf at c = 1e-160: X and S stay put,
+        # and a momentum at rest stays at rest (k |P|^2 is 0, not inf * 0)
         params = contact_params(0.1, c=1e-160)
-        z = row_of([1.0, -2.0], [0.5, 1.5], s=0.3)
-        np.testing.assert_array_equal(flow_phi3(z, 1.0, 0.4, params)[0], z)
-        x, p, s = parts(z)
-        value, _, velocity, _, _ = contact_hamiltonian(quartic(2), params)(x, p, s, 1.0)
-        assert value == quartic(2).eval(x) + 0.1 * 0.3
-        np.testing.assert_array_equal(velocity, [0.0, 0.0])
+        for momentum in ([0.5, 1.5], [0.0, 0.0]):
+            z = row_of([1.0, -2.0], momentum, s=0.3)
+            np.testing.assert_array_equal(flow_phi3(z, 1.0, 0.4, params)[0], z)
+            x, p, s = parts(z)
+            value, _, velocity, _, _ = contact_hamiltonian(quartic(2), params)(x, p, s, 1.0)
+            assert value == quartic(2).eval(x) + 0.1 * 0.3
+            np.testing.assert_array_equal(velocity, [0.0, 0.0])
 
     def test_phi3_and_h_scale_a_momentum_whose_square_overflows(self):
         # |P|^2 overflows once |P| passes about 1.3e154: the drift still
@@ -184,19 +205,24 @@ class TestStageFlows:
         np.testing.assert_allclose(velocity, [2.0, 2e-224], rtol=1e-15)
         assert np.isfinite(grad_x).all()
 
-    @pytest.mark.parametrize("c, drift", [(math.inf, [1e223, 0.1]), (2.0, [0.2, 2e-225])],
-                             ids=["newtonian", "c2"])
-    def test_phi3_drift_of_a_momentum_whose_square_overflows(self, c, drift):
+    @pytest.mark.parametrize("c, p0, drift", [(math.inf, 1e224, [1e223, 0.1]),
+                                              (2.0, 1e224, [0.2, 2e-225]),
+                                              (1e-10, 1e150, [1e-11, 1e-161])],
+                             ids=["newtonian", "c2", "c1e-10"])
+    def test_phi3_drift_of_a_momentum_whose_square_overflows(self, c, p0, drift):
         # at c = inf the drift is P dtau/m and grad K is P/m, however large P;
-        # at c = 2 it is c dtau P/|P|
+        # at finite c it is c dtau P/|P| and S grows by m c^2 dtau, also where
+        # |P|^2 is finite and k |P|^2 overflows (c = 1e-10)
         params = contact_params(0.1, c=c)
-        z = row_of([0.0, 0.0], [1e224, 1.0], s=0.3)
+        z = row_of([0.0, 0.0], [p0, 1.0])
         x, p, s = parts(z)
-        with np.errstate(over="ignore", divide="ignore"):  # K and S are infinite at c = inf
+        with np.errstate(over="ignore"):  # K and S are infinite at c = inf
             out, _ = flow_phi3(z, 1.0, 0.1, params)
             velocity = contact_hamiltonian(quartic(2), params)(x, p, s, 1.0).grad_P
         np.testing.assert_allclose(parts(out)[0], drift, rtol=1e-15)
-        np.testing.assert_allclose(velocity, p if c == math.inf else 2.0 * p / 1e224, rtol=1e-15)
+        np.testing.assert_allclose(velocity, p if c == math.inf else c * p / p0, rtol=1e-15)
+        if c < math.inf:
+            assert parts(out)[2] == pytest.approx(c * c * 0.1, rel=1e-15)
 
     def test_newtonian_phi3_hand_value(self):
         # X += P dtau/m, S += |P|^2 dtau/2m; P and the clock stay put

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactopt.contact import Trajectory, conformal_factor
+from contactopt.contact import Trajectory, _jacobian, conformal_factor
 from contactopt.objectives import (
     Objective,
     camelback,
@@ -356,36 +356,64 @@ class TestRelativisticSteps:
         assert np.all(np.isfinite(S)) and len(set(S[:, 0])) == 3
 
     def test_a_velocity_whose_square_overflows_drifts_at_the_speed_limit(self):
-        # |V|^2 overflows past |V| ~ 1.3e154: each half drift still moves X by
-        # 1/sqrt(delta) along V, and S stays finite
-        cfg = OptimizerConfig(kind="rgd", epsilon=0.01, mu=0.9, delta=1.0)
-        with np.errstate(over="ignore"):  # numpy still reports the square's overflow
-            z, _ = step(np.array([0.0, 0.0, 1e200, 1.0, 0.0]), 0, quartic(2), cfg)
-        np.testing.assert_allclose(z[:2], [2.0, 2e-200], rtol=1e-15)
-        assert z[-1] == pytest.approx(26.7, rel=1e-3)
+        # |V|^2 overflows past |V| ~ 1.3e154, and delta |V|^2 at delta = 1e10
+        # past |V| ~ 1.3e149: each half drift still moves X by 1/sqrt(delta)
+        # along V, and S stays finite
+        for delta, v0, x, s in ((1.0, 1e200, [2.0, 2e-200], 26.7),
+                                (1e10, 1e150, [2e-5, 2e-155], 2.683e-9)):
+            cfg = OptimizerConfig(kind="rgd", epsilon=0.01, mu=0.9, delta=delta)
+            with np.errstate(over="ignore"):  # numpy still reports the overflow
+                z, _ = step(np.array([0.0, 0.0, v0, 1.0, 0.0]), 0, quartic(2), cfg)
+            np.testing.assert_allclose(z[:2], x, rtol=1e-15)
+            assert z[-1] == pytest.approx(s, rel=1e-3)
 
     def test_a_row_whose_square_overflows_leaves_the_other_rows_bits(self):
         obj = quartic(2)
-        cfgs = [OptimizerConfig(kind="rgd", epsilon=0.01, mu=0.9, delta=d) for d in (1.0, 0.5)]
-        X, V, S = np.zeros((2, 2)), np.array([[1e200, 1.0], [0.3, -0.7]]), np.zeros((2, 1))
+        cfgs = [OptimizerConfig(kind="rgd", epsilon=0.01, mu=0.9, delta=d) for d in (1.0, 0.5, 1e10)]
+        X, V, S = np.zeros((3, 2)), np.array([[1e200, 1.0], [0.3, -0.7], [1e150, 1.0]]), np.zeros((3, 1))
         with np.errstate(over="ignore"):
             X, V, S = _UPDATES["rgd"](X, V, S, 0, obj, _Columns.of(cfgs))
         z, _ = step(np.array([0.0, 0.0, 0.3, -0.7, 0.0]), 0, obj, cfgs[1])
         assert (X[1].tobytes(), V[1].tobytes(), S[1, 0]) == (
             z[:2].tobytes(), z[2:4].tobytes(), z[-1])
         assert np.isfinite(X).all() and np.isfinite(S).all()
+        np.testing.assert_allclose(X[2], [2e-5, 2e-155], rtol=1e-15)
 
-    @given(st.integers(0, 2 ** 31), st.floats(0.1, 10.0))
+    def test_complex_step_jacobian_through_an_overflowing_row(self):
+        # the scaled root keeps a complex row complex: dX'/dX = I, and
+        # dV'_0/dX_0 = -sqrt(mu) eps f''(x_mid_0) = -12 eps sqrt(mu) at x_mid_0 = 1;
+        # a central difference cannot see this, its step is below one ulp of 1e200
+        cfg = OptimizerConfig(kind="rgd", epsilon=0.01, mu=0.9, delta=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # the complex square's inf * 0
+            j = _jacobian(lambda row, k: step(row, k, quartic(2), cfg),
+                          np.array([0.0, 0.0, 1e200, 1.0, 0.0]), 0)
+        assert np.isfinite(j).all()
+        np.testing.assert_array_equal(j[:2, :2], np.eye(2))
+        assert j[2, 0] == pytest.approx(-12.0 * 0.01 * math.sqrt(0.9), abs=1e-12)
+
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(any),
+           st.floats(-6.0, 250.0), st.floats(-10.0, 10.0))
+    @example([1.0, -0.5, 0.25], 150.0, 10.0)  # |V|^2 finite, delta |V|^2 overflows
     @settings(max_examples=40, deadline=None)
-    def test_displacement_bound(self, seed, delta):
-        # each of the two drifts moves X by less than 1/sqrt(delta)
-        rng = np.random.default_rng(seed)
-        obj = quartic(3)
-        cfg = OptimizerConfig(kind="rgd", epsilon=0.5, mu=0.95, delta=delta)
-        z0 = np.concatenate([rng.uniform(-5, 5, 3), rng.uniform(-50, 50, 3), [0.0]])
-        z1, _ = step(z0, 0, obj, cfg)
-        bound = 2.0 / math.sqrt(delta)
-        assert np.linalg.norm(z1[:3] - z0[:3]) <= bound * (1 + 1e-12)
+    def test_displacement_bound(self, direction, log_v, log_delta):
+        # each half drift moves X by w / hypot(1, sqrt(delta) |w|), less than
+        # 1/sqrt(delta), with w = sqrt(mu) V for the first and the kicked
+        # velocity v_mid for the second, for |V| up to 1e250 and delta over
+        # [1e-10, 1e10]; Python's math.hypot squares nothing
+        delta, eps, mu = 10.0 ** log_delta, 0.5, 0.95
+        v0 = 10.0 ** log_v * np.array(direction) / math.hypot(*direction)
+        kicks, base = [], quartic(3)
+        obj = dataclasses.replace(base, grad=lambda x: kicks.append(x) or base.grad(x))
+        cfg = OptimizerConfig(kind="rgd", epsilon=eps, mu=mu, delta=delta)
+        with np.errstate(over="ignore"):  # numpy reports |V|^2's or delta |V|^2's overflow
+            z1, _ = step(np.concatenate([np.zeros(3), v0, [0.0]]), 0, obj, cfg)
+        x_mid, = kicks
+        v_mid = np.sqrt(mu) * v0 - eps * base.grad(x_mid)
+        for start, end, w in ((np.zeros(3), x_mid, math.sqrt(mu) * v0), (x_mid, z1[:3], v_mid)):
+            drift = w / math.hypot(1.0, math.sqrt(delta) * math.hypot(*w))
+            assert np.linalg.norm(end - start - drift) <= 1e-12 * (
+                np.linalg.norm(start) + np.linalg.norm(drift))
+            assert np.linalg.norm(end - start) <= (1 + 1e-12) / math.sqrt(delta)
 
 
 class TestRun:
